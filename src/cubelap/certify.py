@@ -9,15 +9,17 @@ strict contraction whenever
 is below one. C is strictly increasing in T (and in q, l, a, |b|), and its
 T -> 0 limit is q*l*sqrt(2): if that already reaches one, no window length
 works at all. Otherwise the supremal admissible window is the unique root of
-C(T) = 1, found by bisection, and a global solve marches windows of a
-safety-scaled length; the constant does not depend on the initial state, so
-one certificate covers every window of the march.
+C(T) = 1, in closed form through the Lambert W function, and a global solve
+marches windows of a safety-scaled length; the constant does not depend on
+the initial state, so one certificate covers every window of the march.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from scipy.special import lambertw
 
 
 class NoAdmissibleWindow(ValueError):
@@ -43,38 +45,23 @@ def contraction_constant(q: float, l: float, T: float, a: float, b: float) -> fl
     return q * l * math.sqrt(T * T * math.exp(2.0 * a * T) * (1.0 + 2.0 * drift) + 2.0)
 
 
-def max_window(q: float, l: float, a: float, b: float, tol: float = 1e-12) -> float:
+def max_window(q: float, l: float, a: float, b: float) -> float:
     """Supremal T with contraction_constant(q, l, T, a, b) < 1.
 
-    Bisection on the strictly increasing T -> C(T); requires
-    q*l*sqrt(2) < 1, the T -> 0 limit, else NoAdmissibleWindow.
+    C(T) = 1 is equivalent to T e^{aT} = sqrt(R) with
+    R = (1/(ql)^2 - 2) / (1 + 2(a + |b| + 1)^2), so the root is
+    W0(a sqrt(R)) / a (principal branch of the Lambert W function), or
+    sqrt(R) when a = 0. Requires q*l*sqrt(2) < 1, the T -> 0 limit, else
+    NoAdmissibleWindow.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if q <= 0 or l <= 0:
         raise ValueError(f"q, l must be positive (got q={q}, l={l})")
     if q * l * math.sqrt(2.0) >= 1.0:
         raise NoAdmissibleWindow(q, l)
-    lo = 0.0
-    hi = 1.0
-    while contraction_constant(q, l, hi, a, b) < 1.0:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e300:  # pragma: no cover - unreachable for positive inputs
-            raise RuntimeError("bisection bracket diverged")
-    # bisect essentially to machine width; the extra iterations are free and
-    # keep |C(T_max) - 1| within a small multiple of tol even when dC/dT >> 1
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if contraction_constant(q, l, mid, a, b) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < min(tol, 1e-16 * max(1.0, hi)):
-            break
-    return 0.5 * (lo + hi)
+    root = math.sqrt((1.0 / (q * l) ** 2 - 2.0) / (1.0 + 2.0 * (a + abs(b) + 1.0) ** 2))
+    if a == 0:
+        return root
+    return float(lambertw(a * root).real) / a
 
 
 @dataclass(frozen=True)

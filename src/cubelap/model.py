@@ -68,11 +68,7 @@ class ModelEvaluationError(RuntimeError):
 # kernel catalog
 # ---------------------------------------------------------------------------
 
-# physicists' Hermite polynomials entering d^n/dx^n exp(-x^2)
-def _hermite5(x):
-    return 32 * x**5 - 160 * x**3 + 120 * x
-
-
+# physicists' Hermite polynomial entering d^6/dx^6 exp(-x^2)
 def _hermite6(x):
     return 64 * x**6 - 480 * x**4 + 720 * x**2 - 120
 
@@ -177,6 +173,12 @@ def gaussian_kernel(amplitude: float = 1.0, width: float = 1.0) -> KernelSpec:
     )
 
 
+def _sech(z):
+    """sech(z) as 2e^{-|z|} / (1 + e^{-2|z|}), which cannot overflow."""
+    e = np.exp(-np.abs(z))
+    return 2.0 * e / (1.0 + e * e)
+
+
 def sech_kernel(amplitude: float = 1.0, width: float = 1.0) -> KernelSpec:
     """G(x) = amplitude * sech(x/width), with analytic sixth derivative."""
     if amplitude == 0:
@@ -186,14 +188,14 @@ def sech_kernel(amplitude: float = 1.0, width: float = 1.0) -> KernelSpec:
     a, w = float(amplitude), float(width)
 
     def g(x):
-        return a / np.cosh(np.asarray(x) / w)
+        return a * _sech(np.asarray(x) / w)
 
     def d6g(x):
-        s = 1.0 / np.cosh(np.asarray(x) / w)
+        s = _sech(np.asarray(x) / w)
         return (a / w**6) * s * (1 - 182 * s**2 + 840 * s**4 - 720 * s**6)
 
     def spectrum(p):
-        return a * w * np.sqrt(np.pi / 2.0) / np.cosh(np.pi * w * p / 2.0)
+        return a * w * np.sqrt(np.pi / 2.0) * _sech(np.pi * w * p / 2.0)
 
     l1 = abs(a) * w * np.pi
     l1_d6 = _quad_l1(d6g, 60.0 * w)
@@ -527,11 +529,86 @@ def logistic_clip(lipschitz: float, u_max: float, source=None) -> NonlinearitySp
     )
 
 
+# ---------------------------------------------------------------------------
+# catalog registry: the entries a run configuration can name
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Required:
+    """Default of a catalog parameter that a configuration must give."""
+
+    kind: type = float
+
+
+#: A required number.
+REQUIRED = Required()
+
+
+@dataclass(frozen=True)
+class Subsection:
+    """A catalog parameter that is itself a section naming an entry of ``catalog``."""
+
+    catalog: dict
+    default: str
+
+
+@dataclass(frozen=True)
+class CatalogEntry:
+    """Constructor of one catalog member and the parameters it takes.
+
+    ``params`` maps each keyword of ``build``, in configuration order, to its
+    default: a number, ``None`` (null or a number), a ``Required`` marker or a
+    ``Subsection``. Entries with ``takes_grid`` get the grid first. Range
+    checks on the values stay in the constructors.
+    """
+
+    build: object
+    params: dict
+    takes_grid: bool = False
+
+
+KERNELS = {
+    "gaussian": CatalogEntry(gaussian_kernel, {"amplitude": 1.0, "width": 1.0}),
+    "sech": CatalogEntry(sech_kernel, {"amplitude": 1.0, "width": 1.0}),
+    "bandlimited": CatalogEntry(
+        bandlimited_kernel, {"amplitude": 1.0, "cutoff": REQUIRED}, takes_grid=True
+    ),
+    "tabulated": CatalogEntry(
+        tabulated_kernel_from_csv, {"path": Required(str)}, takes_grid=True
+    ),
+}
+
+SOURCES = {
+    "zero": CatalogEntry(source_zero, {}),
+    "gaussian": CatalogEntry(
+        source_gaussian, {"amplitude": 1.0, "width": 1.0, "center": 0.0}
+    ),
+    "bandlimited": CatalogEntry(
+        source_bandlimited,
+        {"amplitude": 1.0, "p_lo": REQUIRED, "p_hi": REQUIRED},
+        takes_grid=True,
+    ),
+}
+
+_SOURCE = Subsection(SOURCES, "zero")
+
+NONLINEARITIES = {
+    "linear_plus_source": CatalogEntry(
+        linear_plus_source, {"kappa": REQUIRED, "lipschitz": None, "source": _SOURCE}
+    ),
+    "saturating": CatalogEntry(saturating, {"lipschitz": REQUIRED, "source": _SOURCE}),
+    "logistic_clip": CatalogEntry(
+        logistic_clip, {"lipschitz": REQUIRED, "u_max": REQUIRED, "source": _SOURCE}
+    ),
+}
+
+
 def apply_nonlinearity(u: Field, nonlinearity: NonlinearitySpec) -> Field:
     """Pointwise F(u(x_j), x_j) on physical samples.
 
-    Hard-fails on NaN/Inf, naming the offending location. In debug runs the
-    linear growth bound ||F(u,.)|| <= k||u|| + ||h|| is asserted as well.
+    Hard-fails on NaN/Inf, naming the offending location, and on a violation
+    of the declared linear growth bound ||F(u,.)|| <= k||u|| + ||h||.
     """
     if u.rep != "physical":
         raise RepresentationError("apply_nonlinearity expects a physical field")
@@ -544,10 +621,10 @@ def apply_nonlinearity(u: Field, nonlinearity: NonlinearitySpec) -> Field:
             f"nonlinearity produced {vals[j]!r} at x[{j}] = {x[j]:g}"
         )
     out = Field(u.grid, vals, "physical")
-    if __debug__:
-        h_norm = l2_norm(Field(u.grid, nonlinearity.source(x), "physical"))
-        bound = nonlinearity.growth_k * l2_norm(u) + h_norm
-        assert l2_norm(out) <= bound * (1 + 1e-9) + 1e-300, (
+    h_norm = l2_norm(Field(u.grid, nonlinearity.source(x), "physical"))
+    bound = nonlinearity.growth_k * l2_norm(u) + h_norm
+    if not l2_norm(out) <= bound * (1 + 1e-9) + 1e-300:
+        raise ModelEvaluationError(
             f"growth bound violated: ||F(u)|| = {l2_norm(out):g} > "
             f"k||u|| + ||h|| = {bound:g}"
         )

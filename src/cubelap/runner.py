@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .certify import Certificate, NoAdmissibleWindow, certificate_report
+from .certify import NoAdmissibleWindow, certificate_report
 from .evolve import (
     CertificateRefusedError,
     SolveReport,
@@ -38,21 +38,17 @@ from .evolve import (
 )
 from .grid import Field, field_from_function, inverse_transform, make_grid
 from .model import (
+    KERNELS,
+    NONLINEARITIES,
+    REQUIRED,
     AssumptionViolation,
+    CatalogEntry,
     ModelEvaluationError,
     ProblemSpec,
-    bandlimited_kernel,
+    Required,
+    Subsection,
     check_lipschitz_sampling,
-    gaussian_kernel,
     kernel_strength,
-    linear_plus_source,
-    logistic_clip,
-    saturating,
-    sech_kernel,
-    source_bandlimited,
-    source_gaussian,
-    source_zero,
-    tabulated_kernel_from_csv,
     validate_kernel,
 )
 from .storage import dump_spacetime_field
@@ -121,24 +117,34 @@ class RunArtifacts:
     config: RunConfig | None = None
 
 
-def _require_keys(section: dict, name: str, known: dict, required: tuple = ()):
+def _require_keys(section: dict, name: str, known: dict):
+    """Reject unknown and missing keys; defaults first, then the given keys."""
     if not isinstance(section, dict):
         raise ConfigError(f"section {name!r} must be an object, got {section!r}")
     for key in section:
         if key not in known:
             raise ConfigError(f"unknown key {key!r} in section {name!r}")
-    for key in required:
-        if key not in section:
+    for key, default in known.items():
+        if isinstance(default, Required) and key not in section:
             raise ConfigError(f"missing key {key!r} in section {name!r}")
-    merged = {k: v for k, v in known.items() if v is not ...}
+    merged = {k: v for k, v in known.items() if not isinstance(v, Required)}
     merged.update(section)
     return merged
 
 
-def _as_number(value, where: str, constraint: str | None = None) -> float:
+def _as_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
+    # exact also for integers too large to convert to a float
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where} must be finite, got {value!r}")
     return float(value)
+
+
+def _as_integer(value, where: str):
+    _as_number(value, where)
+    if not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
 
 
 def parse_config(path) -> RunConfig:
@@ -154,24 +160,19 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("top-level config must be an object")
 
     top_known = {
-        "grid": ...,
-        "model": ...,
-        "kernel": ...,
-        "nonlinearity": ...,
-        "initial_condition": ...,
-        "horizon": ...,
+        "grid": REQUIRED,
+        "model": REQUIRED,
+        "kernel": REQUIRED,
+        "nonlinearity": REQUIRED,
+        "initial_condition": REQUIRED,
+        "horizon": REQUIRED,
         "solver": {},
         "output_dir": "out",
         "flags": {},
     }
-    top = _require_keys(
-        raw,
-        "<top>",
-        top_known,
-        required=("grid", "model", "kernel", "nonlinearity", "initial_condition", "horizon"),
-    )
+    top = _require_keys(raw, "<top>", top_known)
 
-    grid = _require_keys(top["grid"], "grid", {"L": ..., "N": ...}, required=("L", "N"))
+    grid = _require_keys(top["grid"], "grid", {"L": REQUIRED, "N": REQUIRED})
     L = _as_number(grid["L"], "grid.L")
     if L <= 0:
         raise ConfigError("grid.L violates the constraint L > 0")
@@ -180,15 +181,15 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("grid.N violates the constraint: even integer, N >= 8")
     grid = {"L": L, "N": N}
 
-    model = _require_keys(top["model"], "model", {"a": ..., "b": ...}, required=("a", "b"))
+    model = _require_keys(top["model"], "model", {"a": REQUIRED, "b": REQUIRED})
     a = _as_number(model["a"], "model.a")
     if a < 0:
         raise ConfigError("model.a violates the constraint a >= 0")
     model = {"a": a, "b": _as_number(model["b"], "model.b")}
 
-    kernel = _parse_kernel_section(top["kernel"])
-    nonlinearity = _parse_nonlinearity_section(top["nonlinearity"])
-    ic = _parse_ic_section(top["initial_condition"])
+    kernel = _parse_section(top["kernel"], "kernel", KERNELS)
+    nonlinearity = _parse_section(top["nonlinearity"], "nonlinearity", NONLINEARITIES)
+    ic = _parse_section(top["initial_condition"], "initial_condition", INITIAL_CONDITIONS)
 
     horizon = _as_number(top["horizon"], "horizon")
     if horizon <= 0:
@@ -199,12 +200,18 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("solver.frames violates the constraint: integer >= 2")
     if not 0 < _as_number(solver["safety"], "solver.safety") < 1:
         raise ConfigError("solver.safety violates the constraint 0 < safety < 1")
-    if solver["max_iter"] < 1:
+    if _as_number(solver["max_iter"], "solver.max_iter") < 1:
         raise ConfigError("solver.max_iter violates the constraint max_iter >= 1")
-    if solver["oracle_substeps_factor"] < 4:
+    if _as_number(solver["oracle_substeps_factor"], "solver.oracle_substeps_factor") < 4:
         raise ConfigError(
             "solver.oracle_substeps_factor violates the constraint factor >= 4"
         )
+    for key in ("frames", "max_iter", "oracle_substeps_factor", "seed", "lipschitz_trials"):
+        _as_integer(solver[key], f"solver.{key}")
+    for key in ("tol_fix", "max_window_length"):
+        value = solver[key]
+        if value is not None and not _as_number(value, f"solver.{key}") > 0:
+            raise ConfigError(f"solver.{key} must be null or a positive number, got {value!r}")
 
     flags = _require_keys(top["flags"], "flags", dict(_FLAG_DEFAULTS))
     for key, val in flags.items():
@@ -228,143 +235,93 @@ def parse_config(path) -> RunConfig:
     )
 
 
-def _parse_kernel_section(section) -> dict:
+def _parse_section(section, where: str, catalog: dict) -> dict:
+    """Check a section naming a catalog entry; materialize the entry's defaults.
+
+    Values are type-checked only; range checks happen in the constructors.
+    """
     if not isinstance(section, dict) or "name" not in section:
-        raise ConfigError("kernel section needs a 'name'")
+        raise ConfigError(f"{where} section needs a 'name'")
     name = section["name"]
-    schemas = {
-        "gaussian": {"name": ..., "amplitude": 1.0, "width": 1.0},
-        "sech": {"name": ..., "amplitude": 1.0, "width": 1.0},
-        "bandlimited": {"name": ..., "amplitude": 1.0, "cutoff": ...},
-        "tabulated": {"name": ..., "path": ...},
-    }
-    if name not in schemas:
-        raise ConfigError(
-            f"kernel.name {name!r} is not in the catalog {sorted(schemas)}"
-        )
-    required = ("cutoff",) if name == "bandlimited" else ()
-    required = ("path",) if name == "tabulated" else required
-    return _require_keys(section, "kernel", schemas[name], required=required)
-
-
-def _parse_source_section(section) -> dict:
-    if section is None:
-        return {"name": "zero"}
-    if not isinstance(section, dict) or "name" not in section:
-        raise ConfigError("nonlinearity.source needs a 'name'")
-    name = section["name"]
-    schemas = {
-        "zero": {"name": ...},
-        "gaussian": {"name": ..., "amplitude": 1.0, "width": 1.0, "center": 0.0},
-        "bandlimited": {"name": ..., "amplitude": 1.0, "p_lo": ..., "p_hi": ...},
-    }
-    if name not in schemas:
-        raise ConfigError(
-            f"nonlinearity.source.name {name!r} is not in the catalog {sorted(schemas)}"
-        )
-    required = ("p_lo", "p_hi") if name == "bandlimited" else ()
-    return _require_keys(section, "nonlinearity.source", schemas[name], required=required)
-
-
-def _parse_nonlinearity_section(section) -> dict:
-    if not isinstance(section, dict) or "name" not in section:
-        raise ConfigError("nonlinearity section needs a 'name'")
-    name = section["name"]
-    schemas = {
-        "linear_plus_source": {"name": ..., "kappa": ..., "lipschitz": None, "source": None},
-        "saturating": {"name": ..., "lipschitz": ..., "source": None},
-        "logistic_clip": {"name": ..., "lipschitz": ..., "u_max": ..., "source": None},
-    }
-    if name not in schemas:
-        raise ConfigError(
-            f"nonlinearity.name {name!r} is not in the catalog {sorted(schemas)}"
-        )
-    required = {
-        "linear_plus_source": ("kappa",),
-        "saturating": ("lipschitz",),
-        "logistic_clip": ("lipschitz", "u_max"),
-    }[name]
-    out = _require_keys(section, "nonlinearity", schemas[name], required=required)
-    out["source"] = _parse_source_section(out.get("source"))
+    if not isinstance(name, str) or name not in catalog:
+        raise ConfigError(f"{where}.name {name!r} is not in the catalog {sorted(catalog)}")
+    params = catalog[name].params
+    out = _require_keys(section, where, {"name": REQUIRED, **params})
+    for key, spec in params.items():
+        value, at = out[key], f"{where}.{key}"
+        kind = spec.kind if isinstance(spec, Required) else float
+        if isinstance(spec, Subsection):
+            if value is None or value is spec:  # null or absent
+                value = {"name": spec.default}
+            elif not isinstance(value, dict) or "name" not in value:
+                raise ConfigError(f"{at} needs a 'name'")
+            out[key] = _parse_section(value, at, spec.catalog)
+        elif kind is str:
+            if not isinstance(value, str):
+                raise ConfigError(f"{at} must be a string, got {value!r}")
+        elif kind is int:
+            _as_integer(value, at)
+        elif value is not None or spec is not None:  # a None default allows null
+            _as_number(value, at)
     return out
 
 
-def _parse_ic_section(section) -> dict:
-    if not isinstance(section, dict) or "name" not in section:
-        raise ConfigError("initial_condition section needs a 'name'")
-    name = section["name"]
-    schemas = {
-        "zero": {"name": ...},
-        "gaussian": {"name": ..., "amplitude": 1.0, "width": 1.0, "center": 0.0},
-        "mode": {"name": ..., "amplitude": 1.0, "k": ...},
-        "csv": {"name": ..., "path": ...},
+def _construct(catalog: dict, section: dict, grid):
+    """Call the constructor a parsed section names, subsections first."""
+    entry = catalog[section["name"]]
+    kwargs = {
+        key: _construct(spec.catalog, section[key], grid)
+        if isinstance(spec, Subsection)
+        else section[key]
+        for key, spec in entry.params.items()
     }
-    if name not in schemas:
-        raise ConfigError(
-            f"initial_condition.name {name!r} is not in the catalog {sorted(schemas)}"
-        )
-    required = {"zero": (), "gaussian": (), "mode": ("k",), "csv": ("path",)}[name]
-    out = _require_keys(section, "initial_condition", schemas[name], required=required)
-    if name == "mode" and not isinstance(out["k"], int):
-        raise ConfigError("initial_condition.k must be an integer mode index")
-    return out
+    return entry.build(grid, **kwargs) if entry.takes_grid else entry.build(**kwargs)
+
+
+def _ic_zero(grid):
+    return Field(grid, np.zeros(grid.n_points), "physical")
+
+
+def _ic_gaussian(grid, amplitude, width, center):
+    return field_from_function(
+        grid, lambda x: amplitude * np.exp(-(((x - center) / width) ** 2))
+    )
+
+
+def _ic_mode(grid, amplitude, k):
+    p0 = k * np.pi / grid.half_length
+    return field_from_function(grid, lambda x: amplitude * np.cos(p0 * x))
+
+
+def _ic_csv(grid, path):
+    data = np.loadtxt(path, delimiter=",")
+    if data.ndim != 2 or data.shape[1] != 2:
+        raise ConfigError(f"initial_condition csv {path} must have two columns")
+    return field_from_function(
+        grid, lambda x: np.interp(x, data[:, 0], data[:, 1], left=0.0, right=0.0)
+    )
+
+
+#: Initial conditions are a runner catalog: the model takes any field.
+INITIAL_CONDITIONS = {
+    "zero": CatalogEntry(_ic_zero, {}, takes_grid=True),
+    "gaussian": CatalogEntry(
+        _ic_gaussian, {"amplitude": 1.0, "width": 1.0, "center": 0.0}, takes_grid=True
+    ),
+    "mode": CatalogEntry(_ic_mode, {"amplitude": 1.0, "k": Required(int)}, takes_grid=True),
+    "csv": CatalogEntry(_ic_csv, {"path": Required(str)}, takes_grid=True),
+}
 
 
 def build_problem(config: RunConfig) -> ProblemSpec:
     """Instantiate the typed model objects a validated configuration names."""
     grid = make_grid(config.grid["L"], config.grid["N"])
-
-    ks = config.kernel
-    if ks["name"] == "gaussian":
-        kernel = gaussian_kernel(ks["amplitude"], ks["width"])
-    elif ks["name"] == "sech":
-        kernel = sech_kernel(ks["amplitude"], ks["width"])
-    elif ks["name"] == "bandlimited":
-        kernel = bandlimited_kernel(grid, ks["amplitude"], ks["cutoff"])
-    else:
-        kernel = tabulated_kernel_from_csv(grid, ks["path"])
-
-    src = config.nonlinearity["source"]
-    if src["name"] == "zero":
-        source = source_zero()
-    elif src["name"] == "gaussian":
-        source = source_gaussian(src["amplitude"], src["width"], src["center"])
-    else:
-        source = source_bandlimited(grid, src["amplitude"], src["p_lo"], src["p_hi"])
-
-    ns = config.nonlinearity
-    if ns["name"] == "linear_plus_source":
-        nonlinearity = linear_plus_source(ns["kappa"], source, lipschitz=ns["lipschitz"])
-    elif ns["name"] == "saturating":
-        nonlinearity = saturating(ns["lipschitz"], source)
-    else:
-        nonlinearity = logistic_clip(ns["lipschitz"], ns["u_max"], source)
-
-    ic = config.initial_condition
-    if ic["name"] == "zero":
-        u0 = Field(grid, np.zeros(grid.n_points), "physical")
-    elif ic["name"] == "gaussian":
-        u0 = field_from_function(
-            grid,
-            lambda x: ic["amplitude"] * np.exp(-(((x - ic["center"]) / ic["width"]) ** 2)),
-        )
-    elif ic["name"] == "mode":
-        p0 = ic["k"] * np.pi / grid.half_length
-        u0 = field_from_function(grid, lambda x: ic["amplitude"] * np.cos(p0 * x))
-    else:
-        data = np.loadtxt(ic["path"], delimiter=",")
-        if data.ndim != 2 or data.shape[1] != 2:
-            raise ConfigError(f"initial_condition csv {ic['path']} must have two columns")
-        u0 = field_from_function(
-            grid, lambda x: np.interp(x, data[:, 0], data[:, 1], left=0.0, right=0.0)
-        )
-
     return ProblemSpec(
         a=config.model["a"],
         b=config.model["b"],
-        kernel=kernel,
-        nonlinearity=nonlinearity,
-        u0=u0,
+        kernel=_construct(KERNELS, config.kernel, grid),
+        nonlinearity=_construct(NONLINEARITIES, config.nonlinearity, grid),
+        u0=_construct(INITIAL_CONDITIONS, config.initial_condition, grid),
         grid=grid,
     )
 
@@ -377,42 +334,28 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_trace_csv(path: Path, report: SolveReport, watermark: str | None):
-    lines = [TRACE_HEADER]
+def _write_lines(path: Path, lines: list[str], watermark: str | None = None):
+    path.write_text((watermark or "") + "\n".join(lines) + "\n")
+
+
+def _trace_rows(report: SolveReport, first_n: int) -> list[str]:
+    """One window's n,d_n,r_n,C rows, numbered from ``first_n``."""
     c = report.certificate.constant
     tr = report.trace
-    for n in range(tr.iterations):
-        r = tr.ratios[n]
-        lines.append(
-            f"{n + 1},{_fmt(float(tr.distances[n]))},"
-            f"{_fmt(float(r)) if np.isfinite(r) else ''},{_fmt(c)}"
-        )
-    text = "\n".join(lines) + "\n"
-    if watermark:
-        text = watermark + text
-    path.write_text(text)
+    return [
+        f"{first_n + n},{_fmt(float(tr.distances[n]))},"
+        f"{_fmt(float(tr.ratios[n])) if np.isfinite(tr.ratios[n]) else ''},{_fmt(c)}"
+        for n in range(tr.iterations)
+    ]
 
 
-def _write_norms_csv(path: Path, report: SolveReport, watermark: str | None):
-    lines = [NORMS_HEADER]
+def _norm_rows(report: SolveReport) -> list[str]:
     tg = report.field.time_grid
-    for j in range(report.field.n_frames):
-        lines.append(
-            f"{_fmt(report.t_offset + float(tg[j]))},{_fmt(float(report.l2_per_frame[j]))},"
-            f"{_fmt(float(report.d6_l2_per_frame[j]))},{_fmt(float(report.dudt_l2_per_frame[j]))}"
-        )
-    text = "\n".join(lines) + "\n"
-    if watermark:
-        text = watermark + text
-    path.write_text(text)
-
-
-def _write_summary(path: Path, summary: dict, watermark: str | None):
-    lines = [f"{key}={_fmt(val)}" for key, val in summary.items()]
-    text = "\n".join(lines) + "\n"
-    if watermark:
-        text = watermark + text
-    path.write_text(text)
+    return [
+        f"{_fmt(report.t_offset + float(tg[j]))},{_fmt(float(report.l2_per_frame[j]))},"
+        f"{_fmt(float(report.d6_l2_per_frame[j]))},{_fmt(float(report.dudt_l2_per_frame[j]))}"
+        for j in range(report.field.n_frames)
+    ]
 
 
 def run(config: RunConfig) -> RunArtifacts:
@@ -429,7 +372,9 @@ def run(config: RunConfig) -> RunArtifacts:
         summary["exit_code"] = code
         if error:
             summary["error"] = error
-        _write_summary(out / "summary.txt", summary, watermark)
+        _write_lines(
+            out / "summary.txt", [f"{k}={_fmt(v)}" for k, v in summary.items()], watermark
+        )
         return RunArtifacts(
             exit_code=code, output_dir=out, summary=summary, reports=reports,
             config=config,
@@ -490,8 +435,8 @@ def run(config: RunConfig) -> RunArtifacts:
         (watermark or "") + certificate_report(cert)
     )
     for k, rep in enumerate(reports):
-        _write_trace_csv(out / f"trace_w{k}.csv", rep, watermark)
-        _write_norms_csv(out / f"norms_w{k}.csv", rep, watermark)
+        _write_lines(out / f"trace_w{k}.csv", [TRACE_HEADER, *_trace_rows(rep, 1)], watermark)
+        _write_lines(out / f"norms_w{k}.csv", [NORMS_HEADER, *_norm_rows(rep)], watermark)
     dump_spacetime_field(out / "final_field.sxd", reports[-1].field)
 
     tail_warnings = [w for rep in reports for w in rep.tail_warnings]
@@ -541,9 +486,7 @@ def _write_partial_certificate(
         "valid=false",
         "T_max=None",
     ]
-    (out / "certificate.txt").write_text(
-        (watermark or "") + "\n".join(lines) + "\n"
-    )
+    _write_lines(out / "certificate.txt", lines, watermark)
 
 
 def emit_plot_data(artifacts: RunArtifacts, which: str, frames=None) -> list[Path]:
@@ -568,23 +511,14 @@ def emit_plot_data(artifacts: RunArtifacts, which: str, frames=None) -> list[Pat
                     f"{_fmt(rep.t_offset + float(tg[j]))},{_fmt(float(rep.l2_per_frame[j]))}"
                 )
         path = out / "decay.csv"
-        path.write_text("\n".join(lines) + "\n")
+        _write_lines(path, lines)
         written.append(path)
     elif which == "trace":
         lines = [TRACE_HEADER]
-        n_global = 0
         for rep in artifacts.reports:
-            tr = rep.trace
-            c = rep.certificate.constant
-            for n in range(tr.iterations):
-                n_global += 1
-                r = tr.ratios[n]
-                lines.append(
-                    f"{n_global},{_fmt(float(tr.distances[n]))},"
-                    f"{_fmt(float(r)) if np.isfinite(r) else ''},{_fmt(c)}"
-                )
+            lines += _trace_rows(rep, len(lines))  # after the header, len is the next n
         path = out / "trace.csv"
-        path.write_text("\n".join(lines) + "\n")
+        _write_lines(path, lines)
         written.append(path)
     elif which == "snapshot":
         rep = artifacts.reports[-1]
@@ -595,7 +529,7 @@ def emit_plot_data(artifacts: RunArtifacts, which: str, frames=None) -> list[Pat
             for xj, uj in zip(rep.field.grid.x, phys.values.real):
                 lines.append(f"{_fmt(float(xj))},{_fmt(float(uj))}")
             path = out / f"snapshot_f{j}.csv"
-            path.write_text("\n".join(lines) + "\n")
+            _write_lines(path, lines)
             written.append(path)
     else:
         raise ValueError(f"unknown plot selector {which!r}")

@@ -76,7 +76,7 @@ def test_max_window_root_quality_random():
         l = margin / (q * math.sqrt(2.0))
         a = rng.uniform(0.0, 2.0)
         b = rng.uniform(-3.0, 3.0)
-        t_max = cl.max_window(q, l, a, b, tol=tol)
+        t_max = cl.max_window(q, l, a, b)
         assert abs(cl.contraction_constant(q, l, t_max, a, b) - 1.0) <= 10 * tol
 
 

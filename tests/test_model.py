@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -306,3 +308,25 @@ def test_problem_spec_rejects_grid_mismatch():
             a=0.0, b=0.0, kernel=cl.gaussian_kernel(), nonlinearity=cl.saturating(1.0),
             u0=u0, grid=g,
         )
+
+
+def test_apply_nonlinearity_flags_underdeclared_growth():
+    g = cl.make_grid(10.0, 64)
+    under = cl.NonlinearitySpec(
+        name="under",
+        fn=lambda u, x: 2.0 * u,
+        source=cl.source_zero(),
+        growth_k=1.0,
+        lipschitz_l=2.0,
+    )
+    u = cl.Field(g, np.exp(-(g.x**2)), "physical")
+    with pytest.raises(cl.ModelEvaluationError, match="growth bound"):
+        cl.apply_nonlinearity(u, under)
+
+
+def test_sech_spectrum_does_not_overflow_on_wide_grids():
+    k = cl.sech_kernel(0.01, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ghat = k.spectrum_on(cl.make_grid(40.0, 8192))
+    assert np.all(np.isfinite(ghat))

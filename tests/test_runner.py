@@ -270,3 +270,125 @@ def test_main_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["--config", str(bad)]) == EXIT_ASSUMPTION_VIOLATION
+
+
+# --------------------------------------------------------------------------
+# input contract and the catalog registry
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda c: c.update(horizon=float("nan")),
+        lambda c: c.update(horizon=float("inf")),
+        lambda c: c["solver"].update(max_iter=2.5),
+        lambda c: c["solver"].update(tol_fix="tiny"),
+        lambda c: c["solver"].update(max_window_length=-1),
+        lambda c: c["model"].update(b=float("nan")),
+        lambda c: c["nonlinearity"].update(lipschitz=True),
+    ],
+    ids=[
+        "horizon_nan", "horizon_inf", "max_iter_fraction", "tol_fix_string",
+        "max_window_negative", "b_nan", "lipschitz_bool",
+    ],
+)
+def test_mistyped_config_exits_4(tmp_path, capsys, edit):
+    from cubelap.runner import main
+
+    cfg = _certified_config(tmp_path / "out")
+    edit(cfg)
+    assert main(["--config", str(_write(tmp_path, cfg))]) == EXIT_ASSUMPTION_VIOLATION
+    assert "configuration rejected" in capsys.readouterr().err
+
+
+def _gaussian_csv(path, x):
+    path.write_text("".join(f"{float(v)!r},{float(np.exp(-v * v))!r}\n" for v in x))
+
+
+# (section, required-only section, its echo at the parent of the registry,
+#  expected physical samples for sources and initial conditions)
+CATALOG_CASES = [
+    ("kernel", {"name": "gaussian"},
+     {"amplitude": 1.0, "width": 1.0, "name": "gaussian"}, None),
+    ("kernel", {"name": "sech"},
+     {"amplitude": 1.0, "width": 1.0, "name": "sech"}, None),
+    ("kernel", {"name": "bandlimited", "cutoff": 1.0},
+     {"amplitude": 1.0, "name": "bandlimited", "cutoff": 1.0}, None),
+    ("kernel", {"name": "tabulated", "path": "k.csv"},
+     {"name": "tabulated", "path": "k.csv"}, None),
+    ("source", {"name": "zero"}, {"name": "zero"}, lambda g: 0.0 * g.x),
+    ("source", {"name": "gaussian"},
+     {"amplitude": 1.0, "width": 1.0, "center": 0.0, "name": "gaussian"},
+     lambda g: np.exp(-(g.x**2))),
+    ("source", {"name": "bandlimited", "p_lo": 0.3, "p_hi": 1.0},
+     {"amplitude": 1.0, "name": "bandlimited", "p_lo": 0.3, "p_hi": 1.0},
+     lambda g: cl.source_bandlimited(g, 1.0, 0.3, 1.0)(g.x)),
+    ("nonlinearity", {"name": "linear_plus_source", "kappa": 0.5},
+     {"lipschitz": None, "source": {"name": "zero"}, "name": "linear_plus_source",
+      "kappa": 0.5}, None),
+    ("nonlinearity", {"name": "saturating", "lipschitz": 0.3},
+     {"source": {"name": "zero"}, "name": "saturating", "lipschitz": 0.3}, None),
+    ("nonlinearity", {"name": "logistic_clip", "lipschitz": 0.3, "u_max": 1.5},
+     {"source": {"name": "zero"}, "name": "logistic_clip", "lipschitz": 0.3,
+      "u_max": 1.5}, None),
+    ("initial_condition", {"name": "zero"}, {"name": "zero"}, lambda g: 0.0 * g.x),
+    ("initial_condition", {"name": "gaussian"},
+     {"amplitude": 1.0, "width": 1.0, "center": 0.0, "name": "gaussian"},
+     lambda g: np.exp(-(g.x**2))),
+    ("initial_condition", {"name": "mode", "k": 2},
+     {"amplitude": 1.0, "name": "mode", "k": 2},
+     lambda g: np.cos(2 * np.pi * g.x / g.half_length)),
+    ("initial_condition", {"name": "csv", "path": "u0.csv"},
+     {"name": "csv", "path": "u0.csv"},
+     lambda g: np.interp(g.x, np.linspace(-5, 5, 101), np.exp(-np.linspace(-5, 5, 101) ** 2),
+                         left=0.0, right=0.0)),
+]
+
+
+def test_catalog_cases_cover_every_entry():
+    from cubelap.model import KERNELS, NONLINEARITIES, SOURCES
+    from cubelap.runner import INITIAL_CONDITIONS
+
+    catalogs = {"kernel": KERNELS, "source": SOURCES, "nonlinearity": NONLINEARITIES,
+                "initial_condition": INITIAL_CONDITIONS}
+    covered = {(sec, given["name"]) for sec, given, _, _ in CATALOG_CASES}
+    assert covered == {(sec, name) for sec, cat in catalogs.items() for name in cat}
+
+
+@pytest.mark.parametrize(
+    "section,given,echo,expected", CATALOG_CASES,
+    ids=[f"{c[0]}-{c[1]['name']}" for c in CATALOG_CASES],
+)
+def test_catalog_entry_parses_and_builds(tmp_path, monkeypatch, section, given, echo, expected):
+    monkeypatch.chdir(tmp_path)
+    _gaussian_csv(tmp_path / "k.csv", np.linspace(-8, 8, 161))
+    _gaussian_csv(tmp_path / "u0.csv", np.linspace(-5, 5, 101))
+    cfg = {
+        "grid": {"L": 20.0, "N": 256},
+        "model": {"a": 0.0, "b": 1.0},
+        "kernel": {"name": "gaussian"},
+        "nonlinearity": {"name": "saturating", "lipschitz": 0.3},
+        "initial_condition": {"name": "zero"},
+        "horizon": 0.4,
+    }
+    if section == "source":
+        cfg["nonlinearity"]["source"] = given
+    else:
+        cfg[section] = given
+    config = cl.parse_config(_write(tmp_path, cfg))
+    out = config.echo()
+    got = out["nonlinearity"]["source"] if section == "source" else out[section]
+    # key order is part of config_echo.json
+    assert list(got.items()) == list(echo.items())
+
+    prob = cl.build_problem(config)
+    grid = prob.grid
+    if section in ("kernel", "nonlinearity"):
+        spec = getattr(prob, section)
+        assert spec.name == given["name"]
+        assert all(echo[k] == v for k, v in spec.params.items() if k in echo)
+    elif section == "source":
+        assert np.allclose(prob.nonlinearity.source(grid.x), expected(grid), rtol=0, atol=1e-14)
+    else:
+        assert np.allclose(prob.u0.values.real, expected(grid), rtol=0, atol=1e-14)
