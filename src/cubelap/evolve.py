@@ -20,6 +20,15 @@ quadrature is second order in the frame spacing and exact whenever fhat_v is
 constant in s (pure source reactions, and the zero reaction). An independent
 integrating-factor Heun marcher is kept alongside as a cross-validation
 oracle; it deliberately shares no quadrature with the mild-solution map.
+
+Inside the solvers a trajectory is a plain (M+1, N) complex array: the
+forcing history is one batched transform pair around one
+``apply_nonlinearity`` call, and the Picard loop calls ``duhamel_map`` and
+``time_derivative`` in their array form, with the window's weights computed
+once (``_window``). Given ``SpacetimeField`` arguments instead, the same two
+functions compute the weights themselves and return ``SpacetimeField``s.
+``Field`` and ``SpacetimeField`` appear only at the API edge and in the
+``SolveReport``.
 """
 
 from __future__ import annotations
@@ -38,10 +47,11 @@ from .grid import (
     SpacetimeField,
     SpectralGrid,
     TAIL_TOL,
-    forward_transform,
+    forward_array,
+    inverse_array,
     inverse_transform,
     l2_norm,
-    spacetime_sobolev_norm,
+    sobolev_norm_array,
     tail_mass_fraction,
     to_spectral,
 )
@@ -193,20 +203,57 @@ def propagate(f: Field, sym: SymbolTable, t: float) -> Field:
     return Field(f.grid, sym.propagator(t) * f.values, "spectral")
 
 
-def _forcing_history(v: SpacetimeField, prob: ProblemSpec) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class _Window:
+    """What the mild-solution map needs on one window, computed once per window:
+
+    the initial coefficients u0_hat, the recursion's per-mode factors
+    e_dt = e^{dt lam}, w_prev = dt (phi1 - phi2)(dt lam), w_next = dt phi2(dt lam)
+    and the convolution factor g = sqrt(2 pi) Ghat.
+    """
+
+    u0_hat: np.ndarray
+    e_dt: np.ndarray
+    w_prev: np.ndarray
+    w_next: np.ndarray
+    g: np.ndarray
+
+
+def _window(grid: SpectralGrid, prob: ProblemSpec, sym: SymbolTable, dt: float) -> _Window:
+    z = dt * sym.lam
+    return _Window(
+        u0_hat=to_spectral(prob.u0).values,
+        e_dt=sym.propagator(dt),
+        w_prev=dt * (phi1(z) - phi2(z)),
+        w_next=dt * phi2(z),
+        g=SQRT_2PI * prob.kernel.spectrum_on(grid),
+    )
+
+
+def _forcing_history(grid: SpectralGrid, frames: np.ndarray, prob: ProblemSpec) -> np.ndarray:
     """Transforms of F(v(., t_j), .) for every frame, shape (M+1, N)."""
-    out = np.empty_like(v.frames)
-    for j in range(v.n_frames):
-        phys = inverse_transform(v.frame(j))
-        out[j] = forward_transform(apply_nonlinearity(phys, prob.nonlinearity)).values
-    return out
+    phys = inverse_array(grid, frames)
+    fh = forward_array(grid, apply_nonlinearity(phys, prob.nonlinearity, grid))
+    if not np.all(np.isfinite(fh)):
+        raise SolverError("forcing history contains non-finite values")
+    return fh
+
+
+def _recursion(fh: np.ndarray, w: _Window) -> np.ndarray:
+    """u_{j+1} = e^{dt lam} u_j + g [w_prev f_j + w_next f_{j+1}], u_0 = u0_hat."""
+    u = np.empty_like(fh)
+    u[0] = w.u0_hat
+    for j in range(fh.shape[0] - 1):
+        u[j + 1] = w.e_dt * u[j] + w.g * (w.w_prev * fh[j] + w.w_next * fh[j + 1])
+    return u
 
 
 def duhamel_map(
-    v: SpacetimeField,
+    v,
     prob: ProblemSpec,
     sym: SymbolTable,
     return_history: bool = False,
+    window: _Window | None = None,
 ):
     """One application of the mild-solution map to the trajectory v.
 
@@ -219,49 +266,49 @@ def duhamel_map(
     substep and the exponential integrated exactly. With return_history the
     forcing transforms are handed back so the time derivative of the result
     can be formed algebraically.
+
+    v is a ``SpacetimeField`` and so is the result, unless ``window`` is
+    given: then v is the plain (M+1, N) array of spectral frames on
+    ``prob.grid`` with the window's precomputed data, and the result is an
+    array too (the form ``picard_solve`` iterates).
     """
-    fh = _forcing_history(v, prob)
-    if not np.all(np.isfinite(fh)):
-        raise SolverError("forcing history contains non-finite values")
-    g_hat = prob.kernel.spectrum_on(v.grid)
-    dt = v.dt
-    z = dt * sym.lam
-    e_dt = sym.propagator(dt)
-    w_prev = dt * (phi1(z) - phi2(z))
-    w_next = dt * phi2(z)
-    u = np.empty_like(v.frames)
-    u[0] = to_spectral(prob.u0).values
-    for j in range(v.n_frames - 1):
-        u[j + 1] = e_dt * u[j] + SQRT_2PI * g_hat * (
-            w_prev * fh[j] + w_next * fh[j + 1]
-        )
-    out = SpacetimeField(v.grid, v.time_grid, u)
+    if window is None:
+        fh = _forcing_history(v.grid, v.frames, prob)
+        u = _recursion(fh, _window(v.grid, prob, sym, v.dt))
+        out = SpacetimeField(v.grid, v.time_grid, u)
+    else:
+        fh = _forcing_history(prob.grid, v, prob)
+        out = _recursion(fh, window)
     if return_history:
         return out, fh
     return out
 
 
 def time_derivative(
-    u: SpacetimeField,
+    u,
     prob: ProblemSpec,
     sym: SymbolTable,
     f_hat_history: np.ndarray,
-) -> SpacetimeField:
+    window: _Window | None = None,
+):
     """Exact algebraic du_hat/dt = lam*u_hat + sqrt(2 pi)*Ghat*fhat.
 
     Requires the forcing history saved from the map application that produced
-    u; no finite differencing is ever involved.
+    u; no finite differencing is ever involved. As in ``duhamel_map``, u is a
+    ``SpacetimeField`` unless ``window`` is given, and then a plain array.
     """
     if f_hat_history is None:
         raise ValueError("forcing history is required; rerun the map with return_history")
+    frames = u.frames if window is None else u
     fh = np.asarray(f_hat_history)
-    if fh.shape != u.frames.shape:
+    if fh.shape != frames.shape:
         raise ValueError(
-            f"forcing history shape {fh.shape} does not match frames {u.frames.shape}"
+            f"forcing history shape {fh.shape} does not match frames {frames.shape}"
         )
-    g_hat = prob.kernel.spectrum_on(u.grid)
-    d = sym.lam[None, :] * u.frames + SQRT_2PI * g_hat[None, :] * fh
-    return SpacetimeField(u.grid, u.time_grid, d)
+    if window is None:
+        g = SQRT_2PI * prob.kernel.spectrum_on(u.grid)
+        return SpacetimeField(u.grid, u.time_grid, sym.lam[None, :] * frames + g[None, :] * fh)
+    return sym.lam[None, :] * frames + window.g[None, :] * fh
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,19 +350,16 @@ class SolveReport:
         return self.field.frame(self.field.n_frames - 1)
 
 
-def _frame_norms(u: SpacetimeField) -> tuple[np.ndarray, np.ndarray]:
-    dp = u.grid.dp
-    l2 = np.sqrt(np.sum(np.abs(u.frames) ** 2, axis=1) * dp)
-    p12 = u.grid.wavenumbers**12
-    d6 = np.sqrt(np.sum(p12 * np.abs(u.frames) ** 2, axis=1) * dp)
+def _frame_norms(grid: SpectralGrid, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    l2 = np.sqrt(np.sum(np.abs(frames) ** 2, axis=1) * grid.dp)
+    d6 = np.sqrt(np.sum(grid._p12 * np.abs(frames) ** 2, axis=1) * grid.dp)
     return l2, d6
 
 
-def _tail_check(u: SpacetimeField, t_offset: float) -> tuple[str, ...]:
+def _tail_check(grid: SpectralGrid, frames: np.ndarray, t_offset: float) -> tuple[str, ...]:
     warnings_out = []
     fractions = [
-        tail_mass_fraction(Field(u.grid, inverse_transform(u.frame(j)).values))
-        for j in (0, u.n_frames - 1)
+        tail_mass_fraction(Field(grid, inverse_array(grid, frames[j]))) for j in (0, -1)
     ]
     worst = max(fractions)
     if worst > TAIL_TOL:
@@ -344,6 +388,11 @@ def picard_solve(
     1e-10 * max(1, norm of the first iterate)). With a valid certificate every
     measured ratio must stay below C * 1.05; a violation is raised as a
     defect, not smoothed over.
+
+    The iteration runs on plain (M+1, N) arrays: per iterate one call each of
+    ``duhamel_map`` (one batched transform pair around one reaction call)
+    and ``time_derivative`` in their array form, with the window's weights
+    computed once. The report's fields are built once, from the last iterate.
     """
     if window_length <= 0:
         raise ValueError(f"window length must be positive, got {window_length}")
@@ -363,24 +412,21 @@ def picard_solve(
     grid = prob.grid
     sym = build_symbol(grid, prob.a, prob.b)
     tg = np.linspace(0.0, window_length, n_frames + 1)
-    u0_hat = to_spectral(prob.u0).values
+    w = _window(grid, prob, sym, float(tg[1] - tg[0]))
 
-    free_frames = np.exp(np.outer(tg, sym.lam)) * u0_hat[None, :]
-    u_prev = SpacetimeField(grid, tg, free_frames)
-    dudt_prev = SpacetimeField(grid, tg, sym.lam[None, :] * free_frames)
+    u_prev = np.exp(np.outer(tg, sym.lam)) * w.u0_hat[None, :]
+    dudt_prev = sym.lam[None, :] * u_prev
 
     distances: list[float] = []
     tol = tol_fix
     converged = False
     for _ in range(max_iter):
-        u_new, fh = duhamel_map(u_prev, prob, sym, return_history=True)
-        dudt_new = time_derivative(u_new, prob, sym, fh)
-        diff = SpacetimeField(grid, tg, u_new.frames - u_prev.frames)
-        ddiff = SpacetimeField(grid, tg, dudt_new.frames - dudt_prev.frames)
-        d = spacetime_sobolev_norm(diff, ddiff)
+        u_new, fh = duhamel_map(u_prev, prob, sym, return_history=True, window=w)
+        dudt_new = time_derivative(u_new, prob, sym, fh, window=w)
+        d = sobolev_norm_array(grid, tg, u_new - u_prev, dudt_new - dudt_prev)
         distances.append(d)
         if tol is None:
-            first_norm = spacetime_sobolev_norm(u_new, dudt_new)
+            first_norm = sobolev_norm_array(grid, tg, u_new, dudt_new)
             tol = 1e-10 * max(1.0, first_norm)
         if d < tol:
             converged = True
@@ -415,18 +461,18 @@ def picard_solve(
                 trace,
             )
 
-    l2, d6 = _frame_norms(u_new)
-    dudt_l2, _ = _frame_norms(dudt_new)
+    l2, d6 = _frame_norms(grid, u_new)
+    dudt_l2, _ = _frame_norms(grid, dudt_new)
     return SolveReport(
-        field=u_new,
-        dudt=dudt_new,
+        field=SpacetimeField(grid, tg, u_new),
+        dudt=SpacetimeField(grid, tg, dudt_new),
         trace=trace,
         certificate=cert,
         t_offset=t_offset,
         l2_per_frame=l2,
         d6_l2_per_frame=d6,
         dudt_l2_per_frame=dudt_l2,
-        tail_warnings=_tail_check(u_new, t_offset),
+        tail_warnings=_tail_check(grid, u_new, t_offset),
     )
 
 
@@ -446,6 +492,9 @@ def etd_reference_solve(
     N(u) = sqrt(2 pi) Ghat fhat_u. Genuinely second order (including against
     constant forcing, where the mild-solution quadrature is exact), and free
     of phi-weights by design so the two solvers share no quadrature path.
+    Each substep works on the raw (N,) coefficient array through the array
+    transforms and the array form of ``apply_nonlinearity``, and checks the
+    L2 norm for blowup.
     """
     if substeps < 4 * n_frames:
         raise ValueError(
@@ -455,26 +504,28 @@ def etd_reference_solve(
         raise ValueError("substeps must be an integer multiple of the frame count")
     grid = prob.grid
     sym = build_symbol(grid, prob.a, prob.b)
-    g_hat = prob.kernel.spectrum_on(grid)
+    g = SQRT_2PI * prob.kernel.spectrum_on(grid)
     h = window_length / substeps
     e_h = sym.propagator(h)
 
     def reaction(u_hat: np.ndarray) -> np.ndarray:
-        phys = inverse_transform(Field(grid, u_hat, "spectral"))
-        f = apply_nonlinearity(phys, prob.nonlinearity)
-        return SQRT_2PI * g_hat * forward_transform(f).values
+        phys = inverse_array(grid, u_hat)
+        return g * forward_array(grid, apply_nonlinearity(phys, prob.nonlinearity, grid))
+
+    def l2(u_hat: np.ndarray) -> float:
+        return float(np.sqrt(np.sum(np.abs(u_hat) ** 2) * grid.dp))
 
     u_hat = to_spectral(prob.u0).values.copy()
     stride = substeps // n_frames
     frames = np.empty((n_frames + 1, grid.n_points), dtype=np.complex128)
     frames[0] = u_hat
-    scale0 = l2_norm(Field(grid, u_hat, "spectral"))
+    scale0 = l2(u_hat)
     blowup_ref = None
     for n in range(substeps):
         nn = reaction(u_hat)
         pred = e_h * (u_hat + h * nn)
         u_hat = e_h * u_hat + 0.5 * h * (e_h * nn + reaction(pred))
-        norm_now = l2_norm(Field(grid, u_hat, "spectral"))
+        norm_now = l2(u_hat)
         if blowup_ref is None:
             blowup_ref = max(scale0, norm_now, 1e-12)
         if not np.isfinite(norm_now) or norm_now > 1e8 * blowup_ref:

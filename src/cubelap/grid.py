@@ -73,6 +73,9 @@ class SpectralGrid:
         object.__setattr__(self, "wavenumbers", p)
         object.__setattr__(self, "_mode_index", k)
         object.__setattr__(self, "_phase", np.where(k % 2 == 0, 1.0, -1.0))
+        p12 = p**12
+        p12.flags.writeable = False
+        object.__setattr__(self, "_p12", p12)
 
     @property
     def dx(self) -> float:
@@ -118,29 +121,36 @@ def field_from_function(grid: SpectralGrid, fn) -> Field:
     return Field(grid, np.asarray(fn(grid.x)), PHYSICAL)
 
 
-def forward_transform(f: Field) -> Field:
+def forward_array(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
     """Physical samples -> spectral coefficients under the unitary scaling.
 
-    The DFT output is multiplied by dx/sqrt(2*pi) together with the phase
-    accounting for the box origin at -L, so the result approximates the
-    continuum transform evaluated at the grid wavenumbers.
+    Transforms along the last axis, so a (frames, N) array goes through one
+    FFT call. The DFT output is multiplied by dx/sqrt(2*pi) together with
+    the phase accounting for the box origin at -L, so the result
+    approximates the continuum transform evaluated at the grid wavenumbers.
     """
+    coeff = grid.dx / np.sqrt(2.0 * np.pi)
+    return coeff * grid._phase * np.fft.fft(values, axis=-1)
+
+
+def inverse_array(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
+    """Spectral coefficients -> physical samples along the last axis."""
+    coeff = grid.dp * grid.n_points / np.sqrt(2.0 * np.pi)
+    return coeff * np.fft.ifft(grid._phase * values, axis=-1)
+
+
+def forward_transform(f: Field) -> Field:
+    """Field form of ``forward_array``."""
     if f.rep != PHYSICAL:
         raise RepresentationError("forward_transform expects a physical field")
-    g = f.grid
-    coeff = g.dx / np.sqrt(2.0 * np.pi)
-    vhat = coeff * g._phase * np.fft.fft(f.values)
-    return Field(g, vhat, SPECTRAL)
+    return Field(f.grid, forward_array(f.grid, f.values), SPECTRAL)
 
 
 def inverse_transform(f: Field) -> Field:
-    """Spectral coefficients -> physical samples; exact inverse of forward."""
+    """Field form of ``inverse_array``; exact inverse of forward."""
     if f.rep != SPECTRAL:
         raise RepresentationError("inverse_transform expects a spectral field")
-    g = f.grid
-    coeff = g.dp * g.n_points / np.sqrt(2.0 * np.pi)
-    v = coeff * np.fft.ifft(g._phase * f.values)
-    return Field(g, v, PHYSICAL)
+    return Field(f.grid, inverse_array(f.grid, f.values), PHYSICAL)
 
 
 def to_spectral(f: Field) -> Field:
@@ -185,8 +195,7 @@ def h6_norm(f: Field) -> float:
     the same thing and avoids a transform pair.
     """
     fh = to_spectral(f)
-    p = f.grid.wavenumbers
-    total = np.sum((1.0 + p**12) * np.abs(fh.values) ** 2) * f.grid.dp
+    total = np.sum((1.0 + f.grid._p12) * np.abs(fh.values) ** 2) * f.grid.dp
     return float(np.sqrt(total))
 
 
@@ -281,19 +290,26 @@ def l2_spacetime_norm(u: SpacetimeField) -> float:
     return float(np.sqrt(np.trapezoid(per_frame, u.time_grid)))
 
 
-def spacetime_sobolev_norm(u: SpacetimeField, du_dt: SpacetimeField) -> float:
+def sobolev_norm_array(
+    grid: SpectralGrid, time_grid: np.ndarray, u: np.ndarray, du_dt: np.ndarray
+) -> float:
     """The solve's contraction norm over the window:
 
         sqrt(||du/dt||^2 + ||d^6 u/dx^6||^2 + ||u||^2),
 
-    all three in L2 over box x [0, T]. The sixth derivative is spectral, the
-    time derivative is supplied (never finite-differenced here), and the time
-    integral is the composite trapezoid rule.
+    all three in L2 over box x [0, T], for spectral frames of shape (M+1, N).
+    The sixth derivative is spectral, the time derivative is supplied (never
+    finite-differenced here), and the time integral is the composite
+    trapezoid rule.
     """
-    _check_same_layout(u, du_dt)
-    p12 = u.grid.wavenumbers**12
     per_frame = (
-        np.sum((1.0 + p12) * np.abs(u.frames) ** 2, axis=1)
-        + np.sum(np.abs(du_dt.frames) ** 2, axis=1)
-    ) * u.grid.dp
-    return float(np.sqrt(np.trapezoid(per_frame, u.time_grid)))
+        np.sum((1.0 + grid._p12) * np.abs(u) ** 2, axis=1)
+        + np.sum(np.abs(du_dt) ** 2, axis=1)
+    ) * grid.dp
+    return float(np.sqrt(np.trapezoid(per_frame, time_grid)))
+
+
+def spacetime_sobolev_norm(u: SpacetimeField, du_dt: SpacetimeField) -> float:
+    """Field form of ``sobolev_norm_array``; both fields share one layout."""
+    _check_same_layout(u, du_dt)
+    return sobolev_norm_array(u.grid, u.time_grid, u.frames, du_dt.frames)

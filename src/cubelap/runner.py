@@ -556,6 +556,20 @@ def main(argv=None) -> int:
         config = parse_config(args.config)
     except ConfigError as exc:
         print(f"configuration rejected: {exc}", file=sys.stderr)
+        if args.out:  # without --out there is no directory to write to
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            # nothing was parsed, so every number of the certificate is unknown
+            _write_lines(
+                out / "certificate.txt",
+                ["q=None", "l=None", "a=None", "b=None", "T=None", "C_small_T_limit=None",
+                 "valid=false", "T_max=None"],
+            )
+            _write_lines(
+                out / "summary.txt",
+                ["status=config_rejected", f"exit_code={EXIT_ASSUMPTION_VIOLATION}",
+                 f"error={exc}"],
+            )
         return EXIT_ASSUMPTION_VIOLATION
     if args.out:
         config.output_dir = args.out

@@ -426,3 +426,195 @@ def test_two_grid_consistency(certified_problem):
     num = np.sqrt(np.sum((on_coarse - coarse_end) ** 2) * prob.grid.dx)
     den = np.sqrt(np.sum(coarse_end**2) * prob.grid.dx)
     assert num / den <= 1e-6
+
+
+# --------------------------------------------------------------------------
+# the array hot path against the per-frame Field path it replaced
+# --------------------------------------------------------------------------
+
+
+def _bandlimited_source_problem():
+    g = cl.make_grid(20.0, 256)
+    nl = cl.saturating(1.7, cl.source_bandlimited(g, 0.1, 0.3, 1.0))
+    u0 = cl.field_from_function(g, lambda x: np.exp(-(x**2) / 2.0))
+    prob = cl.ProblemSpec(
+        a=0.0, b=1.0, kernel=cl.gaussian_kernel(0.01, 2.0), nonlinearity=nl, u0=u0, grid=g,
+    )
+    q = cl.kernel_strength(prob.kernel)
+    return prob, cl.Certificate.for_window(q, nl.lipschitz_l, 0.0, 1.0, 0.4), 0.4
+
+
+@pytest.fixture(params=["certified_problem", "bandlimited_source"])
+def hot_path_problem(request):
+    if request.param == "certified_problem":
+        return request.getfixturevalue("certified_problem")
+    return _bandlimited_source_problem()
+
+
+def _per_frame_forcing(frames, prob):
+    out = np.empty_like(frames)
+    for j in range(frames.shape[0]):
+        phys = cl.inverse_transform(cl.Field(prob.grid, frames[j], "spectral"))
+        out[j] = cl.forward_transform(cl.apply_nonlinearity(phys, prob.nonlinearity)).values
+    return out
+
+
+def _per_frame_picard(prob, T, n_frames):
+    """The Field-by-Field Picard loop: per-frame transforms and reaction calls,
+    phi-weights rebuilt on every iteration, wrappers around every iterate."""
+    grid = prob.grid
+    sym = cl.build_symbol(grid, prob.a, prob.b)
+    tg = np.linspace(0.0, T, n_frames + 1)
+    u0h = cl.to_spectral(prob.u0).values
+    g_hat = prob.kernel.spectrum_on(grid)
+    free = np.exp(np.outer(tg, sym.lam)) * u0h[None, :]
+    u_prev = cl.SpacetimeField(grid, tg, free)
+    du_prev = cl.SpacetimeField(grid, tg, sym.lam[None, :] * free)
+    distances, tol = [], None
+    while tol is None or distances[-1] >= tol:
+        fh = _per_frame_forcing(u_prev.frames, prob)
+        dt = u_prev.dt
+        z = dt * sym.lam
+        w_prev, w_next = dt * (cl.phi1(z) - cl.phi2(z)), dt * cl.phi2(z)
+        u = np.empty_like(fh)
+        u[0] = u0h
+        for j in range(n_frames):
+            u[j + 1] = sym.propagator(dt) * u[j] + np.sqrt(2.0 * np.pi) * g_hat * (
+                w_prev * fh[j] + w_next * fh[j + 1]
+            )
+        u_new = cl.SpacetimeField(grid, tg, u)
+        du_new = cl.SpacetimeField(
+            grid, tg, sym.lam[None, :] * u + np.sqrt(2.0 * np.pi) * g_hat[None, :] * fh
+        )
+        distances.append(cl.spacetime_sobolev_norm(
+            cl.SpacetimeField(grid, tg, u_new.frames - u_prev.frames),
+            cl.SpacetimeField(grid, tg, du_new.frames - du_prev.frames),
+        ))
+        if tol is None:
+            tol = 1e-10 * max(1.0, cl.spacetime_sobolev_norm(u_new, du_new))
+        u_prev, du_prev = u_new, du_new
+    return u_prev.frames[-1], np.array(distances)
+
+
+def test_batched_forcing_matches_per_frame_loop(hot_path_problem):
+    from cubelap.evolve import _forcing_history
+
+    prob, cert, T = hot_path_problem
+    v, _ = _free_trajectory(prob, T, 32)
+    batched = _forcing_history(prob.grid, v.frames, prob)
+    reference = _per_frame_forcing(v.frames, prob)
+    assert np.max(np.abs(batched - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def test_picard_matches_per_frame_reference(hot_path_problem):
+    prob, cert, T = hot_path_problem
+    rep = cl.picard_solve(prob, T, cert, n_frames=32)
+    final, distances = _per_frame_picard(prob, T, 32)
+    assert rep.trace.iterations == distances.size
+    assert np.max(np.abs(rep.field.frames[-1] - final)) <= 1e-12 * np.max(np.abs(final))
+    assert np.all(np.abs(rep.trace.distances - distances) <= 1e-12 * distances)
+
+
+_MODEL_ERROR_SCRIPT = """
+import numpy as np
+import cubelap as cl
+
+g = cl.make_grid(20.0, 128)
+u0 = cl.field_from_function(g, lambda x: np.exp(-(x**2) / 2.0))
+specs = {
+    "nan": cl.NonlinearitySpec(
+        name="nan", fn=lambda u, x: np.where(x > 5.0, np.nan, u),
+        source=cl.source_zero(), growth_k=1.0, lipschitz_l=1.0,
+    ),
+    "underdeclared_growth": cl.NonlinearitySpec(
+        name="under", fn=lambda u, x: 2.0 * u,
+        source=cl.source_zero(), growth_k=1.0, lipschitz_l=2.0,
+    ),
+}
+kernel = cl.gaussian_kernel(0.01, 2.0)
+for name, spec in specs.items():
+    prob = cl.ProblemSpec(a=0.0, b=0.0, kernel=kernel, nonlinearity=spec, u0=u0, grid=g)
+    cert = cl.Certificate.for_window(cl.kernel_strength(kernel), 2.0, 0.0, 0.0, 0.1)
+    solvers = {
+        "picard_solve": lambda: cl.picard_solve(prob, 0.1, cert, n_frames=8),
+        "etd_reference_solve": lambda: cl.etd_reference_solve(prob, 0.1, 32, n_frames=8),
+    }
+    for solver, call in solvers.items():
+        try:
+            call()
+        except cl.ModelEvaluationError as exc:
+            print(name, solver, "raised:", exc)
+        else:
+            raise SystemExit(f"{name}: {solver} did not raise ModelEvaluationError")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_model_errors_raise_from_inside_the_solvers(flags):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cl.__file__).resolve().parents[1]))
+    env.pop("PYTHONOPTIMIZE", None)
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _MODEL_ERROR_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4
+    assert sum("nonlinearity produced" in line and "in frame" in line for line in lines) == 1
+    assert sum("growth bound violated" in line for line in lines) == 2
+
+
+def test_solver_loops_construct_no_field_wrappers(certified_problem, monkeypatch):
+    # wrappers are built at the API edge only: their count must not depend
+    # on the number of Picard iterations or oracle substeps
+    built = []
+    for cls in (cl.Field, cl.SpacetimeField):
+        def counting(self, _orig=cls.__post_init__):
+            built.append(type(self).__name__)
+            _orig(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+
+    def constructions(call):
+        built.clear()
+        result = call()
+        return len(built), result
+
+    prob, cert, T = certified_problem
+    prob.nonlinearity.source_norm(prob.grid)  # fill the once-per-grid cache first
+    loose, rep_loose = constructions(lambda: cl.picard_solve(prob, T, cert, tol_fix=1e-4))
+    tight, rep_tight = constructions(lambda: cl.picard_solve(prob, T, cert, tol_fix=1e-12))
+    assert rep_loose.trace.iterations < rep_tight.trace.iterations
+    assert loose == tight
+    few, _ = constructions(lambda: cl.etd_reference_solve(prob, T, 4 * 16, n_frames=16))
+    many, _ = constructions(lambda: cl.etd_reference_solve(prob, T, 16 * 16, n_frames=16))
+    assert few == many
+
+
+def test_solver_loops_call_the_public_functions(certified_problem, monkeypatch):
+    # per iterate picard_solve applies the map and its time derivative once,
+    # with one reaction call for all frames; the oracle calls the reaction
+    # twice per substep
+    import collections
+
+    import cubelap.evolve as ev
+
+    calls = collections.Counter()
+    for name in ("duhamel_map", "time_derivative", "apply_nonlinearity"):
+        def counting(*args, _orig=getattr(ev, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(ev, name, counting)
+
+    prob, cert, T = certified_problem
+    its = cl.picard_solve(prob, T, cert, n_frames=16).trace.iterations
+    assert dict(calls) == {"duhamel_map": its, "time_derivative": its, "apply_nonlinearity": its}
+    calls.clear()
+    cl.etd_reference_solve(prob, T, 4 * 16, n_frames=16)
+    assert dict(calls) == {"apply_nonlinearity": 2 * 4 * 16}

@@ -238,6 +238,25 @@ def test_lipschitz_sampling_catches_wrong_declaration():
         cl.check_lipschitz_sampling(n, trials=200, seed=3)
 
 
+def _linear_with_bandlimited_source(**kwargs):
+    g = cl.make_grid(20.0, 256)
+    return cl.linear_plus_source(1.0, cl.source_bandlimited(g, 1.0, 0.3, 1.0), **kwargs)
+
+
+def test_lipschitz_sampling_accepts_exact_constant_beside_a_large_source():
+    # |F1 - F2| carries the roundoff of adding h(x) ~ 1 to kappa*u; the exact
+    # constant |kappa| must not be rejected for it
+    ratio = cl.check_lipschitz_sampling(_linear_with_bandlimited_source(), trials=2000, seed=0)
+    assert ratio == pytest.approx(1.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("declared", [0.999, 0.25], ids=["just_below", "kappa_over_4"])
+def test_lipschitz_sampling_still_rejects_underdeclaration_beside_a_source(declared):
+    n = _linear_with_bandlimited_source(lipschitz=declared)
+    with pytest.raises(cl.LipschitzDeclarationError, match="u1="):
+        cl.check_lipschitz_sampling(n, trials=2000, seed=0)
+
+
 def test_logistic_clip_slope_inside_clip():
     n = cl.logistic_clip(3.0, 1.0)
     # slope at u = -u_max is the declared constant

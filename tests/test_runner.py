@@ -302,6 +302,37 @@ def test_mistyped_config_exits_4(tmp_path, capsys, edit):
     assert "configuration rejected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [lambda c: c["grid"].update(N=255), lambda c: c["model"].update(a=-1.0)],
+    ids=["n_odd", "a_negative"],
+)
+def test_parse_rejection_writes_artifacts_only_with_out(tmp_path, monkeypatch, capsys, edit):
+    from cubelap.runner import main
+
+    monkeypatch.chdir(tmp_path)
+    cfg = _certified_config("configured_out")
+    edit(cfg)
+    path = _write(tmp_path, cfg)
+    # without --out a config that cannot be parsed names no directory to trust
+    assert main(["--config", str(path)]) == EXIT_ASSUMPTION_VIOLATION
+    assert not (tmp_path / "configured_out").exists()
+
+    out = tmp_path / "rejected"
+    assert main(["--config", str(path), "--out", str(out)]) == EXIT_ASSUMPTION_VIOLATION
+    cert = dict(
+        line.split("=", 1) for line in (out / "certificate.txt").read_text().splitlines()
+    )
+    assert cert["valid"] == "false"
+    for key in ("q", "l", "a", "b", "T", "C_small_T_limit", "T_max"):
+        assert cert[key] == "None"
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert summary[:2] == ["status=config_rejected", f"exit_code={EXIT_ASSUMPTION_VIOLATION}"]
+    assert summary[2].startswith("error=") and "violates the constraint" in summary[2]
+    assert len(summary) == 3
+    assert sorted(f.name for f in out.iterdir()) == ["certificate.txt", "summary.txt"]
+
+
 def _gaussian_csv(path, x):
     path.write_text("".join(f"{float(v)!r},{float(np.exp(-v * v))!r}\n" for v in x))
 
