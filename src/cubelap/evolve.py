@@ -21,14 +21,19 @@ constant in s (pure source reactions, and the zero reaction). An independent
 integrating-factor Heun marcher is kept alongside as a cross-validation
 oracle; it deliberately shares no quadrature with the mild-solution map.
 
-Inside the solvers a trajectory is a plain (M+1, N) complex array: the
-forcing history is one batched transform pair around one
-``apply_nonlinearity`` call, and the Picard loop calls ``duhamel_map`` and
-``time_derivative`` in their array form, with the window's weights computed
-once (``_window``). Given ``SpacetimeField`` arguments instead, the same two
-functions compute the weights themselves and return ``SpacetimeField``s.
-``Field`` and ``SpacetimeField`` appear only at the API edge and in the
-``SolveReport``.
+The unknown is a real field, the kernel and the reaction are real and
+lam(-p) = conj(lam(p)), so every spectrum in the solvers is Hermitian and is
+determined by its modes 0..N/2. Inside the solvers a trajectory is the plain
+(M+1, N/2+1) complex array of those modes: the forcing history is one
+batched real transform pair (``inverse_real`` / ``forward_real``) around one
+``apply_nonlinearity`` call on the real (M+1, N) samples, and norms weight
+each stored mode by its multiplicity in the full spectrum. The Picard loop
+calls ``duhamel_map`` and ``time_derivative`` in their array form, with the
+window's half-spectrum weights computed once (``_window``). Given
+``SpacetimeField`` arguments instead, the same two functions read modes
+0..N/2, compute the weights themselves and return full-spectrum
+``SpacetimeField``s. ``Field`` and ``SpacetimeField`` (full spectrum, as in
+the ``SXD1`` dump) appear only at the API edge and in the ``SolveReport``.
 """
 
 from __future__ import annotations
@@ -47,13 +52,12 @@ from .grid import (
     SpacetimeField,
     SpectralGrid,
     TAIL_TOL,
-    forward_array,
-    inverse_array,
-    inverse_transform,
+    forward_real,
+    hermitian_expand,
+    inverse_real,
     l2_norm,
     sobolev_norm_array,
     tail_mass_fraction,
-    to_spectral,
 )
 from .model import (
     ProblemSpec,
@@ -205,11 +209,12 @@ def propagate(f: Field, sym: SymbolTable, t: float) -> Field:
 
 @dataclass(frozen=True, eq=False)
 class _Window:
-    """What the mild-solution map needs on one window, computed once per window:
+    """What the mild-solution map needs on one window, computed once per window
+    on the half spectrum (modes 0..N/2):
 
     the initial coefficients u0_hat, the recursion's per-mode factors
-    e_dt = e^{dt lam}, w_prev = dt (phi1 - phi2)(dt lam), w_next = dt phi2(dt lam)
-    and the convolution factor g = sqrt(2 pi) Ghat.
+    e_dt = e^{dt lam}, w_prev = dt (phi1 - phi2)(dt lam), w_next = dt phi2(dt lam),
+    the convolution factor g = sqrt(2 pi) Ghat and the symbol lam itself.
     """
 
     u0_hat: np.ndarray
@@ -217,23 +222,28 @@ class _Window:
     w_prev: np.ndarray
     w_next: np.ndarray
     g: np.ndarray
+    lam: np.ndarray
 
 
 def _window(grid: SpectralGrid, prob: ProblemSpec, sym: SymbolTable, dt: float) -> _Window:
-    z = dt * sym.lam
+    half = slice(0, grid.n_half)
+    lam = sym.lam[half]
+    z = dt * lam
     return _Window(
-        u0_hat=to_spectral(prob.u0).values,
-        e_dt=sym.propagator(dt),
+        u0_hat=forward_real(grid, prob.u0.values.real),
+        e_dt=sym.propagator(dt)[half],
         w_prev=dt * (phi1(z) - phi2(z)),
         w_next=dt * phi2(z),
-        g=SQRT_2PI * prob.kernel.spectrum_on(grid),
+        g=SQRT_2PI * prob.kernel.spectrum_on(grid)[half],
+        lam=lam,
     )
 
 
 def _forcing_history(grid: SpectralGrid, frames: np.ndarray, prob: ProblemSpec) -> np.ndarray:
-    """Transforms of F(v(., t_j), .) for every frame, shape (M+1, N)."""
-    phys = inverse_array(grid, frames)
-    fh = forward_array(grid, apply_nonlinearity(phys, prob.nonlinearity, grid))
+    """Transforms of F(v(., t_j), .) for every frame, on modes 0..N/2:
+    (M+1, N/2+1) half-spectrum frames in, the same shape out."""
+    phys = inverse_real(grid, frames)
+    fh = forward_real(grid, apply_nonlinearity(phys, prob.nonlinearity, grid))
     if not np.all(np.isfinite(fh)):
         raise SolverError("forcing history contains non-finite values")
     return fh
@@ -267,15 +277,19 @@ def duhamel_map(
     forcing transforms are handed back so the time derivative of the result
     can be formed algebraically.
 
-    v is a ``SpacetimeField`` and so is the result, unless ``window`` is
-    given: then v is the plain (M+1, N) array of spectral frames on
-    ``prob.grid`` with the window's precomputed data, and the result is an
-    array too (the form ``picard_solve`` iterates).
+    v is a ``SpacetimeField`` of a real trajectory, of which modes 0..N/2
+    are read, and the result is a full-spectrum ``SpacetimeField`` with a
+    full-spectrum forcing history. Given ``window``, v is instead the plain
+    (M+1, N/2+1) array of half-spectrum frames on ``prob.grid`` with the
+    window's precomputed data, and the result and history are half-spectrum
+    arrays too (the form ``picard_solve`` iterates).
     """
     if window is None:
-        fh = _forcing_history(v.grid, v.frames, prob)
-        u = _recursion(fh, _window(v.grid, prob, sym, v.dt))
-        out = SpacetimeField(v.grid, v.time_grid, u)
+        grid = v.grid
+        fh = _forcing_history(grid, v.frames[:, : grid.n_half], prob)
+        u = _recursion(fh, _window(grid, prob, sym, v.dt))
+        out = SpacetimeField(grid, v.time_grid, hermitian_expand(grid, u))
+        fh = hermitian_expand(grid, fh)
     else:
         fh = _forcing_history(prob.grid, v, prob)
         out = _recursion(fh, window)
@@ -295,7 +309,9 @@ def time_derivative(
 
     Requires the forcing history saved from the map application that produced
     u; no finite differencing is ever involved. As in ``duhamel_map``, u is a
-    ``SpacetimeField`` unless ``window`` is given, and then a plain array.
+    ``SpacetimeField`` (modes 0..N/2 of u and of the full-spectrum history are
+    read, and the result is expanded to the full spectrum) unless ``window``
+    is given, and then u and the history are half-spectrum arrays.
     """
     if f_hat_history is None:
         raise ValueError("forcing history is required; rerun the map with return_history")
@@ -306,9 +322,12 @@ def time_derivative(
             f"forcing history shape {fh.shape} does not match frames {frames.shape}"
         )
     if window is None:
-        g = SQRT_2PI * prob.kernel.spectrum_on(u.grid)
-        return SpacetimeField(u.grid, u.time_grid, sym.lam[None, :] * frames + g[None, :] * fh)
-    return sym.lam[None, :] * frames + window.g[None, :] * fh
+        grid = u.grid
+        half = slice(0, grid.n_half)
+        g = SQRT_2PI * prob.kernel.spectrum_on(grid)[half]
+        dudt = sym.lam[None, half] * frames[:, half] + g[None, :] * fh[:, half]
+        return SpacetimeField(grid, u.time_grid, hermitian_expand(grid, dudt))
+    return window.lam[None, :] * frames + window.g[None, :] * fh
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,15 +370,17 @@ class SolveReport:
 
 
 def _frame_norms(grid: SpectralGrid, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    l2 = np.sqrt(np.sum(np.abs(frames) ** 2, axis=1) * grid.dp)
-    d6 = np.sqrt(np.sum(grid._p12 * np.abs(frames) ** 2, axis=1) * grid.dp)
+    """Per-frame ||u|| and ||d^6 u/dx^6|| of half-spectrum frames."""
+    energy = grid._half_weights * np.abs(frames) ** 2
+    l2 = np.sqrt(np.sum(energy, axis=1) * grid.dp)
+    d6 = np.sqrt(np.sum(grid._p12[: grid.n_half] * energy, axis=1) * grid.dp)
     return l2, d6
 
 
 def _tail_check(grid: SpectralGrid, frames: np.ndarray, t_offset: float) -> tuple[str, ...]:
     warnings_out = []
     fractions = [
-        tail_mass_fraction(Field(grid, inverse_array(grid, frames[j]))) for j in (0, -1)
+        tail_mass_fraction(Field(grid, inverse_real(grid, frames[j]))) for j in (0, -1)
     ]
     worst = max(fractions)
     if worst > TAIL_TOL:
@@ -389,10 +410,11 @@ def picard_solve(
     measured ratio must stay below C * 1.05; a violation is raised as a
     defect, not smoothed over.
 
-    The iteration runs on plain (M+1, N) arrays: per iterate one call each of
-    ``duhamel_map`` (one batched transform pair around one reaction call)
-    and ``time_derivative`` in their array form, with the window's weights
-    computed once. The report's fields are built once, from the last iterate.
+    The iteration runs on plain (M+1, N/2+1) half-spectrum arrays: per
+    iterate one call each of ``duhamel_map`` (one batched real transform pair
+    around one reaction call) and ``time_derivative`` in their array form,
+    with the window's weights computed once. The report's full-spectrum
+    fields are expanded once, from the last iterate.
     """
     if window_length <= 0:
         raise ValueError(f"window length must be positive, got {window_length}")
@@ -414,8 +436,8 @@ def picard_solve(
     tg = np.linspace(0.0, window_length, n_frames + 1)
     w = _window(grid, prob, sym, float(tg[1] - tg[0]))
 
-    u_prev = np.exp(np.outer(tg, sym.lam)) * w.u0_hat[None, :]
-    dudt_prev = sym.lam[None, :] * u_prev
+    u_prev = np.exp(np.outer(tg, w.lam)) * w.u0_hat[None, :]
+    dudt_prev = w.lam[None, :] * u_prev
 
     distances: list[float] = []
     tol = tol_fix
@@ -464,8 +486,8 @@ def picard_solve(
     l2, d6 = _frame_norms(grid, u_new)
     dudt_l2, _ = _frame_norms(grid, dudt_new)
     return SolveReport(
-        field=SpacetimeField(grid, tg, u_new),
-        dudt=SpacetimeField(grid, tg, dudt_new),
+        field=SpacetimeField(grid, tg, hermitian_expand(grid, u_new)),
+        dudt=SpacetimeField(grid, tg, hermitian_expand(grid, dudt_new)),
         trace=trace,
         certificate=cert,
         t_offset=t_offset,
@@ -492,9 +514,9 @@ def etd_reference_solve(
     N(u) = sqrt(2 pi) Ghat fhat_u. Genuinely second order (including against
     constant forcing, where the mild-solution quadrature is exact), and free
     of phi-weights by design so the two solvers share no quadrature path.
-    Each substep works on the raw (N,) coefficient array through the array
-    transforms and the array form of ``apply_nonlinearity``, and checks the
-    L2 norm for blowup.
+    Each substep works on the raw (N/2+1,) half-spectrum coefficients through
+    the real transforms and the array form of ``apply_nonlinearity``, and
+    checks the L2 norm for blowup.
     """
     if substeps < 4 * n_frames:
         raise ValueError(
@@ -503,21 +525,22 @@ def etd_reference_solve(
     if substeps % n_frames != 0:
         raise ValueError("substeps must be an integer multiple of the frame count")
     grid = prob.grid
+    half = slice(0, grid.n_half)
     sym = build_symbol(grid, prob.a, prob.b)
-    g = SQRT_2PI * prob.kernel.spectrum_on(grid)
+    g = SQRT_2PI * prob.kernel.spectrum_on(grid)[half]
     h = window_length / substeps
-    e_h = sym.propagator(h)
+    e_h = sym.propagator(h)[half]
 
     def reaction(u_hat: np.ndarray) -> np.ndarray:
-        phys = inverse_array(grid, u_hat)
-        return g * forward_array(grid, apply_nonlinearity(phys, prob.nonlinearity, grid))
+        phys = inverse_real(grid, u_hat)
+        return g * forward_real(grid, apply_nonlinearity(phys, prob.nonlinearity, grid))
 
     def l2(u_hat: np.ndarray) -> float:
-        return float(np.sqrt(np.sum(np.abs(u_hat) ** 2) * grid.dp))
+        return float(np.sqrt(np.sum(grid._half_weights * np.abs(u_hat) ** 2) * grid.dp))
 
-    u_hat = to_spectral(prob.u0).values.copy()
+    u_hat = forward_real(grid, prob.u0.values.real)
     stride = substeps // n_frames
-    frames = np.empty((n_frames + 1, grid.n_points), dtype=np.complex128)
+    frames = np.empty((n_frames + 1, grid.n_half), dtype=np.complex128)
     frames[0] = u_hat
     scale0 = l2(u_hat)
     blowup_ref = None
@@ -536,7 +559,7 @@ def etd_reference_solve(
         if (n + 1) % stride == 0:
             frames[(n + 1) // stride] = u_hat
     tg = np.linspace(0.0, window_length, n_frames + 1)
-    return SpacetimeField(grid, tg, frames)
+    return SpacetimeField(grid, tg, hermitian_expand(grid, frames))
 
 
 def global_march(
@@ -607,8 +630,8 @@ def global_march(
         except (SolverError, ValueError) as exc:
             raise MarchWindowError(k, exc) from exc
         reports.append(rep)
-        end_state = inverse_transform(rep.final_state)
-        current = dc_replace(current, u0=end_state)
+        end_state = inverse_real(prob.grid, rep.field.frames[-1, : prob.grid.n_half])
+        current = dc_replace(current, u0=Field(prob.grid, end_state))
     reports[-1].overlap = nontriviality_overlap(
         prob.kernel, prob.nonlinearity, prob.grid
     )

@@ -76,6 +76,12 @@ class SpectralGrid:
         p12 = p**12
         p12.flags.writeable = False
         object.__setattr__(self, "_p12", p12)
+        # multiplicity of each half-spectrum mode 0..N/2 in a sum over all N
+        # modes of a real field: DC and Nyquist appear once, the rest twice
+        half_weights = np.full(N // 2 + 1, 2.0)
+        half_weights[[0, -1]] = 1.0
+        half_weights.flags.writeable = False
+        object.__setattr__(self, "_half_weights", half_weights)
 
     @property
     def dx(self) -> float:
@@ -85,6 +91,11 @@ class SpectralGrid:
     def dp(self) -> float:
         """Wavenumber spacing pi/L."""
         return np.pi / self.half_length
+
+    @property
+    def n_half(self) -> int:
+        """N/2 + 1, the modes 0..N/2 that determine the spectrum of a real field."""
+        return self.n_points // 2 + 1
 
 
 def make_grid(half_length: float, n_points: int) -> SpectralGrid:
@@ -121,36 +132,58 @@ def field_from_function(grid: SpectralGrid, fn) -> Field:
     return Field(grid, np.asarray(fn(grid.x)), PHYSICAL)
 
 
-def forward_array(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
+def forward_transform(f: Field) -> Field:
     """Physical samples -> spectral coefficients under the unitary scaling.
 
-    Transforms along the last axis, so a (frames, N) array goes through one
-    FFT call. The DFT output is multiplied by dx/sqrt(2*pi) together with
-    the phase accounting for the box origin at -L, so the result
-    approximates the continuum transform evaluated at the grid wavenumbers.
+    The DFT output is multiplied by dx/sqrt(2*pi) together with the phase
+    accounting for the box origin at -L, so the result approximates the
+    continuum transform evaluated at the grid wavenumbers.
     """
-    coeff = grid.dx / np.sqrt(2.0 * np.pi)
-    return coeff * grid._phase * np.fft.fft(values, axis=-1)
-
-
-def inverse_array(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
-    """Spectral coefficients -> physical samples along the last axis."""
-    coeff = grid.dp * grid.n_points / np.sqrt(2.0 * np.pi)
-    return coeff * np.fft.ifft(grid._phase * values, axis=-1)
-
-
-def forward_transform(f: Field) -> Field:
-    """Field form of ``forward_array``."""
     if f.rep != PHYSICAL:
         raise RepresentationError("forward_transform expects a physical field")
-    return Field(f.grid, forward_array(f.grid, f.values), SPECTRAL)
+    coeff = f.grid.dx / np.sqrt(2.0 * np.pi)
+    return Field(f.grid, coeff * f.grid._phase * np.fft.fft(f.values), SPECTRAL)
 
 
 def inverse_transform(f: Field) -> Field:
-    """Field form of ``inverse_array``; exact inverse of forward."""
+    """Spectral coefficients -> physical samples; exact inverse of forward."""
     if f.rep != SPECTRAL:
         raise RepresentationError("inverse_transform expects a spectral field")
-    return Field(f.grid, inverse_array(f.grid, f.values), PHYSICAL)
+    coeff = f.grid.dp * f.grid.n_points / np.sqrt(2.0 * np.pi)
+    return Field(f.grid, coeff * np.fft.ifft(f.grid._phase * f.values), PHYSICAL)
+
+
+def forward_real(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
+    """Real physical samples -> their spectral coefficients of modes 0..N/2.
+
+    ``forward_transform``'s scaling and phase, from one ``rfft`` along the
+    last axis, so a (frames, N) array goes through one call. The modes
+    N/2+1..N-1 of a real field follow by ``hermitian_expand``.
+    """
+    coeff = grid.dx / np.sqrt(2.0 * np.pi)
+    return coeff * grid._phase[: grid.n_half] * np.fft.rfft(values, axis=-1)
+
+
+def inverse_real(grid: SpectralGrid, half: np.ndarray) -> np.ndarray:
+    """Modes 0..N/2 -> the real physical samples along the last axis.
+
+    The samples of the real field whose spectrum is
+    ``hermitian_expand(grid, half)``; the imaginary parts of the DC and
+    Nyquist coefficients are ignored.
+    """
+    coeff = grid.dp * grid.n_points / np.sqrt(2.0 * np.pi)
+    return coeff * np.fft.irfft(
+        grid._phase[: grid.n_half] * half, n=grid.n_points, axis=-1
+    )
+
+
+def hermitian_expand(grid: SpectralGrid, half: np.ndarray) -> np.ndarray:
+    """Full spectrum of a real field from its modes 0..N/2: full[N-k] = conj(half[k])."""
+    n, nh = grid.n_points, grid.n_half
+    full = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
+    full[..., :nh] = half
+    np.conjugate(half[..., nh - 2 : 0 : -1], out=full[..., nh:])
+    return full
 
 
 def to_spectral(f: Field) -> Field:
@@ -297,14 +330,16 @@ def sobolev_norm_array(
 
         sqrt(||du/dt||^2 + ||d^6 u/dx^6||^2 + ||u||^2),
 
-    all three in L2 over box x [0, T], for spectral frames of shape (M+1, N).
-    The sixth derivative is spectral, the time derivative is supplied (never
-    finite-differenced here), and the time integral is the composite
-    trapezoid rule.
+    all three in L2 over box x [0, T], for spectral frames of shape (M+1, N),
+    or (M+1, N/2+1) for the half spectrum of a real field, whose modes
+    1..N/2-1 stand for two modes each. The sixth derivative is spectral, the
+    time derivative is supplied (never finite-differenced here), and the time
+    integral is the composite trapezoid rule.
     """
+    w = 1.0 if u.shape[-1] == grid.n_points else grid._half_weights
     per_frame = (
-        np.sum((1.0 + grid._p12) * np.abs(u) ** 2, axis=1)
-        + np.sum(np.abs(du_dt) ** 2, axis=1)
+        np.sum(w * (1.0 + grid._p12[: u.shape[-1]]) * np.abs(u) ** 2, axis=1)
+        + np.sum(w * np.abs(du_dt) ** 2, axis=1)
     ) * grid.dp
     return float(np.sqrt(np.trapezoid(per_frame, time_grid)))
 

@@ -29,6 +29,7 @@ from scipy.integrate import quad
 from .grid import (
     CORE_FRACTION,
     Field,
+    PHYSICAL,
     RepresentationError,
     SpectralGrid,
     forward_transform,
@@ -46,6 +47,10 @@ MIN_DECLARED_CONSTANT = 1e-12
 #: Relative modulus threshold below which a spectral coefficient counts as
 #: "not in the support" for the overlap criterion.
 DEFAULT_SUPPORT_EPS = 1e-12
+
+#: Largest accepted max|Im u0| / max|u0|: the model's unknown is real, and an
+#: inverse transform of a Hermitian spectrum leaves roundoff-level imaginary parts.
+REAL_STATE_TOL = 1e-12
 
 
 class AssumptionViolation(ValueError):
@@ -212,14 +217,18 @@ def sech_kernel(amplitude: float = 1.0, width: float = 1.0) -> KernelSpec:
 
 
 def _trig_poly(grid: SpectralGrid, coeffs: np.ndarray):
-    """Callable evaluating the band-limited interpolant sum_k c_k exp(i p_k x)."""
-    p = grid.wavenumbers
+    """Callable evaluating the band-limited interpolant sum_k c_k exp(i p_k x).
+
+    The sum runs over the nonzero coefficients only.
+    """
+    support = np.flatnonzero(coeffs)
+    p, c = grid.wavenumbers[support], coeffs[support]
     dp = grid.dp
 
     def fn(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         osc = np.exp(1j * np.outer(x, p))
-        return (osc @ coeffs).real * (dp / np.sqrt(2.0 * np.pi))
+        return np.sum(osc * c, axis=-1).real * (dp / np.sqrt(2.0 * np.pi))
 
     return fn
 
@@ -754,4 +763,13 @@ class ProblemSpec:
         n0 = h6_norm(u0)
         if not np.isfinite(n0):
             raise AssumptionViolation("initial condition has non-finite Sobolev norm")
-        object.__setattr__(self, "u0", u0)
+        # the solvers evolve real fields: an imaginary part above roundoff is
+        # an error, not something to drop silently
+        size = np.max(np.abs(u0.values))
+        imag = np.max(np.abs(u0.values.imag))
+        if imag > REAL_STATE_TOL * size:
+            raise AssumptionViolation(
+                f"initial condition is not real: max|Im u0| / max|u0| = {imag / size:.3e} "
+                f"exceeds {REAL_STATE_TOL:g}"
+            )
+        object.__setattr__(self, "u0", Field(u0.grid, u0.values.real, PHYSICAL))

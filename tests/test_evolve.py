@@ -501,8 +501,9 @@ def test_batched_forcing_matches_per_frame_loop(hot_path_problem):
 
     prob, cert, T = hot_path_problem
     v, _ = _free_trajectory(prob, T, 32)
-    batched = _forcing_history(prob.grid, v.frames, prob)
-    reference = _per_frame_forcing(v.frames, prob)
+    half = slice(0, prob.grid.n_half)
+    batched = _forcing_history(prob.grid, v.frames[:, half], prob)
+    reference = _per_frame_forcing(v.frames, prob)[:, half]
     assert np.max(np.abs(batched - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
@@ -512,7 +513,60 @@ def test_picard_matches_per_frame_reference(hot_path_problem):
     final, distances = _per_frame_picard(prob, T, 32)
     assert rep.trace.iterations == distances.size
     assert np.max(np.abs(rep.field.frames[-1] - final)) <= 1e-12 * np.max(np.abs(final))
-    assert np.all(np.abs(rep.trace.distances - distances) <= 1e-12 * distances)
+    assert np.all(np.abs(rep.trace.distances - distances) <= 1e-12 * distances[0])
+
+
+def _max_reported_ratio(distances):
+    # the rule of PicardTrace: d_{n+1}/d_n, skipping bases at the noise floor
+    floor = 10.0 * np.finfo(float).eps * distances[0]
+    ratios = distances[1:] / distances[:-1]
+    return np.max(ratios[distances[:-1] > floor])
+
+
+def test_largest_picard_ratio_matches_per_frame_reference(hot_path_problem):
+    # the certificate check reads this ratio
+    prob, cert, T = hot_path_problem
+    rep = cl.picard_solve(prob, T, cert, n_frames=32)
+    _, distances = _per_frame_picard(prob, T, 32)
+    got, ref = np.max(rep.trace.reported_ratios()), _max_reported_ratio(distances)
+    assert abs(got - ref) <= 1e-12 * ref
+
+
+def test_report_frames_are_exactly_hermitian(hot_path_problem):
+    prob, cert, T = hot_path_problem
+    rep = cl.picard_solve(prob, T, cert, n_frames=16)
+    n = prob.grid.n_points
+    k = np.arange(1, n // 2)
+    for frames in (rep.field.frames, rep.dudt.frames):
+        assert np.array_equal(frames[:, n - k], np.conj(frames[:, k]))
+
+
+def _full_spectrum_heun(prob, T, substeps, n_frames):
+    """The integrating-factor Heun oracle on all N modes, with the full
+    complex transforms (the oracle before the half-spectrum core)."""
+    grid = prob.grid
+    sym = cl.build_symbol(grid, prob.a, prob.b)
+    g = np.sqrt(2.0 * np.pi) * prob.kernel.spectrum_on(grid)
+    h = T / substeps
+    e_h = sym.propagator(h)
+
+    def reaction(u_hat):
+        phys = cl.inverse_transform(cl.Field(grid, u_hat, "spectral"))
+        return g * cl.forward_transform(cl.apply_nonlinearity(phys, prob.nonlinearity)).values
+
+    u_hat = cl.to_spectral(prob.u0).values.copy()
+    for _ in range(substeps):
+        nn = reaction(u_hat)
+        pred = e_h * (u_hat + h * nn)
+        u_hat = e_h * u_hat + 0.5 * h * (e_h * nn + reaction(pred))
+    return u_hat
+
+
+def test_oracle_matches_full_spectrum_heun(hot_path_problem):
+    prob, cert, T = hot_path_problem
+    ref = cl.etd_reference_solve(prob, T, 4 * 16, n_frames=16)
+    full = _full_spectrum_heun(prob, T, 4 * 16, 16)
+    assert np.max(np.abs(ref.frames[-1] - full)) <= 1e-12 * np.max(np.abs(full))
 
 
 _MODEL_ERROR_SCRIPT = """

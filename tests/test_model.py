@@ -93,6 +93,44 @@ def test_bandlimited_kernel_support_is_exact():
     assert any("compact spectral support" in note for note in report.notes)
 
 
+def _dense_trig_sum(grid, coeffs, x):
+    # every mode of the grid, zero coefficients included
+    osc = np.exp(1j * np.outer(x, grid.wavenumbers))
+    return (osc @ coeffs).real * (grid.dp / np.sqrt(2.0 * np.pi))
+
+
+def _points(grid):
+    rng = np.random.default_rng(11)
+    return grid.x, rng.uniform(-grid.half_length, grid.half_length, 2000)
+
+
+def test_bandlimited_kernel_matches_dense_trig_sum():
+    g = cl.make_grid(20.0, 256)
+    k = cl.bandlimited_kernel(g, amplitude=1.0, cutoff=2.0)
+    for fn, coeffs in ((k.g, k.grid_spectrum), (k.d6g, (1j * g.wavenumbers) ** 6 * k.grid_spectrum)):
+        for x in _points(g):
+            dense = _dense_trig_sum(g, coeffs, x)
+            assert np.max(np.abs(fn(x) - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+def test_bandlimited_source_matches_dense_trig_sum():
+    g = cl.make_grid(20.0, 256)
+    amplitude, p_lo, p_hi = 0.1, 0.3, 1.0
+    h = cl.source_bandlimited(g, amplitude, p_lo, p_hi)
+    # the source's raised-cosine profile, rebuilt on every mode of the grid
+    ap = np.abs(g.wavenumbers)
+    center, halfwidth = 0.5 * (p_lo + p_hi), 0.5 * (p_hi - p_lo)
+    coeffs = np.where(
+        (ap >= p_lo) & (ap <= p_hi),
+        amplitude * np.cos(np.pi * (ap - center) / (2.0 * halfwidth)) ** 2,
+        0.0,
+    ).astype(complex)
+    assert 0 < np.count_nonzero(coeffs) < g.n_points // 8
+    for x in _points(g):
+        dense = _dense_trig_sum(g, coeffs, x)
+        assert np.max(np.abs(h(x) - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
 def test_bandlimited_kernel_grid_binding():
     g = cl.make_grid(20.0, 256)
     other = cl.make_grid(20.0, 128)
@@ -349,3 +387,30 @@ def test_sech_spectrum_does_not_overflow_on_wide_grids():
         warnings.simplefilter("error", RuntimeWarning)
         ghat = k.spectrum_on(cl.make_grid(40.0, 8192))
     assert np.all(np.isfinite(ghat))
+
+
+def _problem_with_initial_state(u0):
+    return cl.ProblemSpec(
+        a=0.0, b=0.0, kernel=cl.gaussian_kernel(), nonlinearity=cl.saturating(1.0),
+        u0=u0, grid=u0.grid,
+    )
+
+
+def test_problem_spec_rejects_complex_initial_state():
+    g = cl.make_grid(10.0, 64)
+    bump = np.exp(-(g.x**2))
+    u0 = cl.Field(g, bump + 1e-6j * bump, "physical")
+    with pytest.raises(cl.AssumptionViolation, match=r"not real: max\|Im u0\| / max\|u0\| = 1\.000e-06"):
+        _problem_with_initial_state(u0)
+
+
+def test_problem_spec_accepts_roundoff_imaginary_part_and_stores_real_state():
+    g = cl.make_grid(10.0, 64)
+    rng = np.random.default_rng(3)
+    f = random_smooth_field(g, rng)
+    # the inverse transform of a Hermitian spectrum is real up to roundoff
+    u0 = cl.inverse_transform(cl.forward_transform(f))
+    assert 0 < np.max(np.abs(u0.values.imag)) <= 1e-12 * np.max(np.abs(u0.values))
+    prob = _problem_with_initial_state(u0)
+    assert np.all(prob.u0.values.imag == 0)
+    assert np.array_equal(prob.u0.values.real, u0.values.real)
