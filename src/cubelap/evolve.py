@@ -34,6 +34,14 @@ window's half-spectrum weights computed once (``_window``). Given
 0..N/2, compute the weights themselves and return full-spectrum
 ``SpacetimeField``s. ``Field`` and ``SpacetimeField`` (full spectrum, as in
 the ``SXD1`` dump) appear only at the API edge and in the ``SolveReport``.
+
+The march first runs the certified Picard chain, window after window, since
+each window starts from the previous one's end state. The oracle of window k
+starts from that same state and reads no other oracle, so once the chain has
+run, one Heun march checks every window at once on a (K, N/2+1) block: the
+Picard chain is the sequential propagator and the oracle the fine solver of
+the parareal split (Lions, Maday & Turinici, 2001). Failures are reported in
+the sequential order Picard 0, oracle 0, Picard 1, ...: the first one wins.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ from .grid import (
     tail_mass_fraction,
 )
 from .model import (
+    ModelEvaluationError,
     ProblemSpec,
     apply_nonlinearity,
     kernel_strength,
@@ -503,7 +512,8 @@ def etd_reference_solve(
     window_length: float,
     substeps: int,
     n_frames: int = DEFAULT_FRAMES,
-) -> SpacetimeField:
+    starts: np.ndarray | None = None,
+) -> SpacetimeField | np.ndarray:
     """Independent cross-validation marcher: integrating-factor Heun.
 
     Advances u_hat with the two-stage scheme
@@ -514,16 +524,63 @@ def etd_reference_solve(
     N(u) = sqrt(2 pi) Ghat fhat_u. Genuinely second order (including against
     constant forcing, where the mild-solution quadrature is exact), and free
     of phi-weights by design so the two solvers share no quadrature path.
-    Each substep works on the raw (N/2+1,) half-spectrum coefficients through
-    the real transforms and the array form of ``apply_nonlinearity``, and
-    checks the L2 norm for blowup.
+
+    One march advances a (K, N/2+1) block of independent half-spectrum
+    states: per substep two calls of the array form of
+    ``apply_nonlinearity``, each on all K rows through one real transform
+    pair, and a blowup check of every row against its own initial norm.
+    Without ``starts`` the block is the single state ``prob.u0`` and the
+    result is its ``SpacetimeField`` of n_frames + 1 frames. ``starts`` is a
+    (K, N) array of real initial states, row r the start of window r of a
+    march; the result is then only the (K, N/2+1) array of end states, and a
+    failure is raised as ``global_march`` raises window r's: the lowest
+    failing row wins, whatever substep it fails at, and the rows below it are
+    still checked to the end. A failure reads as it does for one state: on a
+    model error the substep is repeated row by row, and a substep count that
+    fails the preconditions fails row 0.
+    """
+    grid = prob.grid
+    batch = starts is not None
+    u0 = np.asarray(starts, dtype=np.float64) if batch else prob.u0.values.real[None, :]
+    if u0.ndim != 2 or u0.shape[0] < 1 or u0.shape[1] != grid.n_points:
+        raise ValueError(
+            f"starts must be a (K, {grid.n_points}) array with K >= 1, got shape {u0.shape}"
+        )
+    frames, ends, failure = _heun_march(prob, window_length, substeps, n_frames, u0, batch)
+    if failure is not None:
+        if batch:
+            _raise_window_failure(*failure)
+        raise failure[1]
+    if batch:
+        return ends
+    tg = np.linspace(0.0, window_length, n_frames + 1)
+    return SpacetimeField(grid, tg, hermitian_expand(grid, frames))
+
+
+def _heun_march(
+    prob: ProblemSpec,
+    window_length: float,
+    substeps: int,
+    n_frames: int,
+    u0: np.ndarray,
+    batch: bool,
+):
+    """The marcher of ``etd_reference_solve`` on the (K, N) real states u0.
+
+    Returns the frames of row 0 (None if ``batch``), the end states and the
+    (row, error) of the lowest failing row, or None; the states mean nothing
+    after a failure. Once a row fails, only the rows below it march on, to
+    the end, since one of them may still fail. A substep count that fails
+    the preconditions fails every row, so row 0.
     """
     if substeps < 4 * n_frames:
-        raise ValueError(
+        return None, None, (0, ValueError(
             f"substeps = {substeps} must be at least 4x the frame count {n_frames}"
-        )
+        ))
     if substeps % n_frames != 0:
-        raise ValueError("substeps must be an integer multiple of the frame count")
+        return None, None, (0, ValueError(
+            "substeps must be an integer multiple of the frame count"
+        ))
     grid = prob.grid
     half = slice(0, grid.n_half)
     sym = build_symbol(grid, prob.a, prob.b)
@@ -535,31 +592,68 @@ def etd_reference_solve(
         phys = inverse_real(grid, u_hat)
         return g * forward_real(grid, apply_nonlinearity(phys, prob.nonlinearity, grid))
 
-    def l2(u_hat: np.ndarray) -> float:
-        return float(np.sqrt(np.sum(grid._half_weights * np.abs(u_hat) ** 2) * grid.dp))
-
-    u_hat = forward_real(grid, prob.u0.values.real)
-    stride = substeps // n_frames
-    frames = np.empty((n_frames + 1, grid.n_half), dtype=np.complex128)
-    frames[0] = u_hat
-    scale0 = l2(u_hat)
-    blowup_ref = None
-    for n in range(substeps):
+    def heun_step(u_hat: np.ndarray) -> np.ndarray:
         nn = reaction(u_hat)
         pred = e_h * (u_hat + h * nn)
-        u_hat = e_h * u_hat + 0.5 * h * (e_h * nn + reaction(pred))
-        norm_now = l2(u_hat)
+        return e_h * u_hat + 0.5 * h * (e_h * nn + reaction(pred))
+
+    def l2(u_hat: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.sum(grid._half_weights * np.abs(u_hat) ** 2, axis=-1) * grid.dp)
+
+    u_hat = forward_real(grid, u0)
+    stride = substeps // n_frames
+    frames = None
+    if not batch:
+        frames = np.empty((n_frames + 1, grid.n_half), dtype=np.complex128)
+        frames[0] = u_hat[0]
+    scale0 = l2(u_hat)
+    blowup_ref = None
+    failure = None
+    for n in range(substeps):
+        try:
+            u_next = heun_step(u_hat)
+        except ModelEvaluationError as exc:
+            # step the rows one at a time, each as one (N,) state so that its
+            # error names no frame, up to the lowest failing one
+            done = []
+            for r, row in enumerate(u_hat):
+                try:
+                    done.append(heun_step(row))
+                except ModelEvaluationError as row_exc:
+                    failure = (r, row_exc)
+                    break
+            else:
+                raise exc  # no row fails alone: F is not pointwise
+            if not done:
+                break
+            u_next = np.stack(done)
+        norm_now = l2(u_next)
         if blowup_ref is None:
-            blowup_ref = max(scale0, norm_now, 1e-12)
-        if not np.isfinite(norm_now) or norm_now > 1e8 * blowup_ref:
-            raise ReferenceInstabilityError(
+            blowup_ref = np.fmax(np.fmax(scale0[: len(u_next)], norm_now), 1e-12)
+        ref = blowup_ref[: len(u_next)]
+        bad = ~(np.isfinite(norm_now) & (norm_now <= 1e8 * ref))
+        if np.any(bad):
+            r = int(np.argmax(bad))
+            failure = (r, ReferenceInstabilityError(
                 f"reference marcher unstable at step {n + 1}: "
-                f"norm {norm_now:.3e} vs initial {blowup_ref:.3e}"
-            )
-        if (n + 1) % stride == 0:
-            frames[(n + 1) // stride] = u_hat
-    tg = np.linspace(0.0, window_length, n_frames + 1)
-    return SpacetimeField(grid, tg, hermitian_expand(grid, frames))
+                f"norm {norm_now[r]:.3e} vs initial {ref[r]:.3e}"
+            ))
+            if r == 0:
+                break
+            u_next = u_next[:r]
+        u_hat = u_next
+        if frames is not None and (n + 1) % stride == 0:
+            frames[(n + 1) // stride] = u_hat[0]
+    return frames, u_hat, failure
+
+
+def _raise_window_failure(k: int, exc: Exception):
+    """Raise window k's failure the way ``global_march`` reports it: a solver
+    or value error wrapped in ``MarchWindowError(k)``, anything else (a
+    ``ModelEvaluationError``) as it is."""
+    if isinstance(exc, (SolverError, ValueError)):
+        raise MarchWindowError(k, exc) from exc
+    raise exc
 
 
 def global_march(
@@ -581,6 +675,17 @@ def global_march(
     what is re-checked per window is the part the analysis cannot see, the
     box-truncation tail mass. The final report carries the support-overlap
     measure for the nontriviality criterion.
+
+    Order of work: the Picard chain runs until every window is solved or
+    one fails, keeping each window's start state; with ``run_oracle`` one
+    batched ``etd_reference_solve`` then marches the windows that were
+    solved, and each window's ``oracle_rel_deviation`` compares its Picard
+    end state with its oracle end state. The first failure in the
+    sequential order (Picard 0, oracle 0, Picard 1, ...) is raised: an
+    oracle failure at window k < j beats a Picard failure at window j, and
+    the lowest failing oracle window wins, whatever substep it failed at. A
+    solver or value error is raised as ``MarchWindowError(k)``, a
+    ``ModelEvaluationError`` as it is.
     """
     validate_kernel(prob.kernel, prob.grid)
     q = kernel_strength(prob.kernel)
@@ -605,6 +710,8 @@ def global_march(
     t_win = schedule.window_length
     cert = Certificate.for_window(q, ell, prob.a, prob.b, t_win)
     reports: list[SolveReport] = []
+    starts: list[np.ndarray] = []
+    failed = None
     current = prob
     for k in range(schedule.count):
         try:
@@ -618,20 +725,26 @@ def global_march(
                 override_certificate=override_certificate,
                 t_offset=k * t_win,
             )
-            if run_oracle:
-                ref = etd_reference_solve(
-                    current, t_win, oracle_substeps_factor * n_frames, n_frames
-                )
-                num = l2_norm(
-                    Field(prob.grid, rep.field.frames[-1] - ref.frames[-1], "spectral")
-                )
-                den = l2_norm(rep.final_state)
-                rep.oracle_rel_deviation = num / den if den > 0 else num
-        except (SolverError, ValueError) as exc:
-            raise MarchWindowError(k, exc) from exc
-        reports.append(rep)
-        end_state = inverse_real(prob.grid, rep.field.frames[-1, : prob.grid.n_half])
-        current = dc_replace(current, u0=Field(prob.grid, end_state))
+            reports.append(rep)
+            starts.append(current.u0.values.real)
+            end_state = inverse_real(prob.grid, rep.field.frames[-1, : prob.grid.n_half])
+            current = dc_replace(current, u0=Field(prob.grid, end_state))
+        except Exception as exc:
+            failed = (k, exc)
+            break
+    if run_oracle and reports:
+        # raises the failure of the first failing window, which comes before
+        # the Picard failure in march order
+        ends = etd_reference_solve(
+            prob, t_win, oracle_substeps_factor * n_frames, n_frames, starts=np.stack(starts)
+        )
+        for rep, end in zip(reports, ends):
+            diff = rep.field.frames[-1] - hermitian_expand(prob.grid, end)
+            num = l2_norm(Field(prob.grid, diff, "spectral"))
+            den = l2_norm(rep.final_state)
+            rep.oracle_rel_deviation = num / den if den > 0 else num
+    if failed is not None:
+        _raise_window_failure(*failed)
     reports[-1].overlap = nontriviality_overlap(
         prob.kernel, prob.nonlinearity, prob.grid
     )

@@ -68,6 +68,16 @@ class ConfigError(ValueError):
     """Configuration file violates the documented schema."""
 
 
+#: Memory a run may plan for (README, "Limits"). A window solve peaks at
+#: about 6 arrays of (frames + 1) x N complex values of 16 bytes and keeps 2
+#: per window in its report; the bound allows 16, the solve plus the reports
+#: of five windows. The Lipschitz sampler takes about 82 bytes per trial;
+#: the bound allows 16 floats of 8 bytes.
+MEMORY_BUDGET_BYTES = 2 * 2**30
+MAX_TRAJECTORY_VALUES = MEMORY_BUDGET_BYTES // (16 * 16)
+MAX_LIPSCHITZ_TRIALS = MEMORY_BUDGET_BYTES // (16 * 8)
+
+
 _SOLVER_DEFAULTS = {
     "frames": 64,
     "tol_fix": None,
@@ -156,6 +166,8 @@ def parse_config(path) -> RunConfig:
         raw = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        raise ConfigError(f"config file {p} cannot be read: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be an object")
 
@@ -208,6 +220,17 @@ def parse_config(path) -> RunConfig:
         )
     for key in ("frames", "max_iter", "oracle_substeps_factor", "seed", "lipschitz_trials"):
         _as_integer(solver[key], f"solver.{key}")
+    values = N * (solver["frames"] + 1)
+    if values > MAX_TRAJECTORY_VALUES:
+        raise ConfigError(
+            f"grid.N * (solver.frames + 1) = {values} exceeds {MAX_TRAJECTORY_VALUES}, "
+            f"the trajectory size the {MEMORY_BUDGET_BYTES // 2**30} GiB memory budget allows"
+        )
+    if solver["lipschitz_trials"] > MAX_LIPSCHITZ_TRIALS:
+        raise ConfigError(
+            f"solver.lipschitz_trials = {solver['lipschitz_trials']} exceeds "
+            f"{MAX_LIPSCHITZ_TRIALS}, the count the memory budget allows"
+        )
     for key in ("tol_fix", "max_window_length"):
         value = solver[key]
         if value is not None and not _as_number(value, f"solver.{key}") > 0:
@@ -380,9 +403,21 @@ def run(config: RunConfig) -> RunArtifacts:
             config=config,
         )
 
+    def failed(exc: Exception) -> RunArtifacts:
+        """Exit 3: a solver or model failure, or anything unforeseen (say,
+        out of memory), which is named by its type."""
+        if not cert_written:
+            _write_partial_certificate(out, q, ell, config, watermark)
+        known = isinstance(exc, (SolverError, ModelEvaluationError))
+        return finish(
+            EXIT_SOLVER_FAILURE, "solver_failure",
+            str(exc) if known else f"{type(exc).__name__}: {exc}",
+        )
+
     reports: list[SolveReport] = []
     q = float("nan")
     ell = float("nan")
+    cert_written = False
     try:
         prob = build_problem(config)
         ell = prob.nonlinearity.lipschitz_l
@@ -393,9 +428,12 @@ def run(config: RunConfig) -> RunArtifacts:
             trials=config.solver["lipschitz_trials"],
             seed=config.solver["seed"],
         )
-    except (ConfigError, AssumptionViolation, ValueError) as exc:
+    except (ConfigError, AssumptionViolation, ValueError, OSError) as exc:
+        # OSError: a file the config names (a CSV table) cannot be read
         _write_partial_certificate(out, q, ell, config, watermark)
         return finish(EXIT_ASSUMPTION_VIOLATION, "assumption_violation", str(exc))
+    except Exception as exc:
+        return failed(exc)
 
     try:
         with warnings.catch_warnings(record=True) as caught:
@@ -420,45 +458,46 @@ def run(config: RunConfig) -> RunArtifacts:
         if isinstance(inner, (NoAdmissibleWindow, CertificateRefusedError)):
             _write_partial_certificate(out, q, ell, config, watermark)
             return finish(EXIT_CERTIFICATE_REFUSED, "certificate_refused", str(exc))
-        if isinstance(exc, (SolverError, ModelEvaluationError)):
-            _write_partial_certificate(out, q, ell, config, watermark)
-            return finish(EXIT_SOLVER_FAILURE, "solver_failure", str(exc))
-        raise
+        return failed(exc)
 
-    cert = reports[0].certificate
-    if override and not cert.valid:
-        watermark = (
-            f"# OVERRIDE: certificate invalid (C={cert.constant!r}); "
-            "results are experimental\n"
+    try:
+        cert = reports[0].certificate
+        if override and not cert.valid:
+            watermark = (
+                f"# OVERRIDE: certificate invalid (C={cert.constant!r}); "
+                "results are experimental\n"
+            )
+        (out / "certificate.txt").write_text(
+            (watermark or "") + certificate_report(cert)
         )
-    (out / "certificate.txt").write_text(
-        (watermark or "") + certificate_report(cert)
-    )
-    for k, rep in enumerate(reports):
-        _write_lines(out / f"trace_w{k}.csv", [TRACE_HEADER, *_trace_rows(rep, 1)], watermark)
-        _write_lines(out / f"norms_w{k}.csv", [NORMS_HEADER, *_norm_rows(rep)], watermark)
-    dump_spacetime_field(out / "final_field.sxd", reports[-1].field)
+        cert_written = True
+        for k, rep in enumerate(reports):
+            _write_lines(out / f"trace_w{k}.csv", [TRACE_HEADER, *_trace_rows(rep, 1)], watermark)
+            _write_lines(out / f"norms_w{k}.csv", [NORMS_HEADER, *_norm_rows(rep)], watermark)
+        dump_spacetime_field(out / "final_field.sxd", reports[-1].field)
 
-    tail_warnings = [w for rep in reports for w in rep.tail_warnings]
-    runtime_warnings = [str(w.message) for w in caught]
-    summary.update(
-        {
-            "windows": len(reports),
-            "window_length": reports[0].field.horizon,
-            "C": cert.constant,
-            "q": cert.q,
-            "l": cert.l,
-            "T_max": cert.t_max,
-            "overlap": reports[-1].overlap,
-            "final_l2": float(reports[-1].l2_per_frame[-1]),
-            "final_h6_part": float(reports[-1].d6_l2_per_frame[-1]),
-            "max_picard_ratio": _max_ratio(reports),
-            "oracle_rel_deviation": _max_oracle_dev(reports),
-            "tail_warnings": "; ".join(tail_warnings) if tail_warnings else "none",
-            "runtime_warnings": "; ".join(runtime_warnings) if runtime_warnings else "none",
-        }
-    )
-    return finish(EXIT_OK, "ok")
+        tail_warnings = [w for rep in reports for w in rep.tail_warnings]
+        runtime_warnings = [str(w.message) for w in caught]
+        summary.update(
+            {
+                "windows": len(reports),
+                "window_length": reports[0].field.horizon,
+                "C": cert.constant,
+                "q": cert.q,
+                "l": cert.l,
+                "T_max": cert.t_max,
+                "overlap": reports[-1].overlap,
+                "final_l2": float(reports[-1].l2_per_frame[-1]),
+                "final_h6_part": float(reports[-1].d6_l2_per_frame[-1]),
+                "max_picard_ratio": _max_ratio(reports),
+                "oracle_rel_deviation": _max_oracle_dev(reports),
+                "tail_warnings": "; ".join(tail_warnings) if tail_warnings else "none",
+                "runtime_warnings": "; ".join(runtime_warnings) if runtime_warnings else "none",
+            }
+        )
+        return finish(EXIT_OK, "ok")
+    except Exception as exc:
+        return failed(exc)
 
 
 def _max_ratio(reports: list[SolveReport]):

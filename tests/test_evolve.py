@@ -410,6 +410,209 @@ def test_march_wraps_window_failures(certified_problem):
     assert exc.value.window_index == 0
 
 
+def test_ratio_gate_trips_on_an_understated_lipschitz_constant(certified_problem):
+    # l/40 gives C = 0.0125; the measured first ratio, about 0.023, is above
+    # C * RATIO_SLACK, so the solve must be refused as a defect
+    import dataclasses
+
+    prob, cert, T = certified_problem
+    ell = prob.nonlinearity.lipschitz_l
+    low = cl.Certificate.for_window(cert.q, ell / 40, prob.a, prob.b, T)
+    assert low.valid and abs(low.constant - 0.0125) <= 1e-12
+    with pytest.raises(cl.ContractionRatioError) as exc:
+        cl.picard_solve(prob, T, low)
+    assert np.max(exc.value.trace.reported_ratios()) > low.constant * cl.evolve.RATIO_SLACK
+
+    understated = dataclasses.replace(prob.nonlinearity, lipschitz_l=ell / 40)
+    with pytest.raises(cl.MarchWindowError) as exc:
+        cl.global_march(
+            dataclasses.replace(prob, nonlinearity=understated), T, max_window_length=T
+        )
+    assert exc.value.window_index == 0
+    assert isinstance(exc.value.__cause__, cl.ContractionRatioError)
+
+
+def test_tail_warning_fires_for_mass_at_the_box_edge():
+    g = cl.make_grid(20.0, 128)
+    u0 = cl.field_from_function(g, lambda x: np.exp(-(((np.abs(x) - 18.0) / 1.0) ** 2)))
+    prob = cl.ProblemSpec(
+        a=0.0, b=0.0, kernel=cl.gaussian_kernel(0.01, 2.0),
+        nonlinearity=cl.saturating(1.0), u0=u0, grid=g,
+    )
+    q = cl.kernel_strength(prob.kernel)
+    rep = cl.picard_solve(prob, 0.1, cl.Certificate.for_window(q, 1.0, 0.0, 0.0, 0.1), n_frames=8)
+    assert len(rep.tail_warnings) == 1
+    assert "tail mass fraction" in rep.tail_warnings[0]
+
+
+# --------------------------------------------------------------------------
+# the batched oracle of the march
+# --------------------------------------------------------------------------
+
+
+def _next_start(prob, rep):
+    """The next window's problem, built from rep as ``global_march`` builds it."""
+    import dataclasses
+
+    from cubelap.grid import inverse_real
+
+    end = inverse_real(prob.grid, rep.field.frames[-1, : prob.grid.n_half])
+    return dataclasses.replace(prob, u0=cl.Field(prob.grid, end))
+
+
+def _deviation(rep, ref):
+    grid = rep.field.grid
+    num = cl.l2_norm(cl.Field(grid, rep.field.frames[-1] - ref.frames[-1], "spectral"))
+    return num / cl.l2_norm(rep.final_state)
+
+
+def test_batched_oracle_matches_per_window_loop(certified_problem):
+    prob, cert, T = certified_problem
+    t_w = 0.25  # three windows exactly
+    reports = cl.global_march(prob, 3 * t_w, max_window_length=t_w, n_frames=16, run_oracle=True)
+    assert len(reports) == 3
+    current = prob
+    for rep in reports:
+        # the slow path: one etd_reference_solve per window
+        want = _deviation(rep, cl.etd_reference_solve(current, t_w, 4 * 16, n_frames=16))
+        assert abs(rep.oracle_rel_deviation - want) <= 1e-12 * want
+        current = _next_start(current, rep)
+
+
+_BLOWUP_T = 0.7
+
+
+def _blowup_problem(u0_fn, nonlinearity=None):
+    # a = 40: modes |p| <= 1 grow like e^{39 t} or faster, |p| = 2 decays like
+    # e^{-24 t}; a window's oracle fails once its own norm grows 1e8-fold. The
+    # weak kernel keeps C < 1 on 0.7-long windows despite the e^{2aT} factor.
+    g = cl.make_grid(np.pi, 32)
+    return cl.ProblemSpec(
+        a=40.0, b=0.0, kernel=cl.gaussian_kernel(1e-6, 1.0),
+        nonlinearity=nonlinearity or cl.linear_plus_source(0.0),
+        u0=cl.field_from_function(g, u0_fn), grid=g,
+    )
+
+
+#: Window starts: window 0 decays, window 2 blows up at an earlier substep
+#: than window 1, whose growing part starts 100 times smaller.
+_STARTS = [
+    lambda x: np.cos(2 * x),
+    lambda x: 0.01 * np.cos(x) + np.cos(2 * x),
+    lambda x: np.cos(x),
+    lambda x: np.cos(2 * x),
+]
+
+
+def _staged_picard(monkeypatch, fail_at):
+    """Stand in for picard_solve: solve, then end window k on the start of
+    window k + 1 from _STARTS; fail at window fail_at."""
+    import cubelap.evolve as ev
+
+    real = ev.picard_solve
+
+    def staged(prob, T, cert, **kwargs):
+        k = round(kwargs["t_offset"] / T)
+        if k == fail_at:
+            raise cl.PicardConvergenceError(f"stand-in failure at window {k}", None)
+        rep = real(prob, T, cert, **kwargs)
+        frames = rep.field.frames.copy()
+        nxt = _STARTS[(k + 1) % len(_STARTS)](prob.grid.x)
+        frames[-1] = cl.forward_transform(cl.Field(prob.grid, nxt)).values
+        rep.field = cl.SpacetimeField(prob.grid, rep.field.time_grid, frames)
+        return rep
+
+    monkeypatch.setattr(ev, "picard_solve", staged)
+    return staged
+
+
+def _sequential_march_error(prob, windows, n_frames, substeps, picard):
+    """The slow path: each window's oracle right after its Picard solve, the
+    order the march had before its oracle was batched; (window, error) of
+    its first failure."""
+    q = cl.kernel_strength(prob.kernel)
+    cert = cl.Certificate.for_window(q, prob.nonlinearity.lipschitz_l, prob.a, prob.b, _BLOWUP_T)
+    current = prob
+    for k in range(windows):
+        try:
+            rep = picard(current, _BLOWUP_T, cert, n_frames=n_frames, t_offset=k * _BLOWUP_T)
+            cl.etd_reference_solve(current, _BLOWUP_T, substeps, n_frames)
+        except (cl.SolverError, ValueError, cl.ModelEvaluationError) as exc:
+            return k, exc
+        current = _next_start(current, rep)
+    return None
+
+
+def test_blowup_fixture_fails_window_2_before_window_1():
+    steps = []
+    for start in _STARTS:
+        try:
+            cl.etd_reference_solve(_blowup_problem(start), _BLOWUP_T, 256, n_frames=16)
+            steps.append(None)
+        except cl.ReferenceInstabilityError as exc:
+            steps.append(int(str(exc).split("at step ")[1].split(":")[0]))
+    assert steps[0] is None and steps[3] is None
+    assert steps[2] < steps[1]
+
+
+@pytest.mark.filterwarnings("ignore:F\\(0, .\\) is identically zero")
+@pytest.mark.parametrize("picard_fails_at", [1, 2, 3, None])
+def test_march_first_failure_wins(monkeypatch, picard_fails_at):
+    # window 1's oracle fails after window 2's (in substeps) and before any
+    # later Picard failure in march order, so it must be the one raised
+    prob = _blowup_problem(_STARTS[0])
+    staged = _staged_picard(monkeypatch, picard_fails_at)
+    k, cause = _sequential_march_error(prob, 4, 16, 16 * 16, staged)
+    with pytest.raises(cl.MarchWindowError) as exc:
+        cl.global_march(
+            prob, 4 * _BLOWUP_T, n_frames=16, max_window_length=_BLOWUP_T,
+            run_oracle=True, oracle_substeps_factor=16,
+        )
+    got = exc.value
+    assert (got.window_index, str(got)) == (k, str(cl.MarchWindowError(k, cause)))
+    assert type(got.__cause__) is type(cause)
+    if picard_fails_at == 1:
+        assert isinstance(got.__cause__, cl.PicardConvergenceError)
+    else:
+        assert got.window_index == 1
+        assert isinstance(got.__cause__, cl.ReferenceInstabilityError)
+
+
+def test_batched_oracle_model_error_reads_as_one_window():
+    # F is NaN once |u| passes 1e3: rows 1 and 2 reach it, row 2 first; the
+    # batch raises row 1's error with the message of a single-state march
+    def fn(u, x):
+        return np.where(np.abs(u) > 1e3, np.nan, 0.0 * u)
+
+    spec = cl.NonlinearitySpec(
+        name="nan_above", fn=fn, source=cl.source_zero(), growth_k=1.0, lipschitz_l=1.0
+    )
+    probs = [_blowup_problem(start, spec) for start in _STARTS[:3]]
+    singles = []
+    for p in probs:  # the slow path: one march per start
+        try:
+            cl.etd_reference_solve(p, _BLOWUP_T, 256, n_frames=16)
+            singles.append(None)
+        except cl.ModelEvaluationError as exc:
+            singles.append(str(exc))
+    assert singles[0] is None and singles[1] and singles[2]
+    starts = np.stack([p.u0.values.real for p in probs])
+    with pytest.raises(cl.ModelEvaluationError) as exc:
+        cl.etd_reference_solve(probs[0], _BLOWUP_T, 256, n_frames=16, starts=starts)
+    assert str(exc.value) == singles[1]
+    assert "in frame" not in str(exc.value)
+
+
+def test_batched_oracle_substep_preconditions_fail_window_0():
+    prob = _simple_problem(cl.linear_plus_source(0.0))
+    starts = np.stack([prob.u0.values.real] * 2)
+    with pytest.raises(cl.MarchWindowError) as exc:
+        cl.etd_reference_solve(prob, 0.5, 32, n_frames=16, starts=starts)
+    assert exc.value.window_index == 0 and isinstance(exc.value.__cause__, ValueError)
+    with pytest.raises(ValueError):
+        cl.etd_reference_solve(prob, 0.5, 64, n_frames=16, starts=starts[:, :7])
+
+
 def test_two_grid_consistency(certified_problem):
     prob, cert, T = certified_problem
     rep_c = cl.picard_solve(prob, T, cert, n_frames=64)
@@ -672,3 +875,24 @@ def test_solver_loops_call_the_public_functions(certified_problem, monkeypatch):
     calls.clear()
     cl.etd_reference_solve(prob, T, 4 * 16, n_frames=16)
     assert dict(calls) == {"apply_nonlinearity": 2 * 4 * 16}
+
+
+@pytest.mark.parametrize("windows", [1, 3])
+def test_march_oracle_calls_the_reaction_twice_per_substep(certified_problem, monkeypatch, windows):
+    # one batched oracle for all windows: the reaction count is the Picard
+    # iterations plus two per substep, whatever the window count
+    import cubelap.evolve as ev
+
+    calls = []
+    real = ev.apply_nonlinearity
+    monkeypatch.setattr(
+        ev, "apply_nonlinearity", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+    )
+    prob, cert, T = certified_problem
+    t_w = 0.25  # a whole number of windows exactly
+    reports = cl.global_march(
+        prob, windows * t_w, max_window_length=t_w, n_frames=16, run_oracle=True
+    )
+    assert len(reports) == windows
+    its = sum(rep.trace.iterations for rep in reports)
+    assert len(calls) == its + 2 * 4 * 16

@@ -423,3 +423,119 @@ def test_catalog_entry_parses_and_builds(tmp_path, monkeypatch, section, given, 
         assert np.allclose(prob.nonlinearity.source(grid.x), expected(grid), rtol=0, atol=1e-14)
     else:
         assert np.allclose(prob.u0.values.real, expected(grid), rtol=0, atol=1e-14)
+
+
+# --------------------------------------------------------------------------
+# gates and the exit-code contract through the front door
+# --------------------------------------------------------------------------
+
+
+def _main_artifacts(tmp_path, cfg):
+    """Run the config through main with --out; the exit code and both artifacts."""
+    from cubelap.runner import main
+
+    out = tmp_path / "main_out"
+    code = main(["--config", str(_write(tmp_path, cfg)), "--out", str(out)])
+    cert = dict(
+        line.split("=", 1) for line in (out / "certificate.txt").read_text().splitlines()
+        if not line.startswith("#")
+    )
+    summary = dict(line.split("=", 1) for line in (out / "summary.txt").read_text().splitlines())
+    return code, cert, summary
+
+
+def test_ratio_gate_exits_3_through_main(tmp_path, monkeypatch):
+    # F = 3.8 u declared 40 times flatter: C = 0.0125 while the measured ratio
+    # is about 40 times that. The sampled Lipschitz check would reject the
+    # declaration first, so it is stubbed out: the ratio gate is what must
+    # catch a constant that sampling missed.
+    import cubelap.runner as runner
+
+    monkeypatch.setattr(runner, "check_lipschitz_sampling", lambda *a, **kw: 0.0)
+    cfg = _certified_config(tmp_path / "out")
+    cfg["nonlinearity"] = {"name": "linear_plus_source", "kappa": 3.8, "lipschitz": 3.8 / 40}
+    code, cert, summary = _main_artifacts(tmp_path, cfg)
+    assert code == EXIT_SOLVER_FAILURE
+    assert summary["status"] == "solver_failure"
+    assert summary["error"].startswith("window 0 failed: measured ratio")
+    assert "exceeds C * 1.05" in summary["error"]
+    assert cert["valid"] == "false" and float(cert["l"]) == 3.8 / 40
+
+
+def test_tail_warning_reaches_summary(tmp_path):
+    cfg = _certified_config(tmp_path / "out")
+    # a bump near the right edge of the box [-20, 20)
+    cfg["initial_condition"] = {"name": "gaussian", "amplitude": 1.0, "width": 1.0,
+                                "center": 18.0}
+    code, _, summary = _main_artifacts(tmp_path, cfg)
+    assert code == EXIT_OK
+    assert summary["tail_warnings"].startswith("tail mass fraction")
+    assert "box truncation is suspect" in summary["tail_warnings"]
+
+
+@pytest.mark.parametrize(
+    "edit,key",
+    [
+        (lambda c: c["grid"].update(N=2**30), "grid.N * (solver.frames + 1)"),
+        (lambda c: c["solver"].update(frames=10**7), "grid.N * (solver.frames + 1)"),
+        (lambda c: c["solver"].update(lipschitz_trials=10**10), "solver.lipschitz_trials"),
+    ],
+    ids=["n_huge", "frames_huge", "trials_huge"],
+)
+def test_sizes_beyond_the_memory_budget_exit_4_at_parse(tmp_path, edit, key):
+    cfg = _certified_config(tmp_path / "out")
+    edit(cfg)
+    code, cert, summary = _main_artifacts(tmp_path, cfg)
+    assert code == EXIT_ASSUMPTION_VIOLATION
+    assert summary["status"] == "config_rejected"
+    assert summary["error"].startswith(key) and "memory budget" in summary["error"]
+    assert cert["valid"] == "false"
+
+
+def test_memory_bounds_admit_the_grid_ladder(tmp_path):
+    from cubelap.runner import MAX_LIPSCHITZ_TRIALS, MAX_TRAJECTORY_VALUES
+
+    for n in (256, 1024, 4096, 16384):
+        for frames in (64, 256):
+            cfg = _certified_config(tmp_path / "out")
+            cfg["grid"]["N"] = n
+            cfg["solver"] = {"frames": frames, "lipschitz_trials": 2000}
+            cl.parse_config(_write(tmp_path, cfg))
+    assert 16384 * 257 <= MAX_TRAJECTORY_VALUES and 2000 <= MAX_LIPSCHITZ_TRIALS
+
+
+def test_unforeseen_solver_exception_exits_3_with_artifacts(tmp_path, monkeypatch):
+    import cubelap.runner as runner
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("stand-in: no memory left")
+
+    monkeypatch.setattr(runner, "global_march", out_of_memory)
+    code, cert, summary = _main_artifacts(tmp_path, _certified_config(tmp_path / "out"))
+    assert code == EXIT_SOLVER_FAILURE
+    assert summary["status"] == "solver_failure"
+    assert summary["error"] == "MemoryError: stand-in: no memory left"
+    assert cert["valid"] == "false" and cert["T"] == "None"
+
+
+def test_failure_while_writing_results_exits_3_and_keeps_the_certificate(tmp_path, monkeypatch):
+    import cubelap.runner as runner
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("stand-in: no memory for the dump")
+
+    monkeypatch.setattr(runner, "dump_spacetime_field", out_of_memory)
+    code, cert, summary = _main_artifacts(tmp_path, _certified_config(tmp_path / "out"))
+    assert code == EXIT_SOLVER_FAILURE
+    assert summary["error"] == "MemoryError: stand-in: no memory for the dump"
+    # the run's own certificate was written before the failure and stays
+    assert cert["valid"] == "true" and cert["T"] != "None"
+
+
+def test_missing_csv_exits_4_with_artifacts(tmp_path):
+    cfg = _certified_config(tmp_path / "out")
+    cfg["initial_condition"] = {"name": "csv", "path": str(tmp_path / "absent.csv")}
+    code, cert, summary = _main_artifacts(tmp_path, cfg)
+    assert code == EXIT_ASSUMPTION_VIOLATION
+    assert summary["status"] == "assumption_violation"
+    assert cert["valid"] == "false"
