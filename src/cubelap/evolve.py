@@ -27,13 +27,12 @@ determined by its modes 0..N/2. Inside the solvers a trajectory is the plain
 (M+1, N/2+1) complex array of those modes: the forcing history is one
 batched real transform pair (``inverse_real`` / ``forward_real``) around one
 ``apply_nonlinearity`` call on the real (M+1, N) samples, and norms weight
-each stored mode by its multiplicity in the full spectrum. The Picard loop
-calls ``duhamel_map`` and ``time_derivative`` in their array form, with the
-window's half-spectrum weights computed once (``_window``). Given
-``SpacetimeField`` arguments instead, the same two functions read modes
-0..N/2, compute the weights themselves and return full-spectrum
-``SpacetimeField``s. ``Field`` and ``SpacetimeField`` (full spectrum, as in
-the ``SXD1`` dump) appear only at the API edge and in the ``SolveReport``.
+each stored mode by its multiplicity in the full spectrum. ``duhamel_map``
+and ``time_derivative`` take and return such arrays only, with the window's
+half-spectrum weights computed once (``_window``), and the ``SolveReport``
+keeps them too. ``Field`` and ``SpacetimeField`` (full spectrum, as in the
+``SXD1`` dump) appear only at the API edge: the report's ``field`` and
+``dudt`` expand the half spectrum on every access.
 
 The march first runs the certified Picard chain, window after window, since
 each window starts from the previous one's end state. The oracle of window k
@@ -173,7 +172,7 @@ def phi2(z):
 
 @dataclass(frozen=True, eq=False)
 class SymbolTable:
-    """Per-mode linear symbol lam(p) = -p^6 + i*b*p + a with propagator cache."""
+    """Per-mode linear symbol lam(p) = -p^6 + i*b*p + a."""
 
     grid: SpectralGrid
     a: float
@@ -184,17 +183,10 @@ class SymbolTable:
         lam = np.asarray(self.lam, dtype=np.complex128)
         lam.flags.writeable = False
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "_exp_cache", {})
 
     def propagator(self, t: float) -> np.ndarray:
-        """e^{t*lam(p_j)}; cached per t since windows reuse one substep."""
-        key = float(t)
-        cached = self._exp_cache.get(key)
-        if cached is None:
-            cached = np.exp(key * self.lam)
-            cached.flags.writeable = False
-            self._exp_cache[key] = cached
-        return cached
+        """e^{t*lam(p_j)}."""
+        return np.exp(t * self.lam)
 
 
 def build_symbol(grid: SpectralGrid, a: float, b: float) -> SymbolTable:
@@ -234,7 +226,9 @@ class _Window:
     lam: np.ndarray
 
 
-def _window(grid: SpectralGrid, prob: ProblemSpec, sym: SymbolTable, dt: float) -> _Window:
+def _window(prob: ProblemSpec, dt: float) -> _Window:
+    grid = prob.grid
+    sym = build_symbol(grid, prob.a, prob.b)
     half = slice(0, grid.n_half)
     lam = sym.lam[half]
     z = dt * lam
@@ -248,9 +242,10 @@ def _window(grid: SpectralGrid, prob: ProblemSpec, sym: SymbolTable, dt: float) 
     )
 
 
-def _forcing_history(grid: SpectralGrid, frames: np.ndarray, prob: ProblemSpec) -> np.ndarray:
+def _forcing_history(frames: np.ndarray, prob: ProblemSpec) -> np.ndarray:
     """Transforms of F(v(., t_j), .) for every frame, on modes 0..N/2:
     (M+1, N/2+1) half-spectrum frames in, the same shape out."""
+    grid = prob.grid
     phys = inverse_real(grid, frames)
     fh = forward_real(grid, apply_nonlinearity(phys, prob.nonlinearity, grid))
     if not np.all(np.isfinite(fh)):
@@ -267,13 +262,7 @@ def _recursion(fh: np.ndarray, w: _Window) -> np.ndarray:
     return u
 
 
-def duhamel_map(
-    v,
-    prob: ProblemSpec,
-    sym: SymbolTable,
-    return_history: bool = False,
-    window: _Window | None = None,
-):
+def duhamel_map(v: np.ndarray, prob: ProblemSpec, window: _Window):
     """One application of the mild-solution map to the trajectory v.
 
     Walks the frames with the semigroup recursion
@@ -282,61 +271,28 @@ def duhamel_map(
                 + sqrt(2 pi) Ghat * dt * [(phi1 - phi2) f_j + phi2 f_{j+1}],
 
     which is the windowed integral with fhat_v interpolated linearly on each
-    substep and the exponential integrated exactly. With return_history the
-    forcing transforms are handed back so the time derivative of the result
-    can be formed algebraically.
+    substep and the exponential integrated exactly.
 
-    v is a ``SpacetimeField`` of a real trajectory, of which modes 0..N/2
-    are read, and the result is a full-spectrum ``SpacetimeField`` with a
-    full-spectrum forcing history. Given ``window``, v is instead the plain
-    (M+1, N/2+1) array of half-spectrum frames on ``prob.grid`` with the
-    window's precomputed data, and the result and history are half-spectrum
-    arrays too (the form ``picard_solve`` iterates).
+    v is the (M+1, N/2+1) array of half-spectrum frames of a real trajectory
+    on ``prob.grid`` and ``window`` the data ``_window`` computes for its
+    frame spacing. Returns the image u, of the same shape, and the forcing
+    transforms fh it was built from, with which ``time_derivative`` forms
+    du/dt algebraically.
     """
-    if window is None:
-        grid = v.grid
-        fh = _forcing_history(grid, v.frames[:, : grid.n_half], prob)
-        u = _recursion(fh, _window(grid, prob, sym, v.dt))
-        out = SpacetimeField(grid, v.time_grid, hermitian_expand(grid, u))
-        fh = hermitian_expand(grid, fh)
-    else:
-        fh = _forcing_history(prob.grid, v, prob)
-        out = _recursion(fh, window)
-    if return_history:
-        return out, fh
-    return out
+    fh = _forcing_history(v, prob)
+    return _recursion(fh, window), fh
 
 
-def time_derivative(
-    u,
-    prob: ProblemSpec,
-    sym: SymbolTable,
-    f_hat_history: np.ndarray,
-    window: _Window | None = None,
-):
+def time_derivative(u: np.ndarray, fh: np.ndarray, window: _Window) -> np.ndarray:
     """Exact algebraic du_hat/dt = lam*u_hat + sqrt(2 pi)*Ghat*fhat.
 
-    Requires the forcing history saved from the map application that produced
-    u; no finite differencing is ever involved. As in ``duhamel_map``, u is a
-    ``SpacetimeField`` (modes 0..N/2 of u and of the full-spectrum history are
-    read, and the result is expanded to the full spectrum) unless ``window``
-    is given, and then u and the history are half-spectrum arrays.
+    u and fh are the half-spectrum image and forcing history ``duhamel_map``
+    returned; no finite differencing is ever involved.
     """
-    if f_hat_history is None:
-        raise ValueError("forcing history is required; rerun the map with return_history")
-    frames = u.frames if window is None else u
-    fh = np.asarray(f_hat_history)
-    if fh.shape != frames.shape:
-        raise ValueError(
-            f"forcing history shape {fh.shape} does not match frames {frames.shape}"
-        )
-    if window is None:
-        grid = u.grid
-        half = slice(0, grid.n_half)
-        g = SQRT_2PI * prob.kernel.spectrum_on(grid)[half]
-        dudt = sym.lam[None, half] * frames[:, half] + g[None, :] * fh[:, half]
-        return SpacetimeField(grid, u.time_grid, hermitian_expand(grid, dudt))
-    return window.lam[None, :] * frames + window.g[None, :] * fh
+    fh = np.asarray(fh)
+    if fh.shape != u.shape:
+        raise ValueError(f"forcing history shape {fh.shape} does not match frames {u.shape}")
+    return window.lam[None, :] * u + window.g[None, :] * fh
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,10 +315,18 @@ class PicardTrace:
 
 @dataclass(eq=False)
 class SolveReport:
-    """Everything a window solve produced, plus diagnostics."""
+    """Everything a window solve produced, plus diagnostics.
 
-    field: SpacetimeField
-    dudt: SpacetimeField
+    The solution and its time derivative are kept as the (M+1, N/2+1) half
+    spectra ``u_half`` and ``dudt_half`` on ``time_grid``; ``field`` and
+    ``dudt`` expand them to full-spectrum ``SpacetimeField``s on every access
+    (uncached, so a caller holding many reports holds no full spectra).
+    """
+
+    grid: SpectralGrid
+    time_grid: np.ndarray
+    u_half: np.ndarray
+    dudt_half: np.ndarray
     trace: PicardTrace
     certificate: Certificate
     t_offset: float
@@ -374,8 +338,18 @@ class SolveReport:
     overlap: float | None = None
 
     @property
+    def field(self) -> SpacetimeField:
+        return SpacetimeField(self.grid, self.time_grid, hermitian_expand(self.grid, self.u_half))
+
+    @property
+    def dudt(self) -> SpacetimeField:
+        return SpacetimeField(
+            self.grid, self.time_grid, hermitian_expand(self.grid, self.dudt_half)
+        )
+
+    @property
     def final_state(self) -> Field:
-        return self.field.frame(self.field.n_frames - 1)
+        return Field(self.grid, hermitian_expand(self.grid, self.u_half[-1]), "spectral")
 
 
 def _frame_norms(grid: SpectralGrid, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -421,9 +395,8 @@ def picard_solve(
 
     The iteration runs on plain (M+1, N/2+1) half-spectrum arrays: per
     iterate one call each of ``duhamel_map`` (one batched real transform pair
-    around one reaction call) and ``time_derivative`` in their array form,
-    with the window's weights computed once. The report's full-spectrum
-    fields are expanded once, from the last iterate.
+    around one reaction call) and ``time_derivative``, with the window's
+    weights computed once. The report keeps the last iterate's arrays.
     """
     if window_length <= 0:
         raise ValueError(f"window length must be positive, got {window_length}")
@@ -441,9 +414,8 @@ def picard_solve(
             stacklevel=2,
         )
     grid = prob.grid
-    sym = build_symbol(grid, prob.a, prob.b)
     tg = np.linspace(0.0, window_length, n_frames + 1)
-    w = _window(grid, prob, sym, float(tg[1] - tg[0]))
+    w = _window(prob, float(tg[1] - tg[0]))
 
     u_prev = np.exp(np.outer(tg, w.lam)) * w.u0_hat[None, :]
     dudt_prev = w.lam[None, :] * u_prev
@@ -452,8 +424,8 @@ def picard_solve(
     tol = tol_fix
     converged = False
     for _ in range(max_iter):
-        u_new, fh = duhamel_map(u_prev, prob, sym, return_history=True, window=w)
-        dudt_new = time_derivative(u_new, prob, sym, fh, window=w)
+        u_new, fh = duhamel_map(u_prev, prob, w)
+        dudt_new = time_derivative(u_new, fh, w)
         d = sobolev_norm_array(grid, tg, u_new - u_prev, dudt_new - dudt_prev)
         distances.append(d)
         if tol is None:
@@ -494,9 +466,13 @@ def picard_solve(
 
     l2, d6 = _frame_norms(grid, u_new)
     dudt_l2, _ = _frame_norms(grid, dudt_new)
+    for arr in (tg, u_new, dudt_new):
+        arr.flags.writeable = False
     return SolveReport(
-        field=SpacetimeField(grid, tg, hermitian_expand(grid, u_new)),
-        dudt=SpacetimeField(grid, tg, hermitian_expand(grid, dudt_new)),
+        grid=grid,
+        time_grid=tg,
+        u_half=u_new,
+        dudt_half=dudt_new,
         trace=trace,
         certificate=cert,
         t_offset=t_offset,
@@ -727,7 +703,7 @@ def global_march(
             )
             reports.append(rep)
             starts.append(current.u0.values.real)
-            end_state = inverse_real(prob.grid, rep.field.frames[-1, : prob.grid.n_half])
+            end_state = inverse_real(prob.grid, rep.u_half[-1])
             current = dc_replace(current, u0=Field(prob.grid, end_state))
         except Exception as exc:
             failed = (k, exc)
@@ -739,7 +715,7 @@ def global_march(
             prob, t_win, oracle_substeps_factor * n_frames, n_frames, starts=np.stack(starts)
         )
         for rep, end in zip(reports, ends):
-            diff = rep.field.frames[-1] - hermitian_expand(prob.grid, end)
+            diff = hermitian_expand(prob.grid, rep.u_half[-1] - end)
             num = l2_norm(Field(prob.grid, diff, "spectral"))
             den = l2_norm(rep.final_state)
             rep.oracle_rel_deviation = num / den if den > 0 else num

@@ -30,7 +30,6 @@ from .grid import (
     CORE_FRACTION,
     Field,
     PHYSICAL,
-    RepresentationError,
     SpectralGrid,
     forward_transform,
     h6_norm,
@@ -626,21 +625,16 @@ NONLINEARITIES = {
 }
 
 
-def apply_nonlinearity(u, nonlinearity: NonlinearitySpec, grid: SpectralGrid | None = None):
+def apply_nonlinearity(u: np.ndarray, nonlinearity: NonlinearitySpec, grid: SpectralGrid):
     """Pointwise F(u(x_j), x_j) on physical samples.
 
-    u is a physical ``Field`` (the result is a ``Field``) or a plain array of
-    physical samples of shape (N,) or (frames, N) on ``grid`` (the result is
-    an array of the same shape); the solvers pass their whole trajectory at
-    once, so ``nonlinearity.fn`` is called once for all frames. Hard-fails on
-    NaN/Inf, naming the offending location, and on a frame that violates the
-    declared linear growth bound ||F(u,.)|| <= k||u|| + ||h||.
+    u is a plain array of real physical samples of shape (N,) or (frames, N)
+    on ``grid``, and the result is an array of the same shape; the solvers
+    pass their whole trajectory at once, so ``nonlinearity.fn`` is called
+    once for all frames. Hard-fails on NaN/Inf, naming the offending
+    location, and on a frame that violates the declared linear growth bound
+    ||F(u,.)|| <= k||u|| + ||h||.
     """
-    as_field = isinstance(u, Field)
-    if as_field:
-        if u.rep != "physical":
-            raise RepresentationError("apply_nonlinearity expects a physical field")
-        grid, u = u.grid, u.values
     x = grid.x
     # an F that ignores u may return one (N,) profile for all frames
     vals = np.broadcast_to(nonlinearity.fn(u.real, x), u.shape)
@@ -665,7 +659,7 @@ def apply_nonlinearity(u, nonlinearity: NonlinearitySpec, grid: SpectralGrid | N
             f"growth bound violated: ||F(u)|| = {f_norm[k]:g} > "
             f"k||u|| + ||h|| = {bound[k]:g}{in_frame((k,))}"
         )
-    return Field(grid, vals, "physical") if as_field else vals
+    return vals
 
 
 def check_lipschitz_sampling(

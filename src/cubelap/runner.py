@@ -69,10 +69,11 @@ class ConfigError(ValueError):
 
 
 #: Memory a run may plan for (README, "Limits"). A window solve peaks at
-#: about 6 arrays of (frames + 1) x N complex values of 16 bytes and keeps 2
-#: per window in its report; the bound allows 16, the solve plus the reports
-#: of five windows. The Lipschitz sampler takes about 82 bytes per trial;
-#: the bound allows 16 floats of 8 bytes.
+#: about 6 arrays of (frames + 1) x N complex values of 16 bytes, and each
+#: window's report keeps two half-spectrum arrays of (frames + 1) x (N/2 + 1),
+#: about one such array; the bound allows 16, the solve plus the reports of
+#: ten windows. The Lipschitz sampler takes about 82 bytes per trial; the
+#: bound allows 16 floats of 8 bytes.
 MEMORY_BUDGET_BYTES = 2 * 2**30
 MAX_TRAJECTORY_VALUES = MEMORY_BUDGET_BYTES // (16 * 16)
 MAX_LIPSCHITZ_TRIALS = MEMORY_BUDGET_BYTES // (16 * 8)
@@ -373,11 +374,11 @@ def _trace_rows(report: SolveReport, first_n: int) -> list[str]:
 
 
 def _norm_rows(report: SolveReport) -> list[str]:
-    tg = report.field.time_grid
+    tg = report.time_grid
     return [
         f"{_fmt(report.t_offset + float(tg[j]))},{_fmt(float(report.l2_per_frame[j]))},"
         f"{_fmt(float(report.d6_l2_per_frame[j]))},{_fmt(float(report.dudt_l2_per_frame[j]))}"
-        for j in range(report.field.n_frames)
+        for j in range(tg.size)
     ]
 
 
@@ -481,7 +482,7 @@ def run(config: RunConfig) -> RunArtifacts:
         summary.update(
             {
                 "windows": len(reports),
-                "window_length": reports[0].field.horizon,
+                "window_length": float(reports[0].time_grid[-1]),
                 "C": cert.constant,
                 "q": cert.q,
                 "l": cert.l,
@@ -544,8 +545,8 @@ def emit_plot_data(artifacts: RunArtifacts, which: str, frames=None) -> list[Pat
         lines = [DECAY_HEADER]
         for k, rep in enumerate(artifacts.reports):
             start = 1 if k > 0 else 0  # window joints share a frame
-            tg = rep.field.time_grid
-            for j in range(start, rep.field.n_frames):
+            tg = rep.time_grid
+            for j in range(start, tg.size):
                 lines.append(
                     f"{_fmt(rep.t_offset + float(tg[j]))},{_fmt(float(rep.l2_per_frame[j]))}"
                 )
@@ -560,12 +561,12 @@ def emit_plot_data(artifacts: RunArtifacts, which: str, frames=None) -> list[Pat
         _write_lines(path, lines)
         written.append(path)
     elif which == "snapshot":
-        rep = artifacts.reports[-1]
-        idx = frames if frames is not None else [0, rep.field.n_frames - 1]
+        field = artifacts.reports[-1].field
+        idx = frames if frames is not None else [0, field.n_frames - 1]
         for j in idx:
-            phys = inverse_transform(rep.field.frame(j))
+            phys = inverse_transform(field.frame(j))
             lines = [SNAPSHOT_HEADER]
-            for xj, uj in zip(rep.field.grid.x, phys.values.real):
+            for xj, uj in zip(field.grid.x, phys.values.real):
                 lines.append(f"{_fmt(float(xj))},{_fmt(float(uj))}")
             path = out / f"snapshot_f{j}.csv"
             _write_lines(path, lines)
@@ -573,6 +574,18 @@ def emit_plot_data(artifacts: RunArtifacts, which: str, frames=None) -> list[Pat
     else:
         raise ValueError(f"unknown plot selector {which!r}")
     return written
+
+
+def _make_output_dir(path: str) -> bool:
+    """Create the output directory; if that fails (the path names a file,
+    say), print one line to stderr and return False: no artifact can be
+    written then."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"output directory {path} cannot be created: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def main(argv=None) -> int:
@@ -595,9 +608,9 @@ def main(argv=None) -> int:
         config = parse_config(args.config)
     except ConfigError as exc:
         print(f"configuration rejected: {exc}", file=sys.stderr)
-        if args.out:  # without --out there is no directory to write to
+        # without --out there is no directory to write to
+        if args.out and _make_output_dir(args.out):
             out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
             # nothing was parsed, so every number of the certificate is unknown
             _write_lines(
                 out / "certificate.txt",
@@ -616,6 +629,8 @@ def main(argv=None) -> int:
         config.flags["run_oracle"] = True
     if args.override_certificate:
         config.flags["override_certificate"] = True
+    if not _make_output_dir(config.output_dir):
+        return EXIT_ASSUMPTION_VIOLATION
     artifacts = run(config)
     status = artifacts.summary.get("status")
     err = artifacts.summary.get("error")

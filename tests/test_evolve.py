@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import cubelap as cl
+from cubelap.evolve import _window
+from cubelap.grid import hermitian_expand
 
 
 # --------------------------------------------------------------------------
@@ -125,10 +127,11 @@ def test_propagate_rejects_negative_time_and_physical_rep():
 
 
 def _free_trajectory(prob, T, m):
-    sym = cl.build_symbol(prob.grid, prob.a, prob.b)
+    """The reaction-free trajectory on modes 0..N/2, its time grid and the
+    window data of its frame spacing."""
     tg = np.linspace(0.0, T, m + 1)
-    u0h = cl.to_spectral(prob.u0).values
-    return cl.SpacetimeField(prob.grid, tg, np.exp(np.outer(tg, sym.lam)) * u0h), sym
+    w = _window(prob, float(tg[1] - tg[0]))
+    return np.exp(np.outer(tg, w.lam)) * w.u0_hat, tg, w
 
 
 def _simple_problem(nonlinearity, a=0.0, b=0.0, n=128, zero_ic=False):
@@ -145,9 +148,9 @@ def _simple_problem(nonlinearity, a=0.0, b=0.0, n=128, zero_ic=False):
 
 def test_duhamel_map_zero_reaction_is_pure_propagation():
     prob = _simple_problem(cl.linear_plus_source(0.0), a=0.3, b=1.0)
-    v, sym = _free_trajectory(prob, 0.5, 24)
-    out = cl.duhamel_map(v, prob, sym)
-    assert np.max(np.abs(out.frames - v.frames)) <= 1e-13 * np.max(np.abs(v.frames))
+    v, _, w = _free_trajectory(prob, 0.5, 24)
+    out, _ = cl.duhamel_map(v, prob, w)
+    assert np.max(np.abs(out - v)) <= 1e-13 * np.max(np.abs(v))
 
 
 def test_duhamel_map_source_only_closed_form():
@@ -156,27 +159,29 @@ def test_duhamel_map_source_only_closed_form():
     # roundoff at every frame
     prob = _simple_problem(cl.linear_plus_source(0.0, cl.source_gaussian(0.1, 1.0)), b=1.0)
     T, m = 0.4, 32
-    v, sym = _free_trajectory(prob, T, m)
-    out = cl.duhamel_map(v, prob, sym)
+    v, tg, w = _free_trajectory(prob, T, m)
+    out, _ = cl.duhamel_map(v, prob, w)
+    half = slice(0, prob.grid.n_half)
+    sym = cl.build_symbol(prob.grid, prob.a, prob.b)
     g_hat = prob.kernel.spectrum_on(prob.grid)
     h_hat = cl.forward_transform(
         cl.Field(prob.grid, prob.nonlinearity.source(prob.grid.x), "physical")
     ).values
     u0h = cl.to_spectral(prob.u0).values
-    scale = np.max(np.abs(out.frames))
+    scale = np.max(np.abs(out))
     for j in (1, m // 2, m):
-        t = out.time_grid[j]
+        t = tg[j]
         closed = np.exp(t * sym.lam) * u0h + np.sqrt(2 * np.pi) * g_hat * h_hat * t * cl.phi1(
             t * sym.lam
         )
-        assert np.max(np.abs(out.frames[j] - closed)) <= 1e-12 * scale
+        assert np.max(np.abs(out[j] - closed[half])) <= 1e-12 * scale
 
 
 def test_duhamel_map_zero_fixed_point():
     prob = _simple_problem(cl.linear_plus_source(0.0), zero_ic=True)
-    v, sym = _free_trajectory(prob, 0.5, 16)
-    out = cl.duhamel_map(v, prob, sym)
-    assert np.all(out.frames == 0)
+    v, _, w = _free_trajectory(prob, 0.5, 16)
+    out, _ = cl.duhamel_map(v, prob, w)
+    assert np.all(out == 0)
 
 
 # --------------------------------------------------------------------------
@@ -186,11 +191,11 @@ def test_duhamel_map_zero_fixed_point():
 
 def test_time_derivative_requires_matching_history():
     prob = _simple_problem(cl.linear_plus_source(0.0))
-    v, sym = _free_trajectory(prob, 0.5, 8)
+    v, _, w = _free_trajectory(prob, 0.5, 8)
     with pytest.raises(ValueError):
-        cl.time_derivative(v, prob, sym, None)
+        cl.time_derivative(v, None, w)
     with pytest.raises(ValueError):
-        cl.time_derivative(v, prob, sym, np.zeros((3, 3)))
+        cl.time_derivative(v, np.zeros((3, 3)), w)
 
 
 def test_time_derivative_eigenrelation_for_free_mode():
@@ -200,11 +205,11 @@ def test_time_derivative_eigenrelation_for_free_mode():
         a=0.0, b=0.0, kernel=cl.gaussian_kernel(1.0, 1.0),
         nonlinearity=cl.linear_plus_source(0.0), u0=u0, grid=g,
     )
-    v, sym = _free_trajectory(prob, 0.2, 8)
-    u, fh = cl.duhamel_map(v, prob, sym, return_history=True)
+    v, _, w = _free_trajectory(prob, 0.2, 8)
+    u, fh = cl.duhamel_map(v, prob, w)
     assert np.max(np.abs(fh)) == 0.0
-    du = cl.time_derivative(u, prob, sym, fh)
-    assert np.max(np.abs(du.frames - sym.lam[None, :] * u.frames)) == 0.0
+    du = cl.time_derivative(u, fh, w)
+    assert np.max(np.abs(du - w.lam[None, :] * u)) == 0.0
 
 
 def test_time_derivative_consistent_with_finite_differences(certified_problem):
@@ -214,13 +219,14 @@ def test_time_derivative_consistent_with_finite_differences(certified_problem):
     prob, cert, T = certified_problem
 
     def fd_defect(m):
-        v, sym = _free_trajectory(prob, T, m)
-        u, fh = cl.duhamel_map(v, prob, sym, return_history=True)
-        du = cl.time_derivative(u, prob, sym, fh)
-        dt = u.dt
-        fd = (u.frames[2:] - u.frames[:-2]) / (2.0 * dt)
-        err = np.abs(fd - du.frames[1:-1])
-        per_frame = np.sqrt(np.sum(err**2, axis=1) * u.grid.dp)
+        v, tg, w = _free_trajectory(prob, T, m)
+        u, fh = cl.duhamel_map(v, prob, w)
+        du = cl.time_derivative(u, fh, w)
+        dt = tg[1] - tg[0]
+        fd = (u[2:] - u[:-2]) / (2.0 * dt)
+        err = np.abs(fd - du[1:-1])
+        grid = prob.grid
+        per_frame = np.sqrt(np.sum(grid._half_weights * err**2, axis=1) * grid.dp)
         return np.max(per_frame[per_frame.size // 2 :])
 
     e1, e2 = fd_defect(32), fd_defect(64)
@@ -285,16 +291,11 @@ def test_fixed_point_satisfies_derivative_identity(certified_problem):
     # the solution itself agree to the iteration tolerance
     prob, cert, T = certified_problem
     rep = cl.picard_solve(prob, T, cert, tol_fix=1e-12)
-    sym = cl.build_symbol(prob.grid, prob.a, prob.b)
-    fh_self = np.empty_like(rep.field.frames)
-    for j in range(rep.field.n_frames):
-        phys = cl.inverse_transform(rep.field.frame(j))
-        fh_self[j] = cl.forward_transform(
-            cl.apply_nonlinearity(phys, prob.nonlinearity)
-        ).values
-    du_self = cl.time_derivative(rep.field, prob, sym, fh_self)
-    defect = np.max(np.abs(du_self.frames - rep.dudt.frames))
-    assert defect <= 1e-10 * np.max(np.abs(rep.dudt.frames))
+    fh_self = _per_frame_forcing(rep.field.frames, prob)[:, : prob.grid.n_half]
+    w = _window(prob, float(rep.time_grid[1] - rep.time_grid[0]))
+    du_self = cl.time_derivative(rep.u_half, fh_self, w)
+    defect = np.max(np.abs(du_self - rep.dudt_half))
+    assert defect <= 1e-10 * np.max(np.abs(rep.dudt_half))
 
 
 # --------------------------------------------------------------------------
@@ -305,8 +306,9 @@ def test_fixed_point_satisfies_derivative_identity(certified_problem):
 def test_reference_matches_propagator_without_reaction():
     prob = _simple_problem(cl.linear_plus_source(0.0), a=0.2, b=1.0)
     ref = cl.etd_reference_solve(prob, 0.5, substeps=64, n_frames=16)
-    v, _ = _free_trajectory(prob, 0.5, 16)
-    assert np.max(np.abs(ref.frames - v.frames)) <= 1e-12 * np.max(np.abs(v.frames))
+    v, _, _ = _free_trajectory(prob, 0.5, 16)
+    half = ref.frames[:, : prob.grid.n_half]
+    assert np.max(np.abs(half - v)) <= 1e-12 * np.max(np.abs(v))
 
 
 def test_reference_substep_preconditions():
@@ -456,7 +458,7 @@ def _next_start(prob, rep):
 
     from cubelap.grid import inverse_real
 
-    end = inverse_real(prob.grid, rep.field.frames[-1, : prob.grid.n_half])
+    end = inverse_real(prob.grid, rep.u_half[-1])
     return dataclasses.replace(prob, u0=cl.Field(prob.grid, end))
 
 
@@ -516,10 +518,10 @@ def _staged_picard(monkeypatch, fail_at):
         if k == fail_at:
             raise cl.PicardConvergenceError(f"stand-in failure at window {k}", None)
         rep = real(prob, T, cert, **kwargs)
-        frames = rep.field.frames.copy()
+        frames = rep.u_half.copy()
         nxt = _STARTS[(k + 1) % len(_STARTS)](prob.grid.x)
-        frames[-1] = cl.forward_transform(cl.Field(prob.grid, nxt)).values
-        rep.field = cl.SpacetimeField(prob.grid, rep.field.time_grid, frames)
+        frames[-1] = cl.forward_transform(cl.Field(prob.grid, nxt)).values[: prob.grid.n_half]
+        rep.u_half = frames
         return rep
 
     monkeypatch.setattr(ev, "picard_solve", staged)
@@ -655,10 +657,13 @@ def hot_path_problem(request):
 
 
 def _per_frame_forcing(frames, prob):
+    """F(v) transformed frame by frame on all N modes, through ``Field``s."""
+    grid = prob.grid
     out = np.empty_like(frames)
     for j in range(frames.shape[0]):
-        phys = cl.inverse_transform(cl.Field(prob.grid, frames[j], "spectral"))
-        out[j] = cl.forward_transform(cl.apply_nonlinearity(phys, prob.nonlinearity)).values
+        phys = cl.inverse_transform(cl.Field(grid, frames[j], "spectral")).values.real
+        vals = cl.apply_nonlinearity(phys, prob.nonlinearity, grid)
+        out[j] = cl.forward_transform(cl.Field(grid, vals)).values
     return out
 
 
@@ -703,10 +708,9 @@ def test_batched_forcing_matches_per_frame_loop(hot_path_problem):
     from cubelap.evolve import _forcing_history
 
     prob, cert, T = hot_path_problem
-    v, _ = _free_trajectory(prob, T, 32)
-    half = slice(0, prob.grid.n_half)
-    batched = _forcing_history(prob.grid, v.frames[:, half], prob)
-    reference = _per_frame_forcing(v.frames, prob)[:, half]
+    v, _, _ = _free_trajectory(prob, T, 32)
+    batched = _forcing_history(v, prob)
+    reference = _per_frame_forcing(hermitian_expand(prob.grid, v), prob)[:, : v.shape[1]]
     assert np.max(np.abs(batched - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
@@ -754,8 +758,7 @@ def _full_spectrum_heun(prob, T, substeps, n_frames):
     e_h = sym.propagator(h)
 
     def reaction(u_hat):
-        phys = cl.inverse_transform(cl.Field(grid, u_hat, "spectral"))
-        return g * cl.forward_transform(cl.apply_nonlinearity(phys, prob.nonlinearity)).values
+        return g * _per_frame_forcing(u_hat[None, :], prob)[0]
 
     u_hat = cl.to_spectral(prob.u0).values.copy()
     for _ in range(substeps):
@@ -848,6 +851,9 @@ def test_solver_loops_construct_no_field_wrappers(certified_problem, monkeypatch
     tight, rep_tight = constructions(lambda: cl.picard_solve(prob, T, cert, tol_fix=1e-12))
     assert rep_loose.trace.iterations < rep_tight.trace.iterations
     assert loose == tight
+    assert "SpacetimeField" not in built
+    # the report expands its half spectrum on every access, never caching it
+    assert rep_tight.field is not rep_tight.field
     few, _ = constructions(lambda: cl.etd_reference_solve(prob, T, 4 * 16, n_frames=16))
     many, _ = constructions(lambda: cl.etd_reference_solve(prob, T, 16 * 16, n_frames=16))
     assert few == many

@@ -462,6 +462,28 @@ def test_ratio_gate_exits_3_through_main(tmp_path, monkeypatch):
     assert cert["valid"] == "false" and float(cert["l"]) == 3.8 / 40
 
 
+def test_oracle_blowup_exits_3_through_main(tmp_path):
+    # a = 40 makes the cos(x) start grow like e^{39 t}; the weak kernel keeps
+    # the certificate valid on the 0.7-long window, so the Picard solve passes
+    # and the Heun oracle's blowup check is what fails the run
+    cfg = _certified_config(tmp_path / "out")
+    cfg.update(
+        grid={"L": np.pi, "N": 32},
+        model={"a": 40.0, "b": 0.0},
+        kernel={"name": "gaussian", "amplitude": 1e-6, "width": 1.0},
+        nonlinearity={"name": "linear_plus_source", "kappa": 0.0},
+        initial_condition={"name": "mode", "k": 1},
+        horizon=0.7,
+        solver={"frames": 16, "max_window_length": 0.7, "oracle_substeps_factor": 16},
+        flags={"run_oracle": True},
+    )
+    code, cert, summary = _main_artifacts(tmp_path, cfg)
+    assert code == EXIT_SOLVER_FAILURE
+    assert summary["status"] == "solver_failure"
+    assert summary["error"].startswith("window 0 failed: reference marcher unstable at step 174:")
+    assert cert["valid"] == "false"
+
+
 def test_tail_warning_reaches_summary(tmp_path):
     cfg = _certified_config(tmp_path / "out")
     # a bump near the right edge of the box [-20, 20)
@@ -530,6 +552,25 @@ def test_failure_while_writing_results_exits_3_and_keeps_the_certificate(tmp_pat
     assert summary["error"] == "MemoryError: stand-in: no memory for the dump"
     # the run's own certificate was written before the failure and stays
     assert cert["valid"] == "true" and cert["T"] != "None"
+
+
+@pytest.mark.parametrize("valid", [True, False], ids=["valid_config", "rejected_config"])
+def test_out_naming_a_file_exits_4_without_traceback(tmp_path, capsys, valid):
+    from cubelap.runner import main
+
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    if valid:
+        path = _write(tmp_path, _certified_config(tmp_path / "out"))
+    else:
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+    assert main(["--config", str(path), "--out", str(taken)]) == EXIT_ASSUMPTION_VIOLATION
+    err = capsys.readouterr().err.splitlines()
+    # a rejected config says so first; either way one line names the directory
+    assert len(err) == (1 if valid else 2)
+    assert err[-1].startswith(f"output directory {taken} cannot be created")
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_missing_csv_exits_4_with_artifacts(tmp_path):
