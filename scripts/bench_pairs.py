@@ -8,9 +8,11 @@ Each DIR is the root of a checkout with its own ``src/``, ``perfbench/`` and
 --seed N --seconds S --trace 0`` once in each checkout, one after the other,
 the parent first in even pairs and the change first in odd ones. The file
 keeps, under ``workloads.NAME.N``: the pair count, every run's end-to-end
-metrics, each side's median and quartiles, the change's wins (ties count for
-neither side), the failed and attempted operations, and each side's machine
-record from the ``record`` line (``src_sha256``, ``git_commit``). Another call
+metrics, each side's median, quartiles and relative spread (its quartile
+range over its own median, so that a faster side is not judged by the other
+side's scale), the change's wins (ties count for neither side), the failed
+and attempted operations, and each side's machine record from the ``record``
+line (``src_sha256``, ``git_commit``). Another call
 with the same ``--out`` adds or replaces one workload and seed.
 """
 
@@ -49,8 +51,10 @@ def summarize(runs: dict, bench: dict) -> dict:
         entry = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
                  "change_wins": wins}
         for side in SIDES:
-            q1, median, q3 = statistics.quantiles(values[side], n=4)
-            entry[side] = {"median": statistics.median(values[side]), "q1": q1, "q3": q3,
+            q1, _, q3 = statistics.quantiles(values[side], n=4)
+            median = statistics.median(values[side])
+            entry[side] = {"median": median, "q1": q1, "q3": q3,
+                           "rel_iqr": (q3 - q1) / median if median else None,
                            "runs": values[side]}
         metrics[name] = entry
     return metrics

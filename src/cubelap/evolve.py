@@ -25,14 +25,17 @@ The unknown is a real field, the kernel and the reaction are real and
 lam(-p) = conj(lam(p)), so every spectrum in the solvers is Hermitian and is
 determined by its modes 0..N/2. Inside the solvers a trajectory is the plain
 (M+1, N/2+1) complex array of those modes: the forcing history is one
-batched real transform pair (``inverse_real`` / ``forward_real``) around one
-``apply_nonlinearity`` call on the real (M+1, N) samples, and norms weight
-each stored mode by its multiplicity in the full spectrum. ``duhamel_map``
-and ``time_derivative`` take and return such arrays only, with the window's
-half-spectrum weights computed once (``_window``), and the ``SolveReport``
-keeps them too. ``Field`` and ``SpacetimeField`` (full spectrum, as in the
-``SXD1`` dump) appear only at the API edge: the report's ``field`` and
-``dudt`` expand the half spectrum on every access.
+batched real transform pair around one ``apply_nonlinearity`` call on the
+real (M+1, N) samples, and norms weight each stored mode by its
+multiplicity in the full spectrum. The Picard loop keeps raw ``rfft``
+units (``grid.rfft_raw``), in which the transform pair needs no factor;
+``duhamel_map`` and ``time_derivative`` take and return such arrays only,
+with the window's half-spectrum weights computed once (``_window``), and
+the ``SolveReport`` keeps the last iterate converted to unitary
+coefficients. The Heun oracle works in unitary coefficients
+(``forward_real`` / ``inverse_real``). ``Field`` and ``SpacetimeField``
+(full spectrum, as in the ``SXD1`` dump) appear only at the API edge: the
+report's ``field`` and ``dudt`` expand the half spectrum on every access.
 
 The march first runs the certified Picard chain, window after window, since
 each window starts from the previous one's end state. The oracle of window k
@@ -59,12 +62,18 @@ from .grid import (
     SpacetimeField,
     SpectralGrid,
     TAIL_TOL,
+    block_rows,
     forward_real,
+    half_sq_norms,
     hermitian_expand,
     inverse_real,
+    irfft_raw,
     l2_norm,
-    sobolev_norm_array,
+    raw_contraction_norm,
+    raw_to_unitary,
+    rfft_raw,
     tail_mass_fraction,
+    trapezoid_weights,
 )
 from .model import (
     ModelEvaluationError,
@@ -213,12 +222,13 @@ class _Window:
     """What the mild-solution map needs on one window, computed once per window
     on the half spectrum (modes 0..N/2):
 
-    the initial coefficients u0_hat, the recursion's per-mode factors
-    e_dt = e^{dt lam}, w_prev = dt (phi1 - phi2)(dt lam), w_next = dt phi2(dt lam),
-    the convolution factor g = sqrt(2 pi) Ghat and the symbol lam itself.
+    the initial coefficients u0 in ``rfft_raw`` units, the recursion's
+    per-mode factors e_dt = e^{dt lam}, w_prev = g dt (phi1 - phi2)(dt lam)
+    and w_next = g dt phi2(dt lam), the convolution factor g = sqrt(2 pi) Ghat
+    and the symbol lam itself.
     """
 
-    u0_hat: np.ndarray
+    u0: np.ndarray
     e_dt: np.ndarray
     w_prev: np.ndarray
     w_next: np.ndarray
@@ -232,37 +242,53 @@ def _window(prob: ProblemSpec, dt: float) -> _Window:
     half = slice(0, grid.n_half)
     lam = sym.lam[half]
     z = dt * lam
+    g = SQRT_2PI * prob.kernel.spectrum_on(grid)[half]
     return _Window(
-        u0_hat=forward_real(grid, prob.u0.values.real),
+        u0=rfft_raw(prob.u0.values.real),
         e_dt=sym.propagator(dt)[half],
-        w_prev=dt * (phi1(z) - phi2(z)),
-        w_next=dt * phi2(z),
-        g=SQRT_2PI * prob.kernel.spectrum_on(grid)[half],
+        w_prev=g * (dt * (phi1(z) - phi2(z))),
+        w_next=g * (dt * phi2(z)),
+        g=g,
         lam=lam,
     )
 
 
 def _forcing_history(frames: np.ndarray, prob: ProblemSpec) -> np.ndarray:
     """Transforms of F(v(., t_j), .) for every frame, on modes 0..N/2:
-    (M+1, N/2+1) half-spectrum frames in, the same shape out."""
+    (M+1, N/2+1) half-spectrum frames in, the same shape out, both in
+    ``rfft_raw`` units."""
     grid = prob.grid
-    phys = inverse_real(grid, frames)
-    fh = forward_real(grid, apply_nonlinearity(phys, prob.nonlinearity, grid))
+    phys = irfft_raw(grid, frames)
+    fh = rfft_raw(apply_nonlinearity(phys, prob.nonlinearity, grid))
     if not np.all(np.isfinite(fh)):
         raise SolverError("forcing history contains non-finite values")
     return fh
 
 
-def _recursion(fh: np.ndarray, w: _Window) -> np.ndarray:
-    """u_{j+1} = e^{dt lam} u_j + g [w_prev f_j + w_next f_{j+1}], u_0 = u0_hat."""
-    u = np.empty_like(fh)
-    u[0] = w.u0_hat
-    for j in range(fh.shape[0] - 1):
-        u[j + 1] = w.e_dt * u[j] + w.g * (w.w_prev * fh[j] + w.w_next * fh[j + 1])
+def _recursion(fh: np.ndarray, w: _Window, out: np.ndarray | None = None) -> np.ndarray:
+    """u_{j+1} = e^{dt lam} u_j + w_prev f_j + w_next f_{j+1}, u_0 = u0, into ``out``.
+
+    Per block of frames (``block_rows``): the forcing terms of all its
+    substeps in one pass into the output, then only u_{j+1} += e^{dt lam} u_j
+    frame by frame, in place.
+    """
+    u = np.empty_like(fh) if out is None else out
+    m, step = fh.shape[0] - 1, block_rows(fh)
+    scratch = np.empty((step,) + fh.shape[1:], dtype=np.complex128)
+    u[0] = w.u0
+    for s in range(0, m, step):
+        e = min(s + step, m)
+        nxt = u[s + 1 : e + 1]
+        np.multiply(w.w_prev, fh[s:e], out=nxt)
+        nxt += np.multiply(w.w_next, fh[s + 1 : e + 1], out=scratch[: e - s])
+        for j in range(s, e):
+            u[j + 1] += np.multiply(w.e_dt, u[j], out=scratch[0])
     return u
 
 
-def duhamel_map(v: np.ndarray, prob: ProblemSpec, window: _Window):
+def duhamel_map(
+    v: np.ndarray, prob: ProblemSpec, window: _Window, out: np.ndarray | None = None
+):
     """One application of the mild-solution map to the trajectory v.
 
     Walks the frames with the semigroup recursion
@@ -274,25 +300,37 @@ def duhamel_map(v: np.ndarray, prob: ProblemSpec, window: _Window):
     substep and the exponential integrated exactly.
 
     v is the (M+1, N/2+1) array of half-spectrum frames of a real trajectory
-    on ``prob.grid`` and ``window`` the data ``_window`` computes for its
-    frame spacing. Returns the image u, of the same shape, and the forcing
+    on ``prob.grid``, in ``rfft_raw`` units, and ``window`` the data
+    ``_window`` computes for its frame spacing. Returns the image u, of the
+    same shape and units (written into ``out`` if given), and the forcing
     transforms fh it was built from, with which ``time_derivative`` forms
     du/dt algebraically.
     """
     fh = _forcing_history(v, prob)
-    return _recursion(fh, window), fh
+    return _recursion(fh, window, out), fh
 
 
-def time_derivative(u: np.ndarray, fh: np.ndarray, window: _Window) -> np.ndarray:
+def time_derivative(
+    u: np.ndarray, fh: np.ndarray, window: _Window, out: np.ndarray | None = None
+) -> np.ndarray:
     """Exact algebraic du_hat/dt = lam*u_hat + sqrt(2 pi)*Ghat*fhat.
 
     u and fh are the half-spectrum image and forcing history ``duhamel_map``
-    returned; no finite differencing is ever involved.
+    returned, in one unit (the map is diagonal, so either unit); no finite
+    differencing is ever involved. Formed block by block of frames
+    (``block_rows``), into ``out`` if given.
     """
     fh = np.asarray(fh)
     if fh.shape != u.shape:
         raise ValueError(f"forcing history shape {fh.shape} does not match frames {u.shape}")
-    return window.lam[None, :] * u + window.g[None, :] * fh
+    du = np.empty_like(u) if out is None else out
+    n_rows, step = u.shape[0], block_rows(u)
+    scratch = np.empty((step,) + u.shape[1:], dtype=np.complex128)
+    for s in range(0, n_rows, step):
+        e = min(s + step, n_rows)
+        np.multiply(window.lam, u[s:e], out=du[s:e])
+        du[s:e] += np.multiply(window.g, fh[s:e], out=scratch[: e - s])
+    return du
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,11 +391,8 @@ class SolveReport:
 
 
 def _frame_norms(grid: SpectralGrid, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame ||u|| and ||d^6 u/dx^6|| of half-spectrum frames."""
-    energy = grid._half_weights * np.abs(frames) ** 2
-    l2 = np.sqrt(np.sum(energy, axis=1) * grid.dp)
-    d6 = np.sqrt(np.sum(grid._p12[: grid.n_half] * energy, axis=1) * grid.dp)
-    return l2, d6
+    """Per-frame ||u|| and ||d^6 u/dx^6|| of unitary half-spectrum frames."""
+    return np.sqrt(half_sq_norms(grid, frames)), np.sqrt(half_sq_norms(grid, frames, "d6"))
 
 
 def _tail_check(grid: SpectralGrid, frames: np.ndarray, t_offset: float) -> tuple[str, ...]:
@@ -393,10 +428,14 @@ def picard_solve(
     measured ratio must stay below C * 1.05; a violation is raised as a
     defect, not smoothed over.
 
-    The iteration runs on plain (M+1, N/2+1) half-spectrum arrays: per
-    iterate one call each of ``duhamel_map`` (one batched real transform pair
-    around one reaction call) and ``time_derivative``, with the window's
-    weights computed once. The report keeps the last iterate's arrays.
+    The iteration runs on plain (M+1, N/2+1) half-spectrum arrays in
+    ``rfft_raw`` units: per iterate one call each of ``duhamel_map`` (one
+    batched real transform pair around one reaction call) and
+    ``time_derivative``, with the window's weights computed once. Two pairs
+    of trajectory buffers take turns: an iterate is written into the buffers
+    of the one before its predecessor, and its distance to the predecessor
+    is summed frame by frame, so no difference is stored. The report keeps
+    the last iterate's arrays, converted in place to unitary coefficients.
     """
     if window_length <= 0:
         raise ValueError(f"window length must be positive, got {window_length}")
@@ -415,26 +454,30 @@ def picard_solve(
         )
     grid = prob.grid
     tg = np.linspace(0.0, window_length, n_frames + 1)
+    tw = trapezoid_weights(tg)
     w = _window(prob, float(tg[1] - tg[0]))
 
-    u_prev = np.exp(np.outer(tg, w.lam)) * w.u0_hat[None, :]
+    u_prev = np.exp(np.outer(tg, w.lam)) * w.u0[None, :]
     dudt_prev = w.lam[None, :] * u_prev
+    spare_u = spare_dudt = None
 
     distances: list[float] = []
     tol = tol_fix
     converged = False
     for _ in range(max_iter):
-        u_new, fh = duhamel_map(u_prev, prob, w)
-        dudt_new = time_derivative(u_new, fh, w)
-        d = sobolev_norm_array(grid, tg, u_new - u_prev, dudt_new - dudt_prev)
+        u_new, fh = duhamel_map(u_prev, prob, w, out=spare_u)
+        dudt_new = time_derivative(u_new, fh, w, out=spare_dudt)
+        del fh  # dead: let the next iterate's transforms take its memory
+        d = raw_contraction_norm(grid, tw, u_new, dudt_new, minus=(u_prev, dudt_prev))
         distances.append(d)
         if tol is None:
-            first_norm = sobolev_norm_array(grid, tg, u_new, dudt_new)
+            first_norm = raw_contraction_norm(grid, tw, u_new, dudt_new)
             tol = 1e-10 * max(1.0, first_norm)
         if d < tol:
             converged = True
             break
-        u_prev, dudt_prev = u_new, dudt_new
+        # the previous iterate is dead: its buffers take the next one
+        spare_u, spare_dudt, u_prev, dudt_prev = u_prev, dudt_prev, u_new, dudt_new
 
     dists = np.asarray(distances)
     ratios = np.full(dists.shape, np.nan)
@@ -464,8 +507,10 @@ def picard_solve(
                 trace,
             )
 
+    raw_to_unitary(grid, u_new, out=u_new)
+    raw_to_unitary(grid, dudt_new, out=dudt_new)
     l2, d6 = _frame_norms(grid, u_new)
-    dudt_l2, _ = _frame_norms(grid, dudt_new)
+    dudt_l2 = np.sqrt(half_sq_norms(grid, dudt_new))
     for arr in (tg, u_new, dudt_new):
         arr.flags.writeable = False
     return SolveReport(
@@ -574,7 +619,7 @@ def _heun_march(
         return e_h * u_hat + 0.5 * h * (e_h * nn + reaction(pred))
 
     def l2(u_hat: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.sum(grid._half_weights * np.abs(u_hat) ** 2, axis=-1) * grid.dp)
+        return np.sqrt(half_sq_norms(grid, u_hat))
 
     u_hat = forward_real(grid, u0)
     stride = substeps // n_frames
@@ -632,6 +677,37 @@ def _raise_window_failure(k: int, exc: Exception):
     raise exc
 
 
+def march_schedule(
+    t_total: float,
+    q: float,
+    ell: float,
+    a: float,
+    b: float,
+    safety: float = 0.9,
+    max_window_length: float | None = None,
+    override_certificate: bool = False,
+) -> WindowSchedule:
+    """The window schedule ``global_march`` runs: the certified one of
+    ``window_schedule``, or, when no certified window exists, uniform windows
+    of ``max_window_length`` if the caller overrides the certificate and
+    gives that length; otherwise ``NoAdmissibleWindow`` is raised."""
+    try:
+        return window_schedule(
+            t_total, q, ell, a, b, safety=safety, max_window_length=max_window_length
+        )
+    except NoAdmissibleWindow:
+        if not (override_certificate and max_window_length):
+            raise
+        # experimental path: no certified window exists, but the caller
+        # insists and supplies a window length of their own
+        return WindowSchedule(
+            t_total=float(t_total),
+            t_w=float(max_window_length),
+            count=max(1, math.ceil(t_total / max_window_length)),
+            safety=safety,
+        )
+
+
 def global_march(
     prob: ProblemSpec,
     t_total: float,
@@ -666,23 +742,9 @@ def global_march(
     validate_kernel(prob.kernel, prob.grid)
     q = kernel_strength(prob.kernel)
     ell = prob.nonlinearity.lipschitz_l
-    try:
-        schedule: WindowSchedule = window_schedule(
-            t_total, q, ell, prob.a, prob.b, safety=safety,
-            max_window_length=max_window_length,
-        )
-    except NoAdmissibleWindow:
-        if not (override_certificate and max_window_length):
-            raise
-        # experimental path: no certified window exists, but the caller
-        # insists and supplies a window length of their own
-        count = max(1, math.ceil(t_total / max_window_length))
-        schedule = WindowSchedule(
-            t_total=float(t_total),
-            t_w=float(max_window_length),
-            count=count,
-            safety=safety,
-        )
+    schedule = march_schedule(
+        t_total, q, ell, prob.a, prob.b, safety, max_window_length, override_certificate
+    )
     t_win = schedule.window_length
     cert = Certificate.for_window(q, ell, prob.a, prob.b, t_win)
     reports: list[SolveReport] = []

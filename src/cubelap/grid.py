@@ -11,6 +11,13 @@ as L and N grow. That convention is fixed here once; every downstream
 constant (Sobolev norms, the sqrt(2*pi) convolution factor, the contraction
 certificate) depends on it, so no other module touches raw FFTs.
 
+The Picard loop of the solver holds its trajectory in raw ``np.fft.rfft``
+units instead (``rfft_raw`` / ``irfft_raw``), where a transform pair needs
+no factor at all. The convention then enters in three places, all of them
+here: the initial state (``rfft_raw``), the norm weights (``half_sq_norms``
+and ``raw_contraction_norm``, times (dx/sqrt(2*pi))^2) and the way back to
+unitary coefficients at the report (``raw_to_unitary``).
+
 Truncation to a periodic box is policed rather than assumed: fields are
 expected to keep essentially all of their mass away from the box edges, and
 ``tail_mass_fraction`` quantifies the violation.
@@ -33,6 +40,13 @@ PHYSICAL = "physical"
 SPECTRAL = "spectral"
 
 _MAX_DERIVATIVE_ORDER = 8
+
+#: The solver's frame loops (the Duhamel recursion, the time derivative, the
+#: contraction norm) walk a trajectory in blocks of rows of about this many
+#: bytes, so the operands of each step stay in a core's cache instead of
+#: streaming through memory once per operation; at small N one block holds
+#: the whole trajectory. See ``block_rows``.
+BLOCK_BYTES = 2**18
 
 
 class RepresentationError(ValueError):
@@ -82,6 +96,22 @@ class SpectralGrid:
         half_weights[[0, -1]] = 1.0
         half_weights.flags.writeable = False
         object.__setattr__(self, "_half_weights", half_weights)
+        # rfft_raw output times this is forward_real's: the unitary scaling
+        # and the box-origin phase of modes 0..N/2
+        raw_scale = self.dx / np.sqrt(2.0 * np.pi) * self._phase[: N // 2 + 1]
+        raw_scale.flags.writeable = False
+        object.__setattr__(self, "_raw_scale", raw_scale)
+        # norm weights of the float64 view of half-spectrum frames, where the
+        # real and imaginary parts of mode k sit in entries 2k and 2k+1: the
+        # multiplicity times dp, times p^12 for the sixth derivative, and
+        # times raw_scale^2 = (dx/sqrt(2*pi))^2 for rfft_raw units
+        l2 = np.repeat(half_weights * self.dp, 2)
+        d6 = l2 * np.repeat(p12[: N // 2 + 1], 2)
+        raw = (self.dx / np.sqrt(2.0 * np.pi)) ** 2
+        views = {"l2": l2, "d6": d6, "raw_h6": raw * (l2 + d6), "raw_l2": raw * l2}
+        for w in views.values():
+            w.flags.writeable = False
+        object.__setattr__(self, "_view_weights", views)
 
     @property
     def dx(self) -> float:
@@ -160,8 +190,33 @@ def forward_real(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
     last axis, so a (frames, N) array goes through one call. The modes
     N/2+1..N-1 of a real field follow by ``hermitian_expand``.
     """
-    coeff = grid.dx / np.sqrt(2.0 * np.pi)
-    return coeff * grid._phase[: grid.n_half] * np.fft.rfft(values, axis=-1)
+    return raw_to_unitary(grid, rfft_raw(values))
+
+
+def rfft_raw(values: np.ndarray) -> np.ndarray:
+    """Real samples -> modes 0..N/2 in raw ``np.fft.rfft`` units, along the last axis.
+
+    No scale and no phase: the unitary forward and inverse scales multiply to
+    (dx/sqrt(2*pi)) * (dp*N/sqrt(2*pi)) = 1 and the phase squares to 1, so
+    ``irfft_raw`` returns the samples with no factor, and a diagonal map of
+    the modes reads the same in either unit. ``raw_to_unitary`` converts to
+    ``forward_real``'s coefficients; norms of raw spectra take the
+    ``raw_*`` weights of ``half_sq_norms``.
+    """
+    return np.fft.rfft(values, axis=-1)
+
+
+def irfft_raw(grid: SpectralGrid, raw: np.ndarray) -> np.ndarray:
+    """Modes 0..N/2 in ``rfft_raw`` units -> the real samples along the last axis."""
+    return np.fft.irfft(raw, n=grid.n_points, axis=-1)
+
+
+def raw_to_unitary(grid: SpectralGrid, raw: np.ndarray, out: np.ndarray | None = None):
+    """Half spectra in ``rfft_raw`` units -> ``forward_real``'s unitary coefficients.
+
+    ``out`` may be ``raw`` itself, to convert in place.
+    """
+    return np.multiply(grid._raw_scale, raw, out=out)
 
 
 def inverse_real(grid: SpectralGrid, half: np.ndarray) -> np.ndarray:
@@ -323,28 +378,83 @@ def l2_spacetime_norm(u: SpacetimeField) -> float:
     return float(np.sqrt(np.trapezoid(per_frame, u.time_grid)))
 
 
-def sobolev_norm_array(
-    grid: SpectralGrid, time_grid: np.ndarray, u: np.ndarray, du_dt: np.ndarray
+def trapezoid_weights(time_grid: np.ndarray) -> np.ndarray:
+    """Weights w with w @ f = the composite trapezoid rule of f over time_grid."""
+    dt = np.diff(time_grid)
+    w = np.zeros(len(time_grid))
+    w[:-1] += 0.5 * dt
+    w[1:] += 0.5 * dt
+    return w
+
+
+def half_sq_norms(
+    grid: SpectralGrid, half: np.ndarray, kind: str = "l2", out: np.ndarray | None = None
+) -> np.ndarray:
+    """Squared norms of half-spectrum frames, one per row of ``half`` (..., N/2+1).
+
+    Each stored mode counts with its multiplicity in the full spectrum of a
+    real field. ``kind`` picks the norm and the units:
+
+        "l2"      ||u||^2                      unitary coefficients
+        "d6"      ||d^6 u/dx^6||^2             unitary coefficients
+        "raw_l2"  ||u||^2                      ``rfft_raw`` units
+        "raw_h6"  ||u||^2 + ||d^6 u/dx^6||^2   ``rfft_raw`` units
+
+    Computed as (v**2) @ w on the float64 view v of ``half`` (contiguous
+    complex128), with no complex modulus. The squares are written to ``out``
+    (an array of ``half``'s shape and dtype, or ``half`` itself) if given.
+    """
+    view = half.view(np.float64)
+    sq = np.square(view, out=None if out is None else out.view(np.float64))
+    return sq @ grid._view_weights[kind]
+
+
+def block_rows(frames: np.ndarray) -> int:
+    """Rows of ``frames`` (frames along axis 0) per block of about BLOCK_BYTES,
+    at most all of them."""
+    return max(1, min(len(frames), BLOCK_BYTES // (frames[0].size * frames.itemsize)))
+
+
+def raw_contraction_norm(
+    grid: SpectralGrid,
+    time_weights: np.ndarray,
+    u: np.ndarray,
+    du_dt: np.ndarray,
+    minus: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """The solve's contraction norm over the window:
 
         sqrt(||du/dt||^2 + ||d^6 u/dx^6||^2 + ||u||^2),
 
-    all three in L2 over box x [0, T], for spectral frames of shape (M+1, N),
-    or (M+1, N/2+1) for the half spectrum of a real field, whose modes
-    1..N/2-1 stand for two modes each. The sixth derivative is spectral, the
-    time derivative is supplied (never finite-differenced here), and the time
-    integral is the composite trapezoid rule.
+    all three in L2 over box x [0, T], for (M+1, N/2+1) half-spectrum frames
+    in ``rfft_raw`` units, or of their differences from the pair ``minus``
+    (then u - minus[0] and du_dt - minus[1]). The sixth derivative is
+    spectral, the time derivative is supplied (never finite-differenced
+    here), and the time integral is ``time_weights`` @ (per-frame values),
+    the trapezoid rule of ``trapezoid_weights``. Block by block of rows
+    (``block_rows``) through ``half_sq_norms`` and one block of scratch: no
+    difference or square of a whole trajectory is stored.
     """
-    w = 1.0 if u.shape[-1] == grid.n_points else grid._half_weights
-    per_frame = (
-        np.sum(w * (1.0 + grid._p12[: u.shape[-1]]) * np.abs(u) ** 2, axis=1)
-        + np.sum(w * np.abs(du_dt) ** 2, axis=1)
-    ) * grid.dp
-    return float(np.sqrt(np.trapezoid(per_frame, time_grid)))
+    refs = (None, None) if minus is None else minus
+    n_rows, step = u.shape[0], block_rows(u)
+    scratch = np.empty((step,) + u.shape[1:], dtype=np.complex128)
+    per_frame = np.zeros(n_rows)
+    for x, ref, kind in ((u, refs[0], "raw_h6"), (du_dt, refs[1], "raw_l2")):
+        for s in range(0, n_rows, step):
+            e = min(s + step, n_rows)
+            buf = scratch[: e - s]
+            xs = x[s:e] if ref is None else np.subtract(x[s:e], ref[s:e], out=buf)
+            per_frame[s:e] += half_sq_norms(grid, xs, kind, out=buf)
+    return float(np.sqrt(time_weights @ per_frame))
 
 
 def spacetime_sobolev_norm(u: SpacetimeField, du_dt: SpacetimeField) -> float:
-    """Field form of ``sobolev_norm_array``; both fields share one layout."""
+    """The contraction norm of ``raw_contraction_norm`` for full-spectrum
+    fields of one layout, with ``forward_transform``'s coefficients."""
     _check_same_layout(u, du_dt)
-    return sobolev_norm_array(u.grid, u.time_grid, u.frames, du_dt.frames)
+    grid = u.grid
+    per_frame = (
+        np.sum((1.0 + grid._p12) * np.abs(u.frames) ** 2, axis=1)
+        + np.sum(np.abs(du_dt.frames) ** 2, axis=1)
+    ) * grid.dp
+    return float(np.sqrt(np.trapezoid(per_frame, u.time_grid)))

@@ -649,8 +649,9 @@ def apply_nonlinearity(u: np.ndarray, nonlinearity: NonlinearitySpec, grid: Spec
         raise ModelEvaluationError(
             f"nonlinearity produced {vals[index]!r} at x[{j}] = {x[j]:g}{in_frame(index)}"
         )
-    f_norm = np.atleast_1d(np.sqrt(np.sum(np.abs(vals) ** 2, axis=-1) * grid.dx))
-    u_norm = np.atleast_1d(np.sqrt(np.sum(np.abs(u) ** 2, axis=-1) * grid.dx))
+    # row dots of the real samples: no modulus, no temporaries
+    f_norm = np.atleast_1d(np.sqrt(np.einsum("...j,...j->...", vals, vals) * grid.dx))
+    u_norm = np.atleast_1d(np.sqrt(np.einsum("...j,...j->...", u, u) * grid.dx))
     bound = nonlinearity.growth_k * u_norm + nonlinearity.source_norm(grid)
     over = ~(f_norm <= bound * (1 + 1e-9) + 1e-300)
     if np.any(over):

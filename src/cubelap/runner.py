@@ -35,6 +35,7 @@ from .evolve import (
     SolveReport,
     SolverError,
     global_march,
+    march_schedule,
 )
 from .grid import Field, field_from_function, inverse_transform, make_grid
 from .model import (
@@ -73,7 +74,8 @@ class ConfigError(ValueError):
 #: window's report keeps two half-spectrum arrays of (frames + 1) x (N/2 + 1),
 #: about one such array; the bound allows 16, the solve plus the reports of
 #: ten windows. The Lipschitz sampler takes about 82 bytes per trial; the
-#: bound allows 16 floats of 8 bytes.
+#: bound allows 16 floats of 8 bytes. Once the certificate fixes the window
+#: count, ``run`` refuses a schedule whose reports alone exceed the budget.
 MEMORY_BUDGET_BYTES = 2 * 2**30
 MAX_TRAJECTORY_VALUES = MEMORY_BUDGET_BYTES // (16 * 16)
 MAX_LIPSCHITZ_TRIALS = MEMORY_BUDGET_BYTES // (16 * 8)
@@ -437,6 +439,19 @@ def run(config: RunConfig) -> RunArtifacts:
         return failed(exc)
 
     try:
+        schedule = march_schedule(
+            config.horizon, q, ell, prob.a, prob.b, config.solver["safety"],
+            config.solver["max_window_length"], override,
+        )
+        # each window's report keeps u_half and dudt_half, (frames + 1) x (N/2 + 1)
+        report_bytes = 2 * schedule.count * (config.solver["frames"] + 1) * prob.grid.n_half * 16
+        if report_bytes > MEMORY_BUDGET_BYTES:
+            _write_partial_certificate(out, q, ell, config, watermark)
+            return finish(
+                EXIT_ASSUMPTION_VIOLATION, "assumption_violation",
+                f"the schedule's {schedule.count} windows would keep {report_bytes} bytes "
+                f"of reports, more than the {MEMORY_BUDGET_BYTES // 2**30} GiB memory budget",
+            )
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             reports = global_march(

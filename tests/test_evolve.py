@@ -5,7 +5,7 @@ import pytest
 
 import cubelap as cl
 from cubelap.evolve import _window
-from cubelap.grid import hermitian_expand
+from cubelap.grid import hermitian_expand, raw_to_unitary
 
 
 # --------------------------------------------------------------------------
@@ -127,11 +127,11 @@ def test_propagate_rejects_negative_time_and_physical_rep():
 
 
 def _free_trajectory(prob, T, m):
-    """The reaction-free trajectory on modes 0..N/2, its time grid and the
-    window data of its frame spacing."""
+    """The reaction-free trajectory on modes 0..N/2 in raw rfft units, its
+    time grid and the window data of its frame spacing."""
     tg = np.linspace(0.0, T, m + 1)
     w = _window(prob, float(tg[1] - tg[0]))
-    return np.exp(np.outer(tg, w.lam)) * w.u0_hat, tg, w
+    return np.exp(np.outer(tg, w.lam)) * w.u0, tg, w
 
 
 def _simple_problem(nonlinearity, a=0.0, b=0.0, n=128, zero_ic=False):
@@ -160,7 +160,7 @@ def test_duhamel_map_source_only_closed_form():
     prob = _simple_problem(cl.linear_plus_source(0.0, cl.source_gaussian(0.1, 1.0)), b=1.0)
     T, m = 0.4, 32
     v, tg, w = _free_trajectory(prob, T, m)
-    out, _ = cl.duhamel_map(v, prob, w)
+    out = raw_to_unitary(prob.grid, cl.duhamel_map(v, prob, w)[0])
     half = slice(0, prob.grid.n_half)
     sym = cl.build_symbol(prob.grid, prob.a, prob.b)
     g_hat = prob.kernel.spectrum_on(prob.grid)
@@ -224,8 +224,8 @@ def test_time_derivative_consistent_with_finite_differences(certified_problem):
         du = cl.time_derivative(u, fh, w)
         dt = tg[1] - tg[0]
         fd = (u[2:] - u[:-2]) / (2.0 * dt)
-        err = np.abs(fd - du[1:-1])
         grid = prob.grid
+        err = np.abs(raw_to_unitary(grid, fd - du[1:-1]))
         per_frame = np.sqrt(np.sum(grid._half_weights * err**2, axis=1) * grid.dp)
         return np.max(per_frame[per_frame.size // 2 :])
 
@@ -306,7 +306,7 @@ def test_fixed_point_satisfies_derivative_identity(certified_problem):
 def test_reference_matches_propagator_without_reaction():
     prob = _simple_problem(cl.linear_plus_source(0.0), a=0.2, b=1.0)
     ref = cl.etd_reference_solve(prob, 0.5, substeps=64, n_frames=16)
-    v, _, _ = _free_trajectory(prob, 0.5, 16)
+    v = raw_to_unitary(prob.grid, _free_trajectory(prob, 0.5, 16)[0])
     half = ref.frames[:, : prob.grid.n_half]
     assert np.max(np.abs(half - v)) <= 1e-12 * np.max(np.abs(v))
 
@@ -709,7 +709,8 @@ def test_batched_forcing_matches_per_frame_loop(hot_path_problem):
 
     prob, cert, T = hot_path_problem
     v, _, _ = _free_trajectory(prob, T, 32)
-    batched = _forcing_history(v, prob)
+    batched = raw_to_unitary(prob.grid, _forcing_history(v, prob))
+    v = raw_to_unitary(prob.grid, v)
     reference = _per_frame_forcing(hermitian_expand(prob.grid, v), prob)[:, : v.shape[1]]
     assert np.max(np.abs(batched - reference)) <= 1e-12 * np.max(np.abs(reference))
 

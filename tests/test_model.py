@@ -371,6 +371,36 @@ def test_apply_nonlinearity_flags_underdeclared_growth():
         cl.apply_nonlinearity(np.exp(-(g.x**2)), under, g)
 
 
+def _growth_edge(scale):
+    """F = scale * (2u + h) with growth constant 2 and source h; for u a
+    nonnegative multiple of h, F = 2u + h sits exactly at k||u|| + ||h||."""
+    h = cl.source_gaussian(0.5, 1.0)
+    return cl.NonlinearitySpec(
+        name="edge",
+        fn=lambda u, x: scale * (2.0 * u + h(x)),
+        source=h,
+        growth_k=2.0,
+        lipschitz_l=2.0,
+    )
+
+
+@pytest.mark.parametrize("frames", [None, 3], ids=["one_state", "frames"])
+def test_growth_check_boundary(frames):
+    g = cl.make_grid(10.0, 64)
+    h = cl.source_gaussian(0.5, 1.0)(g.x)
+    if frames is None:
+        u, over, where = 0.75 * h, 1.0 + 1e-6, ""
+    else:
+        u = np.array([0.0, 0.5, 1.0])[:, None] * h
+        # only the last frame is pushed over the bound
+        over, where = np.array([1.0, 1.0, 1.0 + 1e-6])[:, None], " in frame 2"
+    out = cl.apply_nonlinearity(u, _growth_edge(1.0), g)
+    assert np.array_equal(out, 2.0 * u + h)
+    with pytest.raises(cl.ModelEvaluationError, match="growth bound violated") as exc:
+        cl.apply_nonlinearity(u, _growth_edge(over), g)
+    assert str(exc.value).endswith(where) and ("in frame" in str(exc.value)) == bool(where)
+
+
 def test_sech_spectrum_does_not_overflow_on_wide_grids():
     k = cl.sech_kernel(0.01, 2.0)
     with warnings.catch_warnings():

@@ -1,0 +1,131 @@
+"""The Picard loop in raw rfft units against the unitary-unit loop it replaced.
+
+``_unitary_picard`` is that loop, kept here as the slow path: the trajectory
+in ``forward_real`` coefficients, the transform pair ``inverse_real`` /
+``forward_real`` around every reaction call, the recursion with g applied per
+frame, the time derivative as one expression, and the contraction norm from
+``np.abs(u) ** 2`` with ``np.trapezoid``. ``picard_solve`` must agree with it
+for every entry of the nonlinearity catalog and on the override path (C >= 1),
+at a > 0 and b != 0: the same iteration count, the final frame to 1e-12
+relative and every Picard distance to 1e-12 of the first. The frame loops
+run in blocks of ``grid.BLOCK_BYTES``, a whole trajectory at N = 256; the
+tests also shrink the blocks to 1 and 5 frames, so that blocks end inside
+the trajectory, and at 5 frames the last one is partial.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import cubelap as cl
+import cubelap.grid
+from cubelap.grid import forward_real, inverse_real
+from cubelap.model import NONLINEARITIES
+
+A, B, T, N_FRAMES = 0.3, -0.8, 0.4, 32
+
+
+def _unitary_picard(prob, window_length, n_frames):
+    """The unitary-unit Picard loop; the last iterate's half spectrum and the
+    distances."""
+    grid = prob.grid
+    half = slice(0, grid.n_half)
+    sym = cl.build_symbol(grid, prob.a, prob.b)
+    lam = sym.lam[half]
+    tg = np.linspace(0.0, window_length, n_frames + 1)
+    dt = float(tg[1] - tg[0])
+    z = dt * lam
+    e_dt = sym.propagator(dt)[half]
+    w_prev, w_next = dt * (cl.phi1(z) - cl.phi2(z)), dt * cl.phi2(z)
+    g = math.sqrt(2.0 * math.pi) * prob.kernel.spectrum_on(grid)[half]
+    u0 = forward_real(grid, prob.u0.values.real)
+    weights = grid._half_weights
+
+    def norm(u, du):
+        per_frame = (
+            np.sum(weights * (1.0 + grid._p12[half]) * np.abs(u) ** 2, axis=1)
+            + np.sum(weights * np.abs(du) ** 2, axis=1)
+        ) * grid.dp
+        return float(np.sqrt(np.trapezoid(per_frame, tg)))
+
+    u_prev = np.exp(np.outer(tg, lam)) * u0[None, :]
+    du_prev = lam[None, :] * u_prev
+    distances, tol = [], None
+    while tol is None or distances[-1] >= tol:
+        phys = inverse_real(grid, u_prev)
+        fh = forward_real(grid, cl.apply_nonlinearity(phys, prob.nonlinearity, grid))
+        u = np.empty_like(fh)
+        u[0] = u0
+        for j in range(n_frames):
+            u[j + 1] = e_dt * u[j] + g * (w_prev * fh[j] + w_next * fh[j + 1])
+        du = lam[None, :] * u + g[None, :] * fh
+        distances.append(norm(u - u_prev, du - du_prev))
+        if tol is None:
+            tol = 1e-10 * max(1.0, norm(u, du))
+        u_prev, du_prev = u, du
+    return u_prev, np.array(distances)
+
+
+def _problem(nonlinearity):
+    grid = cl.make_grid(20.0, 256)
+    u0 = cl.field_from_function(grid, lambda x: np.exp(-((x - 1.0) ** 2) / 2.0))
+    return cl.ProblemSpec(
+        a=A, b=B, kernel=cl.gaussian_kernel(0.01, 2.0), nonlinearity=nonlinearity,
+        u0=u0, grid=grid,
+    )
+
+
+def _certified_lipschitz():
+    """The Lipschitz constant at which C = 0.5 on the window (C is linear in l)."""
+    q = cl.kernel_strength(cl.gaussian_kernel(0.01, 2.0))
+    return 0.5 / cl.Certificate.for_window(q, 1.0, A, B, T).constant
+
+
+def _catalog_nonlinearity(name):
+    ell = _certified_lipschitz()
+    source = cl.source_gaussian(0.1, 1.0, 0.5)
+    if name == "linear_plus_source":
+        return cl.linear_plus_source(-ell, source)
+    if name == "saturating":
+        return cl.saturating(ell, source)
+    if name == "logistic_clip":
+        return cl.logistic_clip(ell, 1.5, source)
+    raise AssertionError(f"no case for the catalog entry {name!r}")
+
+
+def _assert_matches_slow_path(rep, prob):
+    frames, distances = _unitary_picard(prob, T, N_FRAMES)
+    assert rep.trace.iterations == distances.size
+    final = frames[-1]
+    assert np.linalg.norm(rep.u_half[-1] - final) <= 1e-12 * np.linalg.norm(final)
+    assert np.all(np.abs(rep.trace.distances - distances) <= 1e-12 * distances[0])
+
+
+@pytest.fixture(params=[None, 1, 5], ids=["default_blocks", "1_frame_blocks", "5_frame_blocks"])
+def block_frames(request, monkeypatch):
+    """Frames per block of the solver's loops: the default, or 1 or 5."""
+    if request.param is not None:
+        bytes_per_frame = 16 * (256 // 2 + 1)
+        monkeypatch.setattr(cubelap.grid, "BLOCK_BYTES", request.param * bytes_per_frame)
+    return request.param
+
+
+@pytest.mark.parametrize("name", sorted(NONLINEARITIES))
+def test_raw_unit_loop_matches_unitary_loop(name, block_frames):
+    prob = _problem(_catalog_nonlinearity(name))
+    q = cl.kernel_strength(prob.kernel)
+    cert = cl.Certificate.for_window(q, prob.nonlinearity.lipschitz_l, A, B, T)
+    assert cert.valid and abs(cert.constant - 0.5) <= 1e-12
+    rep = cl.picard_solve(prob, T, cert, n_frames=N_FRAMES)
+    assert rep.trace.iterations >= 3
+    _assert_matches_slow_path(rep, prob)
+
+
+def test_raw_unit_loop_matches_unitary_loop_under_override(block_frames):
+    prob = _problem(cl.saturating(0.3, cl.source_gaussian(0.1, 1.0, 0.5)))
+    bad = cl.Certificate.for_window(1.0, 1.0, A, B, T)
+    assert not bad.valid
+    with pytest.warns(UserWarning, match="OVERRIDE"):
+        rep = cl.picard_solve(prob, T, bad, n_frames=N_FRAMES, override_certificate=True)
+    _assert_matches_slow_path(rep, prob)

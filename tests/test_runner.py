@@ -141,17 +141,20 @@ def test_run_is_deterministic(tmp_path, monkeypatch):
 
 
 def test_refusal_exit_code(tmp_path):
-    out = tmp_path / "out"
-    cfg = _certified_config(out)
-    cfg["kernel"] = {"name": "gaussian", "amplitude": 1.0, "width": 1.0}
-    cfg["nonlinearity"] = {"name": "saturating", "lipschitz": 1.0}
-    config = cl.parse_config(_write(tmp_path, cfg))
-    artifacts = cl.run(config)
-    assert artifacts.exit_code == EXIT_CERTIFICATE_REFUSED
-    assert "no window length satisfies" in artifacts.summary["error"]
-    # the certificate trail exists even on refusal
-    text = (out / "certificate.txt").read_text()
-    assert "valid=false" in text
+    # at horizon 1e6 the refusal still comes first: with no certified window
+    # there is no window count for the report-memory bound to check
+    for horizon in (0.4, 1e6):
+        out = tmp_path / f"out_{horizon:g}"
+        cfg = _certified_config(out, horizon=horizon)
+        cfg["kernel"] = {"name": "gaussian", "amplitude": 1.0, "width": 1.0}
+        cfg["nonlinearity"] = {"name": "saturating", "lipschitz": 1.0}
+        config = cl.parse_config(_write(tmp_path, cfg))
+        artifacts = cl.run(config)
+        assert artifacts.exit_code == EXIT_CERTIFICATE_REFUSED
+        assert "no window length satisfies" in artifacts.summary["error"]
+        # the certificate trail exists even on refusal
+        text = (out / "certificate.txt").read_text()
+        assert "valid=false" in text
 
 
 def test_zero_kernel_exit_code(tmp_path):
@@ -482,6 +485,74 @@ def test_oracle_blowup_exits_3_through_main(tmp_path):
     assert summary["status"] == "solver_failure"
     assert summary["error"].startswith("window 0 failed: reference marcher unstable at step 174:")
     assert cert["valid"] == "false"
+
+
+def test_non_finite_forcing_exits_3_through_main(tmp_path):
+    # from the zero start, F(0) = h is a gaussian of peak 1e308: every sample
+    # is finite and the growth check passes (both norms overflow to inf), but
+    # the transform of F sums the samples past the largest float
+    cfg = _certified_config(tmp_path / "out")
+    cfg["nonlinearity"] = {
+        "name": "linear_plus_source", "kappa": 1.0,
+        "source": {"name": "gaussian", "amplitude": 1e308, "width": 1.0},
+    }
+    cfg["initial_condition"] = {"name": "zero"}
+    with np.errstate(over="ignore"):  # the Lipschitz sampler's F overflows too
+        code, cert, summary = _main_artifacts(tmp_path, cfg)
+    assert code == EXIT_SOLVER_FAILURE
+    assert summary["status"] == "solver_failure"
+    assert summary["error"] == "window 0 failed: forcing history contains non-finite values"
+    assert cert["valid"] == "false" and float(cert["l"]) == 1.0
+
+
+def test_growth_bound_exits_3_through_main(tmp_path, monkeypatch):
+    # F = 3.8 u declared with growth constant 3.8/40. No catalog entry
+    # understates its growth constant, so the built problem is edited
+    import dataclasses
+
+    import cubelap.runner as runner
+
+    build = runner.build_problem
+
+    def understated(config):
+        prob = build(config)
+        nl = dataclasses.replace(prob.nonlinearity, growth_k=3.8 / 40)
+        return dataclasses.replace(prob, nonlinearity=nl)
+
+    monkeypatch.setattr(runner, "build_problem", understated)
+    cfg = _certified_config(tmp_path / "out")
+    cfg["nonlinearity"] = {"name": "linear_plus_source", "kappa": 3.8}
+    code, cert, summary = _main_artifacts(tmp_path, cfg)
+    assert code == EXIT_SOLVER_FAILURE
+    assert summary["status"] == "solver_failure"
+    assert summary["error"].startswith("growth bound violated: ||F(u)|| = ")
+    assert summary["error"].endswith(" in frame 0")
+    assert cert["valid"] == "false" and float(cert["l"]) == 3.8
+
+
+def test_report_memory_beyond_the_budget_exits_4_through_main(tmp_path):
+    # horizon 1e6 at the certified window length is 968,800 windows, whose
+    # reports would take 132 GB: refused once q and l fix the schedule,
+    # before any window is solved
+    import time
+
+    from cubelap.runner import MEMORY_BUDGET_BYTES
+
+    cfg = _certified_config(tmp_path / "out")
+    cfg["horizon"] = 1e6
+    t0 = time.perf_counter()
+    code, cert, summary = _main_artifacts(tmp_path, cfg)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EXIT_ASSUMPTION_VIOLATION
+    assert summary["status"] == "assumption_violation"
+    count, n_half = 968_800, 129
+    assert summary["error"] == (
+        f"the schedule's {count} windows would keep {2 * count * 33 * n_half * 16} bytes "
+        "of reports, more than the 2 GiB memory budget"
+    )
+    assert 2 * count * 33 * n_half * 16 > MEMORY_BUDGET_BYTES
+    assert cert["valid"] == "false" and float(cert["l"]) == 3.8
+    assert not list((tmp_path / "main_out").glob("trace_w*.csv"))
 
 
 def test_tail_warning_reaches_summary(tmp_path):
