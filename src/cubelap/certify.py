@@ -12,14 +12,14 @@ works at all. Otherwise the supremal admissible window is the unique root of
 C(T) = 1, in closed form through the Lambert W function, and a global solve
 marches windows of a safety-scaled length; the constant does not depend on
 the initial state, so one certificate covers every window of the march.
+Lambert W is evaluated here by Newton steps in ``math`` (``lambert_w0``).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-from scipy.special import lambertw
 
 
 class NoAdmissibleWindow(ValueError):
@@ -45,14 +45,41 @@ def contraction_constant(q: float, l: float, T: float, a: float, b: float) -> fl
     return q * l * math.sqrt(T * T * math.exp(2.0 * a * T) * (1.0 + 2.0 * drift) + 2.0)
 
 
+#: Far above the five Newton steps that any positive float needs; the cap only
+#: ends the loop on a NaN input, whose steps never shrink.
+_LAMBERT_MAX_STEPS = 50
+
+
+def lambert_w0(x: float) -> float:
+    """Principal branch W0(x) for x > 0: the root w of w + ln w = ln x.
+
+    Newton steps on f(w) = w + ln(w/x), f' = 1 + 1/w, start at log1p(x) and
+    stop once a step is at most 4 eps relative. A step from w lands at
+    w (1 - ln(w/x)) / (1 + w), which is positive while w < e x: the start
+    log1p(x) <= x is, and since f is concave and increasing every later
+    iterate lies below the root W0(x) <= x and climbs to it. Writing ln(w/x)
+    rather than ln w - ln x keeps the residual accurate where W0(x) ~ x.
+    W0(0) = 0 and W0(inf) = inf.
+    """
+    if x == 0.0 or x == math.inf:
+        return x
+    w = math.log1p(x)
+    for _ in range(_LAMBERT_MAX_STEPS):
+        step = (w + math.log(w / x)) * w / (1.0 + w)
+        w -= step
+        if abs(step) <= 4.0 * sys.float_info.epsilon * w:
+            break
+    return w
+
+
 def max_window(q: float, l: float, a: float, b: float) -> float:
     """Supremal T with contraction_constant(q, l, T, a, b) < 1.
 
     C(T) = 1 is equivalent to T e^{aT} = sqrt(R) with
     R = (1/(ql)^2 - 2) / (1 + 2(a + |b| + 1)^2), so the root is
-    W0(a sqrt(R)) / a (principal branch of the Lambert W function), or
-    sqrt(R) when a = 0. Requires q*l*sqrt(2) < 1, the T -> 0 limit, else
-    NoAdmissibleWindow.
+    W0(a sqrt(R)) / a (principal branch of the Lambert W function,
+    ``lambert_w0``), or sqrt(R) when a = 0. Requires q*l*sqrt(2) < 1, the
+    T -> 0 limit, else NoAdmissibleWindow.
     """
     if q <= 0 or l <= 0:
         raise ValueError(f"q, l must be positive (got q={q}, l={l})")
@@ -61,7 +88,7 @@ def max_window(q: float, l: float, a: float, b: float) -> float:
     root = math.sqrt((1.0 / (q * l) ** 2 - 2.0) / (1.0 + 2.0 * (a + abs(b) + 1.0) ** 2))
     if a == 0:
         return root
-    return float(lambertw(a * root).real) / a
+    return lambert_w0(a * root) / a
 
 
 @dataclass(frozen=True)

@@ -359,6 +359,13 @@ class SolveReport:
     spectra ``u_half`` and ``dudt_half`` on ``time_grid``; ``field`` and
     ``dudt`` expand them to full-spectrum ``SpacetimeField``s on every access
     (uncached, so a caller holding many reports holds no full spectra).
+
+    In every window after the first, ``dudt_l2_per_frame[0]`` (the first
+    data row of ``norms_w<k>.csv``) is rounding noise times p^6, not a
+    measurement: the window starts from the previous end state through an
+    irfft/rfft round trip, whose ~1e-17 relative noise in the top modes is
+    multiplied by lam ~ -p^6 (about -1e15 at N = 8192, L = 40). The Picard
+    distances do not see it, since lam * u0 cancels in their differences.
     """
 
     grid: SpectralGrid

@@ -8,7 +8,8 @@ global solve, and writes everything needed to audit the run:
 
     certificate.txt    flat key=value, enough to recompute C by hand
     config_echo.json   the configuration with every default materialized
-    summary.txt        status, warnings, overlap measure, final norms
+    summary.txt        status, warnings, overlap measure, final norms,
+                       certificate slack and Picard error bound
     trace_w<k>.csv     per-window Picard trace, header n,d_n,r_n,C
     norms_w<k>.csv     per-window frame norms, header t,l2,d6u_l2,dudt_l2
     final_field.sxd    binary dump of the last window's spectral frames
@@ -494,6 +495,8 @@ def run(config: RunConfig) -> RunArtifacts:
 
         tail_warnings = [w for rep in reports for w in rep.tail_warnings]
         runtime_warnings = [str(w.message) for w in caught]
+        max_ratio = _max_ratio(reports)
+        slack, error_bound = _picard_budget(reports, max_ratio, cert.constant)
         summary.update(
             {
                 "windows": len(reports),
@@ -505,7 +508,9 @@ def run(config: RunConfig) -> RunArtifacts:
                 "overlap": reports[-1].overlap,
                 "final_l2": float(reports[-1].l2_per_frame[-1]),
                 "final_h6_part": float(reports[-1].d6_l2_per_frame[-1]),
-                "max_picard_ratio": _max_ratio(reports),
+                "max_picard_ratio": max_ratio,
+                "certificate_slack": slack,
+                "picard_error_bound": error_bound,
                 "oracle_rel_deviation": _max_oracle_dev(reports),
                 "tail_warnings": "; ".join(tail_warnings) if tail_warnings else "none",
                 "runtime_warnings": "; ".join(runtime_warnings) if runtime_warnings else "none",
@@ -519,6 +524,19 @@ def run(config: RunConfig) -> RunArtifacts:
 def _max_ratio(reports: list[SolveReport]):
     vals = [r for rep in reports for r in rep.trace.reported_ratios()]
     return float(max(vals)) if vals else None
+
+
+def _picard_budget(reports: list[SolveReport], max_ratio: float | None, c: float):
+    """(max_picard_ratio / C, the largest Banach bound C/(1-C) * d_last).
+
+    d_last is a window's last Picard distance, so the bound caps the
+    contraction-norm distance from the returned iterate to the window's fixed
+    point. Both are "none" when no ratio is reported or C >= 1.
+    """
+    if max_ratio is None or c >= 1.0:
+        return "none", "none"
+    d_last = max(float(rep.trace.distances[-1]) for rep in reports)
+    return max_ratio / c, c / (1.0 - c) * d_last
 
 
 def _max_oracle_dev(reports: list[SolveReport]):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -651,3 +655,104 @@ def test_missing_csv_exits_4_with_artifacts(tmp_path):
     assert code == EXIT_ASSUMPTION_VIOLATION
     assert summary["status"] == "assumption_violation"
     assert cert["valid"] == "false"
+
+
+# --------------------------------------------------------------------------
+# summary diagnostics of the contraction
+# --------------------------------------------------------------------------
+
+
+def _trace_columns(out, windows):
+    """(last distance, reported ratios, C) of each window's trace CSV."""
+    cols = []
+    for k in range(windows):
+        rows = [line.split(",") for line in (out / f"trace_w{k}.csv").read_text().splitlines()[1:]]
+        cols.append((float(rows[-1][1]), [float(r[2]) for r in rows if r[2]], float(rows[0][3])))
+    return cols
+
+
+def test_summary_reports_certificate_slack_and_picard_error_bound(tmp_path):
+    cfg = _certified_config(tmp_path / "out")
+    cfg["horizon"] = 0.9
+    cfg["solver"] = {"frames": 32, "max_window_length": 0.3}  # three windows
+    code, _, summary = _main_artifacts(tmp_path, cfg)
+    assert code == EXIT_OK
+    out = tmp_path / "main_out"
+    cols = _trace_columns(out, int(summary["windows"]))
+    assert len(cols) == 3
+    c = float(summary["C"])
+    max_ratio = max(r for _, ratios, _ in cols for r in ratios)
+    assert float(summary["max_picard_ratio"]) == max_ratio
+    slack = float(summary["certificate_slack"])
+    assert slack == max_ratio / c
+    assert 0.0 < slack <= 1.05
+    bound = float(summary["picard_error_bound"])
+    assert bound == c / (1.0 - c) * max(d_last for d_last, _, _ in cols)
+    assert bound > 0.0
+
+
+@pytest.mark.filterwarnings("ignore:F\\(0, .\\) is identically zero")
+def test_summary_diagnostics_read_none_without_a_ratio(tmp_path):
+    # F == 0: the first iterate is the fixed point, so no ratio is measured
+    cfg = _certified_config(tmp_path / "out")
+    cfg["nonlinearity"] = {"name": "linear_plus_source", "kappa": 0.0}
+    code, _, summary = _main_artifacts(tmp_path, cfg)
+    assert code == EXIT_OK
+    assert summary["max_picard_ratio"] == ""
+    assert summary["certificate_slack"] == "none"
+    assert summary["picard_error_bound"] == "none"
+
+
+def test_summary_diagnostics_read_none_when_c_is_not_below_one(tmp_path):
+    cfg = _certified_config(tmp_path / "out")
+    cfg["nonlinearity"]["lipschitz"] = 12.0  # q*l*sqrt(2) > 1: no certified window
+    cfg["solver"] = {"frames": 32, "max_window_length": 0.2}
+    cfg["flags"] = {"override_certificate": True}
+    code, cert, summary = _main_artifacts(tmp_path, cfg)
+    assert code == EXIT_OK
+    assert float(cert["C"]) >= 1.0
+    assert float(summary["max_picard_ratio"]) > 0.0
+    assert summary["certificate_slack"] == "none"
+    assert summary["picard_error_bound"] == "none"
+
+
+# --------------------------------------------------------------------------
+# import footprint
+# --------------------------------------------------------------------------
+
+_SCIPY_PROBE = """
+import json, sys
+import cubelap
+from cubelap.runner import main
+codes = [main(["--config", path, "--oracle"]) for path in sys.argv[1:]]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_no_scipy_module_is_loaded_by_import_or_run(tmp_path):
+    """``import cubelap`` and full runs through ``main`` (a sech and a
+    gaussian kernel, a > 0 so the Lambert W branch of the certificate runs,
+    the oracle on) leave no scipy module in ``sys.modules``."""
+    paths = []
+    for kernel in ("sech", "gaussian"):
+        cfg = _certified_config(tmp_path / f"out_{kernel}")
+        cfg["kernel"]["name"] = kernel
+        cfg["model"]["a"] = 0.2
+        paths.append(str(_write(tmp_path, cfg, f"{kernel}.json")))
+    src = str(Path(cl.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, *paths],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["codes"] == [EXIT_OK, EXIT_OK]
+    assert result["scipy"] == []
+    for kernel in ("sech", "gaussian"):
+        summary = (tmp_path / f"out_{kernel}" / "summary.txt").read_text()
+        assert "oracle_rel_deviation=\n" not in summary
+        cert = (tmp_path / f"out_{kernel}" / "certificate.txt").read_text()
+        assert "a=0.2\n" in cert
