@@ -27,15 +27,16 @@ determined by its modes 0..N/2. Inside the solvers a trajectory is the plain
 (M+1, N/2+1) complex array of those modes: the forcing history is one
 batched real transform pair around one ``apply_nonlinearity`` call on the
 real (M+1, N) samples, and norms weight each stored mode by its
-multiplicity in the full spectrum. The Picard loop keeps raw ``rfft``
-units (``grid.rfft_raw``), in which the transform pair needs no factor;
-``duhamel_map`` and ``time_derivative`` take and return such arrays only,
-with the window's half-spectrum weights computed once (``_window``), and
-the ``SolveReport`` keeps the last iterate converted to unitary
-coefficients. The Heun oracle works in unitary coefficients
-(``forward_real`` / ``inverse_real``). ``Field`` and ``SpacetimeField``
-(full spectrum, as in the ``SXD1`` dump) appear only at the API edge: the
-report's ``field`` and ``dudt`` expand the half spectrum on every access.
+multiplicity in the full spectrum. Every solver array is in raw ``rfft``
+units (``grid.rfft_raw`` / ``grid.irfft_raw``), in which the transform pair
+needs no factor: the Picard loop, whose ``duhamel_map`` and
+``time_derivative`` take and return such arrays only, with the window's
+half-spectrum weights computed once (``_window``); the ``SolveReport``,
+which keeps the last iterate; the start state of the next window; and the
+Heun oracle. Unitary coefficients, ``Field`` and ``SpacetimeField`` (full
+spectrum, as in the ``SXD1`` dump) appear only at the API edge: the
+report's ``u_half``, ``dudt_half``, ``field`` and ``dudt`` convert (and
+expand) on every access.
 
 The march first runs the certified Picard chain, window after window, since
 each window starts from the previous one's end state. The oracle of window k
@@ -63,10 +64,8 @@ from .grid import (
     SpectralGrid,
     TAIL_TOL,
     block_rows,
-    forward_real,
     half_sq_norms,
     hermitian_expand,
-    inverse_real,
     irfft_raw,
     l2_norm,
     raw_contraction_norm,
@@ -355,23 +354,27 @@ class PicardTrace:
 class SolveReport:
     """Everything a window solve produced, plus diagnostics.
 
-    The solution and its time derivative are kept as the (M+1, N/2+1) half
-    spectra ``u_half`` and ``dudt_half`` on ``time_grid``; ``field`` and
-    ``dudt`` expand them to full-spectrum ``SpacetimeField``s on every access
-    (uncached, so a caller holding many reports holds no full spectra).
+    The solution and its time derivative are kept as the read-only
+    (M+1, N/2+1) half spectra ``u_raw`` and ``dudt_raw`` on ``time_grid``, in
+    ``rfft_raw`` units. ``u_half`` and ``dudt_half`` convert them to unitary
+    coefficients, and ``field`` and ``dudt`` expand those to full-spectrum
+    ``SpacetimeField``s, on every access (uncached, so a caller holding many
+    reports holds neither unitary nor full spectra).
 
-    In every window after the first, ``dudt_l2_per_frame[0]`` (the first
-    data row of ``norms_w<k>.csv``) is rounding noise times p^6, not a
-    measurement: the window starts from the previous end state through an
-    irfft/rfft round trip, whose ~1e-17 relative noise in the top modes is
-    multiplied by lam ~ -p^6 (about -1e15 at N = 8192, L = 40). The Picard
-    distances do not see it, since lam * u0 cancels in their differences.
+    In every window after the first, ``d6_l2_per_frame[0]`` and
+    ``dudt_l2_per_frame[0]`` (the first data row of ``norms_w<k>.csv``) are
+    rounding noise times p^6, not measurements: the window starts from the
+    previous end state through an irfft/rfft round trip, whose ~1e-17
+    relative noise in the top modes is multiplied by p^6 (about 1e15 at
+    N = 8192, L = 40). At ``march_wide`` seed 0, window 2 reads 0.323 there
+    against the previous end's 0.274. The Picard distances do not see it,
+    since lam * u0 and p^6 * u0 cancel in their differences.
     """
 
     grid: SpectralGrid
     time_grid: np.ndarray
-    u_half: np.ndarray
-    dudt_half: np.ndarray
+    u_raw: np.ndarray
+    dudt_raw: np.ndarray
     trace: PicardTrace
     certificate: Certificate
     t_offset: float
@@ -381,6 +384,14 @@ class SolveReport:
     tail_warnings: tuple[str, ...]
     oracle_rel_deviation: float | None = None
     overlap: float | None = None
+
+    @property
+    def u_half(self) -> np.ndarray:
+        return raw_to_unitary(self.grid, self.u_raw)
+
+    @property
+    def dudt_half(self) -> np.ndarray:
+        return raw_to_unitary(self.grid, self.dudt_raw)
 
     @property
     def field(self) -> SpacetimeField:
@@ -394,18 +405,14 @@ class SolveReport:
 
     @property
     def final_state(self) -> Field:
-        return Field(self.grid, hermitian_expand(self.grid, self.u_half[-1]), "spectral")
-
-
-def _frame_norms(grid: SpectralGrid, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame ||u|| and ||d^6 u/dx^6|| of unitary half-spectrum frames."""
-    return np.sqrt(half_sq_norms(grid, frames)), np.sqrt(half_sq_norms(grid, frames, "d6"))
+        end = raw_to_unitary(self.grid, self.u_raw[-1])
+        return Field(self.grid, hermitian_expand(self.grid, end), "spectral")
 
 
 def _tail_check(grid: SpectralGrid, frames: np.ndarray, t_offset: float) -> tuple[str, ...]:
     warnings_out = []
     fractions = [
-        tail_mass_fraction(Field(grid, inverse_real(grid, frames[j]))) for j in (0, -1)
+        tail_mass_fraction(Field(grid, irfft_raw(grid, frames[j]))) for j in (0, -1)
     ]
     worst = max(fractions)
     if worst > TAIL_TOL:
@@ -442,7 +449,7 @@ def picard_solve(
     of trajectory buffers take turns: an iterate is written into the buffers
     of the one before its predecessor, and its distance to the predecessor
     is summed frame by frame, so no difference is stored. The report keeps
-    the last iterate's arrays, converted in place to unitary coefficients.
+    the last iterate's arrays as they are.
     """
     if window_length <= 0:
         raise ValueError(f"window length must be positive, got {window_length}")
@@ -514,23 +521,19 @@ def picard_solve(
                 trace,
             )
 
-    raw_to_unitary(grid, u_new, out=u_new)
-    raw_to_unitary(grid, dudt_new, out=dudt_new)
-    l2, d6 = _frame_norms(grid, u_new)
-    dudt_l2 = np.sqrt(half_sq_norms(grid, dudt_new))
     for arr in (tg, u_new, dudt_new):
         arr.flags.writeable = False
     return SolveReport(
         grid=grid,
         time_grid=tg,
-        u_half=u_new,
-        dudt_half=dudt_new,
+        u_raw=u_new,
+        dudt_raw=dudt_new,
         trace=trace,
         certificate=cert,
         t_offset=t_offset,
-        l2_per_frame=l2,
-        d6_l2_per_frame=d6,
-        dudt_l2_per_frame=dudt_l2,
+        l2_per_frame=np.sqrt(half_sq_norms(grid, u_new, "l2")),
+        d6_l2_per_frame=np.sqrt(half_sq_norms(grid, u_new, "d6")),
+        dudt_l2_per_frame=np.sqrt(half_sq_norms(grid, dudt_new, "l2")),
         tail_warnings=_tail_check(grid, u_new, t_offset),
     )
 
@@ -560,7 +563,8 @@ def etd_reference_solve(
     Without ``starts`` the block is the single state ``prob.u0`` and the
     result is its ``SpacetimeField`` of n_frames + 1 frames. ``starts`` is a
     (K, N) array of real initial states, row r the start of window r of a
-    march; the result is then only the (K, N/2+1) array of end states, and a
+    march; the result is then only the (K, N/2+1) array of end states in
+    ``rfft_raw`` units (``grid.raw_to_unitary`` converts them), and a
     failure is raised as ``global_march`` raises window r's: the lowest
     failing row wins, whatever substep it fails at, and the rows below it are
     still checked to the end. A failure reads as it does for one state: on a
@@ -582,7 +586,7 @@ def etd_reference_solve(
     if batch:
         return ends
     tg = np.linspace(0.0, window_length, n_frames + 1)
-    return SpacetimeField(grid, tg, hermitian_expand(grid, frames))
+    return SpacetimeField(grid, tg, hermitian_expand(grid, raw_to_unitary(grid, frames)))
 
 
 def _heun_march(
@@ -593,7 +597,8 @@ def _heun_march(
     u0: np.ndarray,
     batch: bool,
 ):
-    """The marcher of ``etd_reference_solve`` on the (K, N) real states u0.
+    """The marcher of ``etd_reference_solve`` on the (K, N) real states u0,
+    in ``rfft_raw`` units.
 
     Returns the frames of row 0 (None if ``batch``), the end states and the
     (row, error) of the lowest failing row, or None; the states mean nothing
@@ -617,8 +622,8 @@ def _heun_march(
     e_h = sym.propagator(h)[half]
 
     def reaction(u_hat: np.ndarray) -> np.ndarray:
-        phys = inverse_real(grid, u_hat)
-        return g * forward_real(grid, apply_nonlinearity(phys, prob.nonlinearity, grid))
+        phys = irfft_raw(grid, u_hat)
+        return g * rfft_raw(apply_nonlinearity(phys, prob.nonlinearity, grid))
 
     def heun_step(u_hat: np.ndarray) -> np.ndarray:
         nn = reaction(u_hat)
@@ -626,9 +631,9 @@ def _heun_march(
         return e_h * u_hat + 0.5 * h * (e_h * nn + reaction(pred))
 
     def l2(u_hat: np.ndarray) -> np.ndarray:
-        return np.sqrt(half_sq_norms(grid, u_hat))
+        return np.sqrt(half_sq_norms(grid, u_hat, "l2"))
 
-    u_hat = forward_real(grid, u0)
+    u_hat = rfft_raw(u0)
     stride = substeps // n_frames
     frames = None
     if not batch:
@@ -772,7 +777,7 @@ def global_march(
             )
             reports.append(rep)
             starts.append(current.u0.values.real)
-            end_state = inverse_real(prob.grid, rep.u_half[-1])
+            end_state = irfft_raw(prob.grid, rep.u_raw[-1])
             current = dc_replace(current, u0=Field(prob.grid, end_state))
         except Exception as exc:
             failed = (k, exc)
@@ -780,9 +785,9 @@ def global_march(
     if run_oracle and reports:
         # raises the failure of the first failing window, which comes before
         # the Picard failure in march order
-        ends = etd_reference_solve(
+        ends = raw_to_unitary(prob.grid, etd_reference_solve(
             prob, t_win, oracle_substeps_factor * n_frames, n_frames, starts=np.stack(starts)
-        )
+        ))
         for rep, end in zip(reports, ends):
             diff = hermitian_expand(prob.grid, rep.u_half[-1] - end)
             num = l2_norm(Field(prob.grid, diff, "spectral"))

@@ -11,12 +11,12 @@ as L and N grow. That convention is fixed here once; every downstream
 constant (Sobolev norms, the sqrt(2*pi) convolution factor, the contraction
 certificate) depends on it, so no other module touches raw FFTs.
 
-The Picard loop of the solver holds its trajectory in raw ``np.fft.rfft``
-units instead (``rfft_raw`` / ``irfft_raw``), where a transform pair needs
-no factor at all. The convention then enters in three places, all of them
-here: the initial state (``rfft_raw``), the norm weights (``half_sq_norms``
-and ``raw_contraction_norm``, times (dx/sqrt(2*pi))^2) and the way back to
-unitary coefficients at the report (``raw_to_unitary``).
+The solvers hold every trajectory in raw ``np.fft.rfft`` units instead
+(``rfft_raw`` / ``irfft_raw``), where a transform pair needs no factor at
+all. The convention then enters in two places, both of them here: the norm
+weights of half spectra (``half_sq_norms`` and ``raw_contraction_norm``,
+times (dx/sqrt(2*pi))^2), and the way to unitary coefficients at the API
+edge (``raw_to_unitary``).
 
 Truncation to a periodic box is policed rather than assumed: fields are
 expected to keep essentially all of their mass away from the box edges, and
@@ -96,19 +96,19 @@ class SpectralGrid:
         half_weights[[0, -1]] = 1.0
         half_weights.flags.writeable = False
         object.__setattr__(self, "_half_weights", half_weights)
-        # rfft_raw output times this is forward_real's: the unitary scaling
-        # and the box-origin phase of modes 0..N/2
+        # rfft_raw output times this is forward_transform's modes 0..N/2: the
+        # unitary scaling and the box-origin phase
         raw_scale = self.dx / np.sqrt(2.0 * np.pi) * self._phase[: N // 2 + 1]
         raw_scale.flags.writeable = False
         object.__setattr__(self, "_raw_scale", raw_scale)
-        # norm weights of the float64 view of half-spectrum frames, where the
-        # real and imaginary parts of mode k sit in entries 2k and 2k+1: the
-        # multiplicity times dp, times p^12 for the sixth derivative, and
-        # times raw_scale^2 = (dx/sqrt(2*pi))^2 for rfft_raw units
+        # norm weights of the float64 view of rfft_raw half-spectrum frames,
+        # where the real and imaginary parts of mode k sit in entries 2k and
+        # 2k+1: raw_scale^2 = (dx/sqrt(2*pi))^2 times the unitary weights,
+        # the multiplicity times dp, times p^12 for the sixth derivative
         l2 = np.repeat(half_weights * self.dp, 2)
         d6 = l2 * np.repeat(p12[: N // 2 + 1], 2)
         raw = (self.dx / np.sqrt(2.0 * np.pi)) ** 2
-        views = {"l2": l2, "d6": d6, "raw_h6": raw * (l2 + d6), "raw_l2": raw * l2}
+        views = {"l2": raw * l2, "d6": raw * d6, "h6": raw * (l2 + d6)}
         for w in views.values():
             w.flags.writeable = False
         object.__setattr__(self, "_view_weights", views)
@@ -183,16 +183,6 @@ def inverse_transform(f: Field) -> Field:
     return Field(f.grid, coeff * np.fft.ifft(f.grid._phase * f.values), PHYSICAL)
 
 
-def forward_real(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
-    """Real physical samples -> their spectral coefficients of modes 0..N/2.
-
-    ``forward_transform``'s scaling and phase, from one ``rfft`` along the
-    last axis, so a (frames, N) array goes through one call. The modes
-    N/2+1..N-1 of a real field follow by ``hermitian_expand``.
-    """
-    return raw_to_unitary(grid, rfft_raw(values))
-
-
 def rfft_raw(values: np.ndarray) -> np.ndarray:
     """Real samples -> modes 0..N/2 in raw ``np.fft.rfft`` units, along the last axis.
 
@@ -200,8 +190,7 @@ def rfft_raw(values: np.ndarray) -> np.ndarray:
     (dx/sqrt(2*pi)) * (dp*N/sqrt(2*pi)) = 1 and the phase squares to 1, so
     ``irfft_raw`` returns the samples with no factor, and a diagonal map of
     the modes reads the same in either unit. ``raw_to_unitary`` converts to
-    ``forward_real``'s coefficients; norms of raw spectra take the
-    ``raw_*`` weights of ``half_sq_norms``.
+    ``forward_transform``'s coefficients; ``half_sq_norms`` takes norms.
     """
     return np.fft.rfft(values, axis=-1)
 
@@ -211,25 +200,10 @@ def irfft_raw(grid: SpectralGrid, raw: np.ndarray) -> np.ndarray:
     return np.fft.irfft(raw, n=grid.n_points, axis=-1)
 
 
-def raw_to_unitary(grid: SpectralGrid, raw: np.ndarray, out: np.ndarray | None = None):
-    """Half spectra in ``rfft_raw`` units -> ``forward_real``'s unitary coefficients.
-
-    ``out`` may be ``raw`` itself, to convert in place.
-    """
-    return np.multiply(grid._raw_scale, raw, out=out)
-
-
-def inverse_real(grid: SpectralGrid, half: np.ndarray) -> np.ndarray:
-    """Modes 0..N/2 -> the real physical samples along the last axis.
-
-    The samples of the real field whose spectrum is
-    ``hermitian_expand(grid, half)``; the imaginary parts of the DC and
-    Nyquist coefficients are ignored.
-    """
-    coeff = grid.dp * grid.n_points / np.sqrt(2.0 * np.pi)
-    return coeff * np.fft.irfft(
-        grid._phase[: grid.n_half] * half, n=grid.n_points, axis=-1
-    )
+def raw_to_unitary(grid: SpectralGrid, raw: np.ndarray) -> np.ndarray:
+    """Half spectra in ``rfft_raw`` units -> ``forward_transform``'s unitary
+    coefficients of modes 0..N/2; ``hermitian_expand`` gives the rest."""
+    return np.multiply(grid._raw_scale, raw)
 
 
 def hermitian_expand(grid: SpectralGrid, half: np.ndarray) -> np.ndarray:
@@ -388,17 +362,17 @@ def trapezoid_weights(time_grid: np.ndarray) -> np.ndarray:
 
 
 def half_sq_norms(
-    grid: SpectralGrid, half: np.ndarray, kind: str = "l2", out: np.ndarray | None = None
+    grid: SpectralGrid, half: np.ndarray, kind: str, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Squared norms of half-spectrum frames, one per row of ``half`` (..., N/2+1).
+    """Squared norms of half-spectrum frames in ``rfft_raw`` units, one per
+    row of ``half`` (..., N/2+1).
 
     Each stored mode counts with its multiplicity in the full spectrum of a
-    real field. ``kind`` picks the norm and the units:
+    real field. ``kind`` picks the norm:
 
-        "l2"      ||u||^2                      unitary coefficients
-        "d6"      ||d^6 u/dx^6||^2             unitary coefficients
-        "raw_l2"  ||u||^2                      ``rfft_raw`` units
-        "raw_h6"  ||u||^2 + ||d^6 u/dx^6||^2   ``rfft_raw`` units
+        "l2"  ||u||^2
+        "d6"  ||d^6 u/dx^6||^2
+        "h6"  ||u||^2 + ||d^6 u/dx^6||^2
 
     Computed as (v**2) @ w on the float64 view v of ``half`` (contiguous
     complex128), with no complex modulus. The squares are written to ``out``
@@ -439,7 +413,7 @@ def raw_contraction_norm(
     n_rows, step = u.shape[0], block_rows(u)
     scratch = np.empty((step,) + u.shape[1:], dtype=np.complex128)
     per_frame = np.zeros(n_rows)
-    for x, ref, kind in ((u, refs[0], "raw_h6"), (du_dt, refs[1], "raw_l2")):
+    for x, ref, kind in ((u, refs[0], "h6"), (du_dt, refs[1], "l2")):
         for s in range(0, n_rows, step):
             e = min(s + step, n_rows)
             buf = scratch[: e - s]

@@ -355,7 +355,7 @@ def build_problem(config: RunConfig) -> ProblemSpec:
 
 def _fmt(value) -> str:
     if value is None:
-        return ""
+        return "none"
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -444,7 +444,7 @@ def run(config: RunConfig) -> RunArtifacts:
             config.horizon, q, ell, prob.a, prob.b, config.solver["safety"],
             config.solver["max_window_length"], override,
         )
-        # each window's report keeps u_half and dudt_half, (frames + 1) x (N/2 + 1)
+        # each window's report keeps u_raw and dudt_raw, (frames + 1) x (N/2 + 1)
         report_bytes = 2 * schedule.count * (config.solver["frames"] + 1) * prob.grid.n_half * 16
         if report_bytes > MEMORY_BUDGET_BYTES:
             _write_partial_certificate(out, q, ell, config, watermark)
@@ -531,10 +531,10 @@ def _picard_budget(reports: list[SolveReport], max_ratio: float | None, c: float
 
     d_last is a window's last Picard distance, so the bound caps the
     contraction-norm distance from the returned iterate to the window's fixed
-    point. Both are "none" when no ratio is reported or C >= 1.
+    point. Both are None when no ratio is reported or C >= 1.
     """
     if max_ratio is None or c >= 1.0:
-        return "none", "none"
+        return None, None
     d_last = max(float(rep.trace.distances[-1]) for rep in reports)
     return max_ratio / c, c / (1.0 - c) * d_last
 

@@ -16,7 +16,7 @@ import cubelap as cl
 from cubelap.certify import lambert_w0
 from cubelap.model import GAUSSIAN_D6_L1, SECH_D6_L1
 
-from test_model import _gaussian_d6_l1_exact
+from test_model import _d6g, _gaussian_d6_l1_exact
 
 
 def _d6_sign_changes(name):
@@ -35,7 +35,7 @@ def _piecewise_quad_l1(kernel, half_width):
     that every piece has a smooth integrand."""
     cuts = [-half_width, *_d6_sign_changes(kernel.name), half_width]
     return sum(
-        abs(quad(kernel.d6g, lo, hi, epsabs=1e-15, epsrel=1e-13, limit=200)[0])
+        abs(quad(_d6g(kernel), lo, hi, epsabs=1e-15, epsrel=1e-13, limit=200)[0])
         for lo, hi in zip(cuts[:-1], cuts[1:])
     )
 
@@ -57,9 +57,9 @@ def test_gaussian_constant_is_conservative_and_close_to_exact():
 
 def _historical_quad_l1(kernel):
     """The adaptive quadrature earlier releases ran at every kernel build."""
-    w = kernel.params["width"]
+    w, d6g = kernel.params["width"], _d6g(kernel)
     val, _ = quad(
-        lambda t: abs(kernel.d6g(t)), -10.0 * w, 10.0 * w,
+        lambda t: abs(d6g(t)), -10.0 * w, 10.0 * w,
         limit=800, epsabs=1e-13, epsrel=1e-12,
     )
     return val

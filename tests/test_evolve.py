@@ -456,9 +456,9 @@ def _next_start(prob, rep):
     """The next window's problem, built from rep as ``global_march`` builds it."""
     import dataclasses
 
-    from cubelap.grid import inverse_real
+    from cubelap.grid import irfft_raw
 
-    end = inverse_real(prob.grid, rep.u_half[-1])
+    end = irfft_raw(prob.grid, rep.u_raw[-1])
     return dataclasses.replace(prob, u0=cl.Field(prob.grid, end))
 
 
@@ -510,6 +510,7 @@ def _staged_picard(monkeypatch, fail_at):
     """Stand in for picard_solve: solve, then end window k on the start of
     window k + 1 from _STARTS; fail at window fail_at."""
     import cubelap.evolve as ev
+    from cubelap.grid import rfft_raw
 
     real = ev.picard_solve
 
@@ -518,10 +519,9 @@ def _staged_picard(monkeypatch, fail_at):
         if k == fail_at:
             raise cl.PicardConvergenceError(f"stand-in failure at window {k}", None)
         rep = real(prob, T, cert, **kwargs)
-        frames = rep.u_half.copy()
-        nxt = _STARTS[(k + 1) % len(_STARTS)](prob.grid.x)
-        frames[-1] = cl.forward_transform(cl.Field(prob.grid, nxt)).values[: prob.grid.n_half]
-        rep.u_half = frames
+        frames = rep.u_raw.copy()
+        frames[-1] = rfft_raw(_STARTS[(k + 1) % len(_STARTS)](prob.grid.x))
+        rep.u_raw = frames
         return rep
 
     monkeypatch.setattr(ev, "picard_solve", staged)

@@ -299,3 +299,44 @@ def test_tail_mass_fraction():
     assert cl.tail_mass_fraction(shifted) > 0.1
     zero = cl.Field(g, np.zeros(256), "physical")
     assert cl.tail_mass_fraction(zero) == 0.0
+
+
+# --------------------------------------------------------------------------
+# the transform convention has one home
+# --------------------------------------------------------------------------
+
+_CONVENTION_NAMES = {"fft", "_phase", "_raw_scale"}
+
+
+def _convention_uses(path):
+    """(line, name) of every use of the FFT module or of the grid's unit
+    factors in one source file: attributes, bare names and imports."""
+    import ast
+
+    uses = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.ImportFrom):
+            names = (node.module or "").split(".") + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [part for a in node.names for part in a.name.split(".")]
+        else:
+            continue
+        uses += [(node.lineno, n) for n in names if n in _CONVENTION_NAMES]
+    return uses
+
+
+def test_transform_convention_lives_in_grid_only():
+    from pathlib import Path
+
+    src = Path(cl.__file__).parent
+    assert _convention_uses(src / "grid.py")  # the scan sees grid's own uses
+    stray = {
+        path.name: uses
+        for path in sorted(src.glob("*.py"))
+        if path.name != "grid.py" and (uses := _convention_uses(path))
+    }
+    assert stray == {}

@@ -35,6 +35,22 @@ def _gaussian_d6_l1_exact():
     return float(sum(abs(vals[i + 1] - vals[i]) for i in range(len(vals) - 1)))
 
 
+def _d6g(kernel):
+    """The closed-form sixth derivative of a catalog gaussian or sech kernel."""
+    a, w = kernel.params["amplitude"], kernel.params["width"]
+
+    def gaussian(x):
+        xi = np.asarray(x) / w
+        h6 = 64 * xi**6 - 480 * xi**4 + 720 * xi**2 - 120  # physicists' Hermite
+        return (a / w**6) * h6 * np.exp(-(xi**2))
+
+    def sech(x):
+        s = 1.0 / np.cosh(np.asarray(x) / w)
+        return (a / w**6) * s * (1 - 182 * s**2 + 840 * s**4 - 720 * s**6)
+
+    return {"gaussian": gaussian, "sech": sech}[kernel.name]
+
+
 def test_gaussian_kernel_strength_vs_root_splitting_oracle():
     k = cl.gaussian_kernel(1.0, 1.0)
     q_exact = np.hypot(np.sqrt(np.pi), _gaussian_d6_l1_exact())
@@ -63,13 +79,14 @@ def test_sech_kernel_l1_and_sixth_derivative():
     k = cl.sech_kernel(a, w)
     assert np.isclose(k.l1, a * w * np.pi, rtol=1e-12)
     # Euler number: d^6 sech(0) = -61
-    assert np.isclose(k.d6g(0.0), -61.0 * a / w**6, rtol=1e-12)
+    d6g = _d6g(k)
+    assert np.isclose(d6g(0.0), -61.0 * a / w**6, rtol=1e-12)
     # cross-check the analytic rule against the spectral derivative
     g = cl.make_grid(40.0, 1024)
     d6_spec = cl.to_physical(
         cl.spectral_derivative(cl.field_from_function(g, k.g), 6)
     ).values.real
-    assert np.max(np.abs(d6_spec - k.d6g(g.x))) <= 1e-8 * np.max(np.abs(d6_spec))
+    assert np.max(np.abs(d6_spec - d6g(g.x))) <= 1e-8 * np.max(np.abs(d6_spec))
 
 
 def test_gaussian_d6_rule_matches_spectral_derivative():
@@ -78,7 +95,7 @@ def test_gaussian_d6_rule_matches_spectral_derivative():
     d6_spec = cl.to_physical(
         cl.spectral_derivative(cl.field_from_function(g, k.g), 6)
     ).values.real
-    assert np.max(np.abs(d6_spec - k.d6g(g.x))) <= 1e-7 * np.max(np.abs(d6_spec))
+    assert np.max(np.abs(d6_spec - _d6g(k)(g.x))) <= 1e-7 * np.max(np.abs(d6_spec))
 
 
 def test_bandlimited_kernel_support_is_exact():
@@ -107,10 +124,9 @@ def _points(grid):
 def test_bandlimited_kernel_matches_dense_trig_sum():
     g = cl.make_grid(20.0, 256)
     k = cl.bandlimited_kernel(g, amplitude=1.0, cutoff=2.0)
-    for fn, coeffs in ((k.g, k.grid_spectrum), (k.d6g, (1j * g.wavenumbers) ** 6 * k.grid_spectrum)):
-        for x in _points(g):
-            dense = _dense_trig_sum(g, coeffs, x)
-            assert np.max(np.abs(fn(x) - dense)) <= 1e-13 * np.max(np.abs(dense))
+    for x in _points(g):
+        dense = _dense_trig_sum(g, k.grid_spectrum, x)
+        assert np.max(np.abs(k.g(x) - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
 def test_bandlimited_source_matches_dense_trig_sum():
@@ -265,6 +281,19 @@ def test_lipschitz_sampling_catches_wrong_declaration():
     n = cl.linear_plus_source(2.0, lipschitz=1.0)
     with pytest.raises(cl.LipschitzDeclarationError, match="u1="):
         cl.check_lipschitz_sampling(n, trials=200, seed=3)
+
+
+def _near_float_limit():
+    """F = 1e300 u + h(x) with h ~ 1e308 on the sampled x, declared l = 1:
+    |F(u1, x)| + |F(u2, x)| overflows there."""
+    return cl.linear_plus_source(1e300, cl.source_gaussian(1e308, 1e6), lipschitz=1.0)
+
+
+def test_lipschitz_sampling_rejects_underdeclaration_near_the_float_limit():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(cl.LipschitzDeclarationError, match="u1="):
+            cl.check_lipschitz_sampling(_near_float_limit(), trials=2000, seed=0)
 
 
 def _linear_with_bandlimited_source(**kwargs):

@@ -1,16 +1,21 @@
-"""The Picard loop in raw rfft units against the unitary-unit loop it replaced.
+"""The solvers in raw rfft units against the unitary-unit loops they replaced.
 
-``_unitary_picard`` is that loop, kept here as the slow path: the trajectory
-in ``forward_real`` coefficients, the transform pair ``inverse_real`` /
-``forward_real`` around every reaction call, the recursion with g applied per
-frame, the time derivative as one expression, and the contraction norm from
-``np.abs(u) ** 2`` with ``np.trapezoid``. ``picard_solve`` must agree with it
-for every entry of the nonlinearity catalog and on the override path (C >= 1),
-at a > 0 and b != 0: the same iteration count, the final frame to 1e-12
-relative and every Picard distance to 1e-12 of the first. The frame loops
-run in blocks of ``grid.BLOCK_BYTES``, a whole trajectory at N = 256; the
-tests also shrink the blocks to 1 and 5 frames, so that blocks end inside
-the trajectory, and at 5 frames the last one is partial.
+``_unitary_picard`` is the Picard loop, kept here as the slow path: the
+trajectory in unitary coefficients (``forward_real``), the transform pair
+``inverse_real`` / ``forward_real`` around every reaction call, the recursion
+with g applied per frame, the time derivative as one expression, and the
+contraction norm from ``np.abs(u) ** 2`` with ``np.trapezoid``.
+``picard_solve`` must agree with it for every entry of the nonlinearity
+catalog and on the override path (C >= 1), at a > 0 and b != 0: the same
+iteration count, the final frame to 1e-12 relative and every Picard distance
+to 1e-12 of the first. The frame loops run in blocks of ``grid.BLOCK_BYTES``,
+a whole trajectory at N = 256; the tests also shrink the blocks to 1 and 5
+frames, so that blocks end inside the trajectory, and at 5 frames the last
+one is partial.
+
+``_unitary_heun`` is the Heun oracle in unitary coefficients, the slow path
+of ``etd_reference_solve``, single-state and batched. The report's per-frame
+norms are checked against ``l2_norm`` of its full-spectrum frames.
 """
 
 import math
@@ -20,10 +25,23 @@ import pytest
 
 import cubelap as cl
 import cubelap.grid
-from cubelap.grid import forward_real, inverse_real
+from cubelap.grid import raw_to_unitary
 from cubelap.model import NONLINEARITIES
 
 A, B, T, N_FRAMES = 0.3, -0.8, 0.4, 32
+
+
+def forward_real(grid, values):
+    """Real samples -> ``forward_transform``'s coefficients of modes 0..N/2,
+    along the last axis."""
+    coeff = grid.dx / math.sqrt(2.0 * math.pi)
+    return coeff * grid._phase[: grid.n_half] * np.fft.rfft(values, axis=-1)
+
+
+def inverse_real(grid, half):
+    """Coefficients of modes 0..N/2 -> the real samples along the last axis."""
+    coeff = grid.dp * grid.n_points / math.sqrt(2.0 * math.pi)
+    return coeff * np.fft.irfft(grid._phase[: grid.n_half] * half, n=grid.n_points, axis=-1)
 
 
 def _unitary_picard(prob, window_length, n_frames):
@@ -129,3 +147,69 @@ def test_raw_unit_loop_matches_unitary_loop_under_override(block_frames):
     with pytest.warns(UserWarning, match="OVERRIDE"):
         rep = cl.picard_solve(prob, T, bad, n_frames=N_FRAMES, override_certificate=True)
     _assert_matches_slow_path(rep, prob)
+
+
+def _unitary_heun(prob, window_length, substeps, n_frames, u0):
+    """The Heun oracle in unitary coefficients on the (K, N) real states u0;
+    the (n_frames + 1, K, N/2+1) frames."""
+    grid = prob.grid
+    half = slice(0, grid.n_half)
+    sym = cl.build_symbol(grid, prob.a, prob.b)
+    g = math.sqrt(2.0 * math.pi) * prob.kernel.spectrum_on(grid)[half]
+    h = window_length / substeps
+    e_h = sym.propagator(h)[half]
+
+    def reaction(u):
+        phys = inverse_real(grid, u)
+        return g * forward_real(grid, cl.apply_nonlinearity(phys, prob.nonlinearity, grid))
+
+    u = forward_real(grid, u0)
+    frames = [u]
+    for n in range(substeps):
+        nn = reaction(u)
+        pred = e_h * (u + h * nn)
+        u = e_h * u + 0.5 * h * (e_h * nn + reaction(pred))
+        if (n + 1) % (substeps // n_frames) == 0:
+            frames.append(u)
+    return np.stack(frames)
+
+
+def _rel_gap(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("name", sorted(NONLINEARITIES))
+def test_raw_unit_oracle_matches_unitary_oracle(name):
+    prob = _problem(_catalog_nonlinearity(name))
+    grid = prob.grid
+    substeps = 4 * N_FRAMES
+    single = cl.etd_reference_solve(prob, T, substeps, N_FRAMES)
+    want = _unitary_heun(prob, T, substeps, N_FRAMES, prob.u0.values.real[None, :])[:, 0]
+    assert _rel_gap(single.frames[:, : grid.n_half], want) <= 1e-12
+
+    starts = np.stack([
+        prob.u0.values.real,
+        np.exp(-((grid.x + 2.0) ** 2)),
+        0.5 * np.cos(grid.x) * np.exp(-(grid.x**2) / 8.0),
+    ])
+    ends = cl.etd_reference_solve(prob, T, substeps, N_FRAMES, starts=starts)
+    want = _unitary_heun(prob, T, substeps, N_FRAMES, starts)[-1]
+    for r in range(len(starts)):
+        assert _rel_gap(raw_to_unitary(grid, ends[r]), want[r]) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(NONLINEARITIES))
+def test_report_norms_match_full_spectrum_norms(name):
+    prob = _problem(_catalog_nonlinearity(name))
+    q = cl.kernel_strength(prob.kernel)
+    cert = cl.Certificate.for_window(q, prob.nonlinearity.lipschitz_l, A, B, T)
+    rep = cl.picard_solve(prob, T, cert, n_frames=N_FRAMES)
+    field, dudt = rep.field, rep.dudt
+    for j in range(field.n_frames):
+        frame = field.frame(j)
+        for got, want in (
+            (rep.l2_per_frame[j], cl.l2_norm(frame)),
+            (rep.d6_l2_per_frame[j], cl.l2_norm(cl.spectral_derivative(frame, 6))),
+            (rep.dudt_l2_per_frame[j], cl.l2_norm(dudt.frame(j))),
+        ):
+            assert abs(got - want) <= 1e-12 * want, (j, got, want)

@@ -509,6 +509,25 @@ def test_non_finite_forcing_exits_3_through_main(tmp_path):
     assert cert["valid"] == "false" and float(cert["l"]) == 1.0
 
 
+def test_lipschitz_underdeclaration_near_the_float_limit_exits_2_through_main(tmp_path):
+    # F = 1e300 u + h(x), h ~ 1e308 on the sampled x, declared l = 1 (the
+    # probe of test_model): rejected at the sampling check, with no overflow
+    import warnings
+
+    cfg = _certified_config(tmp_path / "out")
+    cfg["nonlinearity"] = {
+        "name": "linear_plus_source", "kappa": 1e300, "lipschitz": 1.0,
+        "source": {"name": "gaussian", "amplitude": 1e308, "width": 1e6},
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, cert, summary = _main_artifacts(tmp_path, cfg)
+    assert code == EXIT_ASSUMPTION_VIOLATION
+    assert summary["status"] == "assumption_violation"
+    assert summary["error"].startswith("declared Lipschitz constant 1 is wrong")
+    assert cert["valid"] == "false"
+
+
 def test_growth_bound_exits_3_through_main(tmp_path, monkeypatch):
     # F = 3.8 u declared with growth constant 3.8/40. No catalog entry
     # understates its growth constant, so the built problem is edited
@@ -698,7 +717,8 @@ def test_summary_diagnostics_read_none_without_a_ratio(tmp_path):
     cfg["nonlinearity"] = {"name": "linear_plus_source", "kappa": 0.0}
     code, _, summary = _main_artifacts(tmp_path, cfg)
     assert code == EXIT_OK
-    assert summary["max_picard_ratio"] == ""
+    assert summary["max_picard_ratio"] == "none"
+    assert summary["oracle_rel_deviation"] == "none"
     assert summary["certificate_slack"] == "none"
     assert summary["picard_error_bound"] == "none"
 
