@@ -13,6 +13,8 @@ C(T) = 1, in closed form through the Lambert W function, and a global solve
 marches windows of a safety-scaled length; the constant does not depend on
 the initial state, so one certificate covers every window of the march.
 Lambert W is evaluated here by Newton steps in ``math`` (``lambert_w0``).
+``certificate_report`` and, for a run with no certificate,
+``partial_certificate_report`` are the two layouts of ``certificate.txt``.
 """
 
 from __future__ import annotations
@@ -174,5 +176,26 @@ def certificate_report(cert: Certificate) -> str:
         f"C={cert.constant!r}",
         f"valid={str(cert.valid).lower()}",
         f"T_max={cert.t_max!r}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def partial_certificate_report(q, l, a, b) -> str:
+    """The certificate trail of a run that has no certificate of its own.
+
+    The keys of ``certificate_report``, with C replaced by its T -> 0 limit
+    C_small_T_limit = q*l*sqrt(2). A value the run never reached is nan;
+    every value is None when the configuration itself was rejected.
+    """
+    limit = None if q is None or l is None else q * l * math.sqrt(2.0)
+    lines = [
+        f"q={q!r}",
+        f"l={l!r}",
+        f"a={a!r}",
+        f"b={b!r}",
+        "T=None",
+        f"C_small_T_limit={limit!r}",
+        "valid=false",
+        "T_max=None",
     ]
     return "\n".join(lines) + "\n"

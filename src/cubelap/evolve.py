@@ -789,7 +789,7 @@ def global_march(
             prob, t_win, oracle_substeps_factor * n_frames, n_frames, starts=np.stack(starts)
         ))
         for rep, end in zip(reports, ends):
-            diff = hermitian_expand(prob.grid, rep.u_half[-1] - end)
+            diff = hermitian_expand(prob.grid, raw_to_unitary(prob.grid, rep.u_raw[-1]) - end)
             num = l2_norm(Field(prob.grid, diff, "spectral"))
             den = l2_norm(rep.final_state)
             rep.oracle_rel_deviation = num / den if den > 0 else num

@@ -409,6 +409,9 @@ def source_zero():
 
 
 def source_gaussian(amplitude: float = 1.0, width: float = 1.0, center: float = 0.0):
+    if width <= 0:
+        raise ValueError("gaussian source width must be positive")
+
     def h(x):
         return amplitude * np.exp(-(((np.asarray(x, dtype=float) - center) / width) ** 2))
 
@@ -477,10 +480,12 @@ class NonlinearitySpec:
 def linear_plus_source(kappa: float, source=None, lipschitz: float | None = None) -> NonlinearitySpec:
     """F(u, x) = kappa*u + h(x). Exact Lipschitz constant |kappa|.
 
-    ``lipschitz`` overrides the declared constant (used to exercise the
+    ``lipschitz`` (positive) overrides the declared constant (used to exercise the
     falsification path); by default it is |kappa|, floored at a tiny positive
     value so certificate arithmetic stays defined for pure sources.
     """
+    if lipschitz is not None and lipschitz <= 0:
+        raise ValueError("lipschitz must be positive")
     h = source if source is not None else source_zero()
     kap = float(kappa)
 

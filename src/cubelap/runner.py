@@ -6,7 +6,9 @@ The pipeline validates the structural assumptions, evaluates the contraction
 certificate, refuses by default when it is invalid, executes the windowed
 global solve, and writes everything needed to audit the run:
 
-    certificate.txt    flat key=value, enough to recompute C by hand
+    certificate.txt    flat key=value, enough to recompute C by hand; a run
+                       that ends before its march returns writes certify's
+                       refusal trail (nan for a value set-up never reached)
     config_echo.json   the configuration with every default materialized
     summary.txt        status, warnings, overlap measure, final norms,
                        certificate slack and Picard error bound
@@ -15,22 +17,21 @@ global solve, and writes everything needed to audit the run:
     final_field.sxd    binary dump of the last window's spectral frames
 
 Exit codes: 0 success, 2 certificate refusal, 3 solver failure,
-4 assumption/configuration violation.
+4 assumption/configuration violation; ``_exit_for`` maps a failure to its code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .certify import NoAdmissibleWindow, certificate_report
+from .certify import NoAdmissibleWindow, certificate_report, partial_certificate_report
 from .evolve import (
     CertificateRefusedError,
     SolveReport,
@@ -109,17 +110,7 @@ class RunConfig:
     flags: dict
 
     def echo(self) -> dict:
-        return {
-            "grid": self.grid,
-            "model": self.model,
-            "kernel": self.kernel,
-            "nonlinearity": self.nonlinearity,
-            "initial_condition": self.initial_condition,
-            "horizon": self.horizon,
-            "solver": self.solver,
-            "output_dir": self.output_dir,
-            "flags": self.flags,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -391,37 +382,11 @@ def run(config: RunConfig) -> RunArtifacts:
     out.mkdir(parents=True, exist_ok=True)
     override = config.flags["override_certificate"]
     watermark = None
-    summary: dict = {"status": "incomplete", "exit_code": EXIT_SOLVER_FAILURE}
+    summary: dict = {"status": "ok", "exit_code": EXIT_OK}
     (out / "config_echo.json").write_text(json.dumps(config.echo(), indent=2) + "\n")
-
-    def finish(code: int, status: str, error: str | None = None) -> RunArtifacts:
-        summary["status"] = status
-        summary["exit_code"] = code
-        if error:
-            summary["error"] = error
-        _write_lines(
-            out / "summary.txt", [f"{k}={_fmt(v)}" for k, v in summary.items()], watermark
-        )
-        return RunArtifacts(
-            exit_code=code, output_dir=out, summary=summary, reports=reports,
-            config=config,
-        )
-
-    def failed(exc: Exception) -> RunArtifacts:
-        """Exit 3: a solver or model failure, or anything unforeseen (say,
-        out of memory), which is named by its type."""
-        if not cert_written:
-            _write_partial_certificate(out, q, ell, config, watermark)
-        known = isinstance(exc, (SolverError, ModelEvaluationError))
-        return finish(
-            EXIT_SOLVER_FAILURE, "solver_failure",
-            str(exc) if known else f"{type(exc).__name__}: {exc}",
-        )
-
     reports: list[SolveReport] = []
-    q = float("nan")
-    ell = float("nan")
-    cert_written = False
+    q = ell = float("nan")
+    setting_up = True
     try:
         prob = build_problem(config)
         ell = prob.nonlinearity.lipschitz_l
@@ -432,14 +397,7 @@ def run(config: RunConfig) -> RunArtifacts:
             trials=config.solver["lipschitz_trials"],
             seed=config.solver["seed"],
         )
-    except (ConfigError, AssumptionViolation, ValueError, OSError) as exc:
-        # OSError: a file the config names (a CSV table) cannot be read
-        _write_partial_certificate(out, q, ell, config, watermark)
-        return finish(EXIT_ASSUMPTION_VIOLATION, "assumption_violation", str(exc))
-    except Exception as exc:
-        return failed(exc)
-
-    try:
+        setting_up = False
         schedule = march_schedule(
             config.horizon, q, ell, prob.a, prob.b, config.solver["safety"],
             config.solver["max_window_length"], override,
@@ -447,11 +405,9 @@ def run(config: RunConfig) -> RunArtifacts:
         # each window's report keeps u_raw and dudt_raw, (frames + 1) x (N/2 + 1)
         report_bytes = 2 * schedule.count * (config.solver["frames"] + 1) * prob.grid.n_half * 16
         if report_bytes > MEMORY_BUDGET_BYTES:
-            _write_partial_certificate(out, q, ell, config, watermark)
-            return finish(
-                EXIT_ASSUMPTION_VIOLATION, "assumption_violation",
+            raise ConfigError(
                 f"the schedule's {schedule.count} windows would keep {report_bytes} bytes "
-                f"of reports, more than the {MEMORY_BUDGET_BYTES // 2**30} GiB memory budget",
+                f"of reports, more than the {MEMORY_BUDGET_BYTES // 2**30} GiB memory budget"
             )
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -467,27 +423,14 @@ def run(config: RunConfig) -> RunArtifacts:
                 run_oracle=config.flags["run_oracle"],
                 oracle_substeps_factor=config.solver["oracle_substeps_factor"],
             )
-    except (NoAdmissibleWindow, CertificateRefusedError) as exc:
-        _write_partial_certificate(out, q, ell, config, watermark)
-        return finish(EXIT_CERTIFICATE_REFUSED, "certificate_refused", str(exc))
-    except Exception as exc:
-        inner = getattr(exc, "__cause__", None)
-        if isinstance(inner, (NoAdmissibleWindow, CertificateRefusedError)):
-            _write_partial_certificate(out, q, ell, config, watermark)
-            return finish(EXIT_CERTIFICATE_REFUSED, "certificate_refused", str(exc))
-        return failed(exc)
 
-    try:
         cert = reports[0].certificate
         if override and not cert.valid:
             watermark = (
                 f"# OVERRIDE: certificate invalid (C={cert.constant!r}); "
                 "results are experimental\n"
             )
-        (out / "certificate.txt").write_text(
-            (watermark or "") + certificate_report(cert)
-        )
-        cert_written = True
+        (out / "certificate.txt").write_text((watermark or "") + certificate_report(cert))
         for k, rep in enumerate(reports):
             _write_lines(out / f"trace_w{k}.csv", [TRACE_HEADER, *_trace_rows(rep, 1)], watermark)
             _write_lines(out / f"norms_w{k}.csv", [NORMS_HEADER, *_norm_rows(rep)], watermark)
@@ -516,9 +459,35 @@ def run(config: RunConfig) -> RunArtifacts:
                 "runtime_warnings": "; ".join(runtime_warnings) if runtime_warnings else "none",
             }
         )
-        return finish(EXIT_OK, "ok")
     except Exception as exc:
-        return failed(exc)
+        summary["exit_code"], summary["status"], error = _exit_for(exc, setting_up)
+        if error:
+            summary["error"] = error
+        if not reports:  # the run's own certificate is written once the march returns
+            (out / "certificate.txt").write_text(
+                partial_certificate_report(q, ell, config.model["a"], config.model["b"])
+            )
+    _write_lines(out / "summary.txt", [f"{k}={_fmt(v)}" for k, v in summary.items()], watermark)
+    return RunArtifacts(
+        exit_code=summary["exit_code"], output_dir=out, summary=summary, reports=reports,
+        config=config,
+    )
+
+
+def _exit_for(exc: Exception, setting_up: bool) -> tuple[int, str, str]:
+    """(exit code, status, error) of a run that raised ``exc``; an unforeseen
+    failure (say, out of memory) is named by its type. OSError while setting
+    up: a file the config names (a CSV table) cannot be read."""
+    if isinstance(exc, ConfigError) or (
+        setting_up and isinstance(exc, (AssumptionViolation, ValueError, OSError))
+    ):
+        return EXIT_ASSUMPTION_VIOLATION, "assumption_violation", str(exc)
+    refusals = (NoAdmissibleWindow, CertificateRefusedError)
+    if isinstance(exc, refusals) or isinstance(exc.__cause__, refusals):
+        return EXIT_CERTIFICATE_REFUSED, "certificate_refused", str(exc)
+    if isinstance(exc, (SolverError, ModelEvaluationError)):
+        return EXIT_SOLVER_FAILURE, "solver_failure", str(exc)
+    return EXIT_SOLVER_FAILURE, "solver_failure", f"{type(exc).__name__}: {exc}"
 
 
 def _max_ratio(reports: list[SolveReport]):
@@ -542,24 +511,6 @@ def _picard_budget(reports: list[SolveReport], max_ratio: float | None, c: float
 def _max_oracle_dev(reports: list[SolveReport]):
     vals = [rep.oracle_rel_deviation for rep in reports if rep.oracle_rel_deviation is not None]
     return float(max(vals)) if vals else None
-
-
-def _write_partial_certificate(
-    out: Path, q: float, ell: float, config: RunConfig, watermark: str | None
-):
-    """Even refused/failed runs leave a certificate trail for diagnosis."""
-    limit = q * ell * math.sqrt(2.0) if np.isfinite(q) and np.isfinite(ell) else float("nan")
-    lines = [
-        f"q={q!r}",
-        f"l={ell!r}",
-        f"a={config.model['a']!r}",
-        f"b={config.model['b']!r}",
-        "T=None",
-        f"C_small_T_limit={limit!r}",
-        "valid=false",
-        "T_max=None",
-    ]
-    _write_lines(out / "certificate.txt", lines, watermark)
 
 
 def emit_plot_data(artifacts: RunArtifacts, which: str, frames=None) -> list[Path]:
@@ -645,10 +596,8 @@ def main(argv=None) -> int:
         if args.out and _make_output_dir(args.out):
             out = Path(args.out)
             # nothing was parsed, so every number of the certificate is unknown
-            _write_lines(
-                out / "certificate.txt",
-                ["q=None", "l=None", "a=None", "b=None", "T=None", "C_small_T_limit=None",
-                 "valid=false", "T_max=None"],
+            (out / "certificate.txt").write_text(
+                partial_certificate_report(None, None, None, None)
             )
             _write_lines(
                 out / "summary.txt",

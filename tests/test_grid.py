@@ -340,3 +340,41 @@ def test_transform_convention_lives_in_grid_only():
         if path.name != "grid.py" and (uses := _convention_uses(path))
     }
     assert stray == {}
+
+
+_CERTIFICATE_KEYS = ("C_small_T_limit", "valid=")
+
+
+def _certificate_layout_strings(path):
+    """(line, text) of every string constant in one source file that names a
+    certificate key, f-string parts included and docstrings left out."""
+    import ast
+
+    tree = ast.parse(path.read_text(), filename=str(path))
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and ast.get_docstring(node) is not None
+    }
+    return [
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and id(node) not in docstrings and any(k in node.value for k in _CERTIFICATE_KEYS)
+    ]
+
+
+def test_certificate_layout_lives_in_certify_only():
+    from pathlib import Path
+
+    src = Path(cl.__file__).parent
+    found = {key for _, text in _certificate_layout_strings(src / "certify.py")
+             for key in _CERTIFICATE_KEYS if key in text}
+    assert found == set(_CERTIFICATE_KEYS)  # the scan sees certify's own layout
+    stray = {
+        path.name: strings
+        for path in sorted(src.glob("*.py"))
+        if path.name != "certify.py" and (strings := _certificate_layout_strings(path))
+    }
+    assert stray == {}

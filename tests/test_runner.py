@@ -676,6 +676,95 @@ def test_missing_csv_exits_4_with_artifacts(tmp_path):
     assert cert["valid"] == "false"
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda c: c.update(nonlinearity={"name": "linear_plus_source", "kappa": 0.0,
+                                         "lipschitz": 0.0}),
+        lambda c: c["nonlinearity"]["source"].update(width=0.0),
+        lambda c: c["nonlinearity"]["source"].update(width=-1.0),
+    ],
+    ids=["lipschitz_zero", "source_width_zero", "source_width_negative"],
+)
+def test_non_positive_catalog_constants_exit_4_at_build(tmp_path, edit):
+    cfg = _certified_config(tmp_path / "out", grid={"L": 20.0, "N": 64})
+    edit(cfg)
+    code, cert, summary = _main_artifacts(tmp_path, cfg)
+    assert code == EXIT_ASSUMPTION_VIOLATION
+    assert summary["status"] == "assumption_violation"
+    assert summary["error"].endswith("must be positive")
+    assert cert["valid"] == "false" and cert["q"] == "nan"
+
+
+_PARTIAL_KEYS = ["q", "l", "a", "b", "T", "C_small_T_limit", "valid", "T_max"]
+_OWN_KEYS = ["q", "l", "a", "b", "T", "C", "valid", "T_max"]
+
+
+def _missing_kernel_csv(cfg, tmp_path):
+    cfg["kernel"] = {"name": "tabulated", "path": str(tmp_path / "absent.csv")}
+
+
+def _refused(cfg, tmp_path):
+    cfg["kernel"] = {"name": "gaussian", "amplitude": 1.0, "width": 1.0}
+    cfg["nonlinearity"] = {"name": "saturating", "lipschitz": 1.0}
+
+
+def _raises_memory_error(*args, **kwargs):
+    raise MemoryError("stand-in: no memory left")
+
+
+# id: (config edit, runner global replaced by a MemoryError, exit code,
+#      status, C_small_T_limit: "None", "nan", the limit of q and l, or
+#      absent because the run's own certificate was written)
+TRAIL_CASES = {
+    "rejected_config": (lambda c, d: c["model"].update(a=-1.0), None,
+                        EXIT_ASSUMPTION_VIOLATION, "config_rejected", "None"),
+    "missing_kernel_csv": (_missing_kernel_csv, None,
+                           EXIT_ASSUMPTION_VIOLATION, "assumption_violation", "nan"),
+    "underdeclared_lipschitz": (
+        lambda c, d: c.update(nonlinearity={"name": "linear_plus_source", "kappa": 2.0,
+                                            "lipschitz": 0.5}),
+        None, EXIT_ASSUMPTION_VIOLATION, "assumption_violation", "limit"),
+    "refusal": (_refused, None, EXIT_CERTIFICATE_REFUSED, "certificate_refused", "limit"),
+    "report_budget": (lambda c, d: c.update(horizon=1e6), None,
+                      EXIT_ASSUMPTION_VIOLATION, "assumption_violation", "limit"),
+    "max_iter_one": (lambda c, d: c["solver"].update(max_iter=1), None,
+                     EXIT_SOLVER_FAILURE, "solver_failure", "limit"),
+    "memory_error": (None, "global_march", EXIT_SOLVER_FAILURE, "solver_failure", "limit"),
+    "failure_after_certificate": (None, "dump_spacetime_field",
+                                  EXIT_SOLVER_FAILURE, "solver_failure", None),
+}
+
+
+@pytest.mark.parametrize("case", list(TRAIL_CASES))
+def test_certificate_trail_on_every_exit_path(tmp_path, monkeypatch, case):
+    import math
+
+    import cubelap.runner as runner
+
+    edit, stubbed, code, status, limit = TRAIL_CASES[case]
+    cfg = _certified_config(tmp_path / "out")
+    if edit is not None:
+        edit(cfg, tmp_path)
+    if stubbed is not None:
+        monkeypatch.setattr(runner, stubbed, _raises_memory_error)
+    out = tmp_path / "main_out"
+    assert runner.main(["--config", str(_write(tmp_path, cfg)), "--out", str(out)]) == code
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert summary[:2] == [f"status={status}", f"exit_code={code}"]
+    lines = (out / "certificate.txt").read_text().splitlines()
+    cert = dict(line.split("=", 1) for line in lines)
+    assert [line.split("=", 1)[0] for line in lines] == (_PARTIAL_KEYS if limit else _OWN_KEYS)
+    assert cert["valid"] == ("true" if limit is None else "false")
+    if limit == "limit":
+        q, ell = float(cert["q"]), float(cert["l"])
+        assert math.isfinite(q) and math.isfinite(ell)
+        assert cert["C_small_T_limit"] == repr(q * ell * math.sqrt(2.0))
+    elif limit is not None:
+        assert cert["C_small_T_limit"] == limit
+        assert cert["q"] == cert["l"] == limit
+
+
 # --------------------------------------------------------------------------
 # summary diagnostics of the contraction
 # --------------------------------------------------------------------------
