@@ -24,19 +24,26 @@ oracle; it deliberately shares no quadrature with the mild-solution map.
 The unknown is a real field, the kernel and the reaction are real and
 lam(-p) = conj(lam(p)), so every spectrum in the solvers is Hermitian and is
 determined by its modes 0..N/2. Inside the solvers a trajectory is the plain
-(M+1, N/2+1) complex array of those modes: the forcing history is one
-batched real transform pair around one ``apply_nonlinearity`` call on the
-real (M+1, N) samples, and norms weight each stored mode by its
-multiplicity in the full spectrum. Every solver array is in raw ``rfft``
-units (``grid.rfft_raw`` / ``grid.irfft_raw``), in which the transform pair
-needs no factor: the Picard loop, whose ``duhamel_map`` and
-``time_derivative`` take and return such arrays only, with the window's
-half-spectrum weights computed once (``_window``); the ``SolveReport``,
-which keeps the last iterate; the start state of the next window; and the
-Heun oracle. Unitary coefficients, ``Field`` and ``SpacetimeField`` (full
+(M+1, N/2+1) complex array of those modes, and norms weight each stored
+mode by its multiplicity in the full spectrum. Every solver array is in raw
+``rfft`` units (``grid.rfft_raw`` / ``grid.irfft_raw``), in which the
+transform pair needs no factor: the Picard iterate, whose ``duhamel_map``
+and ``time_derivative`` take and return such arrays only, with the
+window's half-spectrum weights computed once (``_window``); the
+``SolveReport``, which keeps the last iterate; the start state of the next
+window, which is the previous report's last frame as it is; and the Heun
+oracle. Unitary coefficients, ``Field`` and ``SpacetimeField`` (full
 spectrum, as in the ``SXD1`` dump) appear only at the API edge: the
 report's ``u_half``, ``dudt_half``, ``field`` and ``dudt`` convert (and
 expand) on every access.
+
+The new Picard iterate at frame j needs only the old iterate at frames up
+to j and the new one at frame j - 1, so a window solve holds a single
+trajectory pair (u, du/dt) and each iterate overwrites its predecessor in
+one forward walk over blocks of frames (``grid.BLOCK_BYTES``): per block,
+one batched real transform pair around one ``apply_nonlinearity`` call,
+the recursion carried on from the frame before the block, the time
+derivative and the block's share of the contraction-norm distance.
 
 The march first runs the certified Picard chain, window after window, since
 each window starts from the previous one's end state. The oracle of window k
@@ -50,7 +57,7 @@ the sequential order Picard 0, oracle 0, Picard 1, ...: the first one wins.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,15 +71,16 @@ from .grid import (
     SpectralGrid,
     TAIL_TOL,
     block_rows,
+    contraction_sq,
+    frame_norms,
     half_sq_norms,
-    hermitian_expand,
     irfft_raw,
     l2_norm,
-    raw_contraction_norm,
     raw_to_unitary,
     rfft_raw,
     tail_mass_fraction,
     trapezoid_weights,
+    unitary_spectrum,
 )
 from .model import (
     ModelEvaluationError,
@@ -235,7 +243,9 @@ class _Window:
     lam: np.ndarray
 
 
-def _window(prob: ProblemSpec, dt: float) -> _Window:
+def _window(prob: ProblemSpec, dt: float, start: np.ndarray | None = None) -> _Window:
+    """The window data for frame spacing dt, starting from ``start`` (modes
+    0..N/2 in ``rfft_raw`` units) or, by default, from ``prob.u0``."""
     grid = prob.grid
     sym = build_symbol(grid, prob.a, prob.b)
     half = slice(0, grid.n_half)
@@ -243,7 +253,7 @@ def _window(prob: ProblemSpec, dt: float) -> _Window:
     z = dt * lam
     g = SQRT_2PI * prob.kernel.spectrum_on(grid)[half]
     return _Window(
-        u0=rfft_raw(prob.u0.values.real),
+        u0=rfft_raw(prob.u0.values.real) if start is None else start,
         e_dt=sym.propagator(dt)[half],
         w_prev=g * (dt * (phi1(z) - phi2(z))),
         w_next=g * (dt * phi2(z)),
@@ -252,41 +262,55 @@ def _window(prob: ProblemSpec, dt: float) -> _Window:
     )
 
 
-def _forcing_history(frames: np.ndarray, prob: ProblemSpec) -> np.ndarray:
+def _forcing_history(frames: np.ndarray, prob: ProblemSpec, first_frame: int = 0) -> np.ndarray:
     """Transforms of F(v(., t_j), .) for every frame, on modes 0..N/2:
     (M+1, N/2+1) half-spectrum frames in, the same shape out, both in
-    ``rfft_raw`` units."""
+    ``rfft_raw`` units. A model error names frame ``first_frame`` + row."""
     grid = prob.grid
     phys = irfft_raw(grid, frames)
-    fh = rfft_raw(apply_nonlinearity(phys, prob.nonlinearity, grid))
+    fh = rfft_raw(apply_nonlinearity(phys, prob.nonlinearity, grid, first_frame))
     if not np.all(np.isfinite(fh)):
         raise SolverError("forcing history contains non-finite values")
     return fh
 
 
-def _recursion(fh: np.ndarray, w: _Window, out: np.ndarray | None = None) -> np.ndarray:
-    """u_{j+1} = e^{dt lam} u_j + w_prev f_j + w_next f_{j+1}, u_0 = u0, into ``out``.
+def _recursion(
+    fh: np.ndarray,
+    w: _Window,
+    out: np.ndarray | None = None,
+    carry: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """u_{j+1} = e^{dt lam} u_j + w_prev f_j + w_next f_{j+1} into ``out``:
+    from u_0 = u0, or, with ``carry = (u, f)`` the state and forcing of the
+    frame before fh's first, from that frame on (then every row of fh is a
+    step).
 
-    Per block of frames (``block_rows``): the forcing terms of all its
-    substeps in one pass into the output, then only u_{j+1} += e^{dt lam} u_j
-    frame by frame, in place.
+    The forcing terms of all steps in one pass into the output, then only
+    u_{j+1} += e^{dt lam} u_j frame by frame, in place.
     """
     u = np.empty_like(fh) if out is None else out
-    m, step = fh.shape[0] - 1, block_rows(fh)
-    scratch = np.empty((step,) + fh.shape[1:], dtype=np.complex128)
-    u[0] = w.u0
-    for s in range(0, m, step):
-        e = min(s + step, m)
-        nxt = u[s + 1 : e + 1]
-        np.multiply(w.w_prev, fh[s:e], out=nxt)
-        nxt += np.multiply(w.w_next, fh[s + 1 : e + 1], out=scratch[: e - s])
-        for j in range(s, e):
-            u[j + 1] += np.multiply(w.e_dt, u[j], out=scratch[0])
+    scratch = np.empty_like(fh)
+    if carry is None:
+        u[0] = w.u0
+    else:
+        u_c, f_c = carry
+        np.multiply(w.w_prev, f_c, out=u[0])
+        u[0] += np.multiply(w.w_next, fh[0], out=scratch[0])
+        u[0] += np.multiply(w.e_dt, u_c, out=scratch[0])
+    nxt = u[1:]
+    np.multiply(w.w_prev, fh[:-1], out=nxt)
+    nxt += np.multiply(w.w_next, fh[1:], out=scratch[1:])
+    for j in range(len(nxt)):
+        u[j + 1] += np.multiply(w.e_dt, u[j], out=scratch[0])
     return u
 
 
 def duhamel_map(
-    v: np.ndarray, prob: ProblemSpec, window: _Window, out: np.ndarray | None = None
+    v: np.ndarray,
+    prob: ProblemSpec,
+    window: _Window,
+    out: np.ndarray | None = None,
+    carry: tuple[int, np.ndarray, np.ndarray] | None = None,
 ):
     """One application of the mild-solution map to the trajectory v.
 
@@ -304,9 +328,15 @@ def duhamel_map(
     same shape and units (written into ``out`` if given), and the forcing
     transforms fh it was built from, with which ``time_derivative`` forms
     du/dt algebraically.
+
+    With ``carry = (j, u_j, f_j)``, v is instead the block of frames j+1,
+    j+2, ... of a trajectory whose frame j has the image u_j and the forcing
+    transform f_j: the recursion continues from frame j, and a model error
+    names the frame of the trajectory, not of the block.
     """
-    fh = _forcing_history(v, prob)
-    return _recursion(fh, window, out), fh
+    first = 0 if carry is None else carry[0] + 1
+    fh = _forcing_history(v, prob, first)
+    return _recursion(fh, window, out, None if carry is None else carry[1:]), fh
 
 
 def time_derivative(
@@ -316,19 +346,13 @@ def time_derivative(
 
     u and fh are the half-spectrum image and forcing history ``duhamel_map``
     returned, in one unit (the map is diagonal, so either unit); no finite
-    differencing is ever involved. Formed block by block of frames
-    (``block_rows``), into ``out`` if given.
+    differencing is ever involved. Written into ``out`` if given.
     """
     fh = np.asarray(fh)
     if fh.shape != u.shape:
         raise ValueError(f"forcing history shape {fh.shape} does not match frames {u.shape}")
-    du = np.empty_like(u) if out is None else out
-    n_rows, step = u.shape[0], block_rows(u)
-    scratch = np.empty((step,) + u.shape[1:], dtype=np.complex128)
-    for s in range(0, n_rows, step):
-        e = min(s + step, n_rows)
-        np.multiply(window.lam, u[s:e], out=du[s:e])
-        du[s:e] += np.multiply(window.g, fh[s:e], out=scratch[: e - s])
+    du = np.multiply(window.lam, u, out=out)
+    du += np.multiply(window.g, fh)
     return du
 
 
@@ -357,18 +381,10 @@ class SolveReport:
     The solution and its time derivative are kept as the read-only
     (M+1, N/2+1) half spectra ``u_raw`` and ``dudt_raw`` on ``time_grid``, in
     ``rfft_raw`` units. ``u_half`` and ``dudt_half`` convert them to unitary
-    coefficients, and ``field`` and ``dudt`` expand those to full-spectrum
-    ``SpacetimeField``s, on every access (uncached, so a caller holding many
-    reports holds neither unitary nor full spectra).
-
-    In every window after the first, ``d6_l2_per_frame[0]`` and
-    ``dudt_l2_per_frame[0]`` (the first data row of ``norms_w<k>.csv``) are
-    rounding noise times p^6, not measurements: the window starts from the
-    previous end state through an irfft/rfft round trip, whose ~1e-17
-    relative noise in the top modes is multiplied by p^6 (about 1e15 at
-    N = 8192, L = 40). At ``march_wide`` seed 0, window 2 reads 0.323 there
-    against the previous end's 0.274. The Picard distances do not see it,
-    since lam * u0 and p^6 * u0 cancel in their differences.
+    coefficients, and ``field`` and ``dudt`` to full-spectrum
+    ``SpacetimeField``s (one allocation each, adopted by the field), on
+    every access (uncached, so a caller holding many reports holds neither
+    unitary nor full spectra).
     """
 
     grid: SpectralGrid
@@ -395,18 +411,23 @@ class SolveReport:
 
     @property
     def field(self) -> SpacetimeField:
-        return SpacetimeField(self.grid, self.time_grid, hermitian_expand(self.grid, self.u_half))
+        return _spacetime_field(self.grid, self.time_grid, self.u_raw)
 
     @property
     def dudt(self) -> SpacetimeField:
-        return SpacetimeField(
-            self.grid, self.time_grid, hermitian_expand(self.grid, self.dudt_half)
-        )
+        return _spacetime_field(self.grid, self.time_grid, self.dudt_raw)
 
     @property
     def final_state(self) -> Field:
-        end = raw_to_unitary(self.grid, self.u_raw[-1])
-        return Field(self.grid, hermitian_expand(self.grid, end), "spectral")
+        return Field(self.grid, unitary_spectrum(self.grid, self.u_raw[-1]), "spectral")
+
+
+def _spacetime_field(grid: SpectralGrid, time_grid: np.ndarray, raw: np.ndarray) -> SpacetimeField:
+    """The ``SpacetimeField`` of half-spectrum frames in ``rfft_raw`` units,
+    around their full spectrum with no copy."""
+    full = unitary_spectrum(grid, raw)
+    full.flags.writeable = False
+    return SpacetimeField(grid, time_grid, full)
 
 
 def _tail_check(grid: SpectralGrid, frames: np.ndarray, t_offset: float) -> tuple[str, ...]:
@@ -432,6 +453,7 @@ def picard_solve(
     n_frames: int = DEFAULT_FRAMES,
     override_certificate: bool = False,
     t_offset: float = 0.0,
+    start: np.ndarray | None = None,
 ) -> SolveReport:
     """Iterate the mild-solution map to its fixed point on one window.
 
@@ -440,21 +462,26 @@ def picard_solve(
     between consecutive iterates falls below tol_fix (default
     1e-10 * max(1, norm of the first iterate)). With a valid certificate every
     measured ratio must stay below C * 1.05; a violation is raised as a
-    defect, not smoothed over.
+    defect, not smoothed over. The initial state is ``prob.u0``, or
+    ``start``: modes 0..N/2 in ``rfft_raw`` units, as a previous window's
+    ``u_raw[-1]``, used as they are.
 
-    The iteration runs on plain (M+1, N/2+1) half-spectrum arrays in
-    ``rfft_raw`` units: per iterate one call each of ``duhamel_map`` (one
-    batched real transform pair around one reaction call) and
-    ``time_derivative``, with the window's weights computed once. Two pairs
-    of trajectory buffers take turns: an iterate is written into the buffers
-    of the one before its predecessor, and its distance to the predecessor
-    is summed frame by frame, so no difference is stored. The report keeps
-    the last iterate's arrays as they are.
+    The iteration holds one trajectory pair, the (M+1, N/2+1) half-spectrum
+    arrays u and du/dt in ``rfft_raw`` units, and each iterate overwrites
+    its predecessor in one forward walk over blocks of frames
+    (``_picard_iterate``), with the window's weights computed once. The
+    report keeps the last iterate's arrays as they are.
     """
     if window_length <= 0:
         raise ValueError(f"window length must be positive, got {window_length}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if start is not None and (
+        start.shape != (prob.grid.n_half,) or not np.all(np.isfinite(start))
+    ):
+        raise ValueError(
+            f"start must be {prob.grid.n_half} finite modes, got shape {start.shape}"
+        )
     if not cert.valid:
         if not override_certificate:
             raise CertificateRefusedError(
@@ -469,29 +496,26 @@ def picard_solve(
     grid = prob.grid
     tg = np.linspace(0.0, window_length, n_frames + 1)
     tw = trapezoid_weights(tg)
-    w = _window(prob, float(tg[1] - tg[0]))
+    w = _window(prob, float(tg[1] - tg[0]), start)
 
-    u_prev = np.exp(np.outer(tg, w.lam)) * w.u0[None, :]
-    dudt_prev = w.lam[None, :] * u_prev
-    spare_u = spare_dudt = None
+    # the first iterate e^{t_j lam} u0 and its derivative, built in place
+    u = np.multiply.outer(tg, w.lam)
+    np.exp(u, out=u)
+    u *= w.u0
+    dudt = np.multiply(w.lam, u)
 
     distances: list[float] = []
     tol = tol_fix
     converged = False
     for _ in range(max_iter):
-        u_new, fh = duhamel_map(u_prev, prob, w, out=spare_u)
-        dudt_new = time_derivative(u_new, fh, w, out=spare_dudt)
-        del fh  # dead: let the next iterate's transforms take its memory
-        d = raw_contraction_norm(grid, tw, u_new, dudt_new, minus=(u_prev, dudt_prev))
+        dist_sq, norm_sq = _picard_iterate(u, dudt, prob, w, with_norm=tol is None)
+        d = float(np.sqrt(tw @ dist_sq))
         distances.append(d)
         if tol is None:
-            first_norm = raw_contraction_norm(grid, tw, u_new, dudt_new)
-            tol = 1e-10 * max(1.0, first_norm)
+            tol = 1e-10 * max(1.0, float(np.sqrt(tw @ norm_sq)))
         if d < tol:
             converged = True
             break
-        # the previous iterate is dead: its buffers take the next one
-        spare_u, spare_dudt, u_prev, dudt_prev = u_prev, dudt_prev, u_new, dudt_new
 
     dists = np.asarray(distances)
     ratios = np.full(dists.shape, np.nan)
@@ -521,21 +545,58 @@ def picard_solve(
                 trace,
             )
 
-    for arr in (tg, u_new, dudt_new):
+    for arr in (tg, u, dudt):
         arr.flags.writeable = False
     return SolveReport(
         grid=grid,
         time_grid=tg,
-        u_raw=u_new,
-        dudt_raw=dudt_new,
+        u_raw=u,
+        dudt_raw=dudt,
         trace=trace,
         certificate=cert,
         t_offset=t_offset,
-        l2_per_frame=np.sqrt(half_sq_norms(grid, u_new, "l2")),
-        d6_l2_per_frame=np.sqrt(half_sq_norms(grid, u_new, "d6")),
-        dudt_l2_per_frame=np.sqrt(half_sq_norms(grid, dudt_new, "l2")),
-        tail_warnings=_tail_check(grid, u_new, t_offset),
+        l2_per_frame=frame_norms(grid, u, "l2"),
+        d6_l2_per_frame=frame_norms(grid, u, "d6"),
+        dudt_l2_per_frame=frame_norms(grid, dudt, "l2"),
+        tail_warnings=_tail_check(grid, u, t_offset),
     )
+
+
+def _picard_iterate(
+    u: np.ndarray, dudt: np.ndarray, prob: ProblemSpec, w: _Window, with_norm: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Overwrite the iterate (u, dudt) with its image under the mild-solution
+    map, in one forward walk over blocks of frames (``block_rows``).
+
+    The image's frame j needs the old iterate's frames up to j and the
+    image's frame j - 1 only, so each block, in turn: ``duhamel_map`` of the
+    block (one batched transform pair around one reaction call, and the
+    recursion carried on from the frame before the block), its
+    ``time_derivative``, the block's share of the squared contraction-norm
+    distance to the old iterate (and, if ``with_norm``, of the image's own
+    squared norm), then the image's rows over the old ones. The old rows of
+    u are the scratch of the norms, since nothing reads them afterwards.
+    Returns the per-frame squares of the distance and of the norm (None
+    without ``with_norm``); the time integral is the caller's.
+    """
+    grid = prob.grid
+    n_rows, step = len(u), block_rows(u)
+    new_u, new_du = (np.empty((step,) + u.shape[1:], np.complex128) for _ in range(2))
+    dist_sq = np.empty(n_rows)
+    norm_sq = np.empty(n_rows) if with_norm else None
+    carry = None
+    for s in range(0, n_rows, step):
+        e = min(s + step, n_rows)
+        bu, fh = duhamel_map(u[s:e], prob, w, out=new_u[: e - s], carry=carry)
+        bd = time_derivative(bu, fh, w, out=new_du[: e - s])
+        old = u[s:e]
+        dist_sq[s:e] = contraction_sq(grid, bu, bd, old, minus=(old, dudt[s:e]))
+        if with_norm:
+            norm_sq[s:e] = contraction_sq(grid, bu, bd, old)
+        u[s:e] = bu
+        dudt[s:e] = bd
+        carry = (e - 1, u[e - 1], fh[-1])
+    return dist_sq, norm_sq
 
 
 def etd_reference_solve(
@@ -585,8 +646,7 @@ def etd_reference_solve(
         raise failure[1]
     if batch:
         return ends
-    tg = np.linspace(0.0, window_length, n_frames + 1)
-    return SpacetimeField(grid, tg, hermitian_expand(grid, raw_to_unitary(grid, frames)))
+    return _spacetime_field(grid, np.linspace(0.0, window_length, n_frames + 1), frames)
 
 
 def _heun_march(
@@ -741,7 +801,8 @@ def global_march(
     measure for the nontriviality criterion.
 
     Order of work: the Picard chain runs until every window is solved or
-    one fails, keeping each window's start state; with ``run_oracle`` one
+    one fails, each window starting from the previous report's last frame in
+    ``rfft_raw`` units as it is; with ``run_oracle`` one
     batched ``etd_reference_solve`` then marches the windows that were
     solved, and each window's ``oracle_rel_deviation`` compares its Picard
     end state with its oracle end state. The first failure in the
@@ -760,13 +821,11 @@ def global_march(
     t_win = schedule.window_length
     cert = Certificate.for_window(q, ell, prob.a, prob.b, t_win)
     reports: list[SolveReport] = []
-    starts: list[np.ndarray] = []
     failed = None
-    current = prob
     for k in range(schedule.count):
         try:
-            rep = picard_solve(
-                current,
+            reports.append(picard_solve(
+                prob,
                 t_win,
                 cert,
                 tol_fix=tol_fix,
@@ -774,24 +833,27 @@ def global_march(
                 n_frames=n_frames,
                 override_certificate=override_certificate,
                 t_offset=k * t_win,
-            )
-            reports.append(rep)
-            starts.append(current.u0.values.real)
-            end_state = irfft_raw(prob.grid, rep.u_raw[-1])
-            current = dc_replace(current, u0=Field(prob.grid, end_state))
+                start=reports[-1].u_raw[-1] if reports else None,
+            ))
         except Exception as exc:
             failed = (k, exc)
             break
     if run_oracle and reports:
+        # the oracle starts from physical states: window 0's own, then the
+        # Picard end states
+        starts = np.stack(
+            [prob.u0.values.real] + [irfft_raw(prob.grid, rep.u_raw[-1]) for rep in reports[:-1]]
+        )
         # raises the failure of the first failing window, which comes before
         # the Picard failure in march order
-        ends = raw_to_unitary(prob.grid, etd_reference_solve(
-            prob, t_win, oracle_substeps_factor * n_frames, n_frames, starts=np.stack(starts)
-        ))
+        ends = etd_reference_solve(
+            prob, t_win, oracle_substeps_factor * n_frames, n_frames, starts=starts
+        )
         for rep, end in zip(reports, ends):
-            diff = hermitian_expand(prob.grid, raw_to_unitary(prob.grid, rep.u_raw[-1]) - end)
+            mine = rep.final_state
+            diff = mine.values - unitary_spectrum(prob.grid, end)
             num = l2_norm(Field(prob.grid, diff, "spectral"))
-            den = l2_norm(rep.final_state)
+            den = l2_norm(mine)
             rep.oracle_rel_deviation = num / den if den > 0 else num
     if failed is not None:
         _raise_window_failure(*failed)

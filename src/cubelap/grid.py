@@ -14,9 +14,10 @@ certificate) depends on it, so no other module touches raw FFTs.
 The solvers hold every trajectory in raw ``np.fft.rfft`` units instead
 (``rfft_raw`` / ``irfft_raw``), where a transform pair needs no factor at
 all. The convention then enters in two places, both of them here: the norm
-weights of half spectra (``half_sq_norms`` and ``raw_contraction_norm``,
-times (dx/sqrt(2*pi))^2), and the way to unitary coefficients at the API
-edge (``raw_to_unitary``).
+weights of half spectra (``half_sq_norms``, ``contraction_sq`` and
+``frame_norms``, times (dx/sqrt(2*pi))^2), and the way to unitary
+coefficients at the API edge (``raw_to_unitary`` for half spectra,
+``unitary_spectrum`` for all N modes).
 
 Truncation to a periodic box is policed rather than assumed: fields are
 expected to keep essentially all of their mass away from the box edges, and
@@ -41,11 +42,12 @@ SPECTRAL = "spectral"
 
 _MAX_DERIVATIVE_ORDER = 8
 
-#: The solver's frame loops (the Duhamel recursion, the time derivative, the
-#: contraction norm) walk a trajectory in blocks of rows of about this many
-#: bytes, so the operands of each step stay in a core's cache instead of
-#: streaming through memory once per operation; at small N one block holds
-#: the whole trajectory. See ``block_rows``.
+#: Every frame walk (the Picard iterate, with its transforms, reaction,
+#: recursion, time derivative and contraction norm) takes a trajectory in
+#: blocks of rows of about this many bytes, so the operands of each step stay
+#: in a core's cache instead of streaming through memory once per operation,
+#: and the temporaries of a step are one block, not one trajectory; at small
+#: N one block holds the whole trajectory. See ``block_rows``.
 BLOCK_BYTES = 2**18
 
 
@@ -202,16 +204,21 @@ def irfft_raw(grid: SpectralGrid, raw: np.ndarray) -> np.ndarray:
 
 def raw_to_unitary(grid: SpectralGrid, raw: np.ndarray) -> np.ndarray:
     """Half spectra in ``rfft_raw`` units -> ``forward_transform``'s unitary
-    coefficients of modes 0..N/2; ``hermitian_expand`` gives the rest."""
+    coefficients of modes 0..N/2; ``unitary_spectrum`` gives all N modes."""
     return np.multiply(grid._raw_scale, raw)
 
 
-def hermitian_expand(grid: SpectralGrid, half: np.ndarray) -> np.ndarray:
-    """Full spectrum of a real field from its modes 0..N/2: full[N-k] = conj(half[k])."""
+def unitary_spectrum(grid: SpectralGrid, raw: np.ndarray) -> np.ndarray:
+    """Half spectra in ``rfft_raw`` units -> ``forward_transform``'s full
+    spectra of the real fields, in one (..., N) allocation and no temporary:
+    the unitary coefficients of modes 0..N/2, and full[N-k] = conj(full[k])
+    for the rest, scaled from ``raw`` and conjugated in place."""
     n, nh = grid.n_points, grid.n_half
-    full = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
-    full[..., :nh] = half
-    np.conjugate(half[..., nh - 2 : 0 : -1], out=full[..., nh:])
+    full = np.empty(raw.shape[:-1] + (n,), dtype=np.complex128)
+    np.multiply(grid._raw_scale, raw, out=full[..., :nh])
+    mirror = full[..., nh:]
+    np.multiply(grid._raw_scale[nh - 2 : 0 : -1], raw[..., nh - 2 : 0 : -1], out=mirror)
+    np.conjugate(mirror, out=mirror)
     return full
 
 
@@ -287,11 +294,22 @@ def tail_mass_fraction(f: Field, core_fraction: float = CORE_FRACTION) -> float:
     return outer / total
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` itself if it is read-only and owns its data, so that nothing can
+    write to it, else a read-only copy."""
+    if a.flags.writeable or not a.flags.owndata:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class SpacetimeField:
     """Spectral frames u_hat(p, t_j) on a uniform time grid t_0=0 < ... < t_M.
 
-    frames has shape (M+1, N); all frames share one grid.
+    frames has shape (M+1, N); all frames share one grid. A read-only
+    complex128 array that owns its data is adopted as it is; anything else
+    is copied.
     """
 
     grid: SpectralGrid
@@ -312,12 +330,8 @@ class SpacetimeField:
             raise ValueError(
                 f"frames shape {fr.shape} != ({tg.size}, {self.grid.n_points})"
             )
-        tg = tg.copy()
-        fr = fr.copy()
-        tg.flags.writeable = False
-        fr.flags.writeable = False
-        object.__setattr__(self, "time_grid", tg)
-        object.__setattr__(self, "frames", fr)
+        object.__setattr__(self, "time_grid", _frozen(tg))
+        object.__setattr__(self, "frames", _frozen(fr))
 
     @property
     def n_frames(self) -> int:
@@ -389,37 +403,53 @@ def block_rows(frames: np.ndarray) -> int:
     return max(1, min(len(frames), BLOCK_BYTES // (frames[0].size * frames.itemsize)))
 
 
-def raw_contraction_norm(
+def contraction_sq(
     grid: SpectralGrid,
-    time_weights: np.ndarray,
     u: np.ndarray,
     du_dt: np.ndarray,
+    scratch: np.ndarray,
     minus: tuple[np.ndarray, np.ndarray] | None = None,
-) -> float:
-    """The solve's contraction norm over the window:
+) -> np.ndarray:
+    """Per-frame squares of the solve's contraction norm
 
-        sqrt(||du/dt||^2 + ||d^6 u/dx^6||^2 + ||u||^2),
+        ||du/dt||^2 + ||d^6 u/dx^6||^2 + ||u||^2
 
-    all three in L2 over box x [0, T], for (M+1, N/2+1) half-spectrum frames
-    in ``rfft_raw`` units, or of their differences from the pair ``minus``
-    (then u - minus[0] and du_dt - minus[1]). The sixth derivative is
-    spectral, the time derivative is supplied (never finite-differenced
-    here), and the time integral is ``time_weights`` @ (per-frame values),
-    the trapezoid rule of ``trapezoid_weights``. Block by block of rows
-    (``block_rows``) through ``half_sq_norms`` and one block of scratch: no
-    difference or square of a whole trajectory is stored.
+    of half-spectrum frames in ``rfft_raw`` units (a block of rows of a
+    trajectory), or of their differences from the pair ``minus`` (then
+    u - minus[0] and du_dt - minus[1]). The sixth derivative is spectral and
+    the time derivative is supplied, never finite-differenced here.
+    ``scratch``, a complex array of u's shape (``minus[0]`` itself, if that
+    is not needed afterwards), takes the differences and the squares. Over
+    the window the norm is sqrt(w @ (these squares of every frame)) with w
+    the ``trapezoid_weights`` of the time grid.
     """
-    refs = (None, None) if minus is None else minus
-    n_rows, step = u.shape[0], block_rows(u)
-    scratch = np.empty((step,) + u.shape[1:], dtype=np.complex128)
-    per_frame = np.zeros(n_rows)
-    for x, ref, kind in ((u, refs[0], "h6"), (du_dt, refs[1], "l2")):
-        for s in range(0, n_rows, step):
-            e = min(s + step, n_rows)
-            buf = scratch[: e - s]
-            xs = x[s:e] if ref is None else np.subtract(x[s:e], ref[s:e], out=buf)
-            per_frame[s:e] += half_sq_norms(grid, xs, kind, out=buf)
-    return float(np.sqrt(time_weights @ per_frame))
+    if minus is not None:
+        u = np.subtract(u, minus[0], out=scratch)
+    sq = half_sq_norms(grid, u, "h6", out=scratch)
+    if minus is not None:
+        du_dt = np.subtract(du_dt, minus[1], out=scratch)
+    sq += half_sq_norms(grid, du_dt, "l2", out=scratch)
+    return sq
+
+
+def frame_norms(grid: SpectralGrid, half: np.ndarray, kind: str) -> np.ndarray:
+    """The norms sqrt(``half_sq_norms``) of (M+1, N/2+1) half-spectrum frames,
+    block by block of rows (``block_rows``) through one block of scratch.
+    Each row is summed on its own (numpy's pairwise sum along a contiguous
+    row, not a matrix product, whose result per row depends on the rows
+    around it), so a frame's norm does not depend on where it sits in its
+    trajectory: the first frame of a window reads exactly as the same state
+    read at the end of the window before."""
+    weights = grid._view_weights[kind]
+    step = block_rows(half)
+    scratch = np.empty((step, weights.size))
+    out = np.empty(len(half))
+    for s in range(0, len(half), step):
+        rows = half[s : s + step].view(np.float64)
+        sq = np.square(rows, out=scratch[: len(rows)])
+        sq *= weights
+        np.add.reduce(sq, axis=1, out=out[s : s + len(rows)])
+    return np.sqrt(out)
 
 
 def spacetime_sobolev_norm(u: SpacetimeField, du_dt: SpacetimeField) -> float:

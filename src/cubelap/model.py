@@ -401,6 +401,27 @@ def kernel_strength(kernel: KernelSpec) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _per_grid(h):
+    """The source profile h, remembering its values on the last array it read
+    that is read-only and owns its data, as a grid's ``x`` is: the solvers
+    call the reaction once per block of frames on one grid, and h(x) is the
+    part of it that does not change. The values are h's own, bit for bit,
+    handed out read-only."""
+    last = [None, None]
+
+    def profile(x):
+        if x is last[0]:
+            return last[1]
+        vals = h(x)
+        if isinstance(x, np.ndarray) and not x.flags.writeable and x.flags.owndata:
+            vals = np.asarray(vals)
+            vals.flags.writeable = False
+            last[:] = [x, vals]
+        return vals
+
+    return profile
+
+
 def source_zero():
     def h(x):
         return np.zeros_like(np.asarray(x, dtype=float))
@@ -486,7 +507,7 @@ def linear_plus_source(kappa: float, source=None, lipschitz: float | None = None
     """
     if lipschitz is not None and lipschitz <= 0:
         raise ValueError("lipschitz must be positive")
-    h = source if source is not None else source_zero()
+    h = _per_grid(source if source is not None else source_zero())
     kap = float(kappa)
 
     def fn(u, x):
@@ -507,7 +528,7 @@ def saturating(lipschitz: float, source=None) -> NonlinearitySpec:
     """F(u, x) = l*sin(u) + h(x). Lipschitz constant exactly l, growth too."""
     if lipschitz <= 0:
         raise ValueError("lipschitz must be positive")
-    h = source if source is not None else source_zero()
+    h = _per_grid(source if source is not None else source_zero())
     ell = float(lipschitz)
 
     def fn(u, x):
@@ -532,7 +553,7 @@ def logistic_clip(lipschitz: float, u_max: float, source=None) -> NonlinearitySp
     """
     if lipschitz <= 0 or u_max <= 0:
         raise ValueError("lipschitz and u_max must be positive")
-    h = source if source is not None else source_zero()
+    h = _per_grid(source if source is not None else source_zero())
     ell, um = float(lipschitz), float(u_max)
     rate = ell / 3.0
 
@@ -625,32 +646,38 @@ NONLINEARITIES = {
 }
 
 
-def apply_nonlinearity(u: np.ndarray, nonlinearity: NonlinearitySpec, grid: SpectralGrid):
+def apply_nonlinearity(
+    u: np.ndarray, nonlinearity: NonlinearitySpec, grid: SpectralGrid, first_frame: int = 0
+):
     """Pointwise F(u(x_j), x_j) on physical samples.
 
     u is a plain array of real physical samples of shape (N,) or (frames, N)
     on ``grid``, and the result is an array of the same shape; the solvers
-    pass their whole trajectory at once, so ``nonlinearity.fn`` is called
-    once for all frames. Hard-fails on NaN/Inf, naming the offending
-    location, and on a frame that violates the declared linear growth bound
-    ||F(u,.)|| <= k||u|| + ||h||.
+    pass a block of frames at once, so ``nonlinearity.fn`` is called once
+    for all of them. Hard-fails on NaN/Inf, naming the offending location,
+    and on a frame that violates the declared linear growth bound
+    ||F(u,.)|| <= k||u|| + ||h||. The frames of a (frames, N) array are
+    numbered from ``first_frame`` in the messages, the index of its first
+    frame in the trajectory it is a block of.
     """
     x = grid.x
     # an F that ignores u may return one (N,) profile for all frames
     vals = np.broadcast_to(nonlinearity.fn(u.real, x), u.shape)
 
     def in_frame(index):
-        return f" in frame {index[0]}" if u.ndim > 1 else ""
+        return f" in frame {first_frame + index[0]}" if u.ndim > 1 else ""
 
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        index = np.unravel_index(np.argmax(bad), bad.shape)
-        j = index[-1]
-        raise ModelEvaluationError(
-            f"nonlinearity produced {vals[index]!r} at x[{j}] = {x[j]:g}{in_frame(index)}"
-        )
-    # row dots of the real samples: no modulus, no temporaries
+    # row dots of the real samples: no modulus, no temporaries. A NaN or an
+    # infinity makes its row's norm non-finite, so only then is it looked for
     f_norm = np.atleast_1d(np.sqrt(np.einsum("...j,...j->...", vals, vals) * grid.dx))
+    if not np.all(np.isfinite(f_norm)):
+        bad = ~np.isfinite(vals)
+        if np.any(bad):
+            index = np.unravel_index(np.argmax(bad), bad.shape)
+            j = index[-1]
+            raise ModelEvaluationError(
+                f"nonlinearity produced {vals[index]!r} at x[{j}] = {x[j]:g}{in_frame(index)}"
+            )
     u_norm = np.atleast_1d(np.sqrt(np.einsum("...j,...j->...", u, u) * grid.dx))
     bound = nonlinearity.growth_k * u_norm + nonlinearity.source_norm(grid)
     over = ~(f_norm <= bound * (1 + 1e-9) + 1e-300)

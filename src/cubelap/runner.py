@@ -301,6 +301,8 @@ def _ic_zero(grid):
 
 
 def _ic_gaussian(grid, amplitude, width, center):
+    if width <= 0:
+        raise ValueError("gaussian initial condition width must be positive")
     return field_from_function(
         grid, lambda x: amplitude * np.exp(-(((x - center) / width) ** 2))
     )

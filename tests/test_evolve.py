@@ -5,7 +5,7 @@ import pytest
 
 import cubelap as cl
 from cubelap.evolve import _window
-from cubelap.grid import hermitian_expand, raw_to_unitary
+from cubelap.grid import raw_to_unitary, unitary_spectrum
 
 
 # --------------------------------------------------------------------------
@@ -347,6 +347,31 @@ def test_march_single_window_equals_direct_solve(certified_problem):
     direct = cl.picard_solve(prob, T, reports[0].certificate)
     assert np.array_equal(reports[0].field.frames, direct.field.frames)
     assert reports[0].overlap is not None and reports[0].overlap > 0
+
+
+def test_windows_hand_over_in_raw_units(certified_problem):
+    # window k >= 1 starts from window k-1's last frame as it is, so its
+    # first frame norms repeat the previous window's last ones bit for bit;
+    # du/dt there reads the reaction of the start state itself, the previous
+    # window's that of the iterate before its last, so it agrees to the
+    # Picard tolerance
+    prob, cert, T = certified_problem
+    reports = cl.global_march(prob, 0.75, max_window_length=0.25, n_frames=16)
+    assert len(reports) == 3
+    for prev, rep in zip(reports, reports[1:]):
+        assert np.array_equal(rep.u_raw[0], prev.u_raw[-1])
+        assert rep.d6_l2_per_frame[0] == prev.d6_l2_per_frame[-1]
+        assert rep.l2_per_frame[0] == prev.l2_per_frame[-1]
+        last = prev.dudt_l2_per_frame[-1]
+        assert abs(rep.dudt_l2_per_frame[0] - last) <= 1e-9 * last
+
+
+def test_picard_solve_rejects_a_malformed_start(certified_problem):
+    prob, cert, T = certified_problem
+    good = np.zeros(prob.grid.n_half, dtype=np.complex128)
+    for bad in (good[:-1], np.where(np.arange(good.size) == 3, np.nan, good)):
+        with pytest.raises(ValueError, match="start must be"):
+            cl.picard_solve(prob, T, cert, start=bad)
 
 
 @pytest.mark.filterwarnings("ignore:F\\(0, .\\) is identically zero")
@@ -710,8 +735,7 @@ def test_batched_forcing_matches_per_frame_loop(hot_path_problem):
     prob, cert, T = hot_path_problem
     v, _, _ = _free_trajectory(prob, T, 32)
     batched = raw_to_unitary(prob.grid, _forcing_history(v, prob))
-    v = raw_to_unitary(prob.grid, v)
-    reference = _per_frame_forcing(hermitian_expand(prob.grid, v), prob)[:, : v.shape[1]]
+    reference = _per_frame_forcing(unitary_spectrum(prob.grid, v), prob)[:, : v.shape[1]]
     assert np.max(np.abs(batched - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
@@ -861,9 +885,10 @@ def test_solver_loops_construct_no_field_wrappers(certified_problem, monkeypatch
 
 
 def test_solver_loops_call_the_public_functions(certified_problem, monkeypatch):
-    # per iterate picard_solve applies the map and its time derivative once,
-    # with one reaction call for all frames; the oracle calls the reaction
-    # twice per substep
+    # per iterate picard_solve applies the map and its time derivative once
+    # per block of frames, with one reaction call per block, and the 17
+    # frames at N = 256 are one block; the oracle calls the reaction twice
+    # per substep
     import collections
 
     import cubelap.evolve as ev
@@ -903,3 +928,37 @@ def test_march_oracle_calls_the_reaction_twice_per_substep(certified_problem, mo
     assert len(reports) == windows
     its = sum(rep.trace.iterations for rep in reports)
     assert len(calls) == its + 2 * 4 * 16
+
+
+def test_window_solve_holds_about_two_trajectory_arrays():
+    # tracemalloc, not RSS: the iterate and its time derivative (which become
+    # the report's arrays) plus a few blocks of grid.BLOCK_BYTES; the full
+    # spectrum of ``field`` is one more allocation of two such arrays
+    import tracemalloc
+
+    grid = cl.make_grid(40.0, 4096)
+    kernel = cl.gaussian_kernel(0.01, 2.0)
+    q = cl.kernel_strength(kernel)
+    ell = 0.5 / (q * np.sqrt(9.0 * 0.4**2 + 2.0))
+    prob = cl.ProblemSpec(
+        a=0.0, b=1.0, kernel=kernel, nonlinearity=cl.saturating(ell, cl.source_gaussian(0.1, 1.0)),
+        u0=cl.field_from_function(grid, lambda x: np.exp(-(x**2) / 2.0)), grid=grid,
+    )
+    cert = cl.Certificate.for_window(q, ell, 0.0, 1.0, 0.4)
+    frames = 256
+    array = (frames + 1) * grid.n_half * 16  # one (M+1, N/2+1) complex array
+    cl.picard_solve(prob, 0.4, cert, n_frames=frames)  # fill the per-grid caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rep = cl.picard_solve(prob, 0.4, cert, n_frames=frames)
+        solve_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        field = rep.field
+        field_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rep.trace.iterations >= 3 and field.frames.shape == (frames + 1, grid.n_points)
+    assert solve_peak <= 3.5 * array, solve_peak / array
+    assert field_peak <= 2.1 * array, field_peak / array

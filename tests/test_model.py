@@ -264,6 +264,49 @@ def test_apply_nonlinearity_flags_nan():
         cl.apply_nonlinearity(np.ones(64), bad, g)
 
 
+def test_apply_nonlinearity_names_the_frame_of_the_trajectory():
+    # a block of frames 7, 8, 9 of a trajectory: the NaN in its row 1 is in
+    # frame 8, at the first x past 5
+    g = cl.make_grid(10.0, 64)
+    bad = cl.NonlinearitySpec(
+        name="bad", fn=lambda u, x: np.where((x > 5.0) & (u > 1.5), np.nan, u),
+        source=cl.source_zero(), growth_k=1.0, lipschitz_l=1.0,
+    )
+    block = np.ones((3, 64))
+    block[1:] = 2.0
+    j = int(np.argmax(g.x > 5.0))
+    with pytest.raises(cl.ModelEvaluationError, match=rf"nan\) at x\[{j}\] = .* in frame 8$"):
+        cl.apply_nonlinearity(block, bad, g, first_frame=7)
+
+
+def test_a_finite_reaction_whose_norm_overflows_fails_the_growth_bound():
+    # no entry is NaN or infinite, but the row norm overflows to inf: not a
+    # non-finite value, and inf > k||u|| + ||h||
+    g = cl.make_grid(10.0, 64)
+    huge = cl.NonlinearitySpec(
+        name="huge", fn=lambda u, x: np.full_like(u, 1e300),
+        source=cl.source_zero(), growth_k=1.0, lipschitz_l=1.0,
+    )
+    with pytest.raises(cl.ModelEvaluationError, match="growth bound violated: .* = inf > "):
+        cl.apply_nonlinearity(np.ones((2, 64)), huge, g)
+
+
+def test_source_profiles_are_remembered_per_grid_bit_for_bit():
+    g = cl.make_grid(10.0, 64)
+    h = cl.source_gaussian(0.3, 1.2, 0.5)
+    nl = cl.saturating(1.0, h)
+    first = nl.source(g.x)
+    assert nl.source(g.x) is first and not first.flags.writeable
+    assert np.array_equal(first, h(g.x))
+    other = cl.make_grid(12.0, 64)
+    assert np.array_equal(nl.source(other.x), h(other.x))
+    # a writeable array is never remembered
+    x = np.array(g.x)
+    assert nl.source(x) is not nl.source(x)
+    u = np.linspace(-1.0, 1.0, 64)
+    assert np.array_equal(cl.apply_nonlinearity(u, nl, g), np.sin(u) + h(g.x))
+
+
 def test_lipschitz_sampling_linear_exact():
     n = cl.linear_plus_source(0.6)
     ratio = cl.check_lipschitz_sampling(n, trials=500, seed=1)

@@ -8,10 +8,12 @@ contraction norm from ``np.abs(u) ** 2`` with ``np.trapezoid``.
 ``picard_solve`` must agree with it for every entry of the nonlinearity
 catalog and on the override path (C >= 1), at a > 0 and b != 0: the same
 iteration count, the final frame to 1e-12 relative and every Picard distance
-to 1e-12 of the first. The frame loops run in blocks of ``grid.BLOCK_BYTES``,
-a whole trajectory at N = 256; the tests also shrink the blocks to 1 and 5
-frames, so that blocks end inside the trajectory, and at 5 frames the last
-one is partial.
+to 1e-12 of the first. Each iterate is one forward walk over blocks of
+``grid.BLOCK_BYTES``, a whole trajectory at N = 256; the tests also shrink
+the blocks to 1 and 5 frames, so that blocks end inside the trajectory, and
+at 5 frames the last one is partial. At every block size the walk calls
+``duhamel_map``, ``time_derivative`` and ``apply_nonlinearity`` once per
+block and iterate, and a model error names the frame of the trajectory.
 
 ``_unitary_heun`` is the Heun oracle in unitary coefficients, the slow path
 of ``etd_reference_solve``, single-state and batched. The report's per-frame
@@ -138,6 +140,60 @@ def test_raw_unit_loop_matches_unitary_loop(name, block_frames):
     rep = cl.picard_solve(prob, T, cert, n_frames=N_FRAMES)
     assert rep.trace.iterations >= 3
     _assert_matches_slow_path(rep, prob)
+
+
+def test_block_walk_calls_the_public_functions_once_per_block(block_frames, monkeypatch):
+    import collections
+
+    import cubelap.evolve as ev
+
+    calls = collections.Counter()
+    for name in ("duhamel_map", "time_derivative", "apply_nonlinearity"):
+        def counting(*args, _orig=getattr(ev, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(ev, name, counting)
+    prob = _problem(_catalog_nonlinearity("saturating"))
+    q = cl.kernel_strength(prob.kernel)
+    cert = cl.Certificate.for_window(q, prob.nonlinearity.lipschitz_l, A, B, T)
+    its = cl.picard_solve(prob, T, cert, n_frames=N_FRAMES).trace.iterations
+    blocks = 1 if block_frames is None else math.ceil((N_FRAMES + 1) / block_frames)
+    want = its * blocks
+    assert dict(calls) == {"duhamel_map": want, "time_derivative": want,
+                           "apply_nonlinearity": want}
+
+
+def test_growth_violation_names_its_trajectory_frame(block_frames):
+    # F triples u where |u| > 1.2 against a declared growth of 1.5: u0 grows
+    # like e^{2t}, so the first iterate's reaction first breaks the bound at
+    # a frame past the first block of 1 or 5 frames
+    grid = cl.make_grid(20.0, 256)
+    jump = cl.NonlinearitySpec(
+        name="jump", fn=lambda u, x: np.where(np.abs(u) > 1.2, 3.0 * u, u),
+        source=cl.source_zero(), growth_k=1.5, lipschitz_l=3.0,
+    )
+    u0 = cl.field_from_function(grid, lambda x: np.exp(-(x**2) / 2.0))
+    prob = cl.ProblemSpec(
+        a=2.0, b=0.0, kernel=cl.gaussian_kernel(0.01, 2.0), nonlinearity=jump, u0=u0, grid=grid
+    )
+    cert = cl.Certificate.for_window(cl.kernel_strength(prob.kernel), 3.0, 2.0, 0.0, T)
+    assert cert.valid
+    # the first frame of the free trajectory whose reaction fails on its own
+    free = cl.etd_reference_solve(cl.ProblemSpec(
+        a=2.0, b=0.0, kernel=prob.kernel, nonlinearity=cl.linear_plus_source(0.0), u0=u0,
+        grid=grid,
+    ), T, 4 * N_FRAMES, N_FRAMES)
+    first = None
+    for j in range(N_FRAMES + 1):
+        try:
+            cl.apply_nonlinearity(cl.to_physical(free.frame(j)).values.real, jump, grid)
+        except cl.ModelEvaluationError:
+            first = j
+            break
+    assert first is not None and first > 5
+    with pytest.raises(cl.ModelEvaluationError, match=rf"^growth bound .* in frame {first}$"):
+        cl.picard_solve(prob, T, cert, n_frames=N_FRAMES)
 
 
 def test_raw_unit_loop_matches_unitary_loop_under_override(block_frames):

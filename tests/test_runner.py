@@ -683,8 +683,11 @@ def test_missing_csv_exits_4_with_artifacts(tmp_path):
                                          "lipschitz": 0.0}),
         lambda c: c["nonlinearity"]["source"].update(width=0.0),
         lambda c: c["nonlinearity"]["source"].update(width=-1.0),
+        lambda c: c.update(initial_condition={"name": "gaussian", "width": 0.0}),
+        lambda c: c.update(initial_condition={"name": "gaussian", "width": -1.0}),
     ],
-    ids=["lipschitz_zero", "source_width_zero", "source_width_negative"],
+    ids=["lipschitz_zero", "source_width_zero", "source_width_negative",
+         "initial_width_zero", "initial_width_negative"],
 )
 def test_non_positive_catalog_constants_exit_4_at_build(tmp_path, edit):
     cfg = _certified_config(tmp_path / "out", grid={"L": 20.0, "N": 64})
