@@ -40,7 +40,7 @@ expand) on every access.
 The new Picard iterate at frame j needs only the old iterate at frames up
 to j and the new one at frame j - 1, so a window solve holds a single
 trajectory pair (u, du/dt) and each iterate overwrites its predecessor in
-one forward walk over blocks of frames (``grid.BLOCK_BYTES``): per block,
+one forward walk over blocks of frames (``grid.block_bounds``): per block,
 one batched real transform pair around one ``apply_nonlinearity`` call,
 the recursion carried on from the frame before the block, the time
 derivative and the block's share of the contraction-norm distance.
@@ -52,6 +52,9 @@ run, one Heun march checks every window at once on a (K, N/2+1) block: the
 Picard chain is the sequential propagator and the oracle the fine solver of
 the parareal split (Lions, Maday & Turinici, 2001). Failures are reported in
 the sequential order Picard 0, oracle 0, Picard 1, ...: the first one wins.
+The block march stops at its first failure; only then are its windows
+marched again one at a time, in order, so that the lowest failing window
+is raised with the message of its own march.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ from .grid import (
     SpacetimeField,
     SpectralGrid,
     TAIL_TOL,
-    block_rows,
+    block_bounds,
     contraction_sq,
     frame_norms,
     half_sq_norms,
@@ -566,7 +569,7 @@ def _picard_iterate(
     u: np.ndarray, dudt: np.ndarray, prob: ProblemSpec, w: _Window, with_norm: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Overwrite the iterate (u, dudt) with its image under the mild-solution
-    map, in one forward walk over blocks of frames (``block_rows``).
+    map, in one forward walk over blocks of frames (``block_bounds``).
 
     The image's frame j needs the old iterate's frames up to j and the
     image's frame j - 1 only, so each block, in turn: ``duhamel_map`` of the
@@ -580,13 +583,13 @@ def _picard_iterate(
     without ``with_norm``); the time integral is the caller's.
     """
     grid = prob.grid
-    n_rows, step = len(u), block_rows(u)
-    new_u, new_du = (np.empty((step,) + u.shape[1:], np.complex128) for _ in range(2))
-    dist_sq = np.empty(n_rows)
-    norm_sq = np.empty(n_rows) if with_norm else None
+    blocks = block_bounds(u)
+    size = max(e - s for s, e in blocks)
+    new_u, new_du = (np.empty((size,) + u.shape[1:], np.complex128) for _ in range(2))
+    dist_sq = np.empty(len(u))
+    norm_sq = np.empty(len(u)) if with_norm else None
     carry = None
-    for s in range(0, n_rows, step):
-        e = min(s + step, n_rows)
+    for s, e in blocks:
         bu, fh = duhamel_map(u[s:e], prob, w, out=new_u[: e - s], carry=carry)
         bd = time_derivative(bu, fh, w, out=new_du[: e - s])
         old = u[s:e]
@@ -617,127 +620,87 @@ def etd_reference_solve(
     constant forcing, where the mild-solution quadrature is exact), and free
     of phi-weights by design so the two solvers share no quadrature path.
 
-    One march advances a (K, N/2+1) block of independent half-spectrum
-    states: per substep two calls of the array form of
-    ``apply_nonlinearity``, each on all K rows through one real transform
-    pair, and a blowup check of every row against its own initial norm.
-    Without ``starts`` the block is the single state ``prob.u0`` and the
-    result is its ``SpacetimeField`` of n_frames + 1 frames. ``starts`` is a
-    (K, N) array of real initial states, row r the start of window r of a
-    march; the result is then only the (K, N/2+1) array of end states in
-    ``rfft_raw`` units (``grid.raw_to_unitary`` converts them), and a
-    failure is raised as ``global_march`` raises window r's: the lowest
-    failing row wins, whatever substep it fails at, and the rows below it are
-    still checked to the end. A failure reads as it does for one state: on a
-    model error the substep is repeated row by row, and a substep count that
-    fails the preconditions fails row 0.
+    Without ``starts`` the march advances the single state ``prob.u0`` and
+    returns its ``SpacetimeField`` of n_frames + 1 frames. ``starts`` is a
+    (K, N) array of real initial states, row k the start of window k of a
+    march, advanced as one (K, N/2+1) block (per substep two reaction calls
+    on all K rows); the result is then the (K, N/2+1) array of end states in
+    ``rfft_raw`` units. If the block fails, its windows are marched again one
+    at a time, in order, and the first failure is raised as ``global_march``
+    raises window k's, with the message of the window's own march; if no
+    window fails alone (a reaction that couples rows), the block's error is.
     """
     grid = prob.grid
-    batch = starts is not None
-    u0 = np.asarray(starts, dtype=np.float64) if batch else prob.u0.values.real[None, :]
+    march = (prob, window_length, substeps, n_frames)
+    if starts is None:
+        frames = _heun_march(*march, rfft_raw(prob.u0.values.real))
+        return _spacetime_field(grid, np.linspace(0.0, window_length, n_frames + 1), frames)
+    u0 = np.asarray(starts, dtype=np.float64)
     if u0.ndim != 2 or u0.shape[0] < 1 or u0.shape[1] != grid.n_points:
         raise ValueError(
             f"starts must be a (K, {grid.n_points}) array with K >= 1, got shape {u0.shape}"
         )
-    frames, ends, failure = _heun_march(prob, window_length, substeps, n_frames, u0, batch)
-    if failure is not None:
-        if batch:
-            _raise_window_failure(*failure)
-        raise failure[1]
-    if batch:
-        return ends
-    return _spacetime_field(grid, np.linspace(0.0, window_length, n_frames + 1), frames)
+    failures = (ValueError, ModelEvaluationError, ReferenceInstabilityError)
+    try:
+        return _heun_march(*march, rfft_raw(u0))
+    except failures:
+        for k, row in enumerate(u0):
+            try:
+                _heun_march(*march, rfft_raw(row))
+            except failures as exc:
+                _raise_window_failure(k, exc)
+        raise
 
 
 def _heun_march(
-    prob: ProblemSpec,
-    window_length: float,
-    substeps: int,
-    n_frames: int,
-    u0: np.ndarray,
-    batch: bool,
-):
-    """The marcher of ``etd_reference_solve`` on the (K, N) real states u0,
-    in ``rfft_raw`` units.
-
-    Returns the frames of row 0 (None if ``batch``), the end states and the
-    (row, error) of the lowest failing row, or None; the states mean nothing
-    after a failure. Once a row fails, only the rows below it march on, to
-    the end, since one of them may still fail. A substep count that fails
-    the preconditions fails every row, so row 0.
+    prob: ProblemSpec, window_length: float, substeps: int, n_frames: int, u_hat: np.ndarray
+) -> np.ndarray:
+    """The marcher of ``etd_reference_solve`` from the state ``u_hat`` in
+    ``rfft_raw`` units: a (N/2+1,) state gives its n_frames + 1 frames, a
+    (K, N/2+1) block its end states. Raises the first failure: a substep
+    count that fails the preconditions, a model error, or a row whose norm
+    leaves 1e8 times the larger of its norms before and after substep 1.
     """
     if substeps < 4 * n_frames:
-        return None, None, (0, ValueError(
+        raise ValueError(
             f"substeps = {substeps} must be at least 4x the frame count {n_frames}"
-        ))
+        )
     if substeps % n_frames != 0:
-        return None, None, (0, ValueError(
-            "substeps must be an integer multiple of the frame count"
-        ))
+        raise ValueError("substeps must be an integer multiple of the frame count")
     grid = prob.grid
-    half = slice(0, grid.n_half)
-    sym = build_symbol(grid, prob.a, prob.b)
-    g = SQRT_2PI * prob.kernel.spectrum_on(grid)[half]
     h = window_length / substeps
-    e_h = sym.propagator(h)[half]
+    w = _window(prob, h)
 
-    def reaction(u_hat: np.ndarray) -> np.ndarray:
-        phys = irfft_raw(grid, u_hat)
-        return g * rfft_raw(apply_nonlinearity(phys, prob.nonlinearity, grid))
+    def reaction(u: np.ndarray) -> np.ndarray:
+        return w.g * rfft_raw(apply_nonlinearity(irfft_raw(grid, u), prob.nonlinearity, grid))
 
-    def heun_step(u_hat: np.ndarray) -> np.ndarray:
-        nn = reaction(u_hat)
-        pred = e_h * (u_hat + h * nn)
-        return e_h * u_hat + 0.5 * h * (e_h * nn + reaction(pred))
+    def l2(u: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.atleast_1d(half_sq_norms(grid, u, "l2")))
 
-    def l2(u_hat: np.ndarray) -> np.ndarray:
-        return np.sqrt(half_sq_norms(grid, u_hat, "l2"))
-
-    u_hat = rfft_raw(u0)
     stride = substeps // n_frames
     frames = None
-    if not batch:
+    if u_hat.ndim == 1:
         frames = np.empty((n_frames + 1, grid.n_half), dtype=np.complex128)
-        frames[0] = u_hat[0]
+        frames[0] = u_hat
     scale0 = l2(u_hat)
-    blowup_ref = None
-    failure = None
+    ref = None
     for n in range(substeps):
-        try:
-            u_next = heun_step(u_hat)
-        except ModelEvaluationError as exc:
-            # step the rows one at a time, each as one (N,) state so that its
-            # error names no frame, up to the lowest failing one
-            done = []
-            for r, row in enumerate(u_hat):
-                try:
-                    done.append(heun_step(row))
-                except ModelEvaluationError as row_exc:
-                    failure = (r, row_exc)
-                    break
-            else:
-                raise exc  # no row fails alone: F is not pointwise
-            if not done:
-                break
-            u_next = np.stack(done)
-        norm_now = l2(u_next)
-        if blowup_ref is None:
-            blowup_ref = np.fmax(np.fmax(scale0[: len(u_next)], norm_now), 1e-12)
-        ref = blowup_ref[: len(u_next)]
+        nn = reaction(u_hat)
+        pred = w.e_dt * (u_hat + h * nn)
+        u_hat = w.e_dt * u_hat + 0.5 * h * (w.e_dt * nn + reaction(pred))
+        norm_now = l2(u_hat)
+        if ref is None:
+            ref = np.fmax(np.fmax(scale0, norm_now), 1e-12)
         bad = ~(np.isfinite(norm_now) & (norm_now <= 1e8 * ref))
         if np.any(bad):
             r = int(np.argmax(bad))
-            failure = (r, ReferenceInstabilityError(
+            raise ReferenceInstabilityError(
                 f"reference marcher unstable at step {n + 1}: "
                 f"norm {norm_now[r]:.3e} vs initial {ref[r]:.3e}"
-            ))
-            if r == 0:
-                break
-            u_next = u_next[:r]
-        u_hat = u_next
+            )
         if frames is not None and (n + 1) % stride == 0:
-            frames[(n + 1) // stride] = u_hat[0]
-    return frames, u_hat, failure
+            frames[(n + 1) // stride] = u_hat
+    return u_hat if frames is None else frames
 
 
 def _raise_window_failure(k: int, exc: Exception):

@@ -47,7 +47,7 @@ _MAX_DERIVATIVE_ORDER = 8
 #: blocks of rows of about this many bytes, so the operands of each step stay
 #: in a core's cache instead of streaming through memory once per operation,
 #: and the temporaries of a step are one block, not one trajectory; at small
-#: N one block holds the whole trajectory. See ``block_rows``.
+#: N one block holds the whole trajectory. See ``block_bounds``.
 BLOCK_BYTES = 2**18
 
 
@@ -87,7 +87,6 @@ class SpectralGrid:
         p.flags.writeable = False
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "wavenumbers", p)
-        object.__setattr__(self, "_mode_index", k)
         object.__setattr__(self, "_phase", np.where(k % 2 == 0, 1.0, -1.0))
         p12 = p**12
         p12.flags.writeable = False
@@ -397,10 +396,15 @@ def half_sq_norms(
     return sq @ grid._view_weights[kind]
 
 
-def block_rows(frames: np.ndarray) -> int:
-    """Rows of ``frames`` (frames along axis 0) per block of about BLOCK_BYTES,
-    at most all of them."""
-    return max(1, min(len(frames), BLOCK_BYTES // (frames[0].size * frames.itemsize)))
+def block_bounds(frames: np.ndarray) -> list[tuple[int, int]]:
+    """The (start, end) row bounds of the blocks of ``frames`` (frames along
+    axis 0) of about BLOCK_BYTES each, in order; when fewer than two blocks'
+    worth of rows remain, the last block takes them all, so no block is a
+    short tail and none is more than twice the size."""
+    n = len(frames)
+    step = max(1, BLOCK_BYTES // (frames[0].size * frames.itemsize))
+    count = max(1, n // step)
+    return [(i * step, n if i == count - 1 else (i + 1) * step) for i in range(count)]
 
 
 def contraction_sq(
@@ -434,26 +438,25 @@ def contraction_sq(
 
 def frame_norms(grid: SpectralGrid, half: np.ndarray, kind: str) -> np.ndarray:
     """The norms sqrt(``half_sq_norms``) of (M+1, N/2+1) half-spectrum frames,
-    block by block of rows (``block_rows``) through one block of scratch.
+    block by block of rows (``block_bounds``) through one block of scratch.
     Each row is summed on its own (numpy's pairwise sum along a contiguous
     row, not a matrix product, whose result per row depends on the rows
     around it), so a frame's norm does not depend on where it sits in its
     trajectory: the first frame of a window reads exactly as the same state
     read at the end of the window before."""
     weights = grid._view_weights[kind]
-    step = block_rows(half)
-    scratch = np.empty((step, weights.size))
+    blocks = block_bounds(half)
+    scratch = np.empty((max(e - s for s, e in blocks), weights.size))
     out = np.empty(len(half))
-    for s in range(0, len(half), step):
-        rows = half[s : s + step].view(np.float64)
-        sq = np.square(rows, out=scratch[: len(rows)])
+    for s, e in blocks:
+        sq = np.square(half[s:e].view(np.float64), out=scratch[: e - s])
         sq *= weights
-        np.add.reduce(sq, axis=1, out=out[s : s + len(rows)])
+        np.add.reduce(sq, axis=1, out=out[s:e])
     return np.sqrt(out)
 
 
 def spacetime_sobolev_norm(u: SpacetimeField, du_dt: SpacetimeField) -> float:
-    """The contraction norm of ``raw_contraction_norm`` for full-spectrum
+    """The contraction norm of ``contraction_sq`` for full-spectrum
     fields of one layout, with ``forward_transform``'s coefficients."""
     _check_same_layout(u, du_dt)
     grid = u.grid

@@ -72,12 +72,12 @@ class ConfigError(ValueError):
 
 
 #: Memory a run may plan for (README, "Limits"). A window solve peaks at
-#: about 6 arrays of (frames + 1) x N complex values of 16 bytes, and each
-#: window's report keeps two half-spectrum arrays of (frames + 1) x (N/2 + 1),
-#: about one such array; the bound allows 16, the solve plus the reports of
-#: ten windows. The Lipschitz sampler takes about 82 bytes per trial; the
-#: bound allows 16 floats of 8 bytes. Once the certificate fixes the window
-#: count, ``run`` refuses a schedule whose reports alone exceed the budget.
+#: about one array of (frames + 1) x N complex values of 16 bytes: the
+#: iterate and its time derivative, two (frames + 1) x (N/2 + 1) arrays that
+#: the report keeps, and a few blocks; the bound allows 16 such arrays. The
+#: Lipschitz sampler takes about 82 bytes per trial; the bound allows 16
+#: floats of 8 bytes. Once the certificate fixes the window count, ``run``
+#: refuses a schedule whose reports alone exceed the budget.
 MEMORY_BUDGET_BYTES = 2 * 2**30
 MAX_TRAJECTORY_VALUES = MEMORY_BUDGET_BYTES // (16 * 16)
 MAX_LIPSCHITZ_TRIALS = MEMORY_BUDGET_BYTES // (16 * 8)

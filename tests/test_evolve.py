@@ -640,6 +640,90 @@ def test_batched_oracle_substep_preconditions_fail_window_0():
         cl.etd_reference_solve(prob, 0.5, 64, n_frames=16, starts=starts[:, :7])
 
 
+def _threshold_reaction(name, factor, threshold):
+    """F = factor * u where |u| passes threshold, else 0: NaN or a growth
+    bound violation once a state grows large, nothing before."""
+    def fn(u, x):
+        return np.where(np.abs(u) > threshold, factor * u, 0.0 * u)
+
+    return cl.NonlinearitySpec(
+        name=name, fn=fn, source=cl.source_zero(), growth_k=1.0, lipschitz_l=3.0
+    )
+
+
+def _single_window_failure(prob, starts, substeps, n_frames):
+    """The slow path: one single-state march per start, in order; (window,
+    error) of the first failure, or (None, their end frames)."""
+    import dataclasses
+
+    ends = []
+    for k, row in enumerate(starts):
+        one = dataclasses.replace(prob, u0=cl.Field(prob.grid, row))
+        try:
+            ends.append(cl.etd_reference_solve(one, _BLOWUP_T, substeps, n_frames).frames[-1])
+        except (cl.SolverError, ValueError, cl.ModelEvaluationError) as exc:
+            return k, exc
+    return None, np.stack(ends)
+
+
+@pytest.mark.filterwarnings("ignore:F\\(0, .\\) is identically zero")
+def test_batched_oracle_replay_matches_single_window_marches():
+    from cubelap.grid import unitary_spectrum
+
+    rng = np.random.default_rng(15)
+    n_frames, seen = 8, set()
+    for _ in range(40):
+        kind = rng.integers(4)
+        nonlinearity = [
+            cl.linear_plus_source(0.0),
+            _threshold_reaction("nan_above", np.nan, 10 ** rng.uniform(2, 10)),
+            _threshold_reaction("grow_above", 3.0, 10 ** rng.uniform(2, 10)),
+            cl.linear_plus_source(0.0),
+        ][kind]
+        substeps = int(rng.choice([20, 36])) if kind == 3 else 8 * n_frames
+        prob = _blowup_problem(_STARTS[0], nonlinearity)
+        x = prob.grid.x
+        starts = np.stack([
+            10 ** rng.uniform(-13, -1) * np.cos(x) + np.cos(2 * x) + 10 ** rng.uniform(-9, -3)
+            for _ in range(rng.integers(1, 6))
+        ])
+        k, cause = _single_window_failure(prob, starts, substeps, n_frames)
+        if k is None:
+            ends = cl.etd_reference_solve(prob, _BLOWUP_T, substeps, n_frames, starts=starts)
+            assert np.array_equal(unitary_spectrum(prob.grid, ends), cause)
+            seen.add("none")
+            continue
+        with pytest.raises((cl.SolverError, cl.ModelEvaluationError)) as exc:
+            cl.etd_reference_solve(prob, _BLOWUP_T, substeps, n_frames, starts=starts)
+        got = exc.value
+        if isinstance(cause, (cl.SolverError, ValueError)):
+            want = (cl.MarchWindowError, k, str(cl.MarchWindowError(k, cause)), type(cause))
+        else:
+            want = (type(cause), None, str(cause), type(None))
+        assert (type(got), getattr(got, "window_index", None), str(got),
+                type(got.__cause__)) == want
+        seen.add((type(cause).__name__, k > 0))
+    # the draws reach every failure type, at window 0 and past it
+    assert seen >= {"none", ("ValueError", False), ("ModelEvaluationError", True),
+                    ("ReferenceInstabilityError", True)}
+
+
+def test_batched_oracle_raises_its_own_error_when_no_window_fails_alone():
+    # F is NaN on a block of states only: every single-state march passes,
+    # so the rows are coupled and the block's error is the one raised
+    def fn(u, x):
+        return np.full_like(u, np.nan) if u.ndim > 1 else 0.0 * u
+
+    spec = cl.NonlinearitySpec(
+        name="nan_on_blocks", fn=fn, source=cl.source_zero(), growth_k=1.0, lipschitz_l=1.0
+    )
+    prob = _blowup_problem(_STARTS[0], spec)
+    starts = np.stack([start(prob.grid.x) for start in (_STARTS[0], _STARTS[3])])
+    assert _single_window_failure(prob, starts, 64, 16)[0] is None
+    with pytest.raises(cl.ModelEvaluationError, match=r"in frame 0$"):
+        cl.etd_reference_solve(prob, _BLOWUP_T, 64, n_frames=16, starts=starts)
+
+
 def test_two_grid_consistency(certified_problem):
     prob, cert, T = certified_problem
     rep_c = cl.picard_solve(prob, T, cert, n_frames=64)

@@ -342,6 +342,28 @@ def test_transform_convention_lives_in_grid_only():
     assert stray == {}
 
 
+def test_window_data_is_built_in_window_only():
+    """``evolve`` builds the symbol and the kernel factor in ``_window``
+    only, and the Heun march raises its failures with no ``try``."""
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse((Path(cl.__file__).parent / "evolve.py").read_text())
+    callers = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    if name in ("build_symbol", "spectrum_on"):
+                        callers.append((fn.name, name))
+    assert sorted(callers) == [("_window", "build_symbol"), ("_window", "spectrum_on")]
+    heun = next(fn for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef) and fn.name == "_heun_march")
+    assert not any(isinstance(node, ast.Try) for node in ast.walk(heun))
+
+
 _CERTIFICATE_KEYS = ("C_small_T_limit", "valid=")
 
 

@@ -11,7 +11,8 @@ iteration count, the final frame to 1e-12 relative and every Picard distance
 to 1e-12 of the first. Each iterate is one forward walk over blocks of
 ``grid.BLOCK_BYTES``, a whole trajectory at N = 256; the tests also shrink
 the blocks to 1 and 5 frames, so that blocks end inside the trajectory, and
-at 5 frames the last one is partial. At every block size the walk calls
+at 5 frames the last one takes the 3 frames left over as well. At every
+block size the walk calls
 ``duhamel_map``, ``time_derivative`` and ``apply_nonlinearity`` once per
 block and iterate, and a model error names the frame of the trajectory.
 
@@ -158,7 +159,7 @@ def test_block_walk_calls_the_public_functions_once_per_block(block_frames, monk
     q = cl.kernel_strength(prob.kernel)
     cert = cl.Certificate.for_window(q, prob.nonlinearity.lipschitz_l, A, B, T)
     its = cl.picard_solve(prob, T, cert, n_frames=N_FRAMES).trace.iterations
-    blocks = 1 if block_frames is None else math.ceil((N_FRAMES + 1) / block_frames)
+    blocks = 1 if block_frames is None else max(1, (N_FRAMES + 1) // block_frames)
     want = its * blocks
     assert dict(calls) == {"duhamel_map": want, "time_derivative": want,
                            "apply_nonlinearity": want}
