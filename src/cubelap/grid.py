@@ -14,8 +14,8 @@ certificate) depends on it, so no other module touches raw FFTs.
 The solvers hold every trajectory in raw ``np.fft.rfft`` units instead
 (``rfft_raw`` / ``irfft_raw``), where a transform pair needs no factor at
 all. The convention then enters in two places, both of them here: the norm
-weights of half spectra (``half_sq_norms``, ``contraction_sq`` and
-``frame_norms``, times (dx/sqrt(2*pi))^2), and the way to unitary
+weights of half spectra (times (dx/sqrt(2*pi))^2, in ``half_sq_norms``,
+which every norm of a half spectrum goes through), and the way to unitary
 coefficients at the API edge (``raw_to_unitary`` for half spectra,
 ``unitary_spectrum`` for all N modes).
 
@@ -47,7 +47,8 @@ _MAX_DERIVATIVE_ORDER = 8
 #: blocks of rows of about this many bytes, so the operands of each step stay
 #: in a core's cache instead of streaming through memory once per operation,
 #: and the temporaries of a step are one block, not one trajectory; at small
-#: N one block holds the whole trajectory. See ``block_bounds``.
+#: N one block holds the whole trajectory. See ``block_bounds``. It changes
+#: speed and memory only: every step, norms included, works row by row.
 BLOCK_BYTES = 2**18
 
 
@@ -378,7 +379,7 @@ def half_sq_norms(
     grid: SpectralGrid, half: np.ndarray, kind: str, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Squared norms of half-spectrum frames in ``rfft_raw`` units, one per
-    row of ``half`` (..., N/2+1).
+    row of ``half`` (..., N/2+1), contiguous complex128.
 
     Each stored mode counts with its multiplicity in the full spectrum of a
     real field. ``kind`` picks the norm:
@@ -387,13 +388,16 @@ def half_sq_norms(
         "d6"  ||d^6 u/dx^6||^2
         "h6"  ||u||^2 + ||d^6 u/dx^6||^2
 
-    Computed as (v**2) @ w on the float64 view v of ``half`` (contiguous
-    complex128), with no complex modulus. The squares are written to ``out``
-    (an array of ``half``'s shape and dtype, or ``half`` itself) if given.
+    The float64 view is squared and weighted, with no complex modulus, into
+    ``out`` if given (``half``'s shape and dtype, or ``half`` itself). Each
+    row is then summed on its own, not by a matrix product, whose result for
+    one row depends on the rows beside it, so a row reads the same bits in
+    any block or batch. Every half-spectrum norm in the package is summed
+    here.
     """
-    view = half.view(np.float64)
-    sq = np.square(view, out=None if out is None else out.view(np.float64))
-    return sq @ grid._view_weights[kind]
+    sq = np.square(half.view(np.float64), out=None if out is None else out.view(np.float64))
+    sq *= grid._view_weights[kind]
+    return np.add.reduce(sq, axis=-1)
 
 
 def block_bounds(frames: np.ndarray) -> list[tuple[int, int]]:
@@ -438,20 +442,13 @@ def contraction_sq(
 
 def frame_norms(grid: SpectralGrid, half: np.ndarray, kind: str) -> np.ndarray:
     """The norms sqrt(``half_sq_norms``) of (M+1, N/2+1) half-spectrum frames,
-    block by block of rows (``block_bounds``) through one block of scratch.
-    Each row is summed on its own (numpy's pairwise sum along a contiguous
-    row, not a matrix product, whose result per row depends on the rows
-    around it), so a frame's norm does not depend on where it sits in its
-    trajectory: the first frame of a window reads exactly as the same state
-    read at the end of the window before."""
-    weights = grid._view_weights[kind]
+    block by block of rows (``block_bounds``) through one block of scratch,
+    so that no trajectory-sized temporary is allocated."""
     blocks = block_bounds(half)
-    scratch = np.empty((max(e - s for s, e in blocks), weights.size))
+    scratch = np.empty_like(half[: max(e - s for s, e in blocks)])
     out = np.empty(len(half))
     for s, e in blocks:
-        sq = np.square(half[s:e].view(np.float64), out=scratch[: e - s])
-        sq *= weights
-        np.add.reduce(sq, axis=1, out=out[s:e])
+        out[s:e] = half_sq_norms(grid, half[s:e], kind, out=scratch[: e - s])
     return np.sqrt(out)
 
 

@@ -314,12 +314,15 @@ def _ic_mode(grid, amplitude, k):
 
 
 def _ic_csv(grid, path):
-    data = np.loadtxt(path, delimiter=",")
-    if data.ndim != 2 or data.shape[1] != 2:
+    data = np.loadtxt(path, delimiter=",", ndmin=2)
+    if len(data) < 2:
+        raise ConfigError(f"initial_condition csv {path} needs two rows or more, got {len(data)}")
+    if data.shape[1] != 2:
         raise ConfigError(f"initial_condition csv {path} must have two columns")
-    return field_from_function(
-        grid, lambda x: np.interp(x, data[:, 0], data[:, 1], left=0.0, right=0.0)
-    )
+    # np.interp reads a decreasing x as garbage, not as an error
+    if not np.all(np.diff(data[:, 0]) > 0):
+        raise ConfigError(f"initial_condition csv {path} x samples must be strictly increasing")
+    return field_from_function(grid, lambda x: np.interp(x, *data.T, left=0.0, right=0.0))
 
 
 #: Initial conditions are a runner catalog: the model takes any field.

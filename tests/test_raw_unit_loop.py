@@ -9,18 +9,25 @@ contraction norm from ``np.abs(u) ** 2`` with ``np.trapezoid``.
 catalog and on the override path (C >= 1), at a > 0 and b != 0: the same
 iteration count, the final frame to 1e-12 relative and every Picard distance
 to 1e-12 of the first. Each iterate is one forward walk over blocks of
-``grid.BLOCK_BYTES``, a whole trajectory at N = 256; the tests also shrink
-the blocks to 1 and 5 frames, so that blocks end inside the trajectory, and
-at 5 frames the last one takes the 3 frames left over as well. At every
-block size the walk calls
-``duhamel_map``, ``time_derivative`` and ``apply_nonlinearity`` once per
-block and iterate, and a model error names the frame of the trajectory.
+``grid.BLOCK_BYTES``, a whole 33-frame trajectory at N = 256; the tests also
+shrink the blocks to 1 and 5 frames, so that blocks end inside the
+trajectory, and at 5 frames the last one takes the 3 frames left over as
+well, and grow them to a whole window at any size. At every block size the
+walk calls ``duhamel_map``, ``time_derivative`` and ``apply_nonlinearity``
+once per block and iterate, and a model error names the frame of the
+trajectory.
+
+The block size changes no number: at every block size a march of 257-frame
+windows (two default blocks each) reports bitwise the trajectories,
+distances, per-frame norms and oracle deviations of the default blocks, and
+``runner.main`` writes byte-equal artifacts.
 
 ``_unitary_heun`` is the Heun oracle in unitary coefficients, the slow path
 of ``etd_reference_solve``, single-state and batched. The report's per-frame
 norms are checked against ``l2_norm`` of its full-spectrum frames.
 """
 
+import json
 import math
 
 import numpy as np
@@ -30,8 +37,10 @@ import cubelap as cl
 import cubelap.grid
 from cubelap.grid import raw_to_unitary
 from cubelap.model import NONLINEARITIES
+from cubelap.runner import main
 
 A, B, T, N_FRAMES = 0.3, -0.8, 0.4, 32
+DEFAULT_BLOCK_BYTES = cubelap.grid.BLOCK_BYTES
 
 
 def forward_real(grid, values):
@@ -123,9 +132,16 @@ def _assert_matches_slow_path(rep, prob):
     assert np.all(np.abs(rep.trace.distances - distances) <= 1e-12 * distances[0])
 
 
-@pytest.fixture(params=[None, 1, 5], ids=["default_blocks", "1_frame_blocks", "5_frame_blocks"])
+WHOLE_WINDOW = 10**6
+
+
+@pytest.fixture(
+    params=[None, 1, 5, WHOLE_WINDOW],
+    ids=["default_blocks", "1_frame_blocks", "5_frame_blocks", "whole_window_blocks"],
+)
 def block_frames(request, monkeypatch):
-    """Frames per block of the solver's loops: the default, or 1 or 5."""
+    """Frames per block of the solver's loops at N = 256: the default, 1, 5,
+    or more than any window holds."""
     if request.param is not None:
         bytes_per_frame = 16 * (256 // 2 + 1)
         monkeypatch.setattr(cubelap.grid, "BLOCK_BYTES", request.param * bytes_per_frame)
@@ -270,3 +286,84 @@ def test_report_norms_match_full_spectrum_norms(name):
             (rep.dudt_l2_per_frame[j], cl.l2_norm(dudt.frame(j))),
         ):
             assert abs(got - want) <= 1e-12 * want, (j, got, want)
+
+
+def _march_numbers():
+    prob = _problem(_catalog_nonlinearity("saturating"))
+    reports = cl.global_march(prob, 3 * T, n_frames=256, run_oracle=True)
+    assert len(reports) >= 2
+    return [
+        {
+            "u_raw": rep.u_raw,
+            "dudt_raw": rep.dudt_raw,
+            "distances": rep.trace.distances,
+            "l2": rep.l2_per_frame,
+            "d6_l2": rep.d6_l2_per_frame,
+            "dudt_l2": rep.dudt_l2_per_frame,
+            "oracle_rel_deviation": np.array(rep.oracle_rel_deviation),
+        }
+        for rep in reports
+    ]
+
+
+def test_block_size_changes_no_number_of_a_march(default_blocks, block_frames):
+    # 257 frames of 2064 bytes: the default 2^18-byte blocks split each window
+    # in two
+    assert DEFAULT_BLOCK_BYTES // (16 * 129) < 257
+    want = default_blocks["march"]
+    got = _march_numbers()
+    assert len(got) == len(want)
+    for k, (g, w) in enumerate(zip(got, want)):
+        for key in w:
+            assert np.array_equal(g[key], w[key]), (k, key)
+
+
+def _artifacts(tmp_path, oracle):
+    """The text and dump artifacts of a two-window run through ``main``."""
+    cfg = {
+        "grid": {"L": 20.0, "N": 256},
+        "model": {"a": 0.0, "b": 1.0},
+        "kernel": {"name": "gaussian", "amplitude": 0.01, "width": 2.0},
+        "nonlinearity": {
+            "name": "saturating",
+            "lipschitz": 3.8,
+            "source": {"name": "gaussian", "amplitude": 0.1, "width": 1.0},
+        },
+        "initial_condition": {"name": "gaussian", "amplitude": 1.0, "width": 1.5},
+        "horizon": 0.8,
+        "solver": {"frames": 256, "max_window_length": 0.4},
+        "output_dir": str(tmp_path / "out"),
+        "flags": {},
+    }
+    tmp_path.mkdir()
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    argv = ["--config", str(path)] + (["--oracle"] if oracle else [])
+    assert main(argv) == 0
+    out = tmp_path / "out"
+    names = sorted(f.name for f in out.iterdir() if f.name.startswith(("trace_w", "norms_w")))
+    assert len(names) == 4
+    return {name: (out / name).read_bytes()
+            for name in names + ["summary.txt", "final_field.sxd"]}
+
+
+@pytest.fixture(scope="module")
+def default_blocks(tmp_path_factory):
+    """The march numbers and both runs' artifacts with the default blocks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cubelap.grid, "BLOCK_BYTES", DEFAULT_BLOCK_BYTES)
+        root = tmp_path_factory.mktemp("default_blocks")
+        return {
+            "march": _march_numbers(),
+            "picard": _artifacts(root / "picard", False),
+            "oracle": _artifacts(root / "oracle", True),
+        }
+
+
+@pytest.mark.parametrize("oracle", [False, True], ids=["picard", "oracle"])
+def test_block_size_changes_no_artifact_byte(default_blocks, block_frames, oracle, tmp_path):
+    want = default_blocks["oracle" if oracle else "picard"]
+    got = _artifacts(tmp_path / "run", oracle)
+    assert got.keys() == want.keys()
+    for name in want:
+        assert got[name] == want[name], name

@@ -778,6 +778,18 @@ def _three_column_csv(cfg, path):
     cfg["initial_condition"] = {"name": "csv", "path": str(table)}
 
 
+def _csv_rows(rows):
+    def edit(cfg, path):
+        table = path.parent / "ic.csv"
+        table.write_text("".join(f"{x},{u}\n" for x, u in rows))
+        cfg["initial_condition"] = {"name": "csv", "path": str(table)}
+
+    return edit
+
+
+_GAUSSIAN_ROWS = [(x, np.exp(-x * x)) for x in np.linspace(-5.0, 5.0, 201)]
+
+
 def _edit(section, **values):
     return lambda cfg, path: cfg[section].update(values)
 
@@ -806,6 +818,9 @@ REJECTION_CASES = {
     "path_not_string": (lambda c, p: c.update(initial_condition={"name": "csv", "path": 3}),
                         "initial_condition.path must be a string", True),
     "csv_three_columns": (_three_column_csv, "must have two columns", False),
+    "csv_one_row": (_csv_rows([(0.0, 1.0)]), "needs two rows or more, got 1", False),
+    "csv_x_decreasing": (_csv_rows(_GAUSSIAN_ROWS[::-1]),
+                         "x samples must be strictly increasing", False),
 }
 
 
