@@ -4,8 +4,12 @@
         --seed N --pairs P --seconds S --out BENCH_<n>.json
 
 Each DIR is the root of a checkout with its own ``src/``, ``perfbench/`` and
-``BENCHMARK.json``. A pair runs ``python3 perfbench/run.py --workload NAME
---seed N --seconds S --trace 0`` once in each checkout, one after the other,
+``BENCHMARK.json``. The two roots' resolved paths must have the same length
+(name them, say, ``parent`` and ``change`` side by side): ``march_wide``'s
+``peak_rss_mb`` steps by about 16 MB with the length of the directory name,
+so roots of different lengths measure the path, not the change. A pair runs
+``python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0``
+once in each checkout, one after the other,
 the parent first in even pairs and the change first in odd ones. The file
 keeps, under ``workloads.NAME.N``: the pair count, every run's end-to-end
 metrics, each side's median, quartiles and relative spread (its quartile
@@ -74,6 +78,9 @@ def main(argv=None) -> int:
         parser.error("quartiles need at least two pairs")
 
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if len(str(roots["parent"])) != len(str(roots["change"])):
+        parser.error(f"the resolved roots {roots['parent']} and {roots['change']} differ in "
+                     "length, which moves peak_rss_mb; give them names of one length")
     bench = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     runs = {side: [] for side in SIDES}
     for i in range(args.pairs):

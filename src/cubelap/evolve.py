@@ -23,24 +23,31 @@ oracle; it deliberately shares no quadrature with the mild-solution map.
 
 The unknown is a real field, the kernel and the reaction are real and
 lam(-p) = conj(lam(p)), so every spectrum in the solvers is Hermitian and is
-determined by its modes 0..N/2. Inside the solvers a trajectory is the plain
-(M+1, N/2+1) complex array of those modes, and norms weight each stored
-mode by its multiplicity in the full spectrum. Every solver array is in raw
-``rfft`` units (``grid.rfft_raw`` / ``grid.irfft_raw``), in which the
-transform pair needs no factor: the Picard iterate, whose ``duhamel_map``
-and ``time_derivative`` take and return such arrays only, with the
-window's half-spectrum weights computed once (``_window``); the
-``SolveReport``, which keeps the last iterate; the start state of the next
-window, which is the previous report's last frame as it is; and the Heun
-oracle. Unitary coefficients, ``Field`` and ``SpacetimeField`` (full
-spectrum, as in the ``SXD1`` dump) appear only at the API edge: the
-report's ``u_half``, ``dudt_half``, ``field`` and ``dudt`` convert (and
-expand) on every access.
+determined by its modes 0..N/2. Of those, a window's map moves only its live
+band, modes 0..K-1: above it e^{dt lam} and the kernel factor sqrt(2 pi) Ghat
+underflow to exactly 0 (the -p^6 of the sixth-order operator), so every frame
+after the first is exactly 0 there, and only frame 0, the start state, may
+have modes above K. Inside the solvers a trajectory is the plain (M+1, K)
+complex array of the band, and norms weight each stored mode by its
+multiplicity in the full spectrum. Every solver array is in raw ``rfft``
+units (``grid.rfft_raw`` / ``grid.irfft_raw``), in which the transform pair
+needs no factor: the Picard iterate, whose ``duhamel_map`` and
+``time_derivative`` take and return such arrays only, with the window's band
+and weights computed once (``_window``); the ``SolveReport``, which keeps the
+last iterate and frame 0's modes above the band; the start state of the
+next window, which is the previous report's last frame, zero-padded to
+N/2+1 modes; and the Heun oracle, which keeps all N/2+1 modes. Unitary
+coefficients, ``Field`` and ``SpacetimeField`` (full spectrum, as in the
+``SXD1`` dump) appear only at the API edge: the report's ``u_raw``,
+``dudt_raw``, ``u_half``, ``dudt_half``, ``field`` and ``dudt`` expand (and
+convert) on every access.
 
 The new Picard iterate at frame j needs only the old iterate at frames up
-to j and the new one at frame j - 1, so a window solve holds a single
-trajectory pair (u, du/dt) and each iterate overwrites its predecessor in
-one forward walk over blocks of frames (``grid.block_bounds``): per block,
+to j and the new one at frame j - 1, and frame 0 with its forcing is the
+same in every iterate, so a window solve holds a single band pair
+(u, du/dt), computes frame 0's forcing once, and each iterate overwrites its
+predecessor in one forward walk over blocks of frames 1..M
+(``grid.block_bounds``): per block,
 one batched real transform pair around one ``apply_nonlinearity`` call,
 the recursion carried on from the frame before the block, the time
 derivative and the block's share of the contraction-norm distance.
@@ -48,13 +55,13 @@ derivative and the block's share of the contraction-norm distance.
 The march first runs the certified Picard chain, window after window, since
 each window starts from the previous one's end state. The oracle of window k
 starts from that same state and reads no other oracle, so once the chain has
-run, one Heun march checks every window at once on a (K, N/2+1) block: the
-Picard chain is the sequential propagator and the oracle the fine solver of
-the parareal split (Lions, Maday & Turinici, 2001). Failures are reported in
-the sequential order Picard 0, oracle 0, Picard 1, ...: the first one wins.
-The block march stops at its first failure; only then are its windows
-marched again one at a time, in order, so that the lowest failing window
-is raised with the message of its own march.
+run, one Heun march checks every window at once on a (windows, N/2+1)
+block: the Picard chain is the sequential propagator and the oracle the fine
+solver of the parareal split (Lions, Maday & Turinici, 2001). Failures are
+reported in the sequential order Picard 0, oracle 0, Picard 1, ...: the
+first one wins. The block march stops at its first failure; only then are
+its windows marched again one at a time, in order, so that the lowest
+failing window is raised with the message of its own march.
 """
 
 from __future__ import annotations
@@ -228,13 +235,15 @@ def propagate(f: Field, sym: SymbolTable, t: float) -> Field:
 
 @dataclass(frozen=True, eq=False)
 class _Window:
-    """What the mild-solution map needs on one window, computed once per window
-    on the half spectrum (modes 0..N/2):
+    """What the mild-solution map needs on one window, computed once per window:
 
-    the initial coefficients u0 in ``rfft_raw`` units, the recursion's
-    per-mode factors e_dt = e^{dt lam}, w_prev = g dt (phi1 - phi2)(dt lam)
-    and w_next = g dt phi2(dt lam), the convolution factor g = sqrt(2 pi) Ghat
-    and the symbol lam itself.
+    the initial coefficients u0 of modes 0..N/2 in ``rfft_raw`` units; on the
+    live band, modes 0..K-1, the recursion's per-mode factors
+    e_dt = e^{dt lam}, w_prev = g dt (phi1 - phi2)(dt lam) and
+    w_next = g dt phi2(dt lam), the convolution factor g = sqrt(2 pi) Ghat and
+    the symbol lam itself; and u0's modes K, K+1, ... up to its last nonzero
+    one, ``u0_tail``, with lam times them, ``dudt0_tail``: frame 0's modes
+    above the band, which no iterate changes.
     """
 
     u0: np.ndarray
@@ -243,37 +252,65 @@ class _Window:
     w_next: np.ndarray
     g: np.ndarray
     lam: np.ndarray
+    u0_tail: np.ndarray
+    dudt0_tail: np.ndarray
+
+    @property
+    def band(self) -> int:
+        """K, the number of live modes."""
+        return self.e_dt.size
 
 
-def _window(prob: ProblemSpec, dt: float, start: np.ndarray | None = None) -> _Window:
+def _live_band(*factors: np.ndarray) -> int:
+    """1 + the highest mode at which any of the per-mode ``factors`` is
+    nonzero: above it the mild-solution map sends every mode to exactly 0."""
+    return 1 + int(np.flatnonzero(np.any(np.stack(factors) != 0, axis=0))[-1])
+
+
+def _window(
+    prob: ProblemSpec, dt: float, start: np.ndarray | None = None, full: bool = False
+) -> _Window:
     """The window data for frame spacing dt, starting from ``start`` (modes
-    0..N/2 in ``rfft_raw`` units) or, by default, from ``prob.u0``."""
+    0..N/2 in ``rfft_raw`` units) or, by default, from ``prob.u0``, on the
+    live band of e_dt, g, w_prev and w_next, or with ``full`` on all N/2+1
+    modes (then the tails are empty)."""
     grid = prob.grid
     sym = build_symbol(grid, prob.a, prob.b)
     half = slice(0, grid.n_half)
     lam = sym.lam[half]
     z = dt * lam
     g = SQRT_2PI * prob.kernel.spectrum_on(grid)[half]
+    e_dt = sym.propagator(dt)[half]
+    w_prev = g * (dt * (phi1(z) - phi2(z)))
+    w_next = g * (dt * phi2(z))
+    k = grid.n_half if full else _live_band(e_dt, g, w_prev, w_next)
+    u0 = rfft_raw(prob.u0.values.real) if start is None else np.asarray(start, np.complex128)
+    tail = np.trim_zeros(u0[k:], "b").copy()
     return _Window(
-        u0=rfft_raw(prob.u0.values.real) if start is None else start,
-        e_dt=sym.propagator(dt)[half],
-        w_prev=g * (dt * (phi1(z) - phi2(z))),
-        w_next=g * (dt * phi2(z)),
-        g=g,
-        lam=lam,
+        u0=u0,
+        e_dt=e_dt[:k],
+        w_prev=w_prev[:k],
+        w_next=w_next[:k],
+        g=g[:k],
+        lam=lam[:k],
+        u0_tail=tail,
+        dudt0_tail=lam[k : k + tail.size] * tail,
     )
 
 
-def _forcing_history(frames: np.ndarray, prob: ProblemSpec, first_frame: int = 0) -> np.ndarray:
-    """Transforms of F(v(., t_j), .) for every frame, on modes 0..N/2:
-    (M+1, N/2+1) half-spectrum frames in, the same shape out, both in
-    ``rfft_raw`` units. A model error names frame ``first_frame`` + row."""
+def _forcing_history(
+    frames: np.ndarray, prob: ProblemSpec, first_frame: int = 0, band: int | None = None
+) -> np.ndarray:
+    """Transforms of F(v(., t_j), .) for every frame: half-spectrum frames
+    (..., K') in ``rfft_raw`` units (modes above K' zero) in, their modes
+    0..N/2, or 0..``band``-1, out. The finiteness check sees all N/2+1
+    modes. A model error names frame ``first_frame`` + row."""
     grid = prob.grid
     phys = irfft_raw(grid, frames)
     fh = rfft_raw(apply_nonlinearity(phys, prob.nonlinearity, grid, first_frame))
     if not np.all(np.isfinite(fh)):
         raise SolverError("forcing history contains non-finite values")
-    return fh
+    return fh[..., :band]
 
 
 def _recursion(
@@ -293,7 +330,7 @@ def _recursion(
     u = np.empty_like(fh) if out is None else out
     scratch = np.empty_like(fh)
     if carry is None:
-        u[0] = w.u0
+        u[0] = w.u0[: w.band]
     else:
         u_c, f_c = carry
         np.multiply(w.w_prev, f_c, out=u[0])
@@ -324,12 +361,13 @@ def duhamel_map(
     which is the windowed integral with fhat_v interpolated linearly on each
     substep and the exponential integrated exactly.
 
-    v is the (M+1, N/2+1) array of half-spectrum frames of a real trajectory
-    on ``prob.grid``, in ``rfft_raw`` units, and ``window`` the data
-    ``_window`` computes for its frame spacing. Returns the image u, of the
-    same shape and units (written into ``out`` if given), and the forcing
-    transforms fh it was built from, with which ``time_derivative`` forms
-    du/dt algebraically.
+    v is the (M+1, K') array of half-spectrum frames of a real trajectory on
+    ``prob.grid``, in ``rfft_raw`` units (K' <= N/2+1, the modes above K'
+    zero), and ``window`` the data ``_window`` computes for its frame
+    spacing, with its band K. Returns the image u on the band, (M+1, K) in
+    the same units (written into ``out`` if given), and the forcing
+    transforms fh it was built from, on the band too, with which
+    ``time_derivative`` forms du/dt algebraically.
 
     With ``carry = (j, u_j, f_j)``, v is instead the block of frames j+1,
     j+2, ... of a trajectory whose frame j has the image u_j and the forcing
@@ -337,7 +375,7 @@ def duhamel_map(
     names the frame of the trajectory, not of the block.
     """
     first = 0 if carry is None else carry[0] + 1
-    fh = _forcing_history(v, prob, first)
+    fh = _forcing_history(v, prob, first, window.band)
     return _recursion(fh, window, out, None if carry is None else carry[1:]), fh
 
 
@@ -346,7 +384,7 @@ def time_derivative(
 ) -> np.ndarray:
     """Exact algebraic du_hat/dt = lam*u_hat + sqrt(2 pi)*Ghat*fhat.
 
-    u and fh are the half-spectrum image and forcing history ``duhamel_map``
+    u and fh are the band image and forcing history ``duhamel_map``
     returned, in one unit (the map is diagonal, so either unit); no finite
     differencing is ever involved. Written into ``out`` if given.
     """
@@ -380,19 +418,25 @@ class PicardTrace:
 class SolveReport:
     """Everything a window solve produced, plus diagnostics.
 
-    The solution and its time derivative are kept as the read-only
-    (M+1, N/2+1) half spectra ``u_raw`` and ``dudt_raw`` on ``time_grid``, in
-    ``rfft_raw`` units. ``u_half`` and ``dudt_half`` convert them to unitary
-    coefficients, and ``field`` and ``dudt`` to full-spectrum
-    ``SpacetimeField``s (one allocation each, adopted by the field), on
-    every access (uncached, so a caller holding many reports holds neither
-    unitary nor full spectra).
+    The solution and its time derivative are kept on the window's live band:
+    the read-only (M+1, K) arrays ``u_band`` and ``dudt_band`` on
+    ``time_grid``, in ``rfft_raw`` units, whose modes above K are exactly 0
+    in every frame but frame 0; frame 0's modes K, K+1, ... up to its last
+    nonzero one are ``u0_tail`` and ``dudt0_tail`` (empty when the window
+    starts from a previous window's end state). ``u_raw`` and ``dudt_raw``
+    expand them to (M+1, N/2+1) half spectra, ``final_raw`` the last frame,
+    ``u_half`` and ``dudt_half`` convert to unitary coefficients, and
+    ``field`` and ``dudt`` to full-spectrum ``SpacetimeField``s (one
+    allocation each, adopted by the field), on every access (uncached, so a
+    caller holding many reports holds neither half nor full spectra).
     """
 
     grid: SpectralGrid
     time_grid: np.ndarray
-    u_raw: np.ndarray
-    dudt_raw: np.ndarray
+    u_band: np.ndarray
+    dudt_band: np.ndarray
+    u0_tail: np.ndarray
+    dudt0_tail: np.ndarray
     trace: PicardTrace
     certificate: Certificate
     t_offset: float
@@ -404,6 +448,19 @@ class SolveReport:
     overlap: float | None = None
 
     @property
+    def u_raw(self) -> np.ndarray:
+        return _half_spectra(self.grid, self.u_band, self.u0_tail)
+
+    @property
+    def dudt_raw(self) -> np.ndarray:
+        return _half_spectra(self.grid, self.dudt_band, self.dudt0_tail)
+
+    @property
+    def final_raw(self) -> np.ndarray:
+        """The last frame's modes 0..N/2, in ``rfft_raw`` units."""
+        return _half_spectra(self.grid, self.u_band[-1:])[0]
+
+    @property
     def u_half(self) -> np.ndarray:
         return raw_to_unitary(self.grid, self.u_raw)
 
@@ -413,30 +470,50 @@ class SolveReport:
 
     @property
     def field(self) -> SpacetimeField:
-        return _spacetime_field(self.grid, self.time_grid, self.u_raw)
+        return _spacetime_field(self.grid, self.time_grid, self.u_band, self.u0_tail)
 
     @property
     def dudt(self) -> SpacetimeField:
-        return _spacetime_field(self.grid, self.time_grid, self.dudt_raw)
+        return _spacetime_field(self.grid, self.time_grid, self.dudt_band, self.dudt0_tail)
 
     @property
     def final_state(self) -> Field:
-        return Field(self.grid, unitary_spectrum(self.grid, self.u_raw[-1]), "spectral")
+        return Field(self.grid, unitary_spectrum(self.grid, self.u_band[-1]), "spectral")
 
 
-def _spacetime_field(grid: SpectralGrid, time_grid: np.ndarray, raw: np.ndarray) -> SpacetimeField:
+def _half_spectra(
+    grid: SpectralGrid, band: np.ndarray, tail: np.ndarray | None = None
+) -> np.ndarray:
+    """The (M+1, N/2+1) half spectra of (M+1, K) band frames whose frame 0
+    has the further modes ``tail``; zero elsewhere."""
+    k = band.shape[-1]
+    half = np.zeros((len(band), grid.n_half), dtype=np.complex128)
+    half[:, :k] = band
+    if tail is not None:
+        half[0, k : k + tail.size] = tail
+    return half
+
+
+def _spacetime_field(
+    grid: SpectralGrid, time_grid: np.ndarray, raw: np.ndarray, tail: np.ndarray | None = None
+) -> SpacetimeField:
     """The ``SpacetimeField`` of half-spectrum frames in ``rfft_raw`` units,
-    around their full spectrum with no copy."""
+    with frame 0's further modes ``tail``, around their full spectrum with
+    no copy."""
     full = unitary_spectrum(grid, raw)
+    if tail is not None and tail.size:
+        full[0] = unitary_spectrum(grid, np.concatenate([raw[0], tail]))
     full.flags.writeable = False
     return SpacetimeField(grid, time_grid, full)
 
 
-def _tail_check(grid: SpectralGrid, frames: np.ndarray, t_offset: float) -> tuple[str, ...]:
+def _tail_check(
+    grid: SpectralGrid, frames: tuple[np.ndarray, ...], t_offset: float
+) -> tuple[str, ...]:
+    """The box-truncation warning of a window from its first and last
+    frames' half spectra."""
     warnings_out = []
-    fractions = [
-        tail_mass_fraction(Field(grid, irfft_raw(grid, frames[j]))) for j in (0, -1)
-    ]
+    fractions = [tail_mass_fraction(Field(grid, irfft_raw(grid, f))) for f in frames]
     worst = max(fractions)
     if worst > TAIL_TOL:
         warnings_out.append(
@@ -466,13 +543,15 @@ def picard_solve(
     measured ratio must stay below C * 1.05; a violation is raised as a
     defect, not smoothed over. The initial state is ``prob.u0``, or
     ``start``: modes 0..N/2 in ``rfft_raw`` units, as a previous window's
-    ``u_raw[-1]``, used as they are.
+    ``final_raw``, used as they are.
 
-    The iteration holds one trajectory pair, the (M+1, N/2+1) half-spectrum
-    arrays u and du/dt in ``rfft_raw`` units, and each iterate overwrites
-    its predecessor in one forward walk over blocks of frames
-    (``_picard_iterate``), with the window's weights computed once. The
-    report keeps the last iterate's arrays as they are.
+    The iteration holds one trajectory pair, the (M+1, K) arrays u and du/dt
+    of the window's live band in ``rfft_raw`` units, and each iterate
+    overwrites its predecessor in one forward walk over blocks of frames
+    1..M (``_picard_iterate``), with the window's band, weights and frame
+    0's forcing computed once. The report keeps the last iterate's arrays
+    as they are, with frame 0's modes above the band; every norm of frame 0
+    counts those modes too.
     """
     if window_length <= 0:
         raise ValueError(f"window length must be positive, got {window_length}")
@@ -499,10 +578,12 @@ def picard_solve(
     tg = np.linspace(0.0, window_length, n_frames + 1)
     tw = trapezoid_weights(tg)
     w = _window(prob, float(tg[1] - tg[0]), start)
+    # frame 0 and its forcing are the same in every iterate
+    f0 = _forcing_history(w.u0[None], prob, band=w.band)[0]
 
     # the first iterate e^{t_j lam} u0, as u_{j+1} = e^{dt lam} u_j, and its derivative
-    u = np.empty((n_frames + 1, grid.n_half), np.complex128)
-    u[0] = w.u0
+    u = np.empty((n_frames + 1, w.band), np.complex128)
+    u[0] = w.u0[: w.band]
     for j in range(n_frames):
         np.multiply(w.e_dt, u[j], out=u[j + 1])
     dudt = np.multiply(w.lam, u)
@@ -511,7 +592,7 @@ def picard_solve(
     tol = tol_fix
     converged = False
     for _ in range(max_iter):
-        dist_sq, norm_sq = _picard_iterate(u, dudt, prob, w, with_norm=tol is None)
+        dist_sq, norm_sq = _picard_iterate(u, dudt, prob, w, f0, with_norm=tol is None)
         d = float(np.sqrt(tw @ dist_sq))
         distances.append(d)
         if tol is None:
@@ -548,28 +629,37 @@ def picard_solve(
                 trace,
             )
 
-    for arr in (tg, u, dudt):
+    for arr in (tg, u, dudt, w.u0_tail, w.dudt0_tail):
         arr.flags.writeable = False
     return SolveReport(
         grid=grid,
         time_grid=tg,
-        u_raw=u,
-        dudt_raw=dudt,
+        u_band=u,
+        dudt_band=dudt,
+        u0_tail=w.u0_tail,
+        dudt0_tail=w.dudt0_tail,
         trace=trace,
         certificate=cert,
         t_offset=t_offset,
-        l2_per_frame=frame_norms(grid, u, "l2"),
-        d6_l2_per_frame=frame_norms(grid, u, "d6"),
-        dudt_l2_per_frame=frame_norms(grid, dudt, "l2"),
-        tail_warnings=_tail_check(grid, u, t_offset),
+        l2_per_frame=frame_norms(grid, u, "l2", w.u0_tail),
+        d6_l2_per_frame=frame_norms(grid, u, "d6", w.u0_tail),
+        dudt_l2_per_frame=frame_norms(grid, dudt, "l2", w.dudt0_tail),
+        tail_warnings=_tail_check(grid, (w.u0, u[-1]), t_offset),
     )
 
 
 def _picard_iterate(
-    u: np.ndarray, dudt: np.ndarray, prob: ProblemSpec, w: _Window, with_norm: bool
+    u: np.ndarray,
+    dudt: np.ndarray,
+    prob: ProblemSpec,
+    w: _Window,
+    f0: np.ndarray,
+    with_norm: bool,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Overwrite the iterate (u, dudt) with its image under the mild-solution
-    map, in one forward walk over blocks of frames (``block_bounds``).
+    """Overwrite the iterate (u, dudt) on the live band with its image under
+    the mild-solution map, given frame 0's forcing f0: frame 0, whose image
+    is u0 with the derivative lam u0 + g f0, then one forward walk over
+    blocks of frames 1..M (``block_bounds``).
 
     The image's frame j needs the old iterate's frames up to j and the
     image's frame j - 1 only, so each block, in turn: ``duhamel_map`` of the
@@ -577,18 +667,30 @@ def _picard_iterate(
     recursion carried on from the frame before the block), its
     ``time_derivative``, the block's share of the squared contraction-norm
     distance to the old iterate (and, if ``with_norm``, of the image's own
-    squared norm), then the image's rows over the old ones. The old rows of
-    u are the scratch of the norms, since nothing reads them afterwards.
-    Returns the per-frame squares of the distance and of the norm (None
-    without ``with_norm``); the time integral is the caller's.
+    squared norm, frame 0's with its modes above the band), then the
+    image's rows over the old ones. The old rows of u are the scratch of the
+    norms, since nothing reads them afterwards. Returns the per-frame
+    squares of the distance and of the norm (None without ``with_norm``);
+    the time integral is the caller's.
     """
     grid = prob.grid
-    blocks = block_bounds(u)
+    blocks = [(s + 1, e + 1) for s, e in block_bounds(grid, len(u) - 1)]
     size = max(e - s for s, e in blocks)
     new_u, new_du = (np.empty((size,) + u.shape[1:], np.complex128) for _ in range(2))
     dist_sq = np.empty(len(u))
     norm_sq = np.empty(len(u)) if with_norm else None
-    carry = None
+    du0 = np.multiply(w.lam, u[0], out=new_du[0])
+    du0 += np.multiply(w.g, f0)
+    row0 = u[:1]
+    dist_sq[0] = contraction_sq(grid, row0, du0[None], new_u[:1], minus=(row0, dudt[:1]))[0]
+    if with_norm:
+        norm_sq[0] = (
+            contraction_sq(grid, row0, du0[None], new_u[:1])[0]
+            + half_sq_norms(grid, w.u0_tail, "h6", first=w.band)
+            + half_sq_norms(grid, w.dudt0_tail, "l2", first=w.band)
+        )
+    dudt[0] = du0
+    carry = (0, u[0], f0)
     for s, e in blocks:
         bu, fh = duhamel_map(u[s:e], prob, w, out=new_u[: e - s], carry=carry)
         bd = time_derivative(bu, fh, w, out=new_du[: e - s])
@@ -669,7 +771,7 @@ def _heun_march(
         raise ValueError("substeps must be an integer multiple of the frame count")
     grid = prob.grid
     h = window_length / substeps
-    w = _window(prob, h)
+    w = _window(prob, h, full=True)
 
     def reaction(u: np.ndarray) -> np.ndarray:
         return w.g * rfft_raw(apply_nonlinearity(irfft_raw(grid, u), prob.nonlinearity, grid))
@@ -765,7 +867,7 @@ def global_march(
 
     Order of work: the Picard chain runs until every window is solved or
     one fails, each window starting from the previous report's last frame in
-    ``rfft_raw`` units as it is; with ``run_oracle`` one
+    ``rfft_raw`` units, zero-padded to N/2+1 modes; with ``run_oracle`` one
     batched ``etd_reference_solve`` then marches the windows that were
     solved, and each window's ``oracle_rel_deviation`` compares its Picard
     end state with its oracle end state. The first failure in the
@@ -796,7 +898,7 @@ def global_march(
                 n_frames=n_frames,
                 override_certificate=override_certificate,
                 t_offset=k * t_win,
-                start=reports[-1].u_raw[-1] if reports else None,
+                start=reports[-1].final_raw if reports else None,
             ))
         except Exception as exc:
             failed = (k, exc)
@@ -805,7 +907,7 @@ def global_march(
         # the oracle starts from physical states: window 0's own, then the
         # Picard end states
         starts = np.stack(
-            [prob.u0.values.real] + [irfft_raw(prob.grid, rep.u_raw[-1]) for rep in reports[:-1]]
+            [prob.u0.values.real] + [irfft_raw(prob.grid, rep.final_raw) for rep in reports[:-1]]
         )
         # raises the failure of the first failing window, which comes before
         # the Picard failure in march order
@@ -813,7 +915,7 @@ def global_march(
             prob, t_win, oracle_substeps_factor * n_frames, n_frames, starts=starts
         )
         for rep, end in zip(reports, ends):
-            mine = rep.u_raw[-1]
+            mine = rep.final_raw
             num = math.sqrt(half_sq_norms(prob.grid, mine - end, "l2"))
             den = math.sqrt(half_sq_norms(prob.grid, mine, "l2"))
             rep.oracle_rel_deviation = num / den if den > 0 else num

@@ -44,11 +44,13 @@ _MAX_DERIVATIVE_ORDER = 8
 
 #: Every frame walk (the Picard iterate, with its transforms, reaction,
 #: recursion, time derivative and contraction norm) takes a trajectory in
-#: blocks of rows of about this many bytes, so the operands of each step stay
-#: in a core's cache instead of streaming through memory once per operation,
-#: and the temporaries of a step are one block, not one trajectory; at small
-#: N one block holds the whole trajectory. See ``block_bounds``. It changes
-#: speed and memory only: every step, norms included, works row by row.
+#: blocks of rows whose N real samples, the rows the transforms touch, are
+#: about this many bytes, so the operands of each step stay in a core's cache
+#: instead of streaming through memory once per operation, and the
+#: temporaries of a step are one block, not one trajectory, however narrow
+#: the live band of the stored rows; at small N one block holds the whole
+#: trajectory. See ``block_bounds``. It changes speed and memory only: every
+#: step, norms included, works row by row.
 BLOCK_BYTES = 2**18
 
 
@@ -198,7 +200,8 @@ def rfft_raw(values: np.ndarray) -> np.ndarray:
 
 
 def irfft_raw(grid: SpectralGrid, raw: np.ndarray) -> np.ndarray:
-    """Modes 0..N/2 in ``rfft_raw`` units -> the real samples along the last axis."""
+    """Modes 0..K-1 in ``rfft_raw`` units (K <= N/2+1, the modes above K
+    zero) -> the real samples along the last axis."""
     return np.fft.irfft(raw, n=grid.n_points, axis=-1)
 
 
@@ -209,15 +212,18 @@ def raw_to_unitary(grid: SpectralGrid, raw: np.ndarray) -> np.ndarray:
 
 
 def unitary_spectrum(grid: SpectralGrid, raw: np.ndarray) -> np.ndarray:
-    """Half spectra in ``rfft_raw`` units -> ``forward_transform``'s full
-    spectra of the real fields, in one (..., N) allocation and no temporary:
-    the unitary coefficients of modes 0..N/2, and full[N-k] = conj(full[k])
-    for the rest, scaled from ``raw`` and conjugated in place."""
-    n, nh = grid.n_points, grid.n_half
+    """Half spectra in ``rfft_raw`` units, modes 0..K-1 (K <= N/2+1, the
+    modes above K zero) -> ``forward_transform``'s full spectra of the real
+    fields, in one (..., N) allocation and no temporary: the unitary
+    coefficients of modes 0..K-1, full[N-k] = conj(full[k]) for their
+    mirrors, scaled from ``raw`` and conjugated in place, and zeros between."""
+    n, k = grid.n_points, raw.shape[-1]
+    m = min(k, grid.n_half - 1)  # modes 1..m-1 have mirrors; N/2 is its own
     full = np.empty(raw.shape[:-1] + (n,), dtype=np.complex128)
-    np.multiply(grid._raw_scale, raw, out=full[..., :nh])
-    mirror = full[..., nh:]
-    np.multiply(grid._raw_scale[nh - 2 : 0 : -1], raw[..., nh - 2 : 0 : -1], out=mirror)
+    np.multiply(grid._raw_scale[:k], raw, out=full[..., :k])
+    full[..., k : n - m + 1] = 0.0
+    mirror = full[..., n - m + 1 :]
+    np.multiply(grid._raw_scale[m - 1 : 0 : -1], raw[..., m - 1 : 0 : -1], out=mirror)
     np.conjugate(mirror, out=mirror)
     return full
 
@@ -376,10 +382,16 @@ def trapezoid_weights(time_grid: np.ndarray) -> np.ndarray:
 
 
 def half_sq_norms(
-    grid: SpectralGrid, half: np.ndarray, kind: str, out: np.ndarray | None = None
+    grid: SpectralGrid,
+    half: np.ndarray,
+    kind: str,
+    out: np.ndarray | None = None,
+    first: int = 0,
 ) -> np.ndarray:
     """Squared norms of half-spectrum frames in ``rfft_raw`` units, one per
-    row of ``half`` (..., N/2+1), contiguous complex128.
+    row of ``half`` (..., K), contiguous complex128: modes first..first+K-1
+    of frames whose other modes 0..N/2 are not counted (zero, or summed in
+    another call).
 
     Each stored mode counts with its multiplicity in the full spectrum of a
     real field. ``kind`` picks the norm:
@@ -395,18 +407,19 @@ def half_sq_norms(
     any block or batch. Every half-spectrum norm in the package is summed
     here.
     """
+    k = half.shape[-1]
     sq = np.square(half.view(np.float64), out=None if out is None else out.view(np.float64))
-    sq *= grid._view_weights[kind]
+    sq *= grid._view_weights[kind][2 * first : 2 * (first + k)]
     return np.add.reduce(sq, axis=-1)
 
 
-def block_bounds(frames: np.ndarray) -> list[tuple[int, int]]:
-    """The (start, end) row bounds of the blocks of ``frames`` (frames along
-    axis 0) of about BLOCK_BYTES each, in order; when fewer than two blocks'
-    worth of rows remain, the last block takes them all, so no block is a
-    short tail and none is more than twice the size."""
-    n = len(frames)
-    step = max(1, BLOCK_BYTES // (frames[0].size * frames.itemsize))
+def block_bounds(grid: SpectralGrid, n: int) -> list[tuple[int, int]]:
+    """The (start, end) bounds of n rows of a trajectory on ``grid``, in
+    order, in blocks whose N real samples are about BLOCK_BYTES each: the
+    transforms touch N samples a row, whatever the stored band. When fewer
+    than two blocks' worth of rows remain, the last block takes them all, so
+    no block is a short tail and none is more than twice the size."""
+    step = max(1, BLOCK_BYTES // (8 * grid.n_points))
     count = max(1, n // step)
     return [(i * step, n if i == count - 1 else (i + 1) * step) for i in range(count)]
 
@@ -423,13 +436,14 @@ def contraction_sq(
         ||du/dt||^2 + ||d^6 u/dx^6||^2 + ||u||^2
 
     of half-spectrum frames in ``rfft_raw`` units (a block of rows of a
-    trajectory), or of their differences from the pair ``minus`` (then
-    u - minus[0] and du_dt - minus[1]). The sixth derivative is spectral and
-    the time derivative is supplied, never finite-differenced here.
-    ``scratch``, a complex array of u's shape (``minus[0]`` itself, if that
-    is not needed afterwards), takes the differences and the squares. Over
-    the window the norm is sqrt(w @ (these squares of every frame)) with w
-    the ``trapezoid_weights`` of the time grid.
+    trajectory, modes 0..K-1), or of their differences from the pair
+    ``minus`` (then u - minus[0] and du_dt - minus[1]). The sixth derivative
+    is spectral and the time derivative is supplied, never
+    finite-differenced here. ``scratch``, a complex array of u's shape
+    (``minus[0]`` itself, if that is not needed afterwards), takes the
+    differences and the squares. Over the window the norm is
+    sqrt(w @ (these squares of every frame)) with w the
+    ``trapezoid_weights`` of the time grid.
     """
     if minus is not None:
         u = np.subtract(u, minus[0], out=scratch)
@@ -440,15 +454,20 @@ def contraction_sq(
     return sq
 
 
-def frame_norms(grid: SpectralGrid, half: np.ndarray, kind: str) -> np.ndarray:
-    """The norms sqrt(``half_sq_norms``) of (M+1, N/2+1) half-spectrum frames,
+def frame_norms(
+    grid: SpectralGrid, half: np.ndarray, kind: str, tail: np.ndarray | None = None
+) -> np.ndarray:
+    """The norms sqrt(``half_sq_norms``) of (M+1, K) half-spectrum frames,
     block by block of rows (``block_bounds``) through one block of scratch,
-    so that no trajectory-sized temporary is allocated."""
-    blocks = block_bounds(half)
+    so that no trajectory-sized temporary is allocated. ``tail`` holds row
+    0's modes K, K+1, ... if it has any: its sum is added to row 0's."""
+    blocks = block_bounds(grid, len(half))
     scratch = np.empty_like(half[: max(e - s for s, e in blocks)])
     out = np.empty(len(half))
     for s, e in blocks:
         out[s:e] = half_sq_norms(grid, half[s:e], kind, out=scratch[: e - s])
+    if tail is not None:
+        out[0] += half_sq_norms(grid, tail, kind, first=half.shape[-1])
     return np.sqrt(out)
 
 

@@ -73,8 +73,9 @@ class ConfigError(ValueError):
 
 #: Memory a run may plan for (README, "Limits"). A window solve peaks at
 #: about one array of (frames + 1) x N complex values of 16 bytes: the
-#: iterate and its time derivative, two (frames + 1) x (N/2 + 1) arrays that
-#: the report keeps, and a few blocks; the bound allows 16 such arrays. The
+#: iterate and its time derivative, two (frames + 1) x K arrays on the
+#: window's live band K <= N/2 + 1 that the report keeps, and a few blocks;
+#: the bound allows 16 such arrays at K = N/2 + 1. The
 #: Lipschitz sampler takes about 82 bytes per trial; the bound allows 16
 #: floats of 8 bytes. Once the certificate fixes the window count, ``run``
 #: refuses a schedule whose reports alone exceed the budget.
@@ -314,7 +315,10 @@ def _ic_mode(grid, amplitude, k):
 
 
 def _ic_csv(grid, path):
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
+    with warnings.catch_warnings():
+        # an empty file is refused below by its row count, not by numpy's warning
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(path, delimiter=",", ndmin=2)
     if len(data) < 2:
         raise ConfigError(f"initial_condition csv {path} needs two rows or more, got {len(data)}")
     if data.shape[1] != 2:
@@ -407,7 +411,8 @@ def run(config: RunConfig) -> RunArtifacts:
             config.horizon, q, ell, prob.a, prob.b, config.solver["safety"],
             config.solver["max_window_length"], override,
         )
-        # each window's report keeps u_raw and dudt_raw, (frames + 1) x (N/2 + 1)
+        # each window's report keeps u_band and dudt_band, (frames + 1) x K
+        # with K <= N/2 + 1 its live band, so counting N/2 + 1 over-counts
         report_bytes = 2 * schedule.count * (config.solver["frames"] + 1) * prob.grid.n_half * 16
         if report_bytes > MEMORY_BUDGET_BYTES:
             raise ConfigError(

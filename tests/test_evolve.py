@@ -573,7 +573,10 @@ _STARTS = [
 
 def _staged_picard(monkeypatch, fail_at):
     """Stand in for picard_solve: solve, then end window k on the start of
-    window k + 1 from _STARTS; fail at window fail_at."""
+    window k + 1 from _STARTS; fail at window fail_at. The stand-in's report
+    keeps all N/2+1 modes, since its end state is not band-limited."""
+    import dataclasses
+
     import cubelap.evolve as ev
     from cubelap.grid import rfft_raw
 
@@ -584,10 +587,12 @@ def _staged_picard(monkeypatch, fail_at):
         if k == fail_at:
             raise cl.PicardConvergenceError(f"stand-in failure at window {k}", None)
         rep = real(prob, T, cert, **kwargs)
-        frames = rep.u_raw.copy()
+        frames = rep.u_raw
         frames[-1] = rfft_raw(_STARTS[(k + 1) % len(_STARTS)](prob.grid.x))
-        rep.u_raw = frames
-        return rep
+        return dataclasses.replace(
+            rep, u_band=frames, dudt_band=rep.dudt_raw,
+            u0_tail=rep.u0_tail[:0], dudt0_tail=rep.dudt0_tail[:0],
+        )
 
     monkeypatch.setattr(ev, "picard_solve", staged)
     return staged
@@ -1010,9 +1015,10 @@ def test_solver_loops_construct_no_field_wrappers(certified_problem, monkeypatch
 
 def test_solver_loops_call_the_public_functions(certified_problem, monkeypatch):
     # per iterate picard_solve applies the map and its time derivative once
-    # per block of frames, with one reaction call per block, and the 17
-    # frames at N = 256 are one block; the oracle calls the reaction twice
-    # per substep
+    # per block of frames, with one reaction call per block, and the 16
+    # frames after frame 0 at N = 256 are one block; frame 0's forcing is one
+    # more reaction call per window; the oracle calls the reaction twice per
+    # substep
     import collections
 
     import cubelap.evolve as ev
@@ -1027,7 +1033,9 @@ def test_solver_loops_call_the_public_functions(certified_problem, monkeypatch):
 
     prob, cert, T = certified_problem
     its = cl.picard_solve(prob, T, cert, n_frames=16).trace.iterations
-    assert dict(calls) == {"duhamel_map": its, "time_derivative": its, "apply_nonlinearity": its}
+    assert dict(calls) == {
+        "duhamel_map": its, "time_derivative": its, "apply_nonlinearity": its + 1
+    }
     calls.clear()
     cl.etd_reference_solve(prob, T, 4 * 16, n_frames=16)
     assert dict(calls) == {"apply_nonlinearity": 2 * 4 * 16}
@@ -1036,7 +1044,8 @@ def test_solver_loops_call_the_public_functions(certified_problem, monkeypatch):
 @pytest.mark.parametrize("windows", [1, 3])
 def test_march_oracle_calls_the_reaction_twice_per_substep(certified_problem, monkeypatch, windows):
     # one batched oracle for all windows: the reaction count is the Picard
-    # iterations plus two per substep, whatever the window count
+    # iterations, one frame-0 forcing per window, and two per substep,
+    # whatever the window count
     import cubelap.evolve as ev
 
     calls = []
@@ -1051,7 +1060,7 @@ def test_march_oracle_calls_the_reaction_twice_per_substep(certified_problem, mo
     )
     assert len(reports) == windows
     its = sum(rep.trace.iterations for rep in reports)
-    assert len(calls) == its + 2 * 4 * 16
+    assert len(calls) == its + windows + 2 * 4 * 16
 
 
 def test_window_solve_holds_about_two_trajectory_arrays():

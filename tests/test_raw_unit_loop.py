@@ -9,13 +9,14 @@ contraction norm from ``np.abs(u) ** 2`` with ``np.trapezoid``.
 catalog and on the override path (C >= 1), at a > 0 and b != 0: the same
 iteration count, the final frame to 1e-12 relative and every Picard distance
 to 1e-12 of the first. Each iterate is one forward walk over blocks of
-``grid.BLOCK_BYTES``, a whole 33-frame trajectory at N = 256; the tests also
-shrink the blocks to 1 and 5 frames, so that blocks end inside the
-trajectory, and at 5 frames the last one takes the 3 frames left over as
-well, and grow them to a whole window at any size. At every block size the
-walk calls ``duhamel_map``, ``time_derivative`` and ``apply_nonlinearity``
-once per block and iterate, and a model error names the frame of the
-trajectory.
+``grid.BLOCK_BYTES`` through frames 1..32 of a 33-frame trajectory, all of
+them one block at N = 256; the tests also shrink the blocks to 1 and 5
+frames, so that blocks end inside the trajectory, and at 5 frames the last
+one takes the 2 frames left over as well, and grow them to a whole window at
+any size. At every block size the walk calls ``duhamel_map``,
+``time_derivative`` and ``apply_nonlinearity`` once per block and iterate,
+frame 0's forcing is one more reaction call, and a model error names the
+frame of the trajectory.
 
 The block size changes no number: at every block size a march of 257-frame
 windows (two default blocks each) reports bitwise the trajectories,
@@ -175,10 +176,11 @@ def test_block_walk_calls_the_public_functions_once_per_block(block_frames, monk
     q = cl.kernel_strength(prob.kernel)
     cert = cl.Certificate.for_window(q, prob.nonlinearity.lipschitz_l, A, B, T)
     its = cl.picard_solve(prob, T, cert, n_frames=N_FRAMES).trace.iterations
-    blocks = 1 if block_frames is None else max(1, (N_FRAMES + 1) // block_frames)
+    # the walk covers frames 1..N_FRAMES; frame 0's forcing is computed once
+    blocks = 1 if block_frames is None else max(1, N_FRAMES // block_frames)
     want = its * blocks
     assert dict(calls) == {"duhamel_map": want, "time_derivative": want,
-                           "apply_nonlinearity": want}
+                           "apply_nonlinearity": want + 1}
 
 
 def test_growth_violation_names_its_trajectory_frame(block_frames):

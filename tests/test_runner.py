@@ -849,6 +849,35 @@ def test_rejected_configs_exit_4_through_main(tmp_path, capsys, case):
         assert "configuration rejected: " in capsys.readouterr().err
 
 
+_MAIN_SCRIPT = """
+import sys
+from cubelap.runner import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_empty_csv_exits_4_with_its_one_line_error_only(tmp_path):
+    # in a fresh interpreter, so that numpy's warnings reach stderr as they
+    # would on the command line, not pytest's warning capture
+    table = tmp_path / "ic.csv"
+    table.write_text("")
+    cfg = _certified_config(tmp_path / "out")
+    cfg["initial_condition"] = {"name": "csv", "path": str(table)}
+    path = _write(tmp_path, cfg)
+    src = str(Path(cl.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAIN_SCRIPT, "--config", str(path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=pythonpath),
+        cwd=tmp_path,
+    )
+    assert proc.returncode == EXIT_ASSUMPTION_VIOLATION
+    assert proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("status=assumption_violation exit=4 (")
+    assert "needs two rows or more, got 0" in lines[0]
+
+
 # --------------------------------------------------------------------------
 # summary diagnostics of the contraction
 # --------------------------------------------------------------------------
