@@ -316,32 +316,24 @@ def _forcing_history(
 def _recursion(
     fh: np.ndarray,
     w: _Window,
-    out: np.ndarray | None = None,
-    carry: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """u_{j+1} = e^{dt lam} u_j + w_prev f_j + w_next f_{j+1} into ``out``:
-    from u_0 = u0, or, with ``carry = (u, f)`` the state and forcing of the
-    frame before fh's first, from that frame on (then every row of fh is a
-    step).
+    carry: tuple[np.ndarray, np.ndarray],
+    out: np.ndarray,
+) -> None:
+    """u_{j+1} = e^{dt lam} u_j + w_prev f_j + w_next f_{j+1} into ``out``,
+    every row of fh a step, from ``carry = (u, f)``, the state and forcing
+    of the frame before fh's first.
 
     The forcing terms of all steps in one pass into the output, then only
     u_{j+1} += e^{dt lam} u_j frame by frame, in place.
     """
-    u = np.empty_like(fh) if out is None else out
+    u_prev, f_prev = carry
     scratch = np.empty_like(fh)
-    if carry is None:
-        u[0] = w.u0[: w.band]
-    else:
-        u_c, f_c = carry
-        np.multiply(w.w_prev, f_c, out=u[0])
-        u[0] += np.multiply(w.w_next, fh[0], out=scratch[0])
-        u[0] += np.multiply(w.e_dt, u_c, out=scratch[0])
-    nxt = u[1:]
-    np.multiply(w.w_prev, fh[:-1], out=nxt)
-    nxt += np.multiply(w.w_next, fh[1:], out=scratch[1:])
-    for j in range(len(nxt)):
-        u[j + 1] += np.multiply(w.e_dt, u[j], out=scratch[0])
-    return u
+    np.multiply(w.w_prev, f_prev, out=out[:1])
+    np.multiply(w.w_prev, fh[:-1], out=out[1:])
+    out += np.multiply(w.w_next, fh, out=scratch)
+    for row in out:
+        row += np.multiply(w.e_dt, u_prev, out=scratch[0])
+        u_prev = row
 
 
 def duhamel_map(
@@ -367,16 +359,22 @@ def duhamel_map(
     spacing, with its band K. Returns the image u on the band, (M+1, K) in
     the same units (written into ``out`` if given), and the forcing
     transforms fh it was built from, on the band too, with which
-    ``time_derivative`` forms du/dt algebraically.
+    ``time_derivative`` forms du/dt algebraically. The image's frame 0 is
+    the window's u0; the recursion steps on from it and fh[0].
 
     With ``carry = (j, u_j, f_j)``, v is instead the block of frames j+1,
     j+2, ... of a trajectory whose frame j has the image u_j and the forcing
-    transform f_j: the recursion continues from frame j, and a model error
-    names the frame of the trajectory, not of the block.
+    transform f_j: the same recursion continues from frame j, and a model
+    error names the frame of the trajectory, not of the block.
     """
-    first = 0 if carry is None else carry[0] + 1
-    fh = _forcing_history(v, prob, first, window.band)
-    return _recursion(fh, window, out, None if carry is None else carry[1:]), fh
+    fh = _forcing_history(v, prob, 0 if carry is None else carry[0] + 1, window.band)
+    u = np.empty_like(fh) if out is None else out
+    if carry is None:
+        u[0] = window.u0[: window.band]
+        _recursion(fh[1:], window, (u[0], fh[0]), u[1:])
+    else:
+        _recursion(fh, window, carry[1:], u)
+    return u, fh
 
 
 def time_derivative(
@@ -724,31 +722,32 @@ def etd_reference_solve(
 
     Without ``starts`` the march advances the single state ``prob.u0`` and
     returns its ``SpacetimeField`` of n_frames + 1 frames. ``starts`` is a
-    (K, N) array of real initial states, row k the start of window k of a
-    march, advanced as one (K, N/2+1) block (per substep two reaction calls
-    on all K rows); the result is then the (K, N/2+1) array of end states in
-    ``rfft_raw`` units. If the block fails, its windows are marched again one
-    at a time, in order, and the first failure is raised as ``global_march``
-    raises window k's, with the message of the window's own march; if no
-    window fails alone (a reaction that couples rows), the block's error is.
+    (K, N/2+1) block of start states in ``rfft_raw`` units, the unit of
+    ``picard_solve(start=)``, row k the start of window k of a march,
+    advanced as it is (per substep two reaction calls on all K rows); the
+    result is then the (K, N/2+1) array of end states in the same units. If
+    the block fails, its windows are marched again one at a time, in order,
+    and the first failure is raised as ``global_march`` raises window k's,
+    with the message of the window's own march; if no window fails alone (a
+    reaction that couples rows), the block's error is.
     """
     grid = prob.grid
     march = (prob, window_length, substeps, n_frames)
     if starts is None:
         frames = _heun_march(*march, rfft_raw(prob.u0.values.real))
         return _spacetime_field(grid, np.linspace(0.0, window_length, n_frames + 1), frames)
-    u0 = np.asarray(starts, dtype=np.float64)
-    if u0.ndim != 2 or u0.shape[0] < 1 or u0.shape[1] != grid.n_points:
+    u0 = np.asarray(starts, dtype=np.complex128)
+    if u0.ndim != 2 or u0.shape[0] < 1 or u0.shape[1] != grid.n_half:
         raise ValueError(
-            f"starts must be a (K, {grid.n_points}) array with K >= 1, got shape {u0.shape}"
+            f"starts must be a (K, {grid.n_half}) array with K >= 1, got shape {u0.shape}"
         )
     failures = (ValueError, ModelEvaluationError, ReferenceInstabilityError)
     try:
-        return _heun_march(*march, rfft_raw(u0))
+        return _heun_march(*march, u0)
     except failures:
         for k, row in enumerate(u0):
             try:
-                _heun_march(*march, rfft_raw(row))
+                _heun_march(*march, row)
             except failures as exc:
                 _raise_window_failure(k, exc)
         raise
@@ -866,16 +865,17 @@ def global_march(
     measure for the nontriviality criterion.
 
     Order of work: the Picard chain runs until every window is solved or
-    one fails, each window starting from the previous report's last frame in
-    ``rfft_raw`` units, zero-padded to N/2+1 modes; with ``run_oracle`` one
-    batched ``etd_reference_solve`` then marches the windows that were
-    solved, and each window's ``oracle_rel_deviation`` compares its Picard
-    end state with its oracle end state. The first failure in the
-    sequential order (Picard 0, oracle 0, Picard 1, ...) is raised: an
-    oracle failure at window k < j beats a Picard failure at window j, and
-    the lowest failing oracle window wins, whatever substep it failed at. A
-    solver or value error is raised as ``MarchWindowError(k)``, a
-    ``ModelEvaluationError`` as it is.
+    one fails. The march keeps one list of start states in ``rfft_raw``
+    units, modes 0..N/2: ``prob.u0``'s, then each solved report's
+    ``final_raw``, expanded once; window k starts from row k. With
+    ``run_oracle`` one batched ``etd_reference_solve`` then marches the
+    solved windows from the same rows, and window k's
+    ``oracle_rel_deviation`` compares row k+1, its Picard end state, with
+    its oracle end state. The first failure in the sequential order (Picard
+    0, oracle 0, Picard 1, ...) is raised: an oracle failure at window
+    k < j beats a Picard failure at window j, and the lowest failing oracle
+    window wins, whatever substep it failed at. A solver or value error is
+    raised as ``MarchWindowError(k)``, a ``ModelEvaluationError`` as it is.
     """
     validate_kernel(prob.kernel, prob.grid)
     q = kernel_strength(prob.kernel)
@@ -885,6 +885,7 @@ def global_march(
     )
     t_win = schedule.window_length
     cert = Certificate.for_window(q, ell, prob.a, prob.b, t_win)
+    starts = [rfft_raw(prob.u0.values.real)]
     reports: list[SolveReport] = []
     failed = None
     for k in range(schedule.count):
@@ -898,24 +899,20 @@ def global_march(
                 n_frames=n_frames,
                 override_certificate=override_certificate,
                 t_offset=k * t_win,
-                start=reports[-1].final_raw if reports else None,
+                start=starts[k],
             ))
         except Exception as exc:
             failed = (k, exc)
             break
+        starts.append(reports[-1].final_raw)
     if run_oracle and reports:
-        # the oracle starts from physical states: window 0's own, then the
-        # Picard end states
-        starts = np.stack(
-            [prob.u0.values.real] + [irfft_raw(prob.grid, rep.final_raw) for rep in reports[:-1]]
-        )
         # raises the failure of the first failing window, which comes before
         # the Picard failure in march order
         ends = etd_reference_solve(
-            prob, t_win, oracle_substeps_factor * n_frames, n_frames, starts=starts
+            prob, t_win, oracle_substeps_factor * n_frames, n_frames,
+            starts=np.stack(starts[: len(reports)]),
         )
-        for rep, end in zip(reports, ends):
-            mine = rep.final_raw
+        for rep, mine, end in zip(reports, starts[1:], ends):
             num = math.sqrt(half_sq_norms(prob.grid, mine - end, "l2"))
             den = math.sqrt(half_sq_norms(prob.grid, mine, "l2"))
             rep.oracle_rel_deviation = num / den if den > 0 else num

@@ -344,19 +344,17 @@ class KernelValidationReport:
 def validate_kernel(kernel: KernelSpec, grid: SpectralGrid) -> KernelValidationReport:
     """Check the structural kernel requirements at grid level.
 
-    Hard-fails (KernelAssumptionError) for an identically vanishing kernel;
-    everything else is reported, including the physical tail mass on the box
-    and, for spectral-fallback entries, how much of |p^6 Ghat| sits in the
-    outer wavenumber band.
+    Hard-fails (KernelAssumptionError) for an identically vanishing kernel
+    and, through ``kernel_strength``, for unusable L1 sizes; everything else
+    is reported, including the physical tail mass on the box and, for
+    spectral-fallback entries, how much of |p^6 Ghat| sits in the outer
+    wavenumber band.
     """
     samples = np.asarray(kernel.g(grid.x), dtype=float)
     notes = []
     if np.max(np.abs(samples)) == 0.0:
         raise KernelAssumptionError("kernel vanishes identically on the grid")
-    if not (np.isfinite(kernel.l1) and np.isfinite(kernel.l1_d6)) or kernel.l1 <= 0:
-        raise KernelAssumptionError(
-            f"kernel L1 sizes unusable: l1={kernel.l1}, l1_d6={kernel.l1_d6}"
-        )
+    kernel_strength(kernel)  # raises on unusable L1 sizes
     tail = tail_mass_fraction(Field(grid, samples))
     spectral_tail = None
     if kernel.norm_method == "spectral-fallback":

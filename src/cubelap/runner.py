@@ -33,6 +33,8 @@ import numpy as np
 
 from .certify import NoAdmissibleWindow, certificate_report, partial_certificate_report
 from .evolve import (
+    DEFAULT_FRAMES,
+    DEFAULT_MAX_ITER,
     CertificateRefusedError,
     SolveReport,
     SolverError,
@@ -85,9 +87,9 @@ MAX_LIPSCHITZ_TRIALS = MEMORY_BUDGET_BYTES // (16 * 8)
 
 
 _SOLVER_DEFAULTS = {
-    "frames": 64,
+    "frames": DEFAULT_FRAMES,
     "tol_fix": None,
-    "max_iter": 200,
+    "max_iter": DEFAULT_MAX_ITER,
     "safety": 0.9,
     "oracle_substeps_factor": 4,
     "max_window_length": None,
@@ -365,6 +367,15 @@ def _write_lines(path: Path, lines: list[str], watermark: str | None = None):
     path.write_text((watermark or "") + "\n".join(lines) + "\n")
 
 
+def _write_trail(out: Path, summary: dict, watermark: str | None = None, refused=None):
+    """Write ``summary.txt``, one ``key=value`` line per entry of ``summary``;
+    with ``refused = (q, l, a, b)``, first the ``certificate.txt`` of a run
+    that has no certificate of its own (``partial_certificate_report``)."""
+    if refused is not None:
+        (out / "certificate.txt").write_text(partial_certificate_report(*refused))
+    _write_lines(out / "summary.txt", [f"{k}={_fmt(v)}" for k, v in summary.items()], watermark)
+
+
 def _trace_rows(report: SolveReport, first_n: int) -> list[str]:
     """One window's n,d_n,r_n,C rows, numbered from ``first_n``."""
     c = report.certificate.constant
@@ -473,11 +484,9 @@ def run(config: RunConfig) -> RunArtifacts:
         summary["exit_code"], summary["status"], error = _exit_for(exc, setting_up)
         if error:
             summary["error"] = error
-        if not reports:  # the run's own certificate is written once the march returns
-            (out / "certificate.txt").write_text(
-                partial_certificate_report(q, ell, config.model["a"], config.model["b"])
-            )
-    _write_lines(out / "summary.txt", [f"{k}={_fmt(v)}" for k, v in summary.items()], watermark)
+    # the run's own certificate is written once the march returns
+    refused = None if reports else (q, ell, config.model["a"], config.model["b"])
+    _write_trail(out, summary, watermark, refused)
     return RunArtifacts(
         exit_code=summary["exit_code"], output_dir=out, summary=summary, reports=reports,
         config=config,
@@ -604,16 +613,10 @@ def main(argv=None) -> int:
         print(f"configuration rejected: {exc}", file=sys.stderr)
         # without --out there is no directory to write to
         if args.out and _make_output_dir(args.out):
-            out = Path(args.out)
             # nothing was parsed, so every number of the certificate is unknown
-            (out / "certificate.txt").write_text(
-                partial_certificate_report(None, None, None, None)
-            )
-            _write_lines(
-                out / "summary.txt",
-                ["status=config_rejected", f"exit_code={EXIT_ASSUMPTION_VIOLATION}",
-                 f"error={exc}"],
-            )
+            summary = {"status": "config_rejected", "exit_code": EXIT_ASSUMPTION_VIOLATION,
+                       "error": str(exc)}
+            _write_trail(Path(args.out), summary, refused=(None,) * 4)
         return EXIT_ASSUMPTION_VIOLATION
     if args.out:
         config.output_dir = args.out

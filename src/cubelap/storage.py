@@ -32,7 +32,8 @@ def dump_spacetime_field(path, field: SpacetimeField) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(field.frames, dtype="<c16").tobytes())
+        # the array's own buffer: no copy of the payload when it is <c16 already
+        fh.write(np.ascontiguousarray(field.frames, dtype="<c16").data)
 
 
 def load_spacetime_field(path, grid: SpectralGrid | None = None) -> SpacetimeField:

@@ -5,7 +5,7 @@ import pytest
 
 import cubelap as cl
 from cubelap.evolve import _window
-from cubelap.grid import raw_to_unitary, unitary_spectrum
+from cubelap.grid import raw_to_unitary, rfft_raw, unitary_spectrum
 
 
 # --------------------------------------------------------------------------
@@ -182,6 +182,26 @@ def test_duhamel_map_zero_fixed_point():
     v, _, w = _free_trajectory(prob, 0.5, 16)
     out, _ = cl.duhamel_map(v, prob, w)
     assert np.all(out == 0)
+
+
+def test_duhamel_map_is_frame_0_then_the_carried_recursion(certified_problem):
+    # the closed-form tests above run the solver's own recursion: frame 0 is
+    # u0 on the band, and frames 1..M are the carried map from (u[0], fh[0]),
+    # bit for bit, carried over frames 1..M at once or one frame at a time
+    prob, cert, T = certified_problem
+    tg = np.linspace(0.0, T, 17)
+    w = _window(prob, float(tg[1] - tg[0]))
+    v = np.exp(np.outer(tg, w.lam)) * w.u0[: w.band]
+    u, fh = cl.duhamel_map(v, prob, w)
+    assert np.array_equal(u[0], w.u0[: w.band])
+    rest, rest_fh = cl.duhamel_map(v[1:], prob, w, carry=(0, u[0], fh[0]))
+    assert np.array_equal(u[1:], rest) and np.array_equal(fh[1:], rest_fh)
+    frames, forcing = [u[0]], [fh[0]]
+    for j in range(1, len(v)):
+        bu, bf = cl.duhamel_map(v[j : j + 1], prob, w, carry=(j - 1, frames[-1], forcing[-1]))
+        frames.append(bu[0])
+        forcing.append(bf[0])
+    assert np.array_equal(u, np.stack(frames)) and np.array_equal(fh, np.stack(forcing))
 
 
 # --------------------------------------------------------------------------
@@ -507,7 +527,8 @@ def test_tail_warning_fires_for_mass_at_the_box_edge():
 
 
 def _next_start(prob, rep):
-    """The next window's problem, built from rep as ``global_march`` builds it."""
+    """The next window's problem, whose u0 is rep's last frame as physical
+    samples: the start of a single-state oracle march of that window."""
     import dataclasses
 
     from cubelap.grid import irfft_raw
@@ -531,19 +552,49 @@ def test_batched_oracle_matches_per_window_loop(certified_problem):
     t_w = 0.25  # three windows exactly
     reports = cl.global_march(prob, 3 * t_w, max_window_length=t_w, n_frames=16, run_oracle=True)
     assert len(reports) == 3
-    current = prob
-    for rep in reports:
-        # the slow path: one etd_reference_solve per window, on its start
-        # alone, which the single-state march reproduces bit for bit
-        end = cl.etd_reference_solve(
-            current, t_w, 4 * 16, n_frames=16, starts=current.u0.values.real[None, :]
-        )[0]
+    current, start = prob, rfft_raw(prob.u0.values.real)
+    for k, rep in enumerate(reports):
+        # the slow path: one etd_reference_solve per window, on its raw start
+        # alone, which the single-state march from the physical start
+        # reproduces: bit for bit at window 0, and up to the rounding of the
+        # samples' round trip through the transform pair after it
+        end = cl.etd_reference_solve(current, t_w, 4 * 16, n_frames=16, starts=start[None, :])[0]
         single = cl.etd_reference_solve(current, t_w, 4 * 16, n_frames=16)
-        assert np.array_equal(single.frames[-1, : prob.grid.n_half],
-                              raw_to_unitary(prob.grid, end))
+        got = single.frames[-1, : prob.grid.n_half]
+        want = raw_to_unitary(prob.grid, end)
+        if k == 0:
+            assert np.array_equal(got, want)
+        else:
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
         want = _deviation(rep, end)
         assert abs(rep.oracle_rel_deviation - want) <= 1e-12 * want
-        current = _next_start(current, rep)
+        current, start = _next_start(current, rep), rep.final_raw
+
+
+def test_march_oracle_starts_from_the_picard_chain_states(certified_problem, monkeypatch):
+    # one list of raw start states: the chain's window k and the oracle's row
+    # k both start from rfft_raw of u0, then from report k-1's final_raw
+    import cubelap.evolve as ev
+
+    prob, cert, T = certified_problem
+    picard_starts, blocks = [], []
+    real_picard, real_heun = ev.picard_solve, ev._heun_march
+
+    def picard(*args, **kwargs):
+        picard_starts.append(kwargs["start"])
+        return real_picard(*args, **kwargs)
+
+    def heun(*args):
+        if args[-1].ndim == 2:
+            blocks.append(args[-1])
+        return real_heun(*args)
+
+    monkeypatch.setattr(ev, "picard_solve", picard)
+    monkeypatch.setattr(ev, "_heun_march", heun)
+    reports = cl.global_march(prob, 0.75, max_window_length=0.25, n_frames=16, run_oracle=True)
+    want = np.stack([rfft_raw(prob.u0.values.real)] + [rep.final_raw for rep in reports[:-1]])
+    assert len(reports) == 3 and len(blocks) == 1
+    assert np.array_equal(blocks[0], want) and np.array_equal(np.stack(picard_starts), want)
 
 
 _BLOWUP_T = 0.7
@@ -668,7 +719,7 @@ def test_batched_oracle_model_error_reads_as_one_window():
         except cl.ModelEvaluationError as exc:
             singles.append(str(exc))
     assert singles[0] is None and singles[1] and singles[2]
-    starts = np.stack([p.u0.values.real for p in probs])
+    starts = np.stack([rfft_raw(p.u0.values.real) for p in probs])
     with pytest.raises(cl.ModelEvaluationError) as exc:
         cl.etd_reference_solve(probs[0], _BLOWUP_T, 256, n_frames=16, starts=starts)
     assert str(exc.value) == singles[1]
@@ -677,12 +728,15 @@ def test_batched_oracle_model_error_reads_as_one_window():
 
 def test_batched_oracle_substep_preconditions_fail_window_0():
     prob = _simple_problem(cl.linear_plus_source(0.0))
-    starts = np.stack([prob.u0.values.real] * 2)
+    physical = np.stack([prob.u0.values.real] * 2)
+    starts = rfft_raw(physical)
     with pytest.raises(cl.MarchWindowError) as exc:
         cl.etd_reference_solve(prob, 0.5, 32, n_frames=16, starts=starts)
     assert exc.value.window_index == 0 and isinstance(exc.value.__cause__, ValueError)
-    with pytest.raises(ValueError):
-        cl.etd_reference_solve(prob, 0.5, 64, n_frames=16, starts=starts[:, :7])
+    # the block is raw half spectra: (K, N/2+1), never physical (K, N) samples
+    for bad in (starts[:, :7], physical, starts[0]):
+        with pytest.raises(ValueError, match=r"^starts must be a \(K, 65\) array"):
+            cl.etd_reference_solve(prob, 0.5, 64, n_frames=16, starts=bad)
 
 
 def _threshold_reaction(name, factor, threshold):
@@ -733,13 +787,14 @@ def test_batched_oracle_replay_matches_single_window_marches():
             for _ in range(rng.integers(1, 6))
         ])
         k, cause = _single_window_failure(prob, starts, substeps, n_frames)
+        raw = rfft_raw(starts)
         if k is None:
-            ends = cl.etd_reference_solve(prob, _BLOWUP_T, substeps, n_frames, starts=starts)
+            ends = cl.etd_reference_solve(prob, _BLOWUP_T, substeps, n_frames, starts=raw)
             assert np.array_equal(unitary_spectrum(prob.grid, ends), cause)
             seen.add("none")
             continue
         with pytest.raises((cl.SolverError, cl.ModelEvaluationError)) as exc:
-            cl.etd_reference_solve(prob, _BLOWUP_T, substeps, n_frames, starts=starts)
+            cl.etd_reference_solve(prob, _BLOWUP_T, substeps, n_frames, starts=raw)
         got = exc.value
         if isinstance(cause, (cl.SolverError, ValueError)):
             want = (cl.MarchWindowError, k, str(cl.MarchWindowError(k, cause)), type(cause))
@@ -766,7 +821,7 @@ def test_batched_oracle_raises_its_own_error_when_no_window_fails_alone():
     starts = np.stack([start(prob.grid.x) for start in (_STARTS[0], _STARTS[3])])
     assert _single_window_failure(prob, starts, 64, 16)[0] is None
     with pytest.raises(cl.ModelEvaluationError, match=r"in frame 0$"):
-        cl.etd_reference_solve(prob, _BLOWUP_T, 64, n_frames=16, starts=starts)
+        cl.etd_reference_solve(prob, _BLOWUP_T, 64, n_frames=16, starts=rfft_raw(starts))
 
 
 def test_two_grid_consistency(certified_problem):

@@ -74,6 +74,21 @@ def test_synthetic_three_four_five_kernel():
     assert cl.kernel_strength(k) == 5.0
 
 
+@pytest.mark.parametrize("l1, l1_d6", [(np.nan, 4.0), (3.0, np.inf), (0.0, 4.0)])
+def test_unusable_kernel_l1_sizes_fail_validation(l1, l1_d6):
+    k = cl.KernelSpec(
+        name="synthetic",
+        g=lambda x: np.exp(-np.asarray(x) ** 2),
+        l1=l1,
+        l1_d6=l1_d6,
+        norm_method="declared",
+    )
+    for check in (lambda: cl.validate_kernel(k, cl.make_grid(10.0, 64)),
+                  lambda: cl.kernel_strength(k)):
+        with pytest.raises(cl.KernelAssumptionError, match="kernel L1 sizes unusable"):
+            check()
+
+
 def test_sech_kernel_l1_and_sixth_derivative():
     a, w = 0.7, 0.8
     k = cl.sech_kernel(a, w)

@@ -36,7 +36,7 @@ import pytest
 
 import cubelap as cl
 import cubelap.grid
-from cubelap.grid import raw_to_unitary
+from cubelap.grid import raw_to_unitary, rfft_raw
 from cubelap.model import NONLINEARITIES
 from cubelap.runner import main
 
@@ -267,7 +267,7 @@ def test_raw_unit_oracle_matches_unitary_oracle(name):
         np.exp(-((grid.x + 2.0) ** 2)),
         0.5 * np.cos(grid.x) * np.exp(-(grid.x**2) / 8.0),
     ])
-    ends = cl.etd_reference_solve(prob, T, substeps, N_FRAMES, starts=starts)
+    ends = cl.etd_reference_solve(prob, T, substeps, N_FRAMES, starts=rfft_raw(starts))
     want = _unitary_heun(prob, T, substeps, N_FRAMES, starts)[-1]
     for r in range(len(starts)):
         assert _rel_gap(raw_to_unitary(grid, ends[r]), want[r]) <= 1e-12

@@ -37,6 +37,7 @@ def test_dump_header_layout(tmp_path):
     assert (n, m) == (32, 5)
     assert (L, T) == (7.5, 1.25)
     assert len(raw) == struct.calcsize("<4sIdId") + 6 * 32 * 16
+    assert raw[struct.calcsize("<4sIdId"):] == u.frames.astype("<c16").tobytes()
 
 
 def test_load_rejects_corruption(tmp_path):
