@@ -33,7 +33,6 @@ from .evolve import (
     ReferenceInstabilityError,
     SolveReport,
     SolverError,
-    SymbolTable,
     build_symbol,
     duhamel_map,
     etd_reference_solve,

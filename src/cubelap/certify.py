@@ -118,6 +118,10 @@ class Certificate:
         return cls(q=q, l=l, a=a, b=b, T=T, constant=c, valid=c < 1.0, t_max=t_max)
 
 
+#: The share of the supremal certified window a march's windows may take.
+DEFAULT_SAFETY = 0.9
+
+
 @dataclass(frozen=True)
 class WindowSchedule:
     """Partition of a total horizon into certified windows.
@@ -143,7 +147,7 @@ def window_schedule(
     l: float,
     a: float,
     b: float,
-    safety: float = 0.9,
+    safety: float = DEFAULT_SAFETY,
     max_window_length: float | None = None,
 ) -> WindowSchedule:
     """Plan the global march: window cap safety*t_max, count = ceil(total/cap).

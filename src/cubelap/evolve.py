@@ -34,13 +34,13 @@ units (``grid.rfft_raw`` / ``grid.irfft_raw``), in which the transform pair
 needs no factor: the Picard iterate, whose ``duhamel_map`` and
 ``time_derivative`` take and return such arrays only, with the window's band
 and weights computed once (``_window``); the ``SolveReport``, which keeps the
-last iterate and frame 0's modes above the band; the start state of the
+last iterate's trajectory (not its time derivative, of which it keeps the
+per-frame norms) and frame 0's modes above the band; the start state of the
 next window, which is the previous report's last frame, zero-padded to
 N/2+1 modes; and the Heun oracle, which keeps all N/2+1 modes. Unitary
 coefficients, ``Field`` and ``SpacetimeField`` (full spectrum, as in the
-``SXD1`` dump) appear only at the API edge: the report's ``u_raw``,
-``dudt_raw``, ``u_half``, ``dudt_half``, ``field`` and ``dudt`` expand (and
-convert) on every access.
+``SXD1`` dump) appear only at the API edge: the report's ``field``,
+``final_raw`` and ``final_state`` expand (and convert) on every access.
 
 The new Picard iterate at frame j needs only the old iterate at frames up
 to j and the new one at frame j - 1, and frame 0 with its forcing is the
@@ -73,7 +73,13 @@ import numpy as np
 
 import math
 
-from .certify import Certificate, NoAdmissibleWindow, WindowSchedule, window_schedule
+from .certify import (
+    DEFAULT_SAFETY,
+    Certificate,
+    NoAdmissibleWindow,
+    WindowSchedule,
+    window_schedule,
+)
 from .grid import (
     Field,
     RepresentationError,
@@ -85,7 +91,6 @@ from .grid import (
     frame_norms,
     half_sq_norms,
     irfft_raw,
-    raw_to_unitary,
     rfft_raw,
     tail_mass_fraction,
     trapezoid_weights,
@@ -108,6 +113,9 @@ RATIO_SLACK = 1.05
 
 DEFAULT_FRAMES = 64
 DEFAULT_MAX_ITER = 200
+
+#: The fewest Heun substeps per frame the oracle takes, and the march's default.
+MIN_ORACLE_SUBSTEPS_FACTOR = 4
 
 
 class SolverError(RuntimeError):
@@ -195,34 +203,17 @@ def phi2(z):
     return complex(out[0]) if scalar else out
 
 
-@dataclass(frozen=True, eq=False)
-class SymbolTable:
-    """Per-mode linear symbol lam(p) = -p^6 + i*b*p + a."""
-
-    grid: SpectralGrid
-    a: float
-    b: float
-    lam: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=np.complex128)
-        lam.flags.writeable = False
-        object.__setattr__(self, "lam", lam)
-
-    def propagator(self, t: float) -> np.ndarray:
-        """e^{t*lam(p_j)}."""
-        return np.exp(t * self.lam)
-
-
-def build_symbol(grid: SpectralGrid, a: float, b: float) -> SymbolTable:
+def build_symbol(grid: SpectralGrid, a: float, b: float) -> np.ndarray:
+    """The read-only per-mode linear symbol lam(p) = -p^6 + i*b*p + a."""
     if a < 0:
         raise ValueError(f"a must be nonnegative, got {a}")
     p = grid.wavenumbers
     lam = -(p**6) + 1j * b * p + a
-    return SymbolTable(grid=grid, a=float(a), b=float(b), lam=lam)
+    lam.flags.writeable = False
+    return lam
 
 
-def propagate(f: Field, sym: SymbolTable, t: float) -> Field:
+def propagate(f: Field, lam: np.ndarray, t: float) -> Field:
     """Multiply a spectral field by e^{t*lam}; identity at t = 0."""
     if f.rep != "spectral":
         raise RepresentationError("propagate expects a spectral field")
@@ -230,7 +221,7 @@ def propagate(f: Field, sym: SymbolTable, t: float) -> Field:
         raise ValueError(f"propagation time must be nonnegative, got {t}")
     if t == 0:
         return f
-    return Field(f.grid, sym.propagator(t) * f.values, "spectral")
+    return Field(f.grid, np.exp(t * lam) * f.values, "spectral")
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,12 +266,11 @@ def _window(
     live band of e_dt, g, w_prev and w_next, or with ``full`` on all N/2+1
     modes (then the tails are empty)."""
     grid = prob.grid
-    sym = build_symbol(grid, prob.a, prob.b)
     half = slice(0, grid.n_half)
-    lam = sym.lam[half]
+    lam = build_symbol(grid, prob.a, prob.b)[half]
     z = dt * lam
     g = SQRT_2PI * prob.kernel.spectrum_on(grid)[half]
-    e_dt = sym.propagator(dt)[half]
+    e_dt = np.exp(z)
     w_prev = g * (dt * (phi1(z) - phi2(z)))
     w_next = g * (dt * phi2(z))
     k = grid.n_half if full else _live_band(e_dt, g, w_prev, w_next)
@@ -416,25 +406,23 @@ class PicardTrace:
 class SolveReport:
     """Everything a window solve produced, plus diagnostics.
 
-    The solution and its time derivative are kept on the window's live band:
-    the read-only (M+1, K) arrays ``u_band`` and ``dudt_band`` on
-    ``time_grid``, in ``rfft_raw`` units, whose modes above K are exactly 0
-    in every frame but frame 0; frame 0's modes K, K+1, ... up to its last
-    nonzero one are ``u0_tail`` and ``dudt0_tail`` (empty when the window
-    starts from a previous window's end state). ``u_raw`` and ``dudt_raw``
-    expand them to (M+1, N/2+1) half spectra, ``final_raw`` the last frame,
-    ``u_half`` and ``dudt_half`` convert to unitary coefficients, and
-    ``field`` and ``dudt`` to full-spectrum ``SpacetimeField``s (one
-    allocation each, adopted by the field), on every access (uncached, so a
+    The solution is kept on the window's live band: the read-only (M+1, K)
+    array ``u_band`` on ``time_grid``, in ``rfft_raw`` units, whose modes
+    above K are exactly 0 in every frame but frame 0; frame 0's modes K,
+    K+1, ... up to its last nonzero one are ``u0_tail`` (empty when the
+    window starts from a previous window's end state). Of the time
+    derivative only its per-frame norms are kept; ``time_derivative`` forms
+    it from ``u_band`` and the forcing. ``field`` expands the trajectory to
+    a full-spectrum ``SpacetimeField`` (one allocation, adopted by the
+    field), ``final_raw`` the last frame to modes 0..N/2 and
+    ``final_state`` to a unitary ``Field``, on every access (uncached, so a
     caller holding many reports holds neither half nor full spectra).
     """
 
     grid: SpectralGrid
     time_grid: np.ndarray
     u_band: np.ndarray
-    dudt_band: np.ndarray
     u0_tail: np.ndarray
-    dudt0_tail: np.ndarray
     trace: PicardTrace
     certificate: Certificate
     t_offset: float
@@ -446,50 +434,19 @@ class SolveReport:
     overlap: float | None = None
 
     @property
-    def u_raw(self) -> np.ndarray:
-        return _half_spectra(self.grid, self.u_band, self.u0_tail)
-
-    @property
-    def dudt_raw(self) -> np.ndarray:
-        return _half_spectra(self.grid, self.dudt_band, self.dudt0_tail)
-
-    @property
-    def final_raw(self) -> np.ndarray:
-        """The last frame's modes 0..N/2, in ``rfft_raw`` units."""
-        return _half_spectra(self.grid, self.u_band[-1:])[0]
-
-    @property
-    def u_half(self) -> np.ndarray:
-        return raw_to_unitary(self.grid, self.u_raw)
-
-    @property
-    def dudt_half(self) -> np.ndarray:
-        return raw_to_unitary(self.grid, self.dudt_raw)
-
-    @property
     def field(self) -> SpacetimeField:
         return _spacetime_field(self.grid, self.time_grid, self.u_band, self.u0_tail)
 
     @property
-    def dudt(self) -> SpacetimeField:
-        return _spacetime_field(self.grid, self.time_grid, self.dudt_band, self.dudt0_tail)
+    def final_raw(self) -> np.ndarray:
+        """The last frame's modes 0..N/2, in ``rfft_raw`` units."""
+        last = np.zeros(self.grid.n_half, dtype=np.complex128)
+        last[: self.u_band.shape[1]] = self.u_band[-1]
+        return last
 
     @property
     def final_state(self) -> Field:
         return Field(self.grid, unitary_spectrum(self.grid, self.u_band[-1]), "spectral")
-
-
-def _half_spectra(
-    grid: SpectralGrid, band: np.ndarray, tail: np.ndarray | None = None
-) -> np.ndarray:
-    """The (M+1, N/2+1) half spectra of (M+1, K) band frames whose frame 0
-    has the further modes ``tail``; zero elsewhere."""
-    k = band.shape[-1]
-    half = np.zeros((len(band), grid.n_half), dtype=np.complex128)
-    half[:, :k] = band
-    if tail is not None:
-        half[0, k : k + tail.size] = tail
-    return half
 
 
 def _spacetime_field(
@@ -547,20 +504,24 @@ def picard_solve(
     of the window's live band in ``rfft_raw`` units, and each iterate
     overwrites its predecessor in one forward walk over blocks of frames
     1..M (``_picard_iterate``), with the window's band, weights and frame
-    0's forcing computed once. The report keeps the last iterate's arrays
-    as they are, with frame 0's modes above the band; every norm of frame 0
-    counts those modes too.
+    0's forcing computed once. The report keeps the last iterate's u as it
+    is, with frame 0's modes above the band, and of du/dt only its
+    per-frame norms; every norm of frame 0 counts those modes too.
     """
     if window_length <= 0:
         raise ValueError(f"window length must be positive, got {window_length}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if start is not None and (
-        start.shape != (prob.grid.n_half,) or not np.all(np.isfinite(start))
-    ):
-        raise ValueError(
-            f"start must be {prob.grid.n_half} finite modes, got shape {start.shape}"
-        )
+    if n_frames < 1:
+        raise ValueError(f"n_frames must be at least 1, got {n_frames}")
+    if tol_fix is not None and not tol_fix > 0:
+        raise ValueError(f"tol_fix must be None or positive, got {tol_fix}")
+    if start is not None:
+        start = np.asarray(start)
+        if start.shape != (prob.grid.n_half,) or not np.all(np.isfinite(start)):
+            raise ValueError(
+                f"start must be {prob.grid.n_half} finite modes, got shape {start.shape}"
+            )
     if not cert.valid:
         if not override_certificate:
             raise CertificateRefusedError(
@@ -627,15 +588,13 @@ def picard_solve(
                 trace,
             )
 
-    for arr in (tg, u, dudt, w.u0_tail, w.dudt0_tail):
+    for arr in (tg, u, w.u0_tail):
         arr.flags.writeable = False
     return SolveReport(
         grid=grid,
         time_grid=tg,
         u_band=u,
-        dudt_band=dudt,
         u0_tail=w.u0_tail,
-        dudt0_tail=w.dudt0_tail,
         trace=trace,
         certificate=cert,
         t_offset=t_offset,
@@ -762,9 +721,12 @@ def _heun_march(
     count that fails the preconditions, a model error, or a row whose norm
     leaves 1e8 times the larger of its norms before and after substep 1.
     """
-    if substeps < 4 * n_frames:
+    if n_frames < 1:
+        raise ValueError(f"n_frames must be at least 1, got {n_frames}")
+    if substeps < MIN_ORACLE_SUBSTEPS_FACTOR * n_frames:
         raise ValueError(
-            f"substeps = {substeps} must be at least 4x the frame count {n_frames}"
+            f"substeps = {substeps} must be at least {MIN_ORACLE_SUBSTEPS_FACTOR}x "
+            f"the frame count {n_frames}"
         )
     if substeps % n_frames != 0:
         raise ValueError("substeps must be an integer multiple of the frame count")
@@ -819,7 +781,7 @@ def march_schedule(
     ell: float,
     a: float,
     b: float,
-    safety: float = 0.9,
+    safety: float = DEFAULT_SAFETY,
     max_window_length: float | None = None,
     override_certificate: bool = False,
 ) -> WindowSchedule:
@@ -847,14 +809,14 @@ def march_schedule(
 def global_march(
     prob: ProblemSpec,
     t_total: float,
-    safety: float = 0.9,
+    safety: float = DEFAULT_SAFETY,
     n_frames: int = DEFAULT_FRAMES,
     tol_fix: float | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
     max_window_length: float | None = None,
     override_certificate: bool = False,
     run_oracle: bool = False,
-    oracle_substeps_factor: int = 4,
+    oracle_substeps_factor: int = MIN_ORACLE_SUBSTEPS_FACTOR,
 ) -> list[SolveReport]:
     """Chain certified windows across the whole horizon.
 

@@ -688,8 +688,13 @@ def apply_nonlinearity(
     return vals
 
 
+#: The sample count and seed of the Lipschitz falsification by default.
+LIPSCHITZ_TRIALS = 2000
+LIPSCHITZ_SEED = 0
+
+
 def check_lipschitz_sampling(
-    nonlinearity: NonlinearitySpec, trials: int = 2000, seed: int = 0
+    nonlinearity: NonlinearitySpec, trials: int = LIPSCHITZ_TRIALS, seed: int = LIPSCHITZ_SEED
 ) -> float:
     """Max observed difference quotient over random (u1, u2, x) triples.
 

@@ -31,10 +31,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .certify import NoAdmissibleWindow, certificate_report, partial_certificate_report
+from .certify import (
+    DEFAULT_SAFETY,
+    NoAdmissibleWindow,
+    certificate_report,
+    partial_certificate_report,
+)
 from .evolve import (
     DEFAULT_FRAMES,
     DEFAULT_MAX_ITER,
+    MIN_ORACLE_SUBSTEPS_FACTOR,
     CertificateRefusedError,
     SolveReport,
     SolverError,
@@ -44,6 +50,8 @@ from .evolve import (
 from .grid import Field, field_from_function, inverse_transform, make_grid
 from .model import (
     KERNELS,
+    LIPSCHITZ_SEED,
+    LIPSCHITZ_TRIALS,
     NONLINEARITIES,
     REQUIRED,
     AssumptionViolation,
@@ -76,11 +84,11 @@ class ConfigError(ValueError):
 #: Memory a run may plan for (README, "Limits"). A window solve peaks at
 #: about one array of (frames + 1) x N complex values of 16 bytes: the
 #: iterate and its time derivative, two (frames + 1) x K arrays on the
-#: window's live band K <= N/2 + 1 that the report keeps, and a few blocks;
-#: the bound allows 16 such arrays at K = N/2 + 1. The
+#: window's live band K <= N/2 + 1, of which the report keeps the first, and
+#: a few blocks; the bound allows 16 such arrays at K = N/2 + 1. The
 #: Lipschitz sampler takes about 82 bytes per trial; the bound allows 16
 #: floats of 8 bytes. Once the certificate fixes the window count, ``run``
-#: refuses a schedule whose reports alone exceed the budget.
+#: refuses a schedule whose reports and last iterate could exceed the budget.
 MEMORY_BUDGET_BYTES = 2 * 2**30
 MAX_TRAJECTORY_VALUES = MEMORY_BUDGET_BYTES // (16 * 16)
 MAX_LIPSCHITZ_TRIALS = MEMORY_BUDGET_BYTES // (16 * 8)
@@ -90,11 +98,11 @@ _SOLVER_DEFAULTS = {
     "frames": DEFAULT_FRAMES,
     "tol_fix": None,
     "max_iter": DEFAULT_MAX_ITER,
-    "safety": 0.9,
-    "oracle_substeps_factor": 4,
+    "safety": DEFAULT_SAFETY,
+    "oracle_substeps_factor": MIN_ORACLE_SUBSTEPS_FACTOR,
     "max_window_length": None,
-    "seed": 0,
-    "lipschitz_trials": 2000,
+    "seed": LIPSCHITZ_SEED,
+    "lipschitz_trials": LIPSCHITZ_TRIALS,
 }
 
 _FLAG_DEFAULTS = {"run_oracle": False, "override_certificate": False}
@@ -212,9 +220,11 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("solver.safety violates the constraint 0 < safety < 1")
     if _as_number(solver["max_iter"], "solver.max_iter") < 1:
         raise ConfigError("solver.max_iter violates the constraint max_iter >= 1")
-    if _as_number(solver["oracle_substeps_factor"], "solver.oracle_substeps_factor") < 4:
+    factor = _as_number(solver["oracle_substeps_factor"], "solver.oracle_substeps_factor")
+    if factor < MIN_ORACLE_SUBSTEPS_FACTOR:
         raise ConfigError(
-            "solver.oracle_substeps_factor violates the constraint factor >= 4"
+            "solver.oracle_substeps_factor violates the constraint "
+            f"factor >= {MIN_ORACLE_SUBSTEPS_FACTOR}"
         )
     for key in ("frames", "max_iter", "oracle_substeps_factor", "seed", "lipschitz_trials"):
         _as_integer(solver[key], f"solver.{key}")
@@ -422,8 +432,9 @@ def run(config: RunConfig) -> RunArtifacts:
             config.horizon, q, ell, prob.a, prob.b, config.solver["safety"],
             config.solver["max_window_length"], override,
         )
-        # each window's report keeps u_band and dudt_band, (frames + 1) x K
-        # with K <= N/2 + 1 its live band, so counting N/2 + 1 over-counts
+        # each window's report keeps u_band, (frames + 1) x K with K <= N/2 + 1
+        # its live band, and the last solve holds the iterate pair, so two
+        # arrays per window at K = N/2 + 1 bound windows - 1 reports and that pair
         report_bytes = 2 * schedule.count * (config.solver["frames"] + 1) * prob.grid.n_half * 16
         if report_bytes > MEMORY_BUDGET_BYTES:
             raise ConfigError(

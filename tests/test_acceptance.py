@@ -84,8 +84,8 @@ def test_criterion_3_linear_exactness():
                     assert np.max(np.abs(rep.l2_per_frame - expect) / expect) <= 1e-6
                     two = cl.global_march(prob, T, n_frames=16, max_window_length=T / 2)
                     assert len(two) == 2
-                    sym = cl.build_symbol(g, a, b)
-                    oneshot = cl.propagate(cl.to_spectral(u0), sym, T)
+                    lam = cl.build_symbol(g, a, b)
+                    oneshot = cl.propagate(cl.to_spectral(u0), lam, T)
                     diff = two[-1].final_state.values - oneshot.values
                     rel = cl.l2_norm(cl.Field(g, diff, "spectral")) / cl.l2_norm(oneshot)
                     assert rel <= 1e-10
@@ -100,12 +100,12 @@ def test_criterion_4_source_only_closed_form():
         u0 = cl.field_from_function(g, lambda x: np.exp(-(x**2) / 2.0))
         prob = cl.ProblemSpec(a=0.0, b=1.0, kernel=kernel, nonlinearity=nl, u0=u0, grid=g)
         T = 0.4
-        sym = cl.build_symbol(g, 0.0, 1.0)
+        lam = cl.build_symbol(g, 0.0, 1.0)
         g_hat = kernel.spectrum_on(g)
         h_hat = cl.forward_transform(cl.Field(g, src(g.x), "physical")).values
-        closed = np.exp(T * sym.lam) * cl.to_spectral(u0).values + np.sqrt(
+        closed = np.exp(T * lam) * cl.to_spectral(u0).values + np.sqrt(
             2.0 * np.pi
-        ) * g_hat * h_hat * T * cl.phi1(T * sym.lam)
+        ) * g_hat * h_hat * T * cl.phi1(T * lam)
 
         def endpoint_error(substeps):
             ref = cl.etd_reference_solve(prob, T, substeps=substeps, n_frames=8)

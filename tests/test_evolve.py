@@ -1,4 +1,6 @@
 import math
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -68,21 +70,21 @@ def test_phi_weights_vectorized():
 
 def test_symbol_values():
     g = cl.make_grid(np.pi, 64)
-    s = cl.build_symbol(g, 0.0, 0.0)
+    lam = cl.build_symbol(g, 0.0, 0.0)
     idx1 = int(np.argmin(np.abs(g.wavenumbers - 1.0)))
-    assert s.lam[idx1] == -1.0
-    s2 = cl.build_symbol(g, 2.0, 3.0)
-    assert s2.lam[0] == 2.0  # p = 0 slot
-    assert s2.lam[idx1] == pytest.approx(1.0 + 3.0j)
+    assert lam[idx1] == -1.0
+    lam2 = cl.build_symbol(g, 2.0, 3.0)
+    assert lam2[0] == 2.0  # p = 0 slot
+    assert lam2[idx1] == pytest.approx(1.0 + 3.0j)
 
 
 def test_symbol_real_part_bounded_by_a():
     g = cl.make_grid(13.0, 128)
     for a, b in [(0.0, 0.0), (1.5, -2.0), (0.3, 7.0)]:
-        s = cl.build_symbol(g, a, b)
-        assert np.all(s.lam.real <= a)
+        lam = cl.build_symbol(g, a, b)
+        assert np.all(lam.real <= a)
         # max of the real part sits at the smallest |p|
-        assert np.argmax(s.lam.real) == int(np.argmin(np.abs(g.wavenumbers)))
+        assert np.argmax(lam.real) == int(np.argmin(np.abs(g.wavenumbers)))
 
 
 def test_symbol_rejects_negative_a():
@@ -92,10 +94,10 @@ def test_symbol_rejects_negative_a():
 
 def test_propagate_identity_and_decay():
     g = cl.make_grid(np.pi, 64)
-    s = cl.build_symbol(g, 0.0, 0.0)
+    lam = cl.build_symbol(g, 0.0, 0.0)
     f = cl.forward_transform(cl.Field(g, np.exp(1j * g.x), "physical"))
-    assert cl.propagate(f, s, 0.0) is f
-    moved = cl.propagate(f, s, 1.0)
+    assert cl.propagate(f, lam, 0.0) is f
+    moved = cl.propagate(f, lam, 1.0)
     idx1 = int(np.argmin(np.abs(g.wavenumbers - 1.0)))
     assert abs(moved.values[idx1] / f.values[idx1] - np.exp(-1.0)) <= 1e-12
 
@@ -105,20 +107,20 @@ def test_propagate_modulus_independent_of_drift():
     f = cl.forward_transform(cl.Field(g, np.exp(2j * g.x), "physical"))
     t = 0.7
     for b in (0.0, 1.0, -3.0):
-        s = cl.build_symbol(g, 0.5, b)
-        out = cl.propagate(f, s, t)
+        lam = cl.build_symbol(g, 0.5, b)
+        out = cl.propagate(f, lam, t)
         idx = int(np.argmin(np.abs(g.wavenumbers - 2.0)))
         assert abs(abs(out.values[idx]) - abs(f.values[idx]) * np.exp(t * (0.5 - 64.0))) <= 1e-12
 
 
 def test_propagate_rejects_negative_time_and_physical_rep():
     g = cl.make_grid(1.0, 8)
-    s = cl.build_symbol(g, 0.0, 0.0)
+    lam = cl.build_symbol(g, 0.0, 0.0)
     phys = cl.Field(g, np.ones(8), "physical")
     with pytest.raises(cl.RepresentationError):
-        cl.propagate(phys, s, 1.0)
+        cl.propagate(phys, lam, 1.0)
     with pytest.raises(ValueError):
-        cl.propagate(cl.forward_transform(phys), s, -0.1)
+        cl.propagate(cl.forward_transform(phys), lam, -0.1)
 
 
 # --------------------------------------------------------------------------
@@ -162,7 +164,7 @@ def test_duhamel_map_source_only_closed_form():
     v, tg, w = _free_trajectory(prob, T, m)
     out = raw_to_unitary(prob.grid, cl.duhamel_map(v, prob, w)[0])
     half = slice(0, prob.grid.n_half)
-    sym = cl.build_symbol(prob.grid, prob.a, prob.b)
+    lam = cl.build_symbol(prob.grid, prob.a, prob.b)
     g_hat = prob.kernel.spectrum_on(prob.grid)
     h_hat = cl.forward_transform(
         cl.Field(prob.grid, prob.nonlinearity.source(prob.grid.x), "physical")
@@ -171,8 +173,8 @@ def test_duhamel_map_source_only_closed_form():
     scale = np.max(np.abs(out))
     for j in (1, m // 2, m):
         t = tg[j]
-        closed = np.exp(t * sym.lam) * u0h + np.sqrt(2 * np.pi) * g_hat * h_hat * t * cl.phi1(
-            t * sym.lam
+        closed = np.exp(t * lam) * u0h + np.sqrt(2 * np.pi) * g_hat * h_hat * t * cl.phi1(
+            t * lam
         )
         assert np.max(np.abs(out[j] - closed[half])) <= 1e-12 * scale
 
@@ -307,15 +309,21 @@ def test_picard_nonconvergence_carries_trace(certified_problem):
 
 
 def test_fixed_point_satisfies_derivative_identity(certified_problem):
-    # at the fixed point the stored derivative and the identity evaluated on
-    # the solution itself agree to the iteration tolerance
+    # at the fixed point the reported derivative norms and those of the
+    # identity evaluated on the solution itself agree to the iteration
+    # tolerance
     prob, cert, T = certified_problem
     rep = cl.picard_solve(prob, T, cert, tol_fix=1e-12)
-    fh_self = _per_frame_forcing(rep.field.frames, prob)[:, : prob.grid.n_half]
-    w = _window(prob, float(rep.time_grid[1] - rep.time_grid[0]))
-    du_self = cl.time_derivative(rep.u_half, fh_self, w)
-    defect = np.max(np.abs(du_self - rep.dudt_half))
-    assert defect <= 1e-10 * np.max(np.abs(rep.dudt_half))
+    frames = rep.field.frames
+    fh_self = _per_frame_forcing(frames, prob)
+    factors = SimpleNamespace(
+        lam=cl.build_symbol(prob.grid, prob.a, prob.b),
+        g=np.sqrt(2.0 * np.pi) * prob.kernel.spectrum_on(prob.grid),
+    )
+    du_self = cl.time_derivative(frames, fh_self, factors)
+    norms = np.array([cl.l2_norm(cl.Field(prob.grid, row, "spectral")) for row in du_self])
+    defect = np.max(np.abs(norms - rep.dudt_l2_per_frame))
+    assert defect <= 1e-10 * np.max(rep.dudt_l2_per_frame)
 
 
 def test_first_iterate_by_recursion_matches_exp_form(monkeypatch):
@@ -408,7 +416,9 @@ def test_windows_hand_over_in_raw_units(certified_problem):
     reports = cl.global_march(prob, 0.75, max_window_length=0.25, n_frames=16)
     assert len(reports) == 3
     for prev, rep in zip(reports, reports[1:]):
-        assert np.array_equal(rep.u_raw[0], prev.u_raw[-1])
+        k = rep.u_band.shape[1]
+        assert rep.u0_tail.size == 0 and not np.any(prev.final_raw[k:])
+        assert np.array_equal(rep.u_band[0], prev.final_raw[:k])
         assert rep.d6_l2_per_frame[0] == prev.d6_l2_per_frame[-1]
         assert rep.l2_per_frame[0] == prev.l2_per_frame[-1]
         last = prev.dudt_l2_per_frame[-1]
@@ -418,9 +428,45 @@ def test_windows_hand_over_in_raw_units(certified_problem):
 def test_picard_solve_rejects_a_malformed_start(certified_problem):
     prob, cert, T = certified_problem
     good = np.zeros(prob.grid.n_half, dtype=np.complex128)
-    for bad in (good[:-1], np.where(np.arange(good.size) == 3, np.nan, good)):
+    for bad in (good[:-1], np.where(np.arange(good.size) == 3, np.nan, good), [0.0] * 3):
         with pytest.raises(ValueError, match="start must be"):
             cl.picard_solve(prob, T, cert, start=bad)
+
+
+_TOL_ERROR = "tol_fix must be None or positive"
+
+
+@pytest.mark.parametrize("entry, kwargs, match", [
+    ("picard_solve", {"n_frames": 0}, "n_frames must be at least 1"),
+    ("picard_solve", {"tol_fix": -1.0}, _TOL_ERROR),
+    ("picard_solve", {"tol_fix": 0.0}, _TOL_ERROR),
+    ("picard_solve", {"tol_fix": float("nan")}, _TOL_ERROR),
+    ("etd_reference_solve", {"n_frames": 0}, "n_frames must be at least 1"),
+    ("etd_reference_solve", {"n_frames": 0, "starts": True}, "n_frames must be at least 1"),
+    ("global_march", {"n_frames": 0}, "n_frames must be at least 1"),
+    ("global_march", {"tol_fix": -1.0}, _TOL_ERROR),
+])
+def test_entry_points_reject_bad_inputs_up_front(certified_problem, entry, kwargs, match):
+    # a value error before any work and with no numpy warning; the march and
+    # the batched oracle report it as window 0's failure
+    prob, cert, T = certified_problem
+    if kwargs.get("starts"):
+        kwargs = dict(kwargs, starts=rfft_raw(prob.u0.values.real)[None, :])
+    calls = {
+        "picard_solve": lambda: cl.picard_solve(prob, T, cert, **kwargs),
+        "etd_reference_solve": lambda: cl.etd_reference_solve(prob, T, 64, **kwargs),
+        "global_march": lambda: cl.global_march(prob, T, max_window_length=T, **kwargs),
+    }
+    wrapped = entry == "global_march" or "starts" in kwargs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(cl.MarchWindowError if wrapped else ValueError) as exc:
+            calls[entry]()
+    err = exc.value
+    if wrapped:
+        assert err.window_index == 0
+        err = err.__cause__
+    assert isinstance(err, ValueError) and match in str(err)
 
 
 @pytest.mark.filterwarnings("ignore:F\\(0, .\\) is identically zero")
@@ -434,8 +480,8 @@ def test_march_semigroup_for_free_evolution():
     T = 0.5
     reports = cl.global_march(prob, T, max_window_length=T / 2, n_frames=32)
     assert len(reports) == 2
-    sym = cl.build_symbol(g, 0.5, 1.0)
-    oneshot = cl.propagate(cl.to_spectral(u0), sym, T)
+    lam = cl.build_symbol(g, 0.5, 1.0)
+    oneshot = cl.propagate(cl.to_spectral(u0), lam, T)
     end = reports[-1].final_state
     rel = cl.l2_norm(cl.Field(g, end.values - oneshot.values, "spectral")) / cl.l2_norm(oneshot)
     assert rel <= 1e-10
@@ -533,7 +579,7 @@ def _next_start(prob, rep):
 
     from cubelap.grid import irfft_raw
 
-    end = irfft_raw(prob.grid, rep.u_raw[-1])
+    end = irfft_raw(prob.grid, rep.final_raw)
     return dataclasses.replace(prob, u0=cl.Field(prob.grid, end))
 
 
@@ -542,7 +588,7 @@ def _deviation(rep, end):
     state ``end``, both half spectra in ``rfft_raw`` units (whose scale
     cancels in the ratio); each mode weighted by its multiplicity."""
     weights = rep.grid._half_weights
-    mine = rep.u_raw[-1]
+    mine = rep.final_raw
     return math.sqrt(np.sum(weights * np.abs(mine - end) ** 2)
                      / np.sum(weights * np.abs(mine) ** 2))
 
@@ -625,7 +671,8 @@ _STARTS = [
 def _staged_picard(monkeypatch, fail_at):
     """Stand in for picard_solve: solve, then end window k on the start of
     window k + 1 from _STARTS; fail at window fail_at. The stand-in's report
-    keeps all N/2+1 modes, since its end state is not band-limited."""
+    keeps all N/2+1 modes in ``u_band``, frame 0's above the band included,
+    since its end state is not band-limited."""
     import dataclasses
 
     import cubelap.evolve as ev
@@ -638,12 +685,12 @@ def _staged_picard(monkeypatch, fail_at):
         if k == fail_at:
             raise cl.PicardConvergenceError(f"stand-in failure at window {k}", None)
         rep = real(prob, T, cert, **kwargs)
-        frames = rep.u_raw
+        band, tail = rep.u_band.shape[1], rep.u0_tail.size
+        frames = np.zeros((len(rep.u_band), prob.grid.n_half), np.complex128)
+        frames[:, :band] = rep.u_band
+        frames[0, band : band + tail] = rep.u0_tail
         frames[-1] = rfft_raw(_STARTS[(k + 1) % len(_STARTS)](prob.grid.x))
-        return dataclasses.replace(
-            rep, u_band=frames, dudt_band=rep.dudt_raw,
-            u0_tail=rep.u0_tail[:0], dudt0_tail=rep.dudt0_tail[:0],
-        )
+        return dataclasses.replace(rep, u_band=frames, u0_tail=rep.u0_tail[:0])
 
     monkeypatch.setattr(ev, "picard_solve", staged)
     return staged
@@ -880,28 +927,28 @@ def _per_frame_picard(prob, T, n_frames):
     """The Field-by-Field Picard loop: per-frame transforms and reaction calls,
     phi-weights rebuilt on every iteration, wrappers around every iterate."""
     grid = prob.grid
-    sym = cl.build_symbol(grid, prob.a, prob.b)
+    lam = cl.build_symbol(grid, prob.a, prob.b)
     tg = np.linspace(0.0, T, n_frames + 1)
     u0h = cl.to_spectral(prob.u0).values
     g_hat = prob.kernel.spectrum_on(grid)
-    free = np.exp(np.outer(tg, sym.lam)) * u0h[None, :]
+    free = np.exp(np.outer(tg, lam)) * u0h[None, :]
     u_prev = cl.SpacetimeField(grid, tg, free)
-    du_prev = cl.SpacetimeField(grid, tg, sym.lam[None, :] * free)
+    du_prev = cl.SpacetimeField(grid, tg, lam[None, :] * free)
     distances, tol = [], None
     while tol is None or distances[-1] >= tol:
         fh = _per_frame_forcing(u_prev.frames, prob)
         dt = u_prev.dt
-        z = dt * sym.lam
+        z = dt * lam
         w_prev, w_next = dt * (cl.phi1(z) - cl.phi2(z)), dt * cl.phi2(z)
         u = np.empty_like(fh)
         u[0] = u0h
         for j in range(n_frames):
-            u[j + 1] = sym.propagator(dt) * u[j] + np.sqrt(2.0 * np.pi) * g_hat * (
+            u[j + 1] = np.exp(dt * lam) * u[j] + np.sqrt(2.0 * np.pi) * g_hat * (
                 w_prev * fh[j] + w_next * fh[j + 1]
             )
         u_new = cl.SpacetimeField(grid, tg, u)
         du_new = cl.SpacetimeField(
-            grid, tg, sym.lam[None, :] * u + np.sqrt(2.0 * np.pi) * g_hat[None, :] * fh
+            grid, tg, lam[None, :] * u + np.sqrt(2.0 * np.pi) * g_hat[None, :] * fh
         )
         distances.append(cl.spacetime_sobolev_norm(
             cl.SpacetimeField(grid, tg, u_new.frames - u_prev.frames),
@@ -953,18 +1000,18 @@ def test_report_frames_are_exactly_hermitian(hot_path_problem):
     rep = cl.picard_solve(prob, T, cert, n_frames=16)
     n = prob.grid.n_points
     k = np.arange(1, n // 2)
-    for frames in (rep.field.frames, rep.dudt.frames):
-        assert np.array_equal(frames[:, n - k], np.conj(frames[:, k]))
+    frames = rep.field.frames
+    assert np.array_equal(frames[:, n - k], np.conj(frames[:, k]))
 
 
 def _full_spectrum_heun(prob, T, substeps, n_frames):
     """The integrating-factor Heun oracle on all N modes, with the full
     complex transforms (the oracle before the half-spectrum core)."""
     grid = prob.grid
-    sym = cl.build_symbol(grid, prob.a, prob.b)
+    lam = cl.build_symbol(grid, prob.a, prob.b)
     g = np.sqrt(2.0 * np.pi) * prob.kernel.spectrum_on(grid)
     h = T / substeps
-    e_h = sym.propagator(h)
+    e_h = np.exp(h * lam)
 
     def reaction(u_hat):
         return g * _per_frame_forcing(u_hat[None, :], prob)[0]
