@@ -36,9 +36,8 @@ print(f"supremal admissible window T_max = {t_max:.6f} "
 sched = cl.window_schedule(10.0, q, ell, 0.0, 1.0, safety=0.9)
 print(f"\nhorizon 10.0: {sched.count} windows of length {sched.window_length:.4f} "
       f"(certified cap {sched.t_w:.4f})")
-cert = cl.Certificate.for_window(q, ell, 0.0, 1.0, sched.window_length)
 print("per-window certificate:")
-print(cl.certificate_report(cert))
+print(cl.certificate_report(sched.certificate))
 
 # If the reaction is too stiff for the kernel, no window works: the T -> 0
 # limit of C is q*l*sqrt(2), and the scheduler refuses.

@@ -12,6 +12,7 @@ works at all. Otherwise the supremal admissible window is the unique root of
 C(T) = 1, in closed form through the Lambert W function, and a global solve
 marches windows of a safety-scaled length; the constant does not depend on
 the initial state, so one certificate covers every window of the march.
+``window_schedule`` plans a march: window count, length and that certificate.
 Lambert W is evaluated here by Newton steps in ``math`` (``lambert_w0``).
 ``certificate_report`` and, for a run with no certificate,
 ``partial_certificate_report`` are the two layouts of ``certificate.txt``.
@@ -124,17 +125,20 @@ DEFAULT_SAFETY = 0.9
 
 @dataclass(frozen=True)
 class WindowSchedule:
-    """Partition of a total horizon into certified windows.
+    """The plan of a global march: ``count`` windows of one length under one
+    certificate.
 
-    t_w is the certified cap safety * t_max; the march actually uses the
-    uniform length t_total / count, which is <= t_w, so every window of the
-    march carries a valid certificate.
+    t_w is the window cap: safety * t_max, lowered to ``max_window_length``
+    if given. The march uses the uniform length t_total / count <= t_w, and
+    ``certificate`` is ``Certificate.for_window`` at that length: valid for
+    every certified schedule, invalid only on the override path.
     """
 
     t_total: float
     t_w: float
     count: int
     safety: float
+    certificate: Certificate
 
     @property
     def window_length(self) -> float:
@@ -149,24 +153,39 @@ def window_schedule(
     b: float,
     safety: float = DEFAULT_SAFETY,
     max_window_length: float | None = None,
+    override_certificate: bool = False,
 ) -> WindowSchedule:
     """Plan the global march: window cap safety*t_max, count = ceil(total/cap).
 
     ``max_window_length`` optionally lowers the cap below the certified one
     (useful to force several windows on problems whose admissible window is
     enormous); it can only shrink windows, so certification is unaffected.
+    When no certified window exists (q*l*sqrt(2) >= 1), the plan is uniform
+    windows of at most ``max_window_length`` under an invalid certificate
+    if the caller overrides the certificate and gives that length;
+    otherwise ``NoAdmissibleWindow`` is raised.
     """
     if not 0 < safety < 1:
         raise ValueError(f"safety factor must lie in (0, 1), got {safety}")
-    if t_total <= 0:
-        raise ValueError(f"total horizon must be positive, got {t_total}")
-    t_w = safety * max_window(q, l, a, b)
+    if not 0 < t_total < math.inf:
+        raise ValueError(f"total horizon t_total must be positive and finite, got {t_total}")
+    if max_window_length is not None and not 0 < max_window_length < math.inf:
+        raise ValueError(f"max_window_length must be positive and finite, got {max_window_length}")
+    try:
+        t_w = safety * max_window(q, l, a, b)
+    except NoAdmissibleWindow:
+        if not (override_certificate and max_window_length is not None):
+            raise
+        # experimental path: no certified window exists, but the caller
+        # insists and supplies a window length of their own
+        t_w = math.inf
     if max_window_length is not None:
-        if max_window_length <= 0:
-            raise ValueError("max_window_length must be positive")
         t_w = min(t_w, max_window_length)
     count = max(1, math.ceil(t_total / t_w))
-    return WindowSchedule(t_total=float(t_total), t_w=t_w, count=count, safety=safety)
+    cert = Certificate.for_window(q, l, a, b, float(t_total) / count)
+    return WindowSchedule(
+        t_total=float(t_total), t_w=t_w, count=count, safety=safety, certificate=cert
+    )
 
 
 def certificate_report(cert: Certificate) -> str:

@@ -73,13 +73,7 @@ import numpy as np
 
 import math
 
-from .certify import (
-    DEFAULT_SAFETY,
-    Certificate,
-    NoAdmissibleWindow,
-    WindowSchedule,
-    window_schedule,
-)
+from .certify import DEFAULT_SAFETY, Certificate, window_schedule
 from .grid import (
     Field,
     RepresentationError,
@@ -258,22 +252,25 @@ def _live_band(*factors: np.ndarray) -> int:
     return 1 + int(np.flatnonzero(np.any(np.stack(factors) != 0, axis=0))[-1])
 
 
-def _window(
-    prob: ProblemSpec, dt: float, start: np.ndarray | None = None, full: bool = False
-) -> _Window:
-    """The window data for frame spacing dt, starting from ``start`` (modes
-    0..N/2 in ``rfft_raw`` units) or, by default, from ``prob.u0``, on the
-    live band of e_dt, g, w_prev and w_next, or with ``full`` on all N/2+1
-    modes (then the tails are empty)."""
+def _half_symbols(prob: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The symbol lam and the kernel factor g = sqrt(2 pi) Ghat on modes
+    0..N/2, the per-mode data both solvers share."""
     grid = prob.grid
     half = slice(0, grid.n_half)
     lam = build_symbol(grid, prob.a, prob.b)[half]
+    return lam, SQRT_2PI * prob.kernel.spectrum_on(grid)[half]
+
+
+def _window(prob: ProblemSpec, dt: float, start: np.ndarray | None = None) -> _Window:
+    """The window data for frame spacing dt, starting from ``start`` (modes
+    0..N/2 in ``rfft_raw`` units) or, by default, from ``prob.u0``, on the
+    live band of e_dt, g, w_prev and w_next."""
+    lam, g = _half_symbols(prob)
     z = dt * lam
-    g = SQRT_2PI * prob.kernel.spectrum_on(grid)[half]
     e_dt = np.exp(z)
     w_prev = g * (dt * (phi1(z) - phi2(z)))
     w_next = g * (dt * phi2(z))
-    k = grid.n_half if full else _live_band(e_dt, g, w_prev, w_next)
+    k = _live_band(e_dt, g, w_prev, w_next)
     u0 = rfft_raw(prob.u0.values.real) if start is None else np.asarray(start, np.complex128)
     tail = np.trim_zeros(u0[k:], "b").copy()
     return _Window(
@@ -478,6 +475,11 @@ def _tail_check(
     return tuple(warnings_out)
 
 
+def _check_window_length(window_length: float) -> None:
+    if not 0 < window_length < math.inf:
+        raise ValueError(f"window length must be positive and finite, got {window_length}")
+
+
 def picard_solve(
     prob: ProblemSpec,
     window_length: float,
@@ -508,8 +510,7 @@ def picard_solve(
     is, with frame 0's modes above the band, and of du/dt only its
     per-frame norms; every norm of frame 0 counts those modes too.
     """
-    if window_length <= 0:
-        raise ValueError(f"window length must be positive, got {window_length}")
+    _check_window_length(window_length)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if n_frames < 1:
@@ -717,10 +718,13 @@ def _heun_march(
 ) -> np.ndarray:
     """The marcher of ``etd_reference_solve`` from the state ``u_hat`` in
     ``rfft_raw`` units: a (N/2+1,) state gives its n_frames + 1 frames, a
-    (K, N/2+1) block its end states. Raises the first failure: a substep
-    count that fails the preconditions, a model error, or a row whose norm
-    leaves 1e8 times the larger of its norms before and after substep 1.
+    (K, N/2+1) block its end states, with the symbol and the kernel factor
+    of ``_half_symbols`` and no phi-weight. Raises the first failure: a
+    window length or substep count that fails the preconditions, a model
+    error, or a row whose norm leaves 1e8 times the larger of its norms
+    before and after substep 1.
     """
+    _check_window_length(window_length)
     if n_frames < 1:
         raise ValueError(f"n_frames must be at least 1, got {n_frames}")
     if substeps < MIN_ORACLE_SUBSTEPS_FACTOR * n_frames:
@@ -732,10 +736,11 @@ def _heun_march(
         raise ValueError("substeps must be an integer multiple of the frame count")
     grid = prob.grid
     h = window_length / substeps
-    w = _window(prob, h, full=True)
+    lam, g = _half_symbols(prob)
+    e_h = np.exp(h * lam)
 
     def reaction(u: np.ndarray) -> np.ndarray:
-        return w.g * rfft_raw(apply_nonlinearity(irfft_raw(grid, u), prob.nonlinearity, grid))
+        return g * rfft_raw(apply_nonlinearity(irfft_raw(grid, u), prob.nonlinearity, grid))
 
     def l2(u: np.ndarray) -> np.ndarray:
         return np.sqrt(np.atleast_1d(half_sq_norms(grid, u, "l2")))
@@ -749,8 +754,8 @@ def _heun_march(
     ref = None
     for n in range(substeps):
         nn = reaction(u_hat)
-        pred = w.e_dt * (u_hat + h * nn)
-        u_hat = w.e_dt * u_hat + 0.5 * h * (w.e_dt * nn + reaction(pred))
+        pred = e_h * (u_hat + h * nn)
+        u_hat = e_h * u_hat + 0.5 * h * (e_h * nn + reaction(pred))
         norm_now = l2(u_hat)
         if ref is None:
             ref = np.fmax(np.fmax(scale0, norm_now), 1e-12)
@@ -775,37 +780,6 @@ def _raise_window_failure(k: int, exc: Exception):
     raise exc
 
 
-def march_schedule(
-    t_total: float,
-    q: float,
-    ell: float,
-    a: float,
-    b: float,
-    safety: float = DEFAULT_SAFETY,
-    max_window_length: float | None = None,
-    override_certificate: bool = False,
-) -> WindowSchedule:
-    """The window schedule ``global_march`` runs: the certified one of
-    ``window_schedule``, or, when no certified window exists, uniform windows
-    of ``max_window_length`` if the caller overrides the certificate and
-    gives that length; otherwise ``NoAdmissibleWindow`` is raised."""
-    try:
-        return window_schedule(
-            t_total, q, ell, a, b, safety=safety, max_window_length=max_window_length
-        )
-    except NoAdmissibleWindow:
-        if not (override_certificate and max_window_length):
-            raise
-        # experimental path: no certified window exists, but the caller
-        # insists and supplies a window length of their own
-        return WindowSchedule(
-            t_total=float(t_total),
-            t_w=float(max_window_length),
-            count=max(1, math.ceil(t_total / max_window_length)),
-            safety=safety,
-        )
-
-
 def global_march(
     prob: ProblemSpec,
     t_total: float,
@@ -821,8 +795,9 @@ def global_march(
     """Chain certified windows across the whole horizon.
 
     The contraction constant does not depend on the initial state, so one
-    certificate (at the uniform marching window length) covers every window;
-    what is re-checked per window is the part the analysis cannot see, the
+    certificate covers every window: the march runs the ``count`` windows
+    of ``window_schedule``'s plan under its ``certificate``. What is
+    re-checked per window is the part the analysis cannot see, the
     box-truncation tail mass. The final report carries the support-overlap
     measure for the nontriviality criterion.
 
@@ -842,11 +817,10 @@ def global_march(
     validate_kernel(prob.kernel, prob.grid)
     q = kernel_strength(prob.kernel)
     ell = prob.nonlinearity.lipschitz_l
-    schedule = march_schedule(
+    schedule = window_schedule(
         t_total, q, ell, prob.a, prob.b, safety, max_window_length, override_certificate
     )
     t_win = schedule.window_length
-    cert = Certificate.for_window(q, ell, prob.a, prob.b, t_win)
     starts = [rfft_raw(prob.u0.values.real)]
     reports: list[SolveReport] = []
     failed = None
@@ -855,7 +829,7 @@ def global_march(
             reports.append(picard_solve(
                 prob,
                 t_win,
-                cert,
+                schedule.certificate,
                 tol_fix=tol_fix,
                 max_iter=max_iter,
                 n_frames=n_frames,

@@ -110,7 +110,6 @@ class KernelSpec:
     params: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_spectrum_cache", {})
         if self.grid_spectrum is not None:
             gs = np.asarray(self.grid_spectrum, dtype=np.complex128)
             gs.flags.writeable = False
@@ -123,10 +122,6 @@ class KernelSpec:
         construction-time profile for grid-built kernels, and the grid
         transform of the samples otherwise.
         """
-        key = (grid.half_length, grid.n_points)
-        cached = self._spectrum_cache.get(key)
-        if cached is not None:
-            return cached
         if self.grid_spectrum is not None:
             bg = self.bound_grid
             if bg.half_length != grid.half_length or bg.n_points != grid.n_points:
@@ -139,7 +134,6 @@ class KernelSpec:
         else:
             out = forward_transform(Field(grid, self.g(grid.x))).values
         out.flags.writeable = False
-        self._spectrum_cache[key] = out
         return out
 
 
@@ -228,6 +222,17 @@ def _trig_poly(grid: SpectralGrid, coeffs: np.ndarray):
     return fn
 
 
+def _box_l1_sizes(
+    grid: SpectralGrid, samples: np.ndarray, ghat: np.ndarray
+) -> tuple[float, float]:
+    """Rectangle-rule ||G||_1 of a kernel's real grid ``samples`` and
+    ||G^(6)||_1 of the sixth derivative (i p)^6 ``ghat`` of its spectrum."""
+    d6 = inverse_transform(
+        Field(grid, (1j * grid.wavenumbers) ** 6 * ghat, "spectral")
+    ).values.real
+    return float(np.sum(np.abs(samples)) * grid.dx), float(np.sum(np.abs(d6)) * grid.dx)
+
+
 def bandlimited_kernel(
     grid: SpectralGrid, amplitude: float = 1.0, cutoff: float = 1.0
 ) -> KernelSpec:
@@ -252,11 +257,7 @@ def bandlimited_kernel(
     if np.count_nonzero(profile) < 3:
         raise ValueError("cutoff resolves fewer than three modes; refine the grid")
     g_samp = inverse_transform(Field(grid, profile, "spectral")).values.real
-    d6_samp = inverse_transform(
-        Field(grid, (1j * p) ** 6 * profile, "spectral")
-    ).values.real
-    l1 = float(np.sum(np.abs(g_samp)) * grid.dx)
-    l1_d6 = float(np.sum(np.abs(d6_samp)) * grid.dx)
+    l1, l1_d6 = _box_l1_sizes(grid, g_samp, profile)
     return KernelSpec(
         name="bandlimited",
         g=_trig_poly(grid, profile),
@@ -299,11 +300,7 @@ def tabulated_kernel(
         l1_d6 = 0.0
     else:
         ghat = forward_transform(Field(grid, on_grid)).values
-        d6 = inverse_transform(
-            Field(grid, (1j * grid.wavenumbers) ** 6 * ghat, "spectral")
-        ).values.real
-        l1 = float(np.sum(np.abs(on_grid)) * grid.dx)
-        l1_d6 = float(np.sum(np.abs(d6)) * grid.dx)
+        l1, l1_d6 = _box_l1_sizes(grid, on_grid, ghat)
     return KernelSpec(
         name="tabulated",
         g=g,

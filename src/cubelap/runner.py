@@ -36,6 +36,7 @@ from .certify import (
     NoAdmissibleWindow,
     certificate_report,
     partial_certificate_report,
+    window_schedule,
 )
 from .evolve import (
     DEFAULT_FRAMES,
@@ -45,7 +46,6 @@ from .evolve import (
     SolveReport,
     SolverError,
     global_march,
-    march_schedule,
 )
 from .grid import Field, field_from_function, inverse_transform, make_grid
 from .model import (
@@ -428,7 +428,7 @@ def run(config: RunConfig) -> RunArtifacts:
             seed=config.solver["seed"],
         )
         setting_up = False
-        schedule = march_schedule(
+        schedule = window_schedule(
             config.horizon, q, ell, prob.a, prob.b, config.solver["safety"],
             config.solver["max_window_length"], override,
         )
@@ -456,7 +456,7 @@ def run(config: RunConfig) -> RunArtifacts:
                 oracle_substeps_factor=config.solver["oracle_substeps_factor"],
             )
 
-        cert = reports[0].certificate
+        cert = schedule.certificate
         if override and not cert.valid:
             watermark = (
                 f"# OVERRIDE: certificate invalid (C={cert.constant!r}); "
@@ -475,7 +475,7 @@ def run(config: RunConfig) -> RunArtifacts:
         summary.update(
             {
                 "windows": len(reports),
-                "window_length": float(reports[0].time_grid[-1]),
+                "window_length": schedule.window_length,
                 "C": cert.constant,
                 "q": cert.q,
                 "l": cert.l,

@@ -142,3 +142,48 @@ def test_window_schedule_cap():
     sched = cl.window_schedule(1.0, 1.0, 0.1, 0.0, 0.0, max_window_length=0.25)
     assert sched.count == 4
     assert sched.window_length == 0.25
+
+
+@pytest.mark.parametrize("kwargs", [
+    {},
+    {"safety": 0.5},
+    {"max_window_length": 0.25},
+    {"max_window_length": 100.0},
+])
+def test_every_schedule_carries_its_window_certificate(kwargs):
+    args = (10.0, 1.0, 0.1, 0.3, -1.2)
+    sched = cl.window_schedule(*args, **kwargs)
+    assert sched.certificate == cl.Certificate.for_window(*args[1:], sched.window_length)
+    assert sched.certificate.valid
+
+
+def test_override_schedule_is_uniform_windows_of_the_cap():
+    # q*l*sqrt(2) = sqrt(2) >= 1: no certified window exists; the parent's
+    # override fallback gave ceil(1.0 / 0.3) = 4 windows of 1.0 / 4
+    q, l, a, b = 1.0, 1.0, 0.2, 0.5
+    sched = cl.window_schedule(1.0, q, l, a, b, max_window_length=0.3, override_certificate=True)
+    assert (sched.count, sched.window_length, sched.t_w) == (4, 0.25, 0.3)
+    assert sched.certificate == cl.Certificate.for_window(q, l, a, b, 0.25)
+    assert not sched.certificate.valid and sched.certificate.t_max is None
+
+
+@pytest.mark.parametrize("kwargs", [
+    {},
+    {"override_certificate": True},
+    {"max_window_length": 0.3},
+])
+def test_no_admissible_window_without_override_and_cap(kwargs):
+    with pytest.raises(cl.NoAdmissibleWindow):
+        cl.window_schedule(1.0, 1.0, 1.0, 0.0, 0.0, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"t_total": math.nan}, "t_total"),
+    ({"t_total": math.inf}, "t_total"),
+    ({"max_window_length": math.nan}, "max_window_length"),
+    ({"max_window_length": math.inf}, "max_window_length"),
+])
+def test_window_schedule_rejects_non_finite_inputs(kwargs, name):
+    args = dict(t_total=1.0, q=1.0, l=0.1, a=0.0, b=0.0) | kwargs
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        cl.window_schedule(**args)

@@ -434,6 +434,16 @@ def test_picard_solve_rejects_a_malformed_start(certified_problem):
 
 
 _TOL_ERROR = "tol_fix must be None or positive"
+_LENGTH_ERROR = "window length must be positive and finite"
+_BAD_LENGTHS = [
+    (entry, dict(starts, window_length=length), _LENGTH_ERROR)
+    for length in (float("nan"), float("inf"), 0.0, -0.4)
+    for entry, starts in (
+        ("picard_solve", {}),
+        ("etd_reference_solve", {}),
+        ("etd_reference_solve", {"starts": True}),
+    )
+]
 
 
 @pytest.mark.parametrize("entry, kwargs, match", [
@@ -445,11 +455,14 @@ _TOL_ERROR = "tol_fix must be None or positive"
     ("etd_reference_solve", {"n_frames": 0, "starts": True}, "n_frames must be at least 1"),
     ("global_march", {"n_frames": 0}, "n_frames must be at least 1"),
     ("global_march", {"tol_fix": -1.0}, _TOL_ERROR),
+    *_BAD_LENGTHS,
 ])
 def test_entry_points_reject_bad_inputs_up_front(certified_problem, entry, kwargs, match):
     # a value error before any work and with no numpy warning; the march and
     # the batched oracle report it as window 0's failure
     prob, cert, T = certified_problem
+    kwargs = dict(kwargs)
+    T = kwargs.pop("window_length", T)
     if kwargs.get("starts"):
         kwargs = dict(kwargs, starts=rfft_raw(prob.u0.values.real)[None, :])
     calls = {

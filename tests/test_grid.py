@@ -342,26 +342,77 @@ def test_transform_convention_lives_in_grid_only():
     assert stray == {}
 
 
-def test_window_data_is_built_in_window_only():
-    """``evolve`` builds the symbol and the kernel factor in ``_window``
-    only, and the Heun march raises its failures with no ``try``."""
+def _calls_by_function(tree, names):
+    """(function, callee) of every call in a parsed module to one of ``names``,
+    by bare name or attribute."""
     import ast
-    from pathlib import Path
 
-    tree = ast.parse((Path(cl.__file__).parent / "evolve.py").read_text())
-    callers = []
+    calls = []
     for fn in ast.walk(tree):
         if isinstance(fn, ast.FunctionDef):
             for node in ast.walk(fn):
                 if isinstance(node, ast.Call):
                     f = node.func
                     name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                    if name in ("build_symbol", "spectrum_on"):
-                        callers.append((fn.name, name))
-    assert sorted(callers) == [("_window", "build_symbol"), ("_window", "spectrum_on")]
+                    if name in names:
+                        calls.append((fn.name, name))
+    return calls
+
+
+def test_window_data_is_built_in_window_only():
+    """``evolve`` builds the symbol and the kernel factor in ``_half_symbols``
+    only, the phi-weights in ``_window`` only, and the Heun march, which runs
+    no phi-weight code, raises its failures with no ``try``."""
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse((Path(cl.__file__).parent / "evolve.py").read_text())
+    callers = _calls_by_function(tree, ("build_symbol", "spectrum_on", "_half_symbols"))
+    assert sorted(callers) == [
+        ("_half_symbols", "build_symbol"), ("_half_symbols", "spectrum_on"),
+        ("_heun_march", "_half_symbols"), ("_window", "_half_symbols"),
+    ]
+    phi = _calls_by_function(tree, ("phi1", "phi2"))
+    assert sorted(phi) == [("_window", "phi1"), ("_window", "phi2"), ("_window", "phi2")]
     heun = next(fn for fn in ast.walk(tree)
                 if isinstance(fn, ast.FunctionDef) and fn.name == "_heun_march")
     assert not any(isinstance(node, ast.Try) for node in ast.walk(heun))
+    assert not _calls_by_function(heun, ("phi1", "phi2", "_window"))
+
+
+_PLAN_CALLS = {"for_window", "max_window", "WindowSchedule"}
+
+
+def _plan_calls(path):
+    """(line, callee) of every call in one source file, module level
+    included, to a name that plans a march."""
+    import ast
+
+    calls = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in _PLAN_CALLS:
+                calls.append((node.lineno, name))
+    return calls
+
+
+def test_march_plan_lives_in_certify_only():
+    """Only ``certify`` sets a march's window count, length and certificate:
+    no other module calls ``Certificate.for_window`` or ``max_window`` or
+    constructs a ``WindowSchedule``."""
+    from pathlib import Path
+
+    src = Path(cl.__file__).parent
+    # the scan sees certify's own calls
+    assert {name for _, name in _plan_calls(src / "certify.py")} == _PLAN_CALLS
+    stray = {
+        path.name: calls
+        for path in sorted(src.glob("*.py"))
+        if path.name != "certify.py" and (calls := _plan_calls(path))
+    }
+    assert stray == {}
 
 
 _CERTIFICATE_KEYS = ("C_small_T_limit", "valid=")
