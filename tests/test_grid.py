@@ -342,21 +342,27 @@ def test_transform_convention_lives_in_grid_only():
     assert stray == {}
 
 
-def _calls_by_function(tree, names):
-    """(function, callee) of every call in a parsed module to one of ``names``,
+def _calls(node, names):
+    """(line, callee) of every call under an AST node to one of ``names``,
     by bare name or attribute."""
     import ast
 
     calls = []
-    for fn in ast.walk(tree):
-        if isinstance(fn, ast.FunctionDef):
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Call):
-                    f = node.func
-                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                    if name in names:
-                        calls.append((fn.name, name))
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call):
+            f = sub.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in names:
+                calls.append((sub.lineno, name))
     return calls
+
+
+def _calls_by_function(tree, names):
+    """(function, callee) of every call in a function to one of ``names``."""
+    import ast
+
+    return [(fn.name, name) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            for _, name in _calls(fn, names)]
 
 
 def test_window_data_is_built_in_window_only():
@@ -388,14 +394,7 @@ def _plan_calls(path):
     included, to a name that plans a march."""
     import ast
 
-    calls = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.Call):
-            f = node.func
-            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-            if name in _PLAN_CALLS:
-                calls.append((node.lineno, name))
-    return calls
+    return _calls(ast.parse(path.read_text(), filename=str(path)), _PLAN_CALLS)
 
 
 def test_march_plan_lives_in_certify_only():
