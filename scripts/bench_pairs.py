@@ -14,10 +14,14 @@ the parent first in even pairs and the change first in odd ones. The file
 keeps, under ``workloads.NAME.N``: the pair count, every run's end-to-end
 metrics, each side's median, quartiles and relative spread (its quartile
 range over its own median, so that a faster side is not judged by the other
-side's scale), the change's wins (ties count for neither side), the failed
-and attempted operations, and each side's machine record from the ``record``
-line (``src_sha256``, ``git_commit``). Another call
-with the same ``--out`` adds or replaces one workload and seed.
+side's scale), the change's wins (ties count for neither side), the ratio of
+the change's median to the parent's, an ``unresolved`` flag, the failed and
+attempted operations, and each side's machine record from the ``record``
+line (``src_sha256``, ``git_commit``). A metric is unresolved when the
+parent's relative spread is wider than the metric's bound, unless every
+change run beats every parent run: such pairs cannot tell a move inside the
+bound from noise. Another call with the same ``--out`` adds or replaces one
+workload and seed.
 """
 
 from __future__ import annotations
@@ -60,6 +64,12 @@ def summarize(runs: dict, bench: dict) -> dict:
             entry[side] = {"median": median, "q1": q1, "q3": q3,
                            "rel_iqr": (q3 - q1) / median if median else None,
                            "runs": values[side]}
+        parent, change = entry["parent"], entry["change"]
+        entry["ratio"] = change["median"] / parent["median"] if parent["median"] else None
+        sweep = (max(change["runs"]) < min(parent["runs"]) if lower
+                 else min(change["runs"]) > max(parent["runs"]))
+        spread = parent["rel_iqr"]
+        entry["unresolved"] = (spread is None or spread > m["bound"]) and not sweep
         metrics[name] = entry
     return metrics
 

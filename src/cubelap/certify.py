@@ -39,13 +39,18 @@ class NoAdmissibleWindow(ValueError):
 
 
 def contraction_constant(q: float, l: float, T: float, a: float, b: float) -> float:
-    """The certified Lipschitz constant of the fixed-point map on [0, T]."""
+    """The certified Lipschitz constant of the fixed-point map on [0, T];
+    +inf once e^{2aT} overflows (a*T above about 354)."""
     if q <= 0 or l <= 0 or T <= 0:
         raise ValueError(f"q, l, T must be positive (got q={q}, l={l}, T={T})")
     if a < 0:
         raise ValueError(f"a must be nonnegative, got {a}")
     drift = (a + abs(b) + 1.0) ** 2
-    return q * l * math.sqrt(T * T * math.exp(2.0 * a * T) * (1.0 + 2.0 * drift) + 2.0)
+    try:
+        growth = math.exp(2.0 * a * T)
+    except OverflowError:
+        return math.inf
+    return q * l * math.sqrt(T * T * growth * (1.0 + 2.0 * drift) + 2.0)
 
 
 #: Far above the five Newton steps that any positive float needs; the cap only
@@ -171,6 +176,9 @@ def window_schedule(
         raise ValueError(f"total horizon t_total must be positive and finite, got {t_total}")
     if max_window_length is not None and not 0 < max_window_length < math.inf:
         raise ValueError(f"max_window_length must be positive and finite, got {max_window_length}")
+    for name, value in (("q", q), ("l", l), ("a", a), ("b", b)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     try:
         t_w = safety * max_window(q, l, a, b)
     except NoAdmissibleWindow:

@@ -50,23 +50,29 @@ predecessor in one forward walk over blocks of frames 1..M
 (``grid.block_bounds``): per block,
 one batched real transform pair around one ``apply_nonlinearity`` call,
 the recursion carried on from the frame before the block, the time
-derivative and the block's share of the contraction-norm distance.
+derivative and the block's share of the contraction-norm distance. The
+default tolerance is set once, from the contraction norm of the first
+iterate's image, after its walk.
 
 The march first runs the certified Picard chain, window after window, since
 each window starts from the previous one's end state. The oracle of window k
 starts from that same state and reads no other oracle, so once the chain has
 run, one Heun march checks every window at once on a (windows, N/2+1)
 block: the Picard chain is the sequential propagator and the oracle the fine
-solver of the parareal split (Lions, Maday & Turinici, 2001). Failures are
-reported in the sequential order Picard 0, oracle 0, Picard 1, ...: the
-first one wins. The block march stops at its first failure; only then are
-its windows marched again one at a time, in order, so that the lowest
-failing window is raised with the message of its own march.
+solver of the parareal split (Lions, Maday & Turinici, 2001). The Heun march
+yields its state at every frame, whatever the start's shape: the
+single-state oracle keeps every frame, the block march only the last.
+Failures are reported in the sequential order Picard 0, oracle 0, Picard 1,
+...: the first one wins. The block march stops at its first failure; only
+then are its windows marched again one at a time, in order, so that the
+lowest failing window is raised with the message of its own march.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -475,9 +481,12 @@ def _tail_check(
     return tuple(warnings_out)
 
 
-def _check_window_length(window_length: float) -> None:
+def _check_window(window_length: float, n_frames: int) -> None:
+    """The window preconditions both solvers share."""
     if not 0 < window_length < math.inf:
         raise ValueError(f"window length must be positive and finite, got {window_length}")
+    if n_frames < 1:
+        raise ValueError(f"n_frames must be at least 1, got {n_frames}")
 
 
 def picard_solve(
@@ -496,25 +505,26 @@ def picard_solve(
     Starts from the pure propagation of the initial state (the exact solution
     of the reaction-free problem) and stops when the contraction-norm distance
     between consecutive iterates falls below tol_fix (default
-    1e-10 * max(1, norm of the first iterate)). With a valid certificate every
-    measured ratio must stay below C * 1.05; a violation is raised as a
-    defect, not smoothed over. The initial state is ``prob.u0``, or
-    ``start``: modes 0..N/2 in ``rfft_raw`` units, as a previous window's
-    ``final_raw``, used as they are.
+    1e-10 * max(1, contraction norm of the first image), the image being the
+    iterate after one application of the map; a SolverError if that norm is
+    not finite). With a valid certificate every measured ratio must stay
+    below C * 1.05; a violation is raised as a defect, not smoothed over.
+    The initial state is ``prob.u0``, or ``start``: modes 0..N/2 in
+    ``rfft_raw`` units, as a previous window's ``final_raw``, used as they
+    are.
 
     The iteration holds one trajectory pair, the (M+1, K) arrays u and du/dt
     of the window's live band in ``rfft_raw`` units, and each iterate
     overwrites its predecessor in one forward walk over blocks of frames
     1..M (``_picard_iterate``), with the window's band, weights and frame
-    0's forcing computed once. The report keeps the last iterate's u as it
-    is, with frame 0's modes above the band, and of du/dt only its
-    per-frame norms; every norm of frame 0 counts those modes too.
+    0's forcing computed once, and the default tolerance after the first
+    walk. The report keeps the last iterate's u as it is, with frame 0's
+    modes above the band, and of du/dt only its per-frame norms; every norm
+    of frame 0 counts those modes too.
     """
-    _check_window_length(window_length)
+    _check_window(window_length, n_frames)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if n_frames < 1:
-        raise ValueError(f"n_frames must be at least 1, got {n_frames}")
     if tol_fix is not None and not tol_fix > 0:
         raise ValueError(f"tol_fix must be None or positive, got {tol_fix}")
     if start is not None:
@@ -552,11 +562,19 @@ def picard_solve(
     tol = tol_fix
     converged = False
     for _ in range(max_iter):
-        dist_sq, norm_sq = _picard_iterate(u, dudt, prob, w, f0, with_norm=tol is None)
-        d = float(np.sqrt(tw @ dist_sq))
+        d = float(np.sqrt(tw @ _picard_iterate(u, dudt, prob, w, f0)))
         distances.append(d)
         if tol is None:
-            tol = 1e-10 * max(1.0, float(np.sqrt(tw @ norm_sq)))
+            # the contraction norm of the first image, frame 0's with its modes above the band
+            sq = np.concatenate([contraction_sq(grid, u[s:e], dudt[s:e], np.empty_like(u[s:e]))
+                                 for s, e in block_bounds(grid, n_frames + 1)])
+            sq[0] += half_sq_norms(grid, w.u0_tail, "h6", first=w.band)
+            sq[0] += half_sq_norms(grid, w.dudt0_tail, "l2", first=w.band)
+            norm = float(np.sqrt(tw @ sq))
+            if not math.isfinite(norm):
+                raise SolverError(f"the first Picard image has a non-finite norm ({norm}); "
+                                  "no default tolerance can be set from it")
+            tol = 1e-10 * max(1.0, norm)
         if d < tol:
             converged = True
             break
@@ -607,13 +625,8 @@ def picard_solve(
 
 
 def _picard_iterate(
-    u: np.ndarray,
-    dudt: np.ndarray,
-    prob: ProblemSpec,
-    w: _Window,
-    f0: np.ndarray,
-    with_norm: bool,
-) -> tuple[np.ndarray, np.ndarray | None]:
+    u: np.ndarray, dudt: np.ndarray, prob: ProblemSpec, w: _Window, f0: np.ndarray
+) -> np.ndarray:
     """Overwrite the iterate (u, dudt) on the live band with its image under
     the mild-solution map, given frame 0's forcing f0: frame 0, whose image
     is u0 with the derivative lam u0 + g f0, then one forward walk over
@@ -624,29 +637,20 @@ def _picard_iterate(
     block (one batched transform pair around one reaction call, and the
     recursion carried on from the frame before the block), its
     ``time_derivative``, the block's share of the squared contraction-norm
-    distance to the old iterate (and, if ``with_norm``, of the image's own
-    squared norm, frame 0's with its modes above the band), then the
-    image's rows over the old ones. The old rows of u are the scratch of the
-    norms, since nothing reads them afterwards. Returns the per-frame
-    squares of the distance and of the norm (None without ``with_norm``);
-    the time integral is the caller's.
+    distance to the old iterate, then the image's rows over the old ones.
+    The old rows of u are the scratch of the norms, since nothing reads
+    them afterwards. Returns the per-frame squares of the distance; the
+    time integral is the caller's.
     """
     grid = prob.grid
     blocks = [(s + 1, e + 1) for s, e in block_bounds(grid, len(u) - 1)]
     size = max(e - s for s, e in blocks)
     new_u, new_du = (np.empty((size,) + u.shape[1:], np.complex128) for _ in range(2))
     dist_sq = np.empty(len(u))
-    norm_sq = np.empty(len(u)) if with_norm else None
     du0 = np.multiply(w.lam, u[0], out=new_du[0])
     du0 += np.multiply(w.g, f0)
     row0 = u[:1]
     dist_sq[0] = contraction_sq(grid, row0, du0[None], new_u[:1], minus=(row0, dudt[:1]))[0]
-    if with_norm:
-        norm_sq[0] = (
-            contraction_sq(grid, row0, du0[None], new_u[:1])[0]
-            + half_sq_norms(grid, w.u0_tail, "h6", first=w.band)
-            + half_sq_norms(grid, w.dudt0_tail, "l2", first=w.band)
-        )
     dudt[0] = du0
     carry = (0, u[0], f0)
     for s, e in blocks:
@@ -654,12 +658,10 @@ def _picard_iterate(
         bd = time_derivative(bu, fh, w, out=new_du[: e - s])
         old = u[s:e]
         dist_sq[s:e] = contraction_sq(grid, bu, bd, old, minus=(old, dudt[s:e]))
-        if with_norm:
-            norm_sq[s:e] = contraction_sq(grid, bu, bd, old)
         u[s:e] = bu
         dudt[s:e] = bd
         carry = (e - 1, u[e - 1], fh[-1])
-    return dist_sq, norm_sq
+    return dist_sq
 
 
 def etd_reference_solve(
@@ -681,11 +683,13 @@ def etd_reference_solve(
     of phi-weights by design so the two solvers share no quadrature path.
 
     Without ``starts`` the march advances the single state ``prob.u0`` and
-    returns its ``SpacetimeField`` of n_frames + 1 frames. ``starts`` is a
+    returns its ``SpacetimeField`` of n_frames + 1 frames, the start and the
+    n_frames states the march yields. ``starts`` is a
     (K, N/2+1) block of start states in ``rfft_raw`` units, the unit of
     ``picard_solve(start=)``, row k the start of window k of a march,
     advanced as it is (per substep two reaction calls on all K rows); the
-    result is then the (K, N/2+1) array of end states in the same units. If
+    result is then the (K, N/2+1) array of end states in the same units, the
+    last block the march yields. If
     the block fails, its windows are marched again one at a time, in order,
     and the first failure is raised as ``global_march`` raises window k's,
     with the message of the window's own march; if no window fails alone (a
@@ -694,7 +698,8 @@ def etd_reference_solve(
     grid = prob.grid
     march = (prob, window_length, substeps, n_frames)
     if starts is None:
-        frames = _heun_march(*march, rfft_raw(prob.u0.values.real))
+        u0 = rfft_raw(prob.u0.values.real)
+        frames = np.stack([u0, *_heun_march(*march, u0)])
         return _spacetime_field(grid, np.linspace(0.0, window_length, n_frames + 1), frames)
     u0 = np.asarray(starts, dtype=np.complex128)
     if u0.ndim != 2 or u0.shape[0] < 1 or u0.shape[1] != grid.n_half:
@@ -703,11 +708,11 @@ def etd_reference_solve(
         )
     failures = (ValueError, ModelEvaluationError, ReferenceInstabilityError)
     try:
-        return _heun_march(*march, u0)
+        return deque(_heun_march(*march, u0), maxlen=1)[0]
     except failures:
         for k, row in enumerate(u0):
             try:
-                _heun_march(*march, row)
+                deque(_heun_march(*march, row), maxlen=0)
             except failures as exc:
                 _raise_window_failure(k, exc)
         raise
@@ -715,18 +720,16 @@ def etd_reference_solve(
 
 def _heun_march(
     prob: ProblemSpec, window_length: float, substeps: int, n_frames: int, u_hat: np.ndarray
-) -> np.ndarray:
+) -> Iterator[np.ndarray]:
     """The marcher of ``etd_reference_solve`` from the state ``u_hat`` in
-    ``rfft_raw`` units: a (N/2+1,) state gives its n_frames + 1 frames, a
-    (K, N/2+1) block its end states, with the symbol and the kernel factor
-    of ``_half_symbols`` and no phi-weight. Raises the first failure: a
-    window length or substep count that fails the preconditions, a model
-    error, or a row whose norm leaves 1e8 times the larger of its norms
-    before and after substep 1.
+    ``rfft_raw`` units, a (N/2+1,) state or a (K, N/2+1) block of them:
+    yields the state, of u_hat's shape, at frames 1..n_frames, with the
+    symbol and the kernel factor of ``_half_symbols`` and no phi-weight.
+    Raises the first failure: a window length or substep count that fails
+    the preconditions, a model error, or a row whose norm leaves 1e8 times
+    the larger of its norms before and after substep 1.
     """
-    _check_window_length(window_length)
-    if n_frames < 1:
-        raise ValueError(f"n_frames must be at least 1, got {n_frames}")
+    _check_window(window_length, n_frames)
     if substeps < MIN_ORACLE_SUBSTEPS_FACTOR * n_frames:
         raise ValueError(
             f"substeps = {substeps} must be at least {MIN_ORACLE_SUBSTEPS_FACTOR}x "
@@ -746,10 +749,6 @@ def _heun_march(
         return np.sqrt(np.atleast_1d(half_sq_norms(grid, u, "l2")))
 
     stride = substeps // n_frames
-    frames = None
-    if u_hat.ndim == 1:
-        frames = np.empty((n_frames + 1, grid.n_half), dtype=np.complex128)
-        frames[0] = u_hat
     scale0 = l2(u_hat)
     ref = None
     for n in range(substeps):
@@ -766,9 +765,8 @@ def _heun_march(
                 f"reference marcher unstable at step {n + 1}: "
                 f"norm {norm_now[r]:.3e} vs initial {ref[r]:.3e}"
             )
-        if frames is not None and (n + 1) % stride == 0:
-            frames[(n + 1) // stride] = u_hat
-    return u_hat if frames is None else frames
+        if (n + 1) % stride == 0:
+            yield u_hat
 
 
 def _raise_window_failure(k: int, exc: Exception):

@@ -469,7 +469,7 @@ def run(config: RunConfig) -> RunArtifacts:
         dump_spacetime_field(out / "final_field.sxd", reports[-1].field)
 
         tail_warnings = [w for rep in reports for w in rep.tail_warnings]
-        runtime_warnings = [str(w.message) for w in caught]
+        runtime_warnings = list(dict.fromkeys(str(w.message) for w in caught))
         max_ratio = _max_ratio(reports)
         slack, error_bound = _picard_budget(reports, max_ratio, cert.constant)
         summary.update(

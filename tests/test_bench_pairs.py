@@ -52,6 +52,36 @@ def test_summarize_gives_each_side_its_own_spread():
         assert entry["rel_iqr"] == pytest.approx(1.0)
 
 
+def test_summarize_gives_the_ratio_of_medians():
+    runs = {
+        "parent": _runs(solve_s=[2.0, 2.0, 2.0, 2.0], runs_per_s=[4.0, 4.0, 4.0, 4.0]),
+        "change": _runs(solve_s=[1.0, 2.0, 3.0, 1.5], runs_per_s=[5.0, 5.0, 6.0, 6.0]),
+    }
+    out = bench_pairs.summarize(runs, BENCH)
+    assert out["solve_s"]["ratio"] == pytest.approx(1.75 / 2.0)
+    assert out["runs_per_s"]["ratio"] == pytest.approx(5.5 / 4.0)
+
+
+@pytest.mark.parametrize("parent, change, unresolved", [
+    # the parent's quartile range is its median: wider than the 0.25 bound
+    ([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0], True),
+    ([1.0, 2.0, 3.0, 4.0], [0.5, 1.0, 1.5, 0.9], True),
+    # ... unless every change run beats every parent run
+    ([1.0, 2.0, 3.0, 4.0], [0.5, 0.9, 0.8, 0.7], False),
+    # a parent spread inside the bound resolves whichever way the change moves
+    ([2.0, 2.1, 2.0, 2.1], [3.0, 1.0, 2.0, 2.5], False),
+])
+def test_summarize_flags_metrics_the_parent_spread_cannot_resolve(parent, change, unresolved):
+    runs = {
+        "parent": _runs(solve_s=parent, runs_per_s=[1.0 / v for v in parent]),
+        "change": _runs(solve_s=change, runs_per_s=[1.0 / v for v in change]),
+    }
+    out = bench_pairs.summarize(runs, BENCH)
+    assert out["solve_s"]["unresolved"] is unresolved
+    # a higher-is-better metric beats by being larger: the same verdict
+    assert out["runs_per_s"]["unresolved"] is unresolved
+
+
 def test_main_refuses_roots_of_different_lengths(tmp_path, monkeypatch, capsys):
     def no_run(*args):
         raise AssertionError("no run may start")

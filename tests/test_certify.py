@@ -167,6 +167,19 @@ def test_override_schedule_is_uniform_windows_of_the_cap():
     assert not sched.certificate.valid and sched.certificate.t_max is None
 
 
+def test_constant_is_infinite_once_the_growth_factor_overflows():
+    # a*T = 400: e^{2aT} = e^800 is past the float range, e^600 is not
+    q, l, a, b = 0.0707, 12.0, 400.0, 1.0
+    assert cl.contraction_constant(q, l, 0.75, a, b) < math.inf
+    cert = cl.Certificate.for_window(q, l, a, b, 1.0)
+    assert cert.constant == math.inf and not cert.valid and cert.t_max is None
+    # the override plan of such a window is made, under that certificate
+    sched = cl.window_schedule(2.0, q, l, a, b, max_window_length=1.0,
+                               override_certificate=True)
+    assert (sched.count, sched.window_length) == (2, 1.0)
+    assert sched.certificate == cert
+
+
 @pytest.mark.parametrize("kwargs", [
     {},
     {"override_certificate": True},
@@ -182,8 +195,17 @@ def test_no_admissible_window_without_override_and_cap(kwargs):
     ({"t_total": math.inf}, "t_total"),
     ({"max_window_length": math.nan}, "max_window_length"),
     ({"max_window_length": math.inf}, "max_window_length"),
+    ({"q": math.nan}, "q"),
+    ({"q": math.inf}, "q"),
+    ({"l": math.nan}, "l"),
+    ({"l": math.inf}, "l"),
+    ({"a": math.nan}, "a"),
+    ({"a": math.inf}, "a"),
+    ({"b": math.nan}, "b"),
+    ({"b": -math.inf}, "b"),
 ])
 def test_window_schedule_rejects_non_finite_inputs(kwargs, name):
     args = dict(t_total=1.0, q=1.0, l=0.1, a=0.0, b=0.0) | kwargs
-    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+    # the horizon and the cap must also be positive; the model numbers only finite
+    with pytest.raises(ValueError, match=rf"^(total horizon )?{name} must be (positive and )?finite"):
         cl.window_schedule(**args)

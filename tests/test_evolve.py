@@ -301,6 +301,19 @@ def test_picard_override_runs_with_warning():
     assert rep.trace.converged
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_picard_refuses_a_non_finite_default_tolerance():
+    # a = 400 on a unit window: C = inf, and the first image grows like
+    # e^{400 t}, finite, but its squared norm is not
+    prob = _simple_problem(cl.saturating(0.3), a=400.0)
+    bad = cl.Certificate.for_window(1.0, 1.0, 400.0, 0.0, 1.0)
+    assert bad.constant == math.inf
+    with pytest.warns(UserWarning, match="OVERRIDE"), \
+            pytest.raises(cl.SolverError, match=r"non-finite norm \(inf\)") as exc:
+        cl.picard_solve(prob, 1.0, bad, override_certificate=True, n_frames=16)
+    assert type(exc.value) is cl.SolverError
+
+
 def test_picard_nonconvergence_carries_trace(certified_problem):
     prob, cert, T = certified_problem
     with pytest.raises(cl.PicardConvergenceError) as exc:
@@ -381,6 +394,23 @@ def test_reference_instability_guard():
     prob = _simple_problem(cl.saturating(0.1), a=40.0)
     with pytest.raises(cl.ReferenceInstabilityError):
         cl.etd_reference_solve(prob, 1.0, substeps=64, n_frames=8)
+
+
+def test_heun_march_yields_each_frame_in_the_shape_of_its_start(certified_problem):
+    from cubelap.evolve import _heun_march
+
+    prob, cert, T = certified_problem
+    u0 = rfft_raw(prob.u0.values.real)
+    starts = np.stack([u0, 0.5 * u0])
+    march = (prob, T, 4 * 8, 8)
+    single = list(_heun_march(*march, u0))
+    block = list(_heun_march(*march, starts))
+    assert [s.shape for s in single] == [u0.shape] * 8
+    assert [s.shape for s in block] == [starts.shape] * 8
+    # the single-state field is the start and the yields; the block keeps the last
+    field = cl.etd_reference_solve(prob, T, 4 * 8, 8)
+    assert np.array_equal(field.frames, unitary_spectrum(prob.grid, np.stack([u0, *single])))
+    assert np.array_equal(cl.etd_reference_solve(prob, T, 4 * 8, 8, starts=starts), block[-1])
 
 
 def test_oracle_equivalence(certified_problem):

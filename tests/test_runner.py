@@ -958,6 +958,41 @@ def test_override_certificate_flag_watermarks_every_text_artifact(tmp_path):
     assert echo["flags"] == {"run_oracle": False, "override_certificate": True}
 
 
+def _override_run(tmp_path, horizon, max_window_length, a=0.0):
+    """(exit code, summary keys) of an override run: q*l*sqrt(2) > 1, so no
+    certified window exists."""
+    from cubelap.runner import main
+
+    cfg = _certified_config(tmp_path / "out", horizon=horizon)
+    cfg["model"]["a"] = a
+    cfg["nonlinearity"]["lipschitz"] = 12.0
+    cfg["solver"] = {"frames": 32, "max_window_length": max_window_length}
+    out = tmp_path / "main_out"
+    code = main(["--config", str(_write(tmp_path, cfg)), "--out", str(out),
+                 "--override-certificate"])
+    assert (out / "certificate.txt").exists()
+    lines = (out / "summary.txt").read_text().splitlines()
+    return code, dict(line.split("=", 1) for line in lines if not line.startswith("#"))
+
+
+def test_override_run_lists_each_runtime_warning_once(tmp_path):
+    # every window warns that it iterates without a certificate
+    code, summary = _override_run(tmp_path, 0.6, 0.2)
+    assert code == EXIT_OK and summary["windows"] == "3"
+    assert summary["runtime_warnings"].count("OVERRIDE") == 1
+    assert summary["runtime_warnings"].startswith("OVERRIDE: iterating without")
+
+
+def test_override_run_whose_constant_overflows_names_the_norm(tmp_path):
+    # a*T = 400: C = inf, and the first image's norm leaves the float range
+    code, summary = _override_run(tmp_path, 1.0, 1.0, a=400.0)
+    assert code == EXIT_SOLVER_FAILURE
+    assert summary["error"] == (
+        "window 0 failed: the first Picard image has a non-finite norm (inf); "
+        "no default tolerance can be set from it"
+    )
+
+
 # --------------------------------------------------------------------------
 # import footprint
 # --------------------------------------------------------------------------
