@@ -40,17 +40,25 @@ class NoAdmissibleWindow(ValueError):
 
 def contraction_constant(q: float, l: float, T: float, a: float, b: float) -> float:
     """The certified Lipschitz constant of the fixed-point map on [0, T];
-    +inf once e^{2aT} overflows (a*T above about 354)."""
+    +inf once e^{2aT} overflows (a*T above about 354). Where a square of
+    the plain form leaves the float range, the same C is formed as
+    q*l*hypot(T e^{aT} hypot(1, sqrt(2)(a + |b| + 1)), sqrt(2))."""
     if q <= 0 or l <= 0 or T <= 0:
         raise ValueError(f"q, l, T must be positive (got q={q}, l={l}, T={T})")
     if a < 0:
         raise ValueError(f"a must be nonnegative, got {a}")
-    drift = (a + abs(b) + 1.0) ** 2
     try:
         growth = math.exp(2.0 * a * T)
     except OverflowError:
         return math.inf
-    return q * l * math.sqrt(T * T * growth * (1.0 + 2.0 * drift) + 2.0)
+    try:
+        c = q * l * math.sqrt(T * T * growth * (1.0 + 2.0 * (a + abs(b) + 1.0) ** 2) + 2.0)
+    except OverflowError:
+        c = math.inf
+    if c < math.inf:
+        return c
+    spread = math.hypot(1.0, math.sqrt(2.0) * (a + abs(b) + 1.0))
+    return q * l * math.hypot(T * math.sqrt(growth) * spread, math.sqrt(2.0))
 
 
 #: Far above the five Newton steps that any positive float needs; the cap only
@@ -87,13 +95,21 @@ def max_window(q: float, l: float, a: float, b: float) -> float:
     R = (1/(ql)^2 - 2) / (1 + 2(a + |b| + 1)^2), so the root is
     W0(a sqrt(R)) / a (principal branch of the Lambert W function,
     ``lambert_w0``), or sqrt(R) when a = 0. Requires q*l*sqrt(2) < 1, the
-    T -> 0 limit, else NoAdmissibleWindow.
+    T -> 0 limit, else NoAdmissibleWindow. Where a square of that form
+    leaves the float range, sqrt(R) is formed as
+    sqrt(1 - 2(ql)^2) / q / l / hypot(1, sqrt(2)(a + |b| + 1)).
     """
     if q <= 0 or l <= 0:
         raise ValueError(f"q, l must be positive (got q={q}, l={l})")
     if q * l * math.sqrt(2.0) >= 1.0:
         raise NoAdmissibleWindow(q, l)
-    root = math.sqrt((1.0 / (q * l) ** 2 - 2.0) / (1.0 + 2.0 * (a + abs(b) + 1.0) ** 2))
+    try:
+        root = math.sqrt((1.0 / (q * l) ** 2 - 2.0) / (1.0 + 2.0 * (a + abs(b) + 1.0) ** 2))
+    except (ZeroDivisionError, OverflowError):
+        root = 0.0
+    if not 0 < root < math.inf:
+        spread = math.hypot(1.0, math.sqrt(2.0) * (a + abs(b) + 1.0))
+        root = math.sqrt(1.0 - 2.0 * (q * l) ** 2) / q / l / spread
     if a == 0:
         return root
     return lambert_w0(a * root) / a
@@ -168,7 +184,8 @@ def window_schedule(
     When no certified window exists (q*l*sqrt(2) >= 1), the plan is uniform
     windows of at most ``max_window_length`` under an invalid certificate
     if the caller overrides the certificate and gives that length;
-    otherwise ``NoAdmissibleWindow`` is raised.
+    otherwise ``NoAdmissibleWindow`` is raised. A cap with no finite window
+    count (T_max is 0 once a + |b| passes the float range) is a ValueError.
     """
     if not 0 < safety < 1:
         raise ValueError(f"safety factor must lie in (0, 1), got {safety}")
@@ -189,6 +206,9 @@ def window_schedule(
         t_w = math.inf
     if max_window_length is not None:
         t_w = min(t_w, max_window_length)
+    if not (t_w > 0 and t_total / t_w < math.inf):
+        raise ValueError(f"the window cap {t_w!r} leaves no finite window count for the horizon "
+                         f"{t_total!r} (q={q!r}, l={l!r}, a={a!r}, b={b!r})")
     count = max(1, math.ceil(t_total / t_w))
     cert = Certificate.for_window(q, l, a, b, float(t_total) / count)
     return WindowSchedule(

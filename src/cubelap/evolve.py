@@ -507,8 +507,10 @@ def picard_solve(
     between consecutive iterates falls below tol_fix (default
     1e-10 * max(1, contraction norm of the first image), the image being the
     iterate after one application of the map; a SolverError if that norm is
-    not finite). With a valid certificate every measured ratio must stay
-    below C * 1.05; a violation is raised as a defect, not smoothed over.
+    not finite). A distance that is not finite ends the iteration at once
+    with a ``PicardConvergenceError`` that names it. With a valid
+    certificate every measured ratio must stay below C * 1.05; a violation
+    is raised as a defect, not smoothed over.
     The initial state is ``prob.u0``, or ``start``: modes 0..N/2 in
     ``rfft_raw`` units, as a previous window's ``final_raw``, used as they
     are.
@@ -560,7 +562,6 @@ def picard_solve(
 
     distances: list[float] = []
     tol = tol_fix
-    converged = False
     for _ in range(max_iter):
         d = float(np.sqrt(tw @ _picard_iterate(u, dudt, prob, w, f0)))
         distances.append(d)
@@ -575,8 +576,8 @@ def picard_solve(
                 raise SolverError(f"the first Picard image has a non-finite norm ({norm}); "
                                   "no default tolerance can be set from it")
             tol = 1e-10 * max(1.0, norm)
-        if d < tol:
-            converged = True
+        converged = d < tol
+        if converged or not math.isfinite(d):
             break
 
     dists = np.asarray(distances)
@@ -592,10 +593,10 @@ def picard_solve(
         converged=converged,
     )
     if not converged:
+        why = (f"no fixed point within {max_iter} iterations" if np.isfinite(dists[-1])
+               else f"the Picard distance of iteration {dists.size} is not finite")
         raise PicardConvergenceError(
-            f"no fixed point within {max_iter} iterations "
-            f"(last distance {dists[-1]:.3e}, tol {tol:.3e})",
-            trace,
+            f"{why} (last distance {dists[-1]:.3e}, tol {tol:.3e})", trace
         )
     if cert.valid:
         reported = trace.reported_ratios()
@@ -685,8 +686,9 @@ def etd_reference_solve(
     Without ``starts`` the march advances the single state ``prob.u0`` and
     returns its ``SpacetimeField`` of n_frames + 1 frames, the start and the
     n_frames states the march yields. ``starts`` is a
-    (K, N/2+1) block of start states in ``rfft_raw`` units, the unit of
-    ``picard_solve(start=)``, row k the start of window k of a march,
+    (K, N/2+1) block of finite start states in ``rfft_raw`` units, the unit
+    of ``picard_solve(start=)`` (a non-finite row is refused by its index),
+    row k the start of window k of a march,
     advanced as it is (per substep two reaction calls on all K rows); the
     result is then the (K, N/2+1) array of end states in the same units, the
     last block the march yields. If
@@ -706,6 +708,10 @@ def etd_reference_solve(
         raise ValueError(
             f"starts must be a (K, {grid.n_half}) array with K >= 1, got shape {u0.shape}"
         )
+    bad = np.flatnonzero(~np.all(np.isfinite(u0), axis=1))
+    if bad.size:
+        raise ValueError(f"starts must be a (K, {grid.n_half}) array of finite modes; "
+                         f"rows {bad.tolist()} are not finite")
     failures = (ValueError, ModelEvaluationError, ReferenceInstabilityError)
     try:
         return deque(_heun_march(*march, u0), maxlen=1)[0]

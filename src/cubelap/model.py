@@ -14,14 +14,17 @@ requirements that everything downstream leans on:
 
 Lipschitz constants are declared per catalog entry (they are analytically
 known), never estimated; random sampling exists only to falsify wrong
-declarations. The L1 sizes of the gaussian and sech kernels are closed forms
-too: ||G^(6)||_1 = |amplitude| / width^5 * K with one dimensionless constant
-K per entry, so building a kernel runs no quadrature.
+declarations. The gaussian and sech kernels share the form
+amplitude * profile(x / width) (``_scaled_kernel``), so their L1 sizes are
+closed forms: ||G||_1 = |amplitude| width c1 and ||G^(6)||_1 = |amplitude| /
+width^5 * K with constants c1, K per entry, and building one runs no
+quadrature. The reactions are F(u, x) = rate(u) + h(x) (``_reaction``).
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -91,11 +94,12 @@ SECH_D6_L1 = 65.14329029892282
 class KernelSpec:
     """Interaction kernel G with cached L1 sizes and spectral access.
 
-    ``l1`` and ``l1_d6`` are computed once at construction (catalog
-    constructors) or injected directly for synthetic test kernels;
-    ``norm_method`` records how: ``"analytic"`` for closed forms in the
-    amplitude and width (gaussian, sech), ``"grid-spectral"`` and
-    ``"spectral-fallback"`` for box sums on the grid.
+    ``l1`` and ``l1_d6`` are computed once at construction (in
+    ``_scaled_kernel``, ``bandlimited_kernel`` or ``tabulated_kernel``) or
+    injected directly for synthetic test kernels; ``norm_method`` records
+    how: ``"analytic"`` for closed forms in the amplitude and width
+    (gaussian, sech), ``"grid-spectral"`` and ``"spectral-fallback"`` for
+    box sums on the grid.
     """
 
     name: str
@@ -137,35 +141,40 @@ class KernelSpec:
         return out
 
 
+def _scaled_kernel(name: str, amplitude, width, profile, spectrum, l1_unit, d6_unit):
+    """The catalog kernel G(x) = a * profile(x/w) with transform
+    ``spectrum(a, w, p)`` and L1 sizes ||G||_1 = |a| w l1_unit and
+    ||G^(6)||_1 = |a| / w^5 * d6_unit. A width at which either size is not
+    a positive finite float (at |a| = 1, outside about 1e-61 < w < 4e61) is
+    refused by name."""
+    if amplitude == 0:
+        raise KernelAssumptionError(f"{name} kernel amplitude must be nonzero")
+    if width <= 0:
+        raise ValueError(f"{name} kernel width must be positive")
+    a, w = float(amplitude), float(width)
+    l1 = abs(a) * w * l1_unit
+    try:
+        l1_d6 = abs(a) / w**5 * d6_unit
+    except (ZeroDivisionError, OverflowError):  # w**5 leaves the float range
+        l1_d6 = math.nan
+    if not (0 < l1 < math.inf and 0 < l1_d6 < math.inf):
+        raise ValueError(f"{name} kernel width {w:g} is out of range: at amplitude {a:g} "
+                         "its L1 sizes are not both positive finite floats")
+    return KernelSpec(name=name, g=lambda x: a * profile(np.asarray(x) / w),
+                      spectrum_fn=lambda p: spectrum(a, w, p), l1=l1, l1_d6=l1_d6,
+                      norm_method="analytic", params={"amplitude": a, "width": w})
+
+
 def gaussian_kernel(amplitude: float = 1.0, width: float = 1.0) -> KernelSpec:
     """G(x) = amplitude * exp(-(x/width)^2), with closed-form L1 sizes.
 
     ||G||_1 = |amplitude| width sqrt(pi); ||G^(6)||_1 = |amplitude| / width^5
     * GAUSSIAN_D6_L1.
     """
-    if amplitude == 0:
-        raise KernelAssumptionError("gaussian kernel amplitude must be nonzero")
-    if width <= 0:
-        raise ValueError("gaussian kernel width must be positive")
-    a, w = float(amplitude), float(width)
-
-    def g(x):
-        return a * np.exp(-((x / w) ** 2))
-
-    def spectrum(p):
-        return (a * w / np.sqrt(2.0)) * np.exp(-((w * p) ** 2) / 4.0)
-
-    l1 = abs(a) * w * np.sqrt(np.pi)
-    l1_d6 = abs(a) / w**5 * GAUSSIAN_D6_L1
-    return KernelSpec(
-        name="gaussian",
-        g=g,
-        spectrum_fn=spectrum,
-        l1=l1,
-        l1_d6=l1_d6,
-        norm_method="analytic",
-        params={"amplitude": a, "width": w},
-    )
+    return _scaled_kernel(
+        "gaussian", amplitude, width, lambda z: np.exp(-(z**2)),
+        lambda a, w, p: (a * w / np.sqrt(2.0)) * np.exp(-((w * p) ** 2) / 4.0),
+        np.sqrt(np.pi), GAUSSIAN_D6_L1)
 
 
 def _sech(z):
@@ -180,29 +189,10 @@ def sech_kernel(amplitude: float = 1.0, width: float = 1.0) -> KernelSpec:
     ||G||_1 = |amplitude| width pi; ||G^(6)||_1 = |amplitude| / width^5
     * SECH_D6_L1.
     """
-    if amplitude == 0:
-        raise KernelAssumptionError("sech kernel amplitude must be nonzero")
-    if width <= 0:
-        raise ValueError("sech kernel width must be positive")
-    a, w = float(amplitude), float(width)
-
-    def g(x):
-        return a * _sech(np.asarray(x) / w)
-
-    def spectrum(p):
-        return a * w * np.sqrt(np.pi / 2.0) * _sech(np.pi * w * p / 2.0)
-
-    l1 = abs(a) * w * np.pi
-    l1_d6 = abs(a) / w**5 * SECH_D6_L1
-    return KernelSpec(
-        name="sech",
-        g=g,
-        spectrum_fn=spectrum,
-        l1=l1,
-        l1_d6=l1_d6,
-        norm_method="analytic",
-        params={"amplitude": a, "width": w},
-    )
+    return _scaled_kernel(
+        "sech", amplitude, width, _sech,
+        lambda a, w, p: a * w * np.sqrt(np.pi / 2.0) * _sech(np.pi * w * p / 2.0),
+        np.pi, SECH_D6_L1)
 
 
 def _trig_poly(grid: SpectralGrid, coeffs: np.ndarray):
@@ -470,7 +460,8 @@ class NonlinearitySpec:
 
     fn is vectorized over (u, x) and broadcasts u of shape (frames, N)
     against x of shape (N,); source is the u-independent profile h(x), so
-    fn(0, x) == source(x) for every catalog member.
+    fn(0, x) == source(x) for every catalog member. Every catalog member is
+    built by ``_reaction`` as fn(u, x) = rate(u) + h(x).
     """
 
     name: str
@@ -493,6 +484,18 @@ class NonlinearitySpec:
         return cached
 
 
+def _reaction(name: str, rate, source, growth_k: float, lipschitz_l: float, params: dict):
+    """The catalog reaction F(u, x) = rate(u) + h(x), h the source profile
+    (zero by default), read once per grid through ``_per_grid``."""
+    h = _per_grid(source if source is not None else source_zero())
+
+    def fn(u, x):
+        return rate(np.asarray(u, dtype=float)) + h(x)
+
+    return NonlinearitySpec(name=name, fn=fn, source=h, growth_k=growth_k,
+                            lipschitz_l=lipschitz_l, params=params)
+
+
 def linear_plus_source(kappa: float, source=None, lipschitz: float | None = None) -> NonlinearitySpec:
     """F(u, x) = kappa*u + h(x). Exact Lipschitz constant |kappa|.
 
@@ -502,41 +505,18 @@ def linear_plus_source(kappa: float, source=None, lipschitz: float | None = None
     """
     if lipschitz is not None and lipschitz <= 0:
         raise ValueError("lipschitz must be positive")
-    h = _per_grid(source if source is not None else source_zero())
     kap = float(kappa)
-
-    def fn(u, x):
-        return kap * np.asarray(u, dtype=float) + h(x)
-
-    ell = float(lipschitz) if lipschitz is not None else max(abs(kap), MIN_DECLARED_CONSTANT)
-    return NonlinearitySpec(
-        name="linear_plus_source",
-        fn=fn,
-        source=h,
-        growth_k=max(abs(kap), MIN_DECLARED_CONSTANT),
-        lipschitz_l=ell,
-        params={"kappa": kap},
-    )
+    k = max(abs(kap), MIN_DECLARED_CONSTANT)
+    ell = float(lipschitz) if lipschitz is not None else k
+    return _reaction("linear_plus_source", lambda u: kap * u, source, k, ell, {"kappa": kap})
 
 
 def saturating(lipschitz: float, source=None) -> NonlinearitySpec:
     """F(u, x) = l*sin(u) + h(x). Lipschitz constant exactly l, growth too."""
     if lipschitz <= 0:
         raise ValueError("lipschitz must be positive")
-    h = _per_grid(source if source is not None else source_zero())
     ell = float(lipschitz)
-
-    def fn(u, x):
-        return ell * np.sin(np.asarray(u, dtype=float)) + h(x)
-
-    return NonlinearitySpec(
-        name="saturating",
-        fn=fn,
-        source=h,
-        growth_k=ell,
-        lipschitz_l=ell,
-        params={"lipschitz": ell},
-    )
+    return _reaction("saturating", lambda u: ell * np.sin(u), source, ell, ell, {"lipschitz": ell})
 
 
 def logistic_clip(lipschitz: float, u_max: float, source=None) -> NonlinearitySpec:
@@ -548,22 +528,14 @@ def logistic_clip(lipschitz: float, u_max: float, source=None) -> NonlinearitySp
     """
     if lipschitz <= 0 or u_max <= 0:
         raise ValueError("lipschitz and u_max must be positive")
-    h = _per_grid(source if source is not None else source_zero())
     ell, um = float(lipschitz), float(u_max)
-    rate = ell / 3.0
 
-    def fn(u, x):
-        c = np.clip(np.asarray(u, dtype=float), -um, um)
-        return rate * c * (1.0 - c / um) + h(x)
+    def clipped(u):
+        c = np.clip(u, -um, um)
+        return ell / 3.0 * c * (1.0 - c / um)
 
-    return NonlinearitySpec(
-        name="logistic_clip",
-        fn=fn,
-        source=h,
-        growth_k=2.0 * ell / 3.0,
-        lipschitz_l=ell,
-        params={"lipschitz": ell, "u_max": um},
-    )
+    return _reaction("logistic_clip", clipped, source, 2.0 * ell / 3.0, ell,
+                     {"lipschitz": ell, "u_max": um})
 
 
 # ---------------------------------------------------------------------------

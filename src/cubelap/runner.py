@@ -427,11 +427,11 @@ def run(config: RunConfig) -> RunArtifacts:
             trials=config.solver["lipschitz_trials"],
             seed=config.solver["seed"],
         )
-        setting_up = False
         schedule = window_schedule(
             config.horizon, q, ell, prob.a, prob.b, config.solver["safety"],
             config.solver["max_window_length"], override,
         )
+        setting_up = False
         # each window's report keeps u_band, (frames + 1) x K with K <= N/2 + 1
         # its live band, and the last solve holds the iterate pair, so two
         # arrays per window at K = N/2 + 1 bound windows - 1 reports and that pair
@@ -506,15 +506,16 @@ def run(config: RunConfig) -> RunArtifacts:
 
 def _exit_for(exc: Exception, setting_up: bool) -> tuple[int, str, str]:
     """(exit code, status, error) of a run that raised ``exc``; an unforeseen
-    failure (say, out of memory) is named by its type. OSError while setting
-    up: a file the config names (a CSV table) cannot be read."""
+    failure (say, out of memory) is named by its type. Setting up ends with
+    the march's plan. OSError while setting up: a file the config names (a
+    CSV table) cannot be read."""
+    refusals = (NoAdmissibleWindow, CertificateRefusedError)
+    if isinstance(exc, refusals) or isinstance(exc.__cause__, refusals):
+        return EXIT_CERTIFICATE_REFUSED, "certificate_refused", str(exc)
     if isinstance(exc, ConfigError) or (
         setting_up and isinstance(exc, (AssumptionViolation, ValueError, OSError))
     ):
         return EXIT_ASSUMPTION_VIOLATION, "assumption_violation", str(exc)
-    refusals = (NoAdmissibleWindow, CertificateRefusedError)
-    if isinstance(exc, refusals) or isinstance(exc.__cause__, refusals):
-        return EXIT_CERTIFICATE_REFUSED, "certificate_refused", str(exc)
     if isinstance(exc, (SolverError, ModelEvaluationError)):
         return EXIT_SOLVER_FAILURE, "solver_failure", str(exc)
     return EXIT_SOLVER_FAILURE, "solver_failure", f"{type(exc).__name__}: {exc}"

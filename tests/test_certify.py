@@ -209,3 +209,47 @@ def test_window_schedule_rejects_non_finite_inputs(kwargs, name):
     # the horizon and the cap must also be positive; the model numbers only finite
     with pytest.raises(ValueError, match=rf"^(total horizon )?{name} must be (positive and )?finite"):
         cl.window_schedule(**args)
+
+
+# q of the gaussian kernel (0.01, 2) and l = 3.8 unless named
+_EXTREME = {
+    "l_tiny": (0.0707, 1e-300, 0.0, 1.0),
+    "l_tiny_with_growth": (0.0707, 1e-300, 1.0, 1.0),
+    "a_huge": (0.0707, 3.8, 1e300, 1.0),
+    "b_huge": (0.0707, 3.8, 0.0, 1e300),
+    "b_huge_negative": (0.0707, 3.8, 0.5, -1e300),
+}
+
+
+@pytest.mark.parametrize("case", list(_EXTREME))
+def test_extreme_finite_constants_give_a_window_without_arithmetic_errors(case):
+    # (q*l)^2 underflows or (a + |b| + 1)^2 overflows: the root and C are
+    # formed without those squares, and C(T_max) is still one, or +inf where
+    # e^{2a T_max} is past the float range (a tiny l with growth)
+    q, l, a, b = _EXTREME[case]
+    t_max = cl.max_window(q, l, a, b)
+    assert 0 < t_max < math.inf
+    c = cl.contraction_constant(q, l, t_max, a, b)
+    assert c == pytest.approx(1.0, rel=1e-9) or (c == math.inf and 2.0 * a * t_max > 710)
+    assert cl.contraction_constant(q, l, 0.5 * t_max, a, b) < 1.0
+
+
+def test_square_free_forms_continue_the_plain_ones_past_the_overflow():
+    # (a + |b| + 1)^2 overflows between b = 1.3e154 and 1.4e154: on both
+    # sides T_max * sqrt(1 + 2 s^2) is sqrt(1/(ql)^2 - 2), and C(T_max) is one
+    q, l = 0.0707, 3.8
+    assert (1.3e154 + 1.0) ** 2 < math.inf
+    with pytest.raises(OverflowError):
+        (1.4e154 + 1.0) ** 2
+    for b in (1.3e154, 1.4e154):
+        t_max = cl.max_window(q, l, 0.0, b)
+        assert t_max * math.hypot(1.0, math.sqrt(2.0) * b) == pytest.approx(
+            math.sqrt(1.0 / (q * l) ** 2 - 2.0), rel=1e-14)
+        assert cl.contraction_constant(q, l, t_max, 0.0, b) == pytest.approx(1.0, rel=1e-14)
+
+
+def test_schedule_whose_window_underflows_to_zero_names_the_count():
+    # a + |b| is past the float range, so the certified window is 0
+    assert cl.max_window(0.0707, 3.8, 1e308, 1e308) == 0.0
+    with pytest.raises(ValueError, match=r"^the window cap 0\.0 leaves no finite window count"):
+        cl.window_schedule(0.4, 0.0707, 3.8, 1e308, 1e308)

@@ -314,6 +314,22 @@ def test_picard_refuses_a_non_finite_default_tolerance():
     assert type(exc.value) is cl.SolverError
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_picard_with_a_tolerance_stops_at_the_first_non_finite_distance():
+    # the a = 400 window of the test above, with tol_fix given: no default
+    # tolerance is set, and the first distance is already inf
+    prob = _simple_problem(cl.saturating(0.3), a=400.0)
+    bad = cl.Certificate.for_window(1.0, 1.0, 400.0, 0.0, 1.0)
+    with pytest.warns(UserWarning, match="OVERRIDE"), \
+            pytest.raises(cl.PicardConvergenceError) as exc:
+        cl.picard_solve(prob, 1.0, bad, tol_fix=1e-8, override_certificate=True, n_frames=16)
+    assert str(exc.value) == (
+        "the Picard distance of iteration 1 is not finite (last distance inf, tol 1.000e-08)"
+    )
+    assert exc.value.trace.iterations == 1 and not exc.value.trace.converged
+    assert exc.value.trace.distances.tolist() == [math.inf]
+
+
 def test_picard_nonconvergence_carries_trace(certified_problem):
     prob, cert, T = certified_problem
     with pytest.raises(cl.PicardConvergenceError) as exc:
@@ -824,9 +840,14 @@ def test_batched_oracle_substep_preconditions_fail_window_0():
         cl.etd_reference_solve(prob, 0.5, 32, n_frames=16, starts=starts)
     assert exc.value.window_index == 0 and isinstance(exc.value.__cause__, ValueError)
     # the block is raw half spectra: (K, N/2+1), never physical (K, N) samples
-    for bad in (starts[:, :7], physical, starts[0]):
+    nan_row = starts.copy()
+    nan_row[1, 3] = np.nan
+    for bad in (starts[:, :7], physical, starts[0], nan_row):
         with pytest.raises(ValueError, match=r"^starts must be a \(K, 65\) array"):
             cl.etd_reference_solve(prob, 0.5, 64, n_frames=16, starts=bad)
+    # a non-finite row is named by its index, not blamed on the reaction
+    with pytest.raises(ValueError, match=r"of finite modes; rows \[1\] are not finite$"):
+        cl.etd_reference_solve(prob, 0.5, 64, n_frames=16, starts=nan_row)
 
 
 def _threshold_reaction(name, factor, threshold):

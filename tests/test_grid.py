@@ -386,6 +386,22 @@ def test_window_data_is_built_in_window_only():
     assert not _calls_by_function(heun, ("phi1", "phi2", "_window"))
 
 
+def test_catalog_specs_are_built_in_their_builders_only():
+    """``model`` constructs a ``KernelSpec`` only in ``_scaled_kernel`` (the
+    analytic kernels) and the two grid-built kernels, and a
+    ``NonlinearitySpec`` only in ``_reaction``, never at module level."""
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse((Path(cl.__file__).parent / "model.py").read_text())
+    specs = ("KernelSpec", "NonlinearitySpec")
+    assert sorted(_calls_by_function(tree, specs)) == [
+        ("_reaction", "NonlinearitySpec"), ("_scaled_kernel", "KernelSpec"),
+        ("bandlimited_kernel", "KernelSpec"), ("tabulated_kernel", "KernelSpec"),
+    ]
+    assert len(_calls(tree, specs)) == 4
+
+
 _PLAN_CALLS = {"for_window", "max_window", "WindowSchedule"}
 
 

@@ -104,6 +104,46 @@ def test_sech_kernel_l1_and_sixth_derivative():
     assert np.max(np.abs(d6_spec - d6g(g.x))) <= 1e-8 * np.max(np.abs(d6_spec))
 
 
+def test_analytic_kernels_keep_their_closed_forms_bit_for_bit():
+    from cubelap.model import GAUSSIAN_D6_L1, SECH_D6_L1, _sech
+
+    a, w = -0.013, 1.7
+    x, p = np.linspace(-30.0, 30.0, 241), np.linspace(-6.0, 6.0, 121)
+    g = cl.gaussian_kernel(a, w)
+    assert (g.l1, g.l1_d6) == (abs(a) * w * np.sqrt(np.pi), abs(a) / w**5 * GAUSSIAN_D6_L1)
+    assert np.array_equal(g.g(x), a * np.exp(-((x / w) ** 2)))
+    assert np.array_equal(
+        g.spectrum_fn(p), (a * w / np.sqrt(2.0)) * np.exp(-((w * p) ** 2) / 4.0)
+    )
+    s = cl.sech_kernel(a, w)
+    assert (s.l1, s.l1_d6) == (abs(a) * w * np.pi, abs(a) / w**5 * SECH_D6_L1)
+    assert np.array_equal(s.g(x), a * _sech(x / w))
+    assert np.array_equal(
+        s.spectrum_fn(p), a * w * np.sqrt(np.pi / 2.0) * _sech(np.pi * w * p / 2.0)
+    )
+    for k in (g, s):
+        assert k.params == {"amplitude": a, "width": w} and k.norm_method == "analytic"
+
+
+@pytest.mark.parametrize("build", [cl.gaussian_kernel, cl.sech_kernel], ids=["gaussian", "sech"])
+@pytest.mark.parametrize("width", [1e-300, 1e-70, 1e-62, 5e61, 1e70, 1e300])
+def test_analytic_kernel_refuses_a_width_whose_l1_sizes_leave_the_floats(build, width):
+    # w**5 underflows or overflows, or |a|/w^5*K is past the float range
+    import re
+
+    name = build.__name__.split("_")[0]
+    with pytest.raises(ValueError, match=rf"^{name} kernel width {re.escape(f'{width:g}')} is "
+                                         "out of range"):
+        build(1.0, width)
+
+
+def test_analytic_kernels_accept_the_documented_width_range():
+    for build in (cl.gaussian_kernel, cl.sech_kernel):
+        for width in (1e-61, 4e61):
+            k = build(1.0, width)
+            assert 0 < k.l1 < np.inf and 0 < k.l1_d6 < np.inf
+
+
 def test_gaussian_d6_rule_matches_spectral_derivative():
     k = cl.gaussian_kernel(1.0, 1.0)
     g = cl.make_grid(20.0, 512)
@@ -233,6 +273,25 @@ def test_saturating_at_zero_state():
     with_src = cl.saturating(1.0, cl.source_gaussian(1.0, 1.0))
     out = cl.apply_nonlinearity(zero, with_src, g)
     assert np.allclose(out, np.exp(-(g.x**2)))
+
+
+def test_catalog_reactions_keep_their_formulas_bit_for_bit():
+    g = cl.make_grid(10.0, 64)
+    u = np.random.default_rng(3).normal(size=(3, 64))
+    h = cl.source_gaussian(0.1, 1.0, 0.3)
+    c = np.clip(u, -1.5, 1.5)
+    cases = [
+        (cl.linear_plus_source(-1.3, h), -1.3 * u, (1.3, 1.3), {"kappa": -1.3}),
+        (cl.linear_plus_source(0.0), 0.0 * u, (1e-12, 1e-12), {"kappa": 0.0}),
+        (cl.saturating(2.0, h), 2.0 * np.sin(u), (2.0, 2.0), {"lipschitz": 2.0}),
+        (cl.logistic_clip(2.0, 1.5, h), (2.0 / 3.0) * c * (1.0 - c / 1.5),
+         (2.0 * 2.0 / 3.0, 2.0), {"lipschitz": 2.0, "u_max": 1.5}),
+    ]
+    for n, rate, constants, params in cases:
+        source = h(g.x) if n.params != {"kappa": 0.0} else np.zeros(64)
+        assert np.array_equal(n.fn(u, g.x), rate + source)
+        assert np.array_equal(n.source(g.x), source)
+        assert (n.growth_k, n.lipschitz_l) == constants and n.params == params
 
 
 def test_linear_nonlinearity_is_affine():

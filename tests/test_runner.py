@@ -958,7 +958,7 @@ def test_override_certificate_flag_watermarks_every_text_artifact(tmp_path):
     assert echo["flags"] == {"run_oracle": False, "override_certificate": True}
 
 
-def _override_run(tmp_path, horizon, max_window_length, a=0.0):
+def _override_run(tmp_path, horizon, max_window_length, a=0.0, **solver):
     """(exit code, summary keys) of an override run: q*l*sqrt(2) > 1, so no
     certified window exists."""
     from cubelap.runner import main
@@ -966,7 +966,7 @@ def _override_run(tmp_path, horizon, max_window_length, a=0.0):
     cfg = _certified_config(tmp_path / "out", horizon=horizon)
     cfg["model"]["a"] = a
     cfg["nonlinearity"]["lipschitz"] = 12.0
-    cfg["solver"] = {"frames": 32, "max_window_length": max_window_length}
+    cfg["solver"] = {"frames": 32, "max_window_length": max_window_length, **solver}
     out = tmp_path / "main_out"
     code = main(["--config", str(_write(tmp_path, cfg)), "--out", str(out),
                  "--override-certificate"])
@@ -991,6 +991,51 @@ def test_override_run_whose_constant_overflows_names_the_norm(tmp_path):
         "window 0 failed: the first Picard image has a non-finite norm (inf); "
         "no default tolerance can be set from it"
     )
+
+
+def test_override_run_with_a_tolerance_stops_at_the_first_non_finite_distance(tmp_path):
+    # the run above with tol_fix given: its first distance is already inf
+    code, summary = _override_run(tmp_path, 1.0, 1.0, a=400.0, tol_fix=1e-8)
+    assert code == EXIT_SOLVER_FAILURE
+    assert summary["error"] == (
+        "window 0 failed: the Picard distance of iteration 1 is not finite "
+        "(last distance inf, tol 1.000e-08)"
+    )
+
+
+# id: (config edit, exit code, the start of error=) of finite constants at
+# which the kernel's L1 sizes or the certificate arithmetic leave the floats
+EXTREME_CASES = {
+    "kernel_width_tiny": (lambda c: c["kernel"].update(width=1e-300), EXIT_ASSUMPTION_VIOLATION,
+                          "gaussian kernel width 1e-300 is out of range"),
+    "kernel_width_huge": (lambda c: c["kernel"].update(width=1e300), EXIT_ASSUMPTION_VIOLATION,
+                          "gaussian kernel width 1e+300 is out of range"),
+    # windows of about 1e-300: the schedule's count exceeds the memory budget
+    "a_huge": (lambda c: c["model"].update(a=1e300), EXIT_ASSUMPTION_VIOLATION,
+               "the schedule's "),
+    "b_huge": (lambda c: c["model"].update(b=1e300), EXIT_ASSUMPTION_VIOLATION,
+               "the schedule's "),
+    # the certified window underflows to 0
+    "a_and_b_near_the_float_limit": (lambda c: c["model"].update(a=1e308, b=1e308),
+                                     EXIT_ASSUMPTION_VIOLATION,
+                                     "the window cap 0.0 leaves no finite window count"),
+    "lipschitz_tiny": (lambda c: c["nonlinearity"].update(lipschitz=1e-300), EXIT_OK, None),
+}
+
+
+@pytest.mark.parametrize("case", list(EXTREME_CASES))
+def test_extreme_finite_constants_exit_without_arithmetic_errors(tmp_path, case):
+    edit, code, error = EXTREME_CASES[case]
+    cfg = _certified_config(tmp_path / "out")
+    edit(cfg)
+    got, cert, summary = _main_artifacts(tmp_path, cfg)
+    assert got == code
+    assert summary.get("error", "").startswith(error or "")
+    assert not any(name in summary.get("error", "")
+                   for name in ("OverflowError", "ZeroDivisionError"))
+    if code == EXIT_OK:  # one certified window covers the horizon
+        assert summary["windows"] == "1" and cert["valid"] == "true"
+        assert float(cert["T_max"]) > 1e300
 
 
 # --------------------------------------------------------------------------
