@@ -12,7 +12,10 @@ only read:
   the sha256 of every artifact file, ``final_field.sxd`` included;
 * ``march_oracle`` at full size and ``march_wide`` at smoke size, seeds 0-1,
   through the root's ``global_march``: every window's ``final_raw``, Picard
-  distances and ``oracle_rel_deviation``.
+  distances and ``oracle_rel_deviation``;
+* every script in the root's ``demos/``, run on the root's ``src/`` in a
+  fresh interpreter: the exit code and the sha256 of its stdout, with the
+  directory that ``tempfile.mkdtemp`` made (demo 05 prints it) masked.
 
 Each root runs in an interpreter of its own, in a temporary directory, with
 no bytecode written. The script prints every key whose value differs or is
@@ -29,6 +32,7 @@ import importlib.util
 import io
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tempfile
@@ -40,6 +44,12 @@ BATCH_SEEDS = (0, 1, 2)
 MARCH_SEEDS = (0, 1)
 #: (workload, smoke) of each march compared
 MARCHES = (("march_oracle", False), ("march_wide", True))
+
+
+def mask_mkdtemp(text: str, tmpdir: Path) -> str:
+    """``text`` with each path of a directory made directly in ``tmpdir``
+    (as ``tempfile.mkdtemp`` makes them) read as ``<mkdtemp>``."""
+    return re.sub(re.escape(os.path.join(str(tmpdir), "")) + r"[^/\s]+", "<mkdtemp>", text)
 
 
 def collect(src: Path, workloads_path: Path, workdir: Path) -> dict:
@@ -79,6 +89,15 @@ def collect(src: Path, workloads_path: Path, workdir: Path) -> dict:
                 values[f"{key}/distances"] = rep.trace.distances
                 dev = rep.oracle_rel_deviation
                 values[f"{key}/oracle_rel_deviation"] = np.array(np.nan if dev is None else dev)
+    for demo in sorted((src.parent / "demos").glob("*.py")):
+        tmpdir = workdir / f"demo_{demo.stem}"
+        tmpdir.mkdir()
+        env = dict(os.environ, PYTHONPATH=str(src), TMPDIR=str(tmpdir))
+        proc = subprocess.run([sys.executable, "-B", str(demo)], cwd=tmpdir, env=env,
+                              capture_output=True, text=True)
+        values[f"demos/{demo.stem}/exit"] = str(proc.returncode)
+        stdout = mask_mkdtemp(proc.stdout, tmpdir).encode()
+        values[f"demos/{demo.stem}/stdout"] = hashlib.sha256(stdout).hexdigest()
     return values
 
 

@@ -39,10 +39,13 @@ class NoAdmissibleWindow(ValueError):
 
 
 def contraction_constant(q: float, l: float, T: float, a: float, b: float) -> float:
-    """The certified Lipschitz constant of the fixed-point map on [0, T];
-    +inf once e^{2aT} overflows (a*T above about 354). Where a square of
-    the plain form leaves the float range, the same C is formed as
-    q*l*hypot(T e^{aT} hypot(1, sqrt(2)(a + |b| + 1)), sqrt(2))."""
+    """The certified Lipschitz constant of the fixed-point map on [0, T].
+
+    Where a square of the plain form leaves the float range, the same C is
+    formed as q*l*hypot(X, sqrt(2)) with X = T e^{aT} hypot(1, sqrt(2)(a + |b|
+    + 1)); where X does too (e^{2aT} overflows once a*T is above about 354),
+    C is q*l*X, formed in logs, and +inf only if C itself is past the float
+    range."""
     if q <= 0 or l <= 0 or T <= 0:
         raise ValueError(f"q, l, T must be positive (got q={q}, l={l}, T={T})")
     if a < 0:
@@ -50,7 +53,7 @@ def contraction_constant(q: float, l: float, T: float, a: float, b: float) -> fl
     try:
         growth = math.exp(2.0 * a * T)
     except OverflowError:
-        return math.inf
+        growth = math.inf
     try:
         c = q * l * math.sqrt(T * T * growth * (1.0 + 2.0 * (a + abs(b) + 1.0) ** 2) + 2.0)
     except OverflowError:
@@ -58,12 +61,31 @@ def contraction_constant(q: float, l: float, T: float, a: float, b: float) -> fl
     if c < math.inf:
         return c
     spread = math.hypot(1.0, math.sqrt(2.0) * (a + abs(b) + 1.0))
-    return q * l * math.hypot(T * math.sqrt(growth) * spread, math.sqrt(2.0))
+    root = math.hypot(T * math.sqrt(growth) * spread, math.sqrt(2.0))
+    if root < math.inf:
+        return q * l * root
+    # X > 1e308 >> sqrt(2) here, so hypot(X, sqrt(2)) rounds to X
+    try:
+        return math.exp(math.log(q) + math.log(l) + math.log(T) + a * T + math.log(spread))
+    except OverflowError:
+        return math.inf
 
 
 #: Far above the five Newton steps that any positive float needs; the cap only
 #: ends the loop on a NaN input, whose steps never shrink.
 _LAMBERT_MAX_STEPS = 50
+
+
+def _w_newton(w: float, excess) -> float:
+    """Newton steps on f(w) = w + excess(w) with f' = 1 + 1/w, from w until
+    a step is at most 4 eps relative: the root of w + ln w = ln x when
+    excess(w) is ln(w/x) or ln w - ln x."""
+    for _ in range(_LAMBERT_MAX_STEPS):
+        step = (w + excess(w)) * w / (1.0 + w)
+        w -= step
+        if abs(step) <= 4.0 * sys.float_info.epsilon * w:
+            break
+    return w
 
 
 def lambert_w0(x: float) -> float:
@@ -79,13 +101,7 @@ def lambert_w0(x: float) -> float:
     """
     if x == 0.0 or x == math.inf:
         return x
-    w = math.log1p(x)
-    for _ in range(_LAMBERT_MAX_STEPS):
-        step = (w + math.log(w / x)) * w / (1.0 + w)
-        w -= step
-        if abs(step) <= 4.0 * sys.float_info.epsilon * w:
-            break
-    return w
+    return _w_newton(math.log1p(x), lambda w: math.log(w / x))
 
 
 def max_window(q: float, l: float, a: float, b: float) -> float:
@@ -97,7 +113,9 @@ def max_window(q: float, l: float, a: float, b: float) -> float:
     ``lambert_w0``), or sqrt(R) when a = 0. Requires q*l*sqrt(2) < 1, the
     T -> 0 limit, else NoAdmissibleWindow. Where a square of that form
     leaves the float range, sqrt(R) is formed as
-    sqrt(1 - 2(ql)^2) / q / l / hypot(1, sqrt(2)(a + |b| + 1)).
+    sqrt(1 - 2(ql)^2) / q / l / hypot(1, sqrt(2)(a + |b| + 1)); where
+    a sqrt(R) does too, W0 is taken of its logarithm y, as the root of
+    w + ln w = y.
     """
     if q <= 0 or l <= 0:
         raise ValueError(f"q, l must be positive (got q={q}, l={l})")
@@ -107,12 +125,18 @@ def max_window(q: float, l: float, a: float, b: float) -> float:
         root = math.sqrt((1.0 / (q * l) ** 2 - 2.0) / (1.0 + 2.0 * (a + abs(b) + 1.0) ** 2))
     except (ZeroDivisionError, OverflowError):
         root = 0.0
+    spread = math.hypot(1.0, math.sqrt(2.0) * (a + abs(b) + 1.0))
     if not 0 < root < math.inf:
-        spread = math.hypot(1.0, math.sqrt(2.0) * (a + abs(b) + 1.0))
         root = math.sqrt(1.0 - 2.0 * (q * l) ** 2) / q / l / spread
     if a == 0:
         return root
-    return lambert_w0(a * root) / a
+    if a * root < math.inf:
+        return lambert_w0(a * root) / a
+    # in logs: W0(e^y) solves w + ln w = y, and from w = y, above that root,
+    # the first step lands below it and the next ones climb
+    y = (math.log(a) + 0.5 * math.log1p(-2.0 * (q * l) ** 2) - math.log(q) - math.log(l)
+         - math.log(spread))
+    return _w_newton(y, lambda w: math.log(w) - y) / a
 
 
 @dataclass(frozen=True)

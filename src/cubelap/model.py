@@ -18,7 +18,9 @@ declarations. The gaussian and sech kernels share the form
 amplitude * profile(x / width) (``_scaled_kernel``), so their L1 sizes are
 closed forms: ||G||_1 = |amplitude| width c1 and ||G^(6)||_1 = |amplitude| /
 width^5 * K with constants c1, K per entry, and building one runs no
-quadrature. The reactions are F(u, x) = rate(u) + h(x) (``_reaction``).
+quadrature. The band-limited and tabulated kernels are built on a grid
+(``_grid_kernel``): box-sum L1 sizes, and their spectrum on that grid kept.
+The reactions are F(u, x) = rate(u) + h(x) (``_reaction``).
 """
 
 from __future__ import annotations
@@ -95,11 +97,12 @@ class KernelSpec:
     """Interaction kernel G with cached L1 sizes and spectral access.
 
     ``l1`` and ``l1_d6`` are computed once at construction (in
-    ``_scaled_kernel``, ``bandlimited_kernel`` or ``tabulated_kernel``) or
-    injected directly for synthetic test kernels; ``norm_method`` records
-    how: ``"analytic"`` for closed forms in the amplitude and width
-    (gaussian, sech), ``"grid-spectral"`` and ``"spectral-fallback"`` for
-    box sums on the grid.
+    ``_scaled_kernel`` for the analytic kernels, in ``_grid_kernel`` for the
+    band-limited and tabulated ones) or injected directly for synthetic test
+    kernels; ``norm_method`` records how: ``"analytic"`` for closed forms in
+    the amplitude and width (gaussian, sech), ``"grid-spectral"`` and
+    ``"spectral-fallback"`` for box sums on the grid. A grid-built kernel
+    keeps its spectrum on that grid (``grid_spectrum`` on ``bound_grid``).
     """
 
     name: str
@@ -122,15 +125,17 @@ class KernelSpec:
     def spectrum_on(self, grid: SpectralGrid) -> np.ndarray:
         """Spectral coefficients of G on the given grid.
 
-        Uses the analytic transform when the catalog entry ships one, the
-        construction-time profile for grid-built kernels, and the grid
-        transform of the samples otherwise.
+        A grid-built kernel serves the spectrum it was built with and
+        refuses, by its name, a grid of another length or size; an analytic
+        kernel evaluates its transform, and a kernel with neither transforms
+        its samples on the grid.
         """
         if self.grid_spectrum is not None:
             bg = self.bound_grid
             if bg.half_length != grid.half_length or bg.n_points != grid.n_points:
                 raise ValueError(
-                    "kernel was built on a different grid; rebuild it for this one"
+                    f"the {self.name} kernel was built on a different grid; "
+                    "rebuild it for this one"
                 )
             out = self.grid_spectrum
         elif self.spectrum_fn is not None:
@@ -212,15 +217,26 @@ def _trig_poly(grid: SpectralGrid, coeffs: np.ndarray):
     return fn
 
 
-def _box_l1_sizes(
-    grid: SpectralGrid, samples: np.ndarray, ghat: np.ndarray
-) -> tuple[float, float]:
-    """Rectangle-rule ||G||_1 of a kernel's real grid ``samples`` and
-    ||G^(6)||_1 of the sixth derivative (i p)^6 ``ghat`` of its spectrum."""
-    d6 = inverse_transform(
-        Field(grid, (1j * grid.wavenumbers) ** 6 * ghat, "spectral")
-    ).values.real
-    return float(np.sum(np.abs(samples)) * grid.dx), float(np.sum(np.abs(d6)) * grid.dx)
+def _raised_cosine(grid: SpectralGrid, amplitude, p_lo, p_hi) -> np.ndarray:
+    """The spectrum amplitude * cos^2(pi (|p| - c) / (2 h)) on p_lo <= |p| <= p_hi,
+    c and h the band's centre and half width, and zero off the band."""
+    ap = np.abs(grid.wavenumbers)
+    center, halfwidth = 0.5 * (p_lo + p_hi), 0.5 * (p_hi - p_lo)
+    profile = amplitude * np.cos(np.pi * (ap - center) / (2.0 * halfwidth)) ** 2
+    return np.where((ap >= p_lo) & (ap <= p_hi), profile, 0.0).astype(np.complex128)
+
+
+def _grid_kernel(name: str, grid: SpectralGrid, g, samples, ghat, norm_method: str,
+                 params: dict, spectral_cutoff=None):
+    """The kernel G = ``g`` built on ``grid``, with real grid ``samples`` and
+    spectrum ``ghat`` there: ||G||_1 is the rectangle rule of the samples and
+    ||G^(6)||_1 that of the sixth derivative (i p)^6 ``ghat``, and the
+    spectrum is kept for ``spectrum_on`` on this grid only."""
+    d6 = inverse_transform(Field(grid, (1j * grid.wavenumbers) ** 6 * ghat, "spectral")).values
+    return KernelSpec(name=name, g=g, l1=float(np.sum(np.abs(samples)) * grid.dx),
+                      l1_d6=float(np.sum(np.abs(d6.real)) * grid.dx), norm_method=norm_method,
+                      grid_spectrum=ghat, bound_grid=grid, spectral_cutoff=spectral_cutoff,
+                      params=params)
 
 
 def bandlimited_kernel(
@@ -235,30 +251,17 @@ def bandlimited_kernel(
     """
     if amplitude == 0:
         raise KernelAssumptionError("bandlimited kernel amplitude must be nonzero")
-    p = grid.wavenumbers
-    p_max = np.max(np.abs(p))
+    p_max = np.max(np.abs(grid.wavenumbers))
     if not 0 < cutoff < p_max:
         raise ValueError(f"cutoff must lie inside the resolved band (0, {p_max:g})")
-    profile = np.where(
-        np.abs(p) <= cutoff,
-        amplitude * np.cos(np.pi * p / (2.0 * cutoff)) ** 2,
-        0.0,
-    ).astype(np.complex128)
+    # centre 0.0 and half width cutoff, both exactly: cos^2(pi p / (2 cutoff))
+    profile = _raised_cosine(grid, amplitude, -cutoff, cutoff)
     if np.count_nonzero(profile) < 3:
         raise ValueError("cutoff resolves fewer than three modes; refine the grid")
     g_samp = inverse_transform(Field(grid, profile, "spectral")).values.real
-    l1, l1_d6 = _box_l1_sizes(grid, g_samp, profile)
-    return KernelSpec(
-        name="bandlimited",
-        g=_trig_poly(grid, profile),
-        grid_spectrum=profile,
-        bound_grid=grid,
-        l1=l1,
-        l1_d6=l1_d6,
-        norm_method="grid-spectral",
-        spectral_cutoff=float(cutoff),
-        params={"amplitude": float(amplitude), "cutoff": float(cutoff)},
-    )
+    return _grid_kernel("bandlimited", grid, _trig_poly(grid, profile), g_samp, profile,
+                        "grid-spectral", {"amplitude": float(amplitude), "cutoff": float(cutoff)},
+                        spectral_cutoff=float(cutoff))
 
 
 def tabulated_kernel(
@@ -284,22 +287,9 @@ def tabulated_kernel(
         return np.interp(np.asarray(x, dtype=float), xs, gs, left=0.0, right=0.0)
 
     on_grid = g(grid.x)
-    if np.max(np.abs(on_grid)) == 0.0 and np.max(np.abs(gs)) == 0.0:
-        # leave construction possible; validate_kernel raises on use
-        l1 = 0.0
-        l1_d6 = 0.0
-    else:
-        ghat = forward_transform(Field(grid, on_grid)).values
-        l1, l1_d6 = _box_l1_sizes(grid, on_grid, ghat)
-    return KernelSpec(
-        name="tabulated",
-        g=g,
-        l1=l1,
-        l1_d6=l1_d6,
-        norm_method="spectral-fallback",
-        bound_grid=grid,
-        params={"n_samples": int(xs.size)},
-    )
+    ghat = forward_transform(Field(grid, on_grid)).values
+    return _grid_kernel("tabulated", grid, g, on_grid, ghat, "spectral-fallback",
+                        {"n_samples": int(xs.size)})
 
 
 def tabulated_kernel_from_csv(grid: SpectralGrid, path) -> KernelSpec:
@@ -432,18 +422,10 @@ def source_bandlimited(
     Same grid-spectral construction as bandlimited_kernel, so disjointness
     against a band-limited kernel is exact at grid level.
     """
-    p = grid.wavenumbers
-    p_max = np.max(np.abs(p))
+    p_max = np.max(np.abs(grid.wavenumbers))
     if not 0 <= p_lo < p_hi < p_max:
         raise ValueError("need 0 <= p_lo < p_hi inside the resolved band")
-    center = 0.5 * (p_lo + p_hi)
-    halfwidth = 0.5 * (p_hi - p_lo)
-    inside = (np.abs(p) >= p_lo) & (np.abs(p) <= p_hi)
-    profile = np.where(
-        inside,
-        amplitude * np.cos(np.pi * (np.abs(p) - center) / (2.0 * halfwidth)) ** 2,
-        0.0,
-    ).astype(np.complex128)
+    profile = _raised_cosine(grid, amplitude, p_lo, p_hi)
     if np.count_nonzero(profile) < 2:
         raise ValueError("band resolves fewer than two modes; refine the grid")
     return _trig_poly(grid, profile)

@@ -373,6 +373,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _fmt_count(n: int) -> str:
+    """An integer in full up to 15 digits, beyond that as format ``.4g``
+    would give it, rounded on the integer: a count may pass the float range."""
+    if n < 10**15:
+        return str(n)
+    digits = str(round(n, 4 - len(str(n))))
+    return f"{digits[0]}.{digits[1:4]}e+{len(digits) - 1}"
+
+
 def _write_lines(path: Path, lines: list[str], watermark: str | None = None):
     path.write_text((watermark or "") + "\n".join(lines) + "\n")
 
@@ -438,8 +447,9 @@ def run(config: RunConfig) -> RunArtifacts:
         report_bytes = 2 * schedule.count * (config.solver["frames"] + 1) * prob.grid.n_half * 16
         if report_bytes > MEMORY_BUDGET_BYTES:
             raise ConfigError(
-                f"the schedule's {schedule.count} windows would keep {report_bytes} bytes "
-                f"of reports, more than the {MEMORY_BUDGET_BYTES // 2**30} GiB memory budget"
+                f"the schedule's {_fmt_count(schedule.count)} windows would keep "
+                f"{_fmt_count(report_bytes)} bytes of reports, more than the "
+                f"{MEMORY_BUDGET_BYTES // 2**30} GiB memory budget"
             )
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

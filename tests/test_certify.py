@@ -67,6 +67,14 @@ def test_max_window_refuses_when_limit_exceeds_one():
     assert exc.value.product >= 1.0
 
 
+@pytest.mark.parametrize("q, l", [(0.0, 0.1), (-1.0, 0.1), (1.0, 0.0), (1.0, -0.1)])
+def test_max_window_refuses_nonpositive_constants(q, l):
+    with pytest.raises(ValueError) as exc:
+        cl.max_window(q, l, 0.0, 0.0)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"q, l must be positive (got q={q}, l={l})"
+
+
 def test_max_window_root_quality_random():
     rng = np.random.default_rng(2)
     tol = 1e-12
@@ -167,17 +175,48 @@ def test_override_schedule_is_uniform_windows_of_the_cap():
     assert not sched.certificate.valid and sched.certificate.t_max is None
 
 
-def test_constant_is_infinite_once_the_growth_factor_overflows():
+def _decimal_constant(q, l, T, a, b):
+    """C(q, l, T, a, b) in 40-digit decimal arithmetic, whose exponent range
+    has room for e^{2aT} at any a*T of these tests."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 40
+        q, l, T, a, b = map(Decimal, (q, l, T, a, b))
+        s = 1 + 2 * (a + abs(b) + 1) ** 2
+        return float(q * l * (T * T * (2 * a * T).exp() * s + 2).sqrt())
+
+
+def test_constant_is_taken_in_logs_once_the_growth_factor_overflows():
     # a*T = 400: e^{2aT} = e^800 is past the float range, e^600 is not
     q, l, a, b = 0.0707, 12.0, 400.0, 1.0
     assert cl.contraction_constant(q, l, 0.75, a, b) < math.inf
     cert = cl.Certificate.for_window(q, l, a, b, 1.0)
-    assert cert.constant == math.inf and not cert.valid and cert.t_max is None
+    assert cert.constant == pytest.approx(_decimal_constant(q, l, 1.0, a, b), rel=1e-12)
+    assert cert.constant == pytest.approx(2.518e176, rel=1e-3)
+    assert not cert.valid and cert.t_max is None
+    # C itself is past the float range at a*T = 1000
+    assert cl.contraction_constant(q, l, 1.0, 1000.0, b) == math.inf
+    # q*l underflows to 0 while T e^{aT} hypot(...) overflows: C is not 0 * inf
+    args = (1e-312, 1e-200, 1e280, 0.0, 1e33)
+    assert cl.contraction_constant(*args) == pytest.approx(_decimal_constant(*args), rel=1e-12)
     # the override plan of such a window is made, under that certificate
     sched = cl.window_schedule(2.0, q, l, a, b, max_window_length=1.0,
                                override_certificate=True)
     assert (sched.count, sched.window_length) == (2, 1.0)
     assert sched.certificate == cert
+
+
+def test_windows_whose_growth_factor_overflows_are_certified():
+    # l = 1e-300 certifies windows of up to 685: at T = 500, e^{2aT} = e^1000
+    # is past the float range, but C is far below one
+    sched = cl.window_schedule(1000.0, 0.07, 1e-300, 1.0, 1.0)
+    assert (sched.count, sched.window_length) == (2, 500.0)
+    cert = sched.certificate
+    assert cert.valid
+    assert cert.constant == pytest.approx(_decimal_constant(0.07, 1e-300, 500.0, 1.0, 1.0),
+                                          rel=1e-12)
+    assert cert.constant == pytest.approx(2.14e-81, rel=1e-3)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -215,6 +254,8 @@ def test_window_schedule_rejects_non_finite_inputs(kwargs, name):
 _EXTREME = {
     "l_tiny": (0.0707, 1e-300, 0.0, 1.0),
     "l_tiny_with_growth": (0.0707, 1e-300, 1.0, 1.0),
+    "l_subnormal_with_growth": (0.07, 1e-310, 1.0, 1.0),
+    "l_smallest_with_growth": (0.0707, 5e-324, 1e300, 1e300),
     "a_huge": (0.0707, 3.8, 1e300, 1.0),
     "b_huge": (0.0707, 3.8, 0.0, 1e300),
     "b_huge_negative": (0.0707, 3.8, 0.5, -1e300),
@@ -224,13 +265,12 @@ _EXTREME = {
 @pytest.mark.parametrize("case", list(_EXTREME))
 def test_extreme_finite_constants_give_a_window_without_arithmetic_errors(case):
     # (q*l)^2 underflows or (a + |b| + 1)^2 overflows: the root and C are
-    # formed without those squares, and C(T_max) is still one, or +inf where
-    # e^{2a T_max} is past the float range (a tiny l with growth)
+    # formed without those squares, and in logs where a sqrt(R) or e^{2a T_max}
+    # is past the float range (a tiny l with growth); C(T_max) is still one
     q, l, a, b = _EXTREME[case]
     t_max = cl.max_window(q, l, a, b)
     assert 0 < t_max < math.inf
-    c = cl.contraction_constant(q, l, t_max, a, b)
-    assert c == pytest.approx(1.0, rel=1e-9) or (c == math.inf and 2.0 * a * t_max > 710)
+    assert cl.contraction_constant(q, l, t_max, a, b) == pytest.approx(1.0, rel=1e-9)
     assert cl.contraction_constant(q, l, 0.5 * t_max, a, b) < 1.0
 
 

@@ -39,3 +39,15 @@ def test_bitwise_equal_values_are_no_difference():
     assert compare_roots.differences(values, copy) == [
         "m/final_raw: differs, max |change - parent| / max |parent| = 0.000e+00"
     ]
+
+
+def test_mask_mkdtemp_hides_only_the_made_directory(tmp_path):
+    made = tmp_path / "cubelap_demo_k3x9_q"
+    text = (f"config written to {made}/run.json\n"
+            f"(python -m cubelap --config {made}/run.json --oracle)\n"
+            f"{tmp_path}other/x stays, {tmp_path} stays\n")
+    assert compare_roots.mask_mkdtemp(text, tmp_path) == (
+        "config written to <mkdtemp>/run.json\n"
+        "(python -m cubelap --config <mkdtemp>/run.json --oracle)\n"
+        f"{tmp_path}other/x stays, {tmp_path} stays\n"
+    )

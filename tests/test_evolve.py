@@ -303,11 +303,11 @@ def test_picard_override_runs_with_warning():
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_picard_refuses_a_non_finite_default_tolerance():
-    # a = 400 on a unit window: C = inf, and the first image grows like
+    # a = 400 on a unit window: C = 3.0e176, and the first image grows like
     # e^{400 t}, finite, but its squared norm is not
     prob = _simple_problem(cl.saturating(0.3), a=400.0)
     bad = cl.Certificate.for_window(1.0, 1.0, 400.0, 0.0, 1.0)
-    assert bad.constant == math.inf
+    assert bad.constant == pytest.approx(2.961e176, rel=1e-3) and not bad.valid
     with pytest.warns(UserWarning, match="OVERRIDE"), \
             pytest.raises(cl.SolverError, match=r"non-finite norm \(inf\)") as exc:
         cl.picard_solve(prob, 1.0, bad, override_certificate=True, n_frames=16)
@@ -335,6 +335,15 @@ def test_picard_nonconvergence_carries_trace(certified_problem):
     with pytest.raises(cl.PicardConvergenceError) as exc:
         cl.picard_solve(prob, T, cert, max_iter=1)
     assert exc.value.trace.iterations == 1
+
+
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_picard_refuses_fewer_than_one_iteration(certified_problem, max_iter):
+    prob, cert, T = certified_problem
+    with pytest.raises(ValueError) as exc:
+        cl.picard_solve(prob, T, cert, max_iter=max_iter)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"max_iter must be at least 1, got {max_iter}"
 
 
 def test_fixed_point_satisfies_derivative_identity(certified_problem):

@@ -252,6 +252,42 @@ def test_spacetime_field_rejects_nonuniform_times():
         cl.SpacetimeField(g, np.array([0.0, 0.5, 1.0]), np.zeros((2, 16), complex))
 
 
+def _spacetime(grid, times):
+    return cl.SpacetimeField(grid, np.asarray(times, dtype=float),
+                             np.zeros((len(times), grid.n_points), complex))
+
+
+# id: (call, exception type, message) of each refusal of ``grid`` that no
+# other test reaches
+GRID_REFUSALS = {
+    "field_unknown_representation": (
+        lambda: cl.Field(cl.make_grid(2.0, 16), np.zeros(16), "fourier"),
+        ValueError, "unknown representation 'fourier'"),
+    "field_wrong_shape": (
+        lambda: cl.Field(cl.make_grid(2.0, 16), np.zeros(8)),
+        ValueError, "values shape (8,) does not match grid N=16"),
+    "spacetime_one_time": (
+        lambda: _spacetime(cl.make_grid(2.0, 16), [0.0]),
+        ValueError, "time_grid needs at least two points"),
+    "layout_other_grid": (
+        lambda: cl.spacetime_sobolev_norm(_spacetime(cl.make_grid(2.0, 16), [0.0, 0.5]),
+                                          _spacetime(cl.make_grid(2.0, 32), [0.0, 0.5])),
+        ValueError, "spacetime fields live on different grids"),
+    "layout_other_times": (
+        lambda: cl.spacetime_sobolev_norm(_spacetime(cl.make_grid(2.0, 16), [0.0, 0.5]),
+                                          _spacetime(cl.make_grid(2.0, 16), [0.0, 1.0, 2.0])),
+        ValueError, "spacetime fields live on different time grids"),
+}
+
+
+@pytest.mark.parametrize("case", list(GRID_REFUSALS))
+def test_grid_refusals_name_their_cause(case):
+    call, kind, message = GRID_REFUSALS[case]
+    with pytest.raises(kind) as exc:
+        call()
+    assert type(exc.value) is kind and str(exc.value) == message
+
+
 # --------------------------------------------------------------------------
 # sup-bound diagnostics
 # --------------------------------------------------------------------------
@@ -388,18 +424,19 @@ def test_window_data_is_built_in_window_only():
 
 def test_catalog_specs_are_built_in_their_builders_only():
     """``model`` constructs a ``KernelSpec`` only in ``_scaled_kernel`` (the
-    analytic kernels) and the two grid-built kernels, and a
-    ``NonlinearitySpec`` only in ``_reaction``, never at module level."""
+    analytic kernels) and ``_grid_kernel`` (the band-limited and tabulated
+    kernels), and a ``NonlinearitySpec`` only in ``_reaction``, never at
+    module level."""
     import ast
     from pathlib import Path
 
     tree = ast.parse((Path(cl.__file__).parent / "model.py").read_text())
     specs = ("KernelSpec", "NonlinearitySpec")
     assert sorted(_calls_by_function(tree, specs)) == [
-        ("_reaction", "NonlinearitySpec"), ("_scaled_kernel", "KernelSpec"),
-        ("bandlimited_kernel", "KernelSpec"), ("tabulated_kernel", "KernelSpec"),
+        ("_grid_kernel", "KernelSpec"), ("_reaction", "NonlinearitySpec"),
+        ("_scaled_kernel", "KernelSpec"),
     ]
-    assert len(_calls(tree, specs)) == 4
+    assert len(_calls(tree, specs)) == 3
 
 
 _PLAN_CALLS = {"for_window", "max_window", "WindowSchedule"}

@@ -203,11 +203,24 @@ def test_bandlimited_source_matches_dense_trig_sum():
 
 
 def test_bandlimited_kernel_grid_binding():
+    # both grid-built kernels keep the spectrum they were built with and
+    # refuse, by name, a grid of another size or length
     g = cl.make_grid(20.0, 256)
-    other = cl.make_grid(20.0, 128)
-    k = cl.bandlimited_kernel(g, 1.0, 2.0)
-    with pytest.raises(ValueError):
-        k.spectrum_on(other)
+    xs = np.linspace(-5.0, 5.0, 101)
+    kernels = [cl.bandlimited_kernel(g, 1.0, 2.0),
+               cl.tabulated_kernel(g, xs, np.exp(-(xs**2)))]
+    for k in kernels:
+        assert k.spectrum_on(g) is k.grid_spectrum and k.bound_grid is g
+        assert k.spectrum_on(cl.make_grid(20.0, 256)) is k.grid_spectrum
+        for other in (cl.make_grid(20.0, 128), cl.make_grid(10.0, 256)):
+            with pytest.raises(ValueError) as exc:
+                k.spectrum_on(other)
+            assert str(exc.value) == (
+                f"the {k.name} kernel was built on a different grid; rebuild it for this one"
+            )
+    # the tabulated spectrum is the transform of the table on the grid
+    samples = cl.Field(g, kernels[1].g(g.x))
+    assert np.array_equal(kernels[1].grid_spectrum, cl.forward_transform(samples).values)
 
 
 def test_tabulated_kernel_roundtrip(tmp_path):
@@ -251,6 +264,96 @@ def test_zero_kernel_fails_validation():
         cl.validate_kernel(k, g)
     with pytest.raises(cl.KernelAssumptionError):
         cl.kernel_strength(k)
+
+
+def test_tabulated_csv_skips_comment_and_blank_rows(tmp_path):
+    g = cl.make_grid(10.0, 64)
+    xs = np.linspace(-3.0, 3.0, 13)
+    path = tmp_path / "kern.csv"
+    rows = [f"{float(x)!r},{float(np.exp(-x * x))!r}" for x in xs]
+    path.write_text("# x, G(x)\n\n" + "\n".join(rows[:6]) + "\n  # mid\n\n"
+                    + "\n".join(rows[6:]) + "\n")
+    k = cl.tabulated_kernel_from_csv(g, path)
+    ref = cl.tabulated_kernel(g, xs, np.exp(-(xs * xs)))
+    assert k.params == {"n_samples": 13}
+    assert (k.l1, k.l1_d6) == (ref.l1, ref.l1_d6)
+    assert np.array_equal(k.grid_spectrum, ref.grid_spectrum)
+
+
+def _three_column_csv(tmp_path):
+    path = tmp_path / "kern.csv"
+    path.write_text("0.0,1.0\n1.0,0.5,2\n")
+    return cl.tabulated_kernel_from_csv(cl.make_grid(10.0, 64), path)
+
+
+def _problem_with_u0(values):
+    g = cl.make_grid(10.0, 64)
+    return cl.ProblemSpec(a=0.0, b=0.0, kernel=cl.gaussian_kernel(),
+                          nonlinearity=cl.saturating(1.0), u0=cl.Field(g, values(g.x)), grid=g)
+
+
+_G64 = cl.make_grid(10.0, 64)
+
+# id: (call of tmp_path, exception type, message with {tmp} for tmp_path) of
+# each refusal of ``model`` that no other test reaches
+MODEL_REFUSALS = {
+    "scaled_kernel_zero_amplitude": (
+        lambda tmp: cl.gaussian_kernel(0.0), cl.KernelAssumptionError,
+        "gaussian kernel amplitude must be nonzero"),
+    "scaled_kernel_zero_width": (
+        lambda tmp: cl.sech_kernel(1.0, 0.0), ValueError, "sech kernel width must be positive"),
+    "scaled_kernel_negative_width": (
+        lambda tmp: cl.gaussian_kernel(1.0, -1.0), ValueError,
+        "gaussian kernel width must be positive"),
+    "bandlimited_zero_amplitude": (
+        lambda tmp: cl.bandlimited_kernel(_G64, 0.0, 1.0), cl.KernelAssumptionError,
+        "bandlimited kernel amplitude must be nonzero"),
+    "bandlimited_cutoff_outside_the_band": (
+        lambda tmp: cl.bandlimited_kernel(_G64, 1.0, 20.0), ValueError,
+        "cutoff must lie inside the resolved band (0, 10.0531)"),
+    "bandlimited_cutoff_zero": (
+        lambda tmp: cl.bandlimited_kernel(_G64, 1.0, 0.0), ValueError,
+        "cutoff must lie inside the resolved band (0, 10.0531)"),
+    "tabulated_ragged": (
+        lambda tmp: cl.tabulated_kernel(_G64, np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0])),
+        ValueError, "need two equal-length 1-d sample arrays"),
+    "tabulated_csv_three_columns": (
+        _three_column_csv, ValueError,
+        "expected two columns in {tmp}/kern.csv, got ['1.0', '0.5', '2']"),
+    "source_band_reversed": (
+        lambda tmp: cl.source_bandlimited(_G64, 1.0, 2.0, 1.0), ValueError,
+        "need 0 <= p_lo < p_hi inside the resolved band"),
+    "source_band_below_zero": (
+        lambda tmp: cl.source_bandlimited(_G64, 1.0, -1.0, 1.0), ValueError,
+        "need 0 <= p_lo < p_hi inside the resolved band"),
+    "saturating_zero": (
+        lambda tmp: cl.saturating(0.0), ValueError, "lipschitz must be positive"),
+    "logistic_clip_zero_lipschitz": (
+        lambda tmp: cl.logistic_clip(0.0, 1.0), ValueError,
+        "lipschitz and u_max must be positive"),
+    "logistic_clip_negative_u_max": (
+        lambda tmp: cl.logistic_clip(1.0, -1.0), ValueError,
+        "lipschitz and u_max must be positive"),
+    "lipschitz_sampling_no_trials": (
+        lambda tmp: cl.check_lipschitz_sampling(cl.saturating(1.0), trials=0), ValueError,
+        "need at least one trial"),
+    "overlap_zero_threshold": (
+        lambda tmp: cl.nontriviality_overlap(cl.gaussian_kernel(), cl.saturating(1.0), _G64,
+                                             eps_supp=0.0),
+        ValueError, "eps_supp must be positive"),
+    "u0_with_non_finite_h6_norm": (
+        lambda tmp: _problem_with_u0(lambda x: 1e200 * np.exp(-(x**2))),
+        cl.AssumptionViolation, "initial condition has non-finite Sobolev norm"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("case", list(MODEL_REFUSALS))
+def test_model_refusals_name_their_cause(case, tmp_path):
+    call, kind, message = MODEL_REFUSALS[case]
+    with pytest.raises(kind) as exc:
+        call(tmp_path)
+    assert type(exc.value) is kind and str(exc.value) == message.format(tmp=tmp_path)
 
 
 # --------------------------------------------------------------------------

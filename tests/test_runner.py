@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -256,6 +257,17 @@ def test_unknown_plot_selector(tmp_path):
     artifacts = cl.run(config)
     with pytest.raises(ValueError, match="selector"):
         cl.emit_plot_data(artifacts, "spectrogram")
+
+
+@pytest.mark.parametrize("exit_code", [EXIT_CERTIFICATE_REFUSED, EXIT_OK])
+def test_plot_data_refuses_a_run_without_reports(tmp_path, exit_code):
+    # a refused run, and a run that reads exit 0 but kept no report
+    artifacts = cl.RunArtifacts(exit_code=exit_code, output_dir=tmp_path, summary={})
+    with pytest.raises(ValueError) as exc:
+        cl.emit_plot_data(artifacts, "decay")
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "plot data requires a completed successful run"
+    assert not list(tmp_path.iterdir())
 
 
 # --------------------------------------------------------------------------
@@ -984,7 +996,7 @@ def test_override_run_lists_each_runtime_warning_once(tmp_path):
 
 
 def test_override_run_whose_constant_overflows_names_the_norm(tmp_path):
-    # a*T = 400: C = inf, and the first image's norm leaves the float range
+    # a*T = 400: C = 2.5e176, and the first image's norm leaves the float range
     code, summary = _override_run(tmp_path, 1.0, 1.0, a=400.0)
     assert code == EXIT_SOLVER_FAILURE
     assert summary["error"] == (
@@ -1036,6 +1048,35 @@ def test_extreme_finite_constants_exit_without_arithmetic_errors(tmp_path, case)
     if code == EXIT_OK:  # one certified window covers the horizon
         assert summary["windows"] == "1" and cert["valid"] == "true"
         assert float(cert["T_max"]) > 1e300
+
+
+def test_report_memory_refusal_rounds_counts_past_15_digits(tmp_path):
+    # a = 1e300: windows of about 1e-300, a 300-digit count given to 4 digits
+    from cubelap.runner import _fmt_count
+
+    assert [_fmt_count(n) for n in (968_800, 10**15 - 1, 10**15, 6378 * 10**296, 10**400)] == [
+        "968800", "999999999999999", "1.000e+15", "6.378e+299", "1.000e+400"]
+    cfg = _certified_config(tmp_path / "out")
+    cfg["model"]["a"] = 1e300
+    code, cert, summary = _main_artifacts(tmp_path, cfg)
+    assert code == EXIT_ASSUMPTION_VIOLATION
+    assert re.fullmatch(r"the schedule's \d\.\d{3}e\+299 windows would keep \d\.\d{3}e\+30\d "
+                        r"bytes of reports, more than the 2 GiB memory budget", summary["error"])
+
+
+def test_windows_whose_growth_factor_overflows_are_certified_through_main(tmp_path):
+    # lipschitz 1e-300 and a = 1 certify windows of up to T_max = 685, and one
+    # window of 600: e^{2aT} is past the float range there, C is far below one
+    cfg = _certified_config(tmp_path / "out", horizon=600.0)
+    cfg["grid"]["N"] = 64
+    cfg["model"]["a"] = 1.0
+    cfg["nonlinearity"] = {"name": "saturating", "lipschitz": 1e-300}
+    cfg["initial_condition"]["amplitude"] = 1e-250
+    cfg["solver"]["frames"] = 8
+    code, cert, summary = _main_artifacts(tmp_path, cfg)
+    assert code == EXIT_OK and summary["windows"] == "1"
+    assert cert["valid"] == "true" and float(cert["C"]) == pytest.approx(6.98e-38, rel=1e-3)
+    assert float(cert["T_max"]) == pytest.approx(685.42, rel=1e-5)
 
 
 # --------------------------------------------------------------------------

@@ -40,6 +40,17 @@ def test_dump_header_layout(tmp_path):
     assert raw[struct.calcsize("<4sIdId"):] == u.frames.astype("<c16").tobytes()
 
 
+@pytest.mark.parametrize("size", [0, 1, struct.calcsize("<4sIdId") - 1])
+def test_load_refuses_a_truncated_header(tmp_path, size):
+    full = tmp_path / "field.sxd"
+    cl.dump_spacetime_field(full, _sample_field())
+    path = tmp_path / "short.sxd"
+    path.write_bytes(full.read_bytes()[:size])
+    with pytest.raises(ValueError) as exc:
+        cl.load_spacetime_field(path)
+    assert type(exc.value) is ValueError and str(exc.value) == f"{path}: truncated header"
+
+
 def test_load_rejects_corruption(tmp_path):
     u = _sample_field()
     path = tmp_path / "field.sxd"
