@@ -8,8 +8,9 @@ only read:
 
 * every ``batch_configs`` config (the full set) and every
   ``known_defect_configs`` config at seeds 0-2, through the root's
-  ``runner.main`` as the ``batch_cli`` workload runs them: the exit code and
-  the sha256 of every artifact file, ``final_field.sxd`` included;
+  ``runner.main`` as the ``batch_cli`` workload runs them: the exit code,
+  the text of ``summary.txt`` and ``certificate.txt``, and the sha256 of
+  every other artifact file, ``final_field.sxd`` included;
 * ``march_oracle`` at full size and ``march_wide`` at smoke size, seeds 0-1,
   through the root's ``global_march``: every window's ``final_raw``, Picard
   distances and ``oracle_rel_deviation``;
@@ -19,8 +20,9 @@ only read:
 
 Each root runs in an interpreter of its own, in a temporary directory, with
 no bytecode written. The script prints every key whose value differs or is
-missing on one side, with the largest relative gap of a differing array,
-then the number of keys compared. It exits 1 if any key differs, else 0.
+missing on one side, with the largest relative gap of a differing array
+and the first differing line of each side of a differing text, then the
+number of keys compared. It exits 1 if any key differs, else 0.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +47,8 @@ BATCH_SEEDS = (0, 1, 2)
 MARCH_SEEDS = (0, 1)
 #: (workload, smoke) of each march compared
 MARCHES = (("march_oracle", False), ("march_wide", True))
+#: artifacts compared by their text, so that a difference shows its line
+TEXT_ARTIFACTS = ("summary.txt", "certificate.txt")
 
 
 def mask_mkdtemp(text: str, tmpdir: Path) -> str:
@@ -78,7 +83,9 @@ def collect(src: Path, workloads_path: Path, workdir: Path) -> dict:
             key = f"batch_cli/seed{seed}/{name}"
             values[f"{key}/exit"] = str(code)
             for path in sorted(out.iterdir()):
-                values[f"{key}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+                data = path.read_bytes()
+                values[f"{key}/{path.name}"] = (data.decode() if path.name in TEXT_ARTIFACTS
+                                                else hashlib.sha256(data).hexdigest())
     for name, smoke in MARCHES:
         march = wl.WORKLOADS[name]
         for seed in MARCH_SEEDS:
@@ -101,6 +108,13 @@ def collect(src: Path, workloads_path: Path, workdir: Path) -> dict:
     return values
 
 
+def _first_differing_line(parent: str, change: str) -> tuple[int, str, str]:
+    """(number, parent's line, change's line) of the first line at which two
+    different texts differ; a text that has ended reads ``<end>`` there."""
+    pairs = zip_longest(parent.split("\n"), change.split("\n"), fillvalue="<end>")
+    return next((n, p, c) for n, (p, c) in enumerate(pairs, 1) if p != c)
+
+
 def differences(parent: dict, change: dict) -> list[str]:
     """One line per key whose value is not the same on both sides."""
     lines = []
@@ -110,7 +124,9 @@ def differences(parent: dict, change: dict) -> list[str]:
             continue
         p, c = parent[key], change[key]
         if isinstance(p, str) or isinstance(c, str):
-            if p != c:
+            if p != c and key.rsplit("/", 1)[-1] in TEXT_ARTIFACTS:
+                lines.append("{}: line {}: {!r} -> {!r}".format(key, *_first_differing_line(p, c)))
+            elif p != c:
                 lines.append(f"{key}: {p} -> {c}")
         elif p.shape != c.shape:
             lines.append(f"{key}: shape {p.shape} -> {c.shape}")

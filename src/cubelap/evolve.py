@@ -19,7 +19,8 @@ integrating it against the exact exponential using phi-weights, so the
 quadrature is second order in the frame spacing and exact whenever fhat_v is
 constant in s (pure source reactions, and the zero reaction). An independent
 integrating-factor Heun marcher is kept alongside as a cross-validation
-oracle; it deliberately shares no quadrature with the mild-solution map.
+oracle; it shares the reaction evaluation and its finiteness guard
+(``_forcing_history``) with the Picard iteration, but no quadrature.
 
 The unknown is a real field, the kernel and the reaction are real and
 lam(-p) = conj(lam(p)), so every spectrum in the solvers is Hermitian and is
@@ -712,7 +713,7 @@ def etd_reference_solve(
     if bad.size:
         raise ValueError(f"starts must be a (K, {grid.n_half}) array of finite modes; "
                          f"rows {bad.tolist()} are not finite")
-    failures = (ValueError, ModelEvaluationError, ReferenceInstabilityError)
+    failures = (ValueError, SolverError, ModelEvaluationError)
     try:
         return deque(_heun_march(*march, u0), maxlen=1)[0]
     except failures:
@@ -732,8 +733,8 @@ def _heun_march(
     yields the state, of u_hat's shape, at frames 1..n_frames, with the
     symbol and the kernel factor of ``_half_symbols`` and no phi-weight.
     Raises the first failure: a window length or substep count that fails
-    the preconditions, a model error, or a row whose norm leaves 1e8 times
-    the larger of its norms before and after substep 1.
+    the preconditions, a model error or a non-finite forcing, or a row whose
+    norm leaves 1e8 times the larger of its norms before and after substep 1.
     """
     _check_window(window_length, n_frames)
     if substeps < MIN_ORACLE_SUBSTEPS_FACTOR * n_frames:
@@ -748,9 +749,6 @@ def _heun_march(
     lam, g = _half_symbols(prob)
     e_h = np.exp(h * lam)
 
-    def reaction(u: np.ndarray) -> np.ndarray:
-        return g * rfft_raw(apply_nonlinearity(irfft_raw(grid, u), prob.nonlinearity, grid))
-
     def l2(u: np.ndarray) -> np.ndarray:
         return np.sqrt(np.atleast_1d(half_sq_norms(grid, u, "l2")))
 
@@ -758,9 +756,9 @@ def _heun_march(
     scale0 = l2(u_hat)
     ref = None
     for n in range(substeps):
-        nn = reaction(u_hat)
+        nn = g * _forcing_history(u_hat, prob)
         pred = e_h * (u_hat + h * nn)
-        u_hat = e_h * u_hat + 0.5 * h * (e_h * nn + reaction(pred))
+        u_hat = e_h * u_hat + 0.5 * h * (e_h * nn + g * _forcing_history(pred, prob))
         norm_now = l2(u_hat)
         if ref is None:
             ref = np.fmax(np.fmax(scale0, norm_now), 1e-12)

@@ -20,7 +20,8 @@ closed forms: ||G||_1 = |amplitude| width c1 and ||G^(6)||_1 = |amplitude| /
 width^5 * K with constants c1, K per entry, and building one runs no
 quadrature. The band-limited and tabulated kernels are built on a grid
 (``_grid_kernel``): box-sum L1 sizes, and their spectrum on that grid kept.
-The reactions are F(u, x) = rate(u) + h(x) (``_reaction``).
+The reactions are F(u, x) = rate(u) + h(x) (``_reaction``). Two-column CSV
+tables are read by ``read_table`` and interpolated by ``table_profile``.
 """
 
 from __future__ import annotations
@@ -102,7 +103,8 @@ class KernelSpec:
     kernels; ``norm_method`` records how: ``"analytic"`` for closed forms in
     the amplitude and width (gaussian, sech), ``"grid-spectral"`` and
     ``"spectral-fallback"`` for box sums on the grid. A grid-built kernel
-    keeps its spectrum on that grid (``grid_spectrum`` on ``bound_grid``).
+    keeps its spectrum on that grid (``grid_spectrum`` on ``bound_grid``); a
+    kernel with neither that nor ``spectrum_fn`` has no spectrum.
     """
 
     name: str
@@ -127,8 +129,8 @@ class KernelSpec:
 
         A grid-built kernel serves the spectrum it was built with and
         refuses, by its name, a grid of another length or size; an analytic
-        kernel evaluates its transform, and a kernel with neither transforms
-        its samples on the grid.
+        kernel evaluates its transform, and a kernel with neither is refused
+        by its name: ``tabulated_kernel`` builds a kernel from samples.
         """
         if self.grid_spectrum is not None:
             bg = self.bound_grid
@@ -141,7 +143,8 @@ class KernelSpec:
         elif self.spectrum_fn is not None:
             out = np.asarray(self.spectrum_fn(grid.wavenumbers), dtype=np.complex128)
         else:
-            out = forward_transform(Field(grid, self.g(grid.x))).values
+            raise ValueError(f"the {self.name} kernel has no spectrum; build a kernel "
+                             "from samples with tabulated_kernel")
         out.flags.writeable = False
         return out
 
@@ -264,6 +267,32 @@ def bandlimited_kernel(
                         spectral_cutoff=float(cutoff))
 
 
+def read_table(path) -> tuple[np.ndarray, np.ndarray]:
+    """The columns (x, y) of the two-column CSV table at ``path``, blank and
+    ``#`` rows skipped: two columns, two rows or more and strictly increasing
+    x, or a ValueError that names ``path``."""
+    xs, ys = [], []
+    with open(path, newline="") as fh:
+        for row in csv.reader(fh):
+            if not row or row[0].lstrip().startswith("#"):
+                continue
+            if len(row) != 2:
+                raise ValueError(f"expected two columns in {path}, got {row!r}")
+            xs.append(float(row[0]))
+            ys.append(float(row[1]))
+    if len(xs) < 2:
+        raise ValueError(f"table {path} needs two rows or more, got {len(xs)}")
+    # np.interp reads a decreasing x as garbage, not as an error
+    if not np.all(np.diff(xs) > 0):
+        raise ValueError(f"table {path}: x samples must be strictly increasing")
+    return np.asarray(xs), np.asarray(ys)
+
+
+def table_profile(xs: np.ndarray, ys: np.ndarray):
+    """x -> the table (xs, ys), linear between rows and zero outside them."""
+    return lambda x: np.interp(np.asarray(x, dtype=float), xs, ys, left=0.0, right=0.0)
+
+
 def tabulated_kernel(
     grid: SpectralGrid, x_samples: np.ndarray, g_samples: np.ndarray
 ) -> KernelSpec:
@@ -282,10 +311,7 @@ def tabulated_kernel(
         raise ValueError("tabulated x samples must be strictly increasing")
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
         raise ValueError("tabulated x samples must be uniformly spaced")
-
-    def g(x):
-        return np.interp(np.asarray(x, dtype=float), xs, gs, left=0.0, right=0.0)
-
+    g = table_profile(xs, gs)
     on_grid = g(grid.x)
     ghat = forward_transform(Field(grid, on_grid)).values
     return _grid_kernel("tabulated", grid, g, on_grid, ghat, "spectral-fallback",
@@ -293,17 +319,8 @@ def tabulated_kernel(
 
 
 def tabulated_kernel_from_csv(grid: SpectralGrid, path) -> KernelSpec:
-    """Load a two-column CSV (x, G(x)): strictly increasing, uniform x."""
-    xs, gs = [], []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if len(row) != 2:
-                raise ValueError(f"expected two columns in {path}, got {row!r}")
-            xs.append(float(row[0]))
-            gs.append(float(row[1]))
-    return tabulated_kernel(grid, np.asarray(xs), np.asarray(gs))
+    """The tabulated kernel of the CSV table (x, G(x)) at ``path`` (``read_table``)."""
+    return tabulated_kernel(grid, *read_table(path))
 
 
 @dataclass(frozen=True)
@@ -406,7 +423,7 @@ def source_zero():
 
 def source_gaussian(amplitude: float = 1.0, width: float = 1.0, center: float = 0.0):
     if width <= 0:
-        raise ValueError("gaussian source width must be positive")
+        raise ValueError("gaussian width must be positive")
 
     def h(x):
         return amplitude * np.exp(-(((np.asarray(x, dtype=float) - center) / width) ** 2))

@@ -1,7 +1,8 @@
 """Batch front door: declarative run configuration -> artifacts on disk.
 
 A run is a single JSON file naming the grid, the model constants, a kernel
-and a nonlinearity from the catalogs, an initial condition and a horizon.
+and a nonlinearity from the catalogs of ``model``, an initial condition (a
+profile x -> u0(x), sampled once on the grid) and a horizon.
 The pipeline validates the structural assumptions, evaluates the contraction
 certificate, refuses by default when it is invalid, executes the windowed
 global solve, and writes everything needed to audit the run:
@@ -47,13 +48,14 @@ from .evolve import (
     SolverError,
     global_march,
 )
-from .grid import Field, field_from_function, inverse_transform, make_grid
+from .grid import field_from_function, inverse_transform, make_grid
 from .model import (
     KERNELS,
     LIPSCHITZ_SEED,
     LIPSCHITZ_TRIALS,
     NONLINEARITIES,
     REQUIRED,
+    SOURCES,
     AssumptionViolation,
     CatalogEntry,
     ModelEvaluationError,
@@ -62,6 +64,8 @@ from .model import (
     Subsection,
     check_lipschitz_sampling,
     kernel_strength,
+    read_table,
+    table_profile,
     validate_kernel,
 )
 from .storage import dump_spacetime_field
@@ -309,46 +313,19 @@ def _construct(catalog: dict, section: dict, grid):
     return entry.build(grid, **kwargs) if entry.takes_grid else entry.build(**kwargs)
 
 
-def _ic_zero(grid):
-    return Field(grid, np.zeros(grid.n_points), "physical")
-
-
-def _ic_gaussian(grid, amplitude, width, center):
-    if width <= 0:
-        raise ValueError("gaussian initial condition width must be positive")
-    return field_from_function(
-        grid, lambda x: amplitude * np.exp(-(((x - center) / width) ** 2))
-    )
-
-
 def _ic_mode(grid, amplitude, k):
     p0 = k * np.pi / grid.half_length
-    return field_from_function(grid, lambda x: amplitude * np.cos(p0 * x))
+    return lambda x: amplitude * np.cos(p0 * x)
 
 
-def _ic_csv(grid, path):
-    with warnings.catch_warnings():
-        # an empty file is refused below by its row count, not by numpy's warning
-        warnings.simplefilter("ignore", UserWarning)
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
-    if len(data) < 2:
-        raise ConfigError(f"initial_condition csv {path} needs two rows or more, got {len(data)}")
-    if data.shape[1] != 2:
-        raise ConfigError(f"initial_condition csv {path} must have two columns")
-    # np.interp reads a decreasing x as garbage, not as an error
-    if not np.all(np.diff(data[:, 0]) > 0):
-        raise ConfigError(f"initial_condition csv {path} x samples must be strictly increasing")
-    return field_from_function(grid, lambda x: np.interp(x, *data.T, left=0.0, right=0.0))
-
-
-#: Initial conditions are a runner catalog: the model takes any field.
+#: Profiles x -> u0(x) that ``build_problem`` samples on the grid: ``model``'s
+#: sources ``zero`` and ``gaussian``, its table reader for ``csv`` (x need not be
+#: uniform), and ``mode``, the runner's own.
 INITIAL_CONDITIONS = {
-    "zero": CatalogEntry(_ic_zero, {}, takes_grid=True),
-    "gaussian": CatalogEntry(
-        _ic_gaussian, {"amplitude": 1.0, "width": 1.0, "center": 0.0}, takes_grid=True
-    ),
+    "zero": SOURCES["zero"],
+    "gaussian": SOURCES["gaussian"],
     "mode": CatalogEntry(_ic_mode, {"amplitude": 1.0, "k": Required(int)}, takes_grid=True),
-    "csv": CatalogEntry(_ic_csv, {"path": Required(str)}, takes_grid=True),
+    "csv": CatalogEntry(lambda path: table_profile(*read_table(path)), {"path": Required(str)}),
 }
 
 
@@ -360,7 +337,8 @@ def build_problem(config: RunConfig) -> ProblemSpec:
         b=config.model["b"],
         kernel=_construct(KERNELS, config.kernel, grid),
         nonlinearity=_construct(NONLINEARITIES, config.nonlinearity, grid),
-        u0=_construct(INITIAL_CONDITIONS, config.initial_condition, grid),
+        u0=field_from_function(
+            grid, _construct(INITIAL_CONDITIONS, config.initial_condition, grid)),
         grid=grid,
     )
 

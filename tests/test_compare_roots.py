@@ -15,12 +15,19 @@ _spec.loader.exec_module(compare_roots)
 
 def test_differences_name_every_changed_missing_or_reshaped_key():
     x = np.array([1.0, 2.0])
-    parent = {"c/exit": "0", "c/summary.txt": "aa", "m/final_raw": x, "m/distances": x,
+    parent = {"c/exit": "0", "c/summary.txt": "status=x\nerror=a\nwindows=1\n",
+              "c/certificate.txt": "q=1\n", "c/final_field.sxd": "aa",
+              "m/final_raw": x, "m/distances": x,
               "m/oracle_rel_deviation": np.array(1e-6), "gone": "1"}
-    change = {"c/exit": "3", "c/summary.txt": "aa", "m/final_raw": np.nextafter(x, 3.0),
+    change = {"c/exit": "3", "c/summary.txt": "status=x\nerror=b\nwindows=1\n",
+              "c/certificate.txt": "q=1\nT=2\n", "c/final_field.sxd": "bb",
+              "m/final_raw": np.nextafter(x, 3.0),
               "m/distances": np.ones(3), "m/oracle_rel_deviation": np.array(1e-6), "new": "1"}
     assert compare_roots.differences(parent, change) == [
+        "c/certificate.txt: line 2: '' -> 'T=2'",
         "c/exit: 0 -> 3",
+        "c/final_field.sxd: aa -> bb",
+        "c/summary.txt: line 2: 'error=a' -> 'error=b'",
         "gone: only in parent",
         "m/distances: shape (2,) -> (3,)",
         "m/final_raw: differs, max |change - parent| / max |parent| = 2.220e-16",

@@ -841,6 +841,25 @@ def test_batched_oracle_model_error_reads_as_one_window():
     assert "in frame" not in str(exc.value)
 
 
+def test_oracle_refuses_a_non_finite_forcing_in_both_forms():
+    # from the zero start, F(0) = h is a gaussian of peak 1e308: every sample
+    # is finite, but its transform sums them past the largest float. The
+    # oracle's reaction is Picard's, guard included, so the transform's
+    # overflow is named as such and not blamed on the reaction
+    g = cl.make_grid(20.0, 128)
+    nonlinearity = cl.linear_plus_source(1.0, cl.source_gaussian(1e308))
+    prob = cl.ProblemSpec(a=0.0, b=1.0, kernel=cl.gaussian_kernel(0.01, 2.0),
+                          nonlinearity=nonlinearity, u0=cl.Field(g, np.zeros(128)), grid=g)
+    message = "forcing history contains non-finite values"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(cl.SolverError) as single:
+            cl.etd_reference_solve(prob, 0.4, 64, n_frames=16)
+        with pytest.raises(cl.MarchWindowError) as block:
+            cl.etd_reference_solve(prob, 0.4, 64, n_frames=16, starts=np.zeros((1, g.n_half)))
+    assert type(single.value) is cl.SolverError and str(single.value) == message
+    assert block.value.window_index == 0 and str(block.value) == f"window 0 failed: {message}"
+
+
 def test_batched_oracle_substep_preconditions_fail_window_0():
     prob = _simple_problem(cl.linear_plus_source(0.0))
     physical = np.stack([prob.u0.values.real] * 2)

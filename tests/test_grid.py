@@ -403,8 +403,9 @@ def _calls_by_function(tree, names):
 
 def test_window_data_is_built_in_window_only():
     """``evolve`` builds the symbol and the kernel factor in ``_half_symbols``
-    only, the phi-weights in ``_window`` only, and the Heun march, which runs
-    no phi-weight code, raises its failures with no ``try``."""
+    only, the phi-weights in ``_window`` only, evaluates the reaction in
+    ``_forcing_history`` only, for both solvers, and the Heun march, which
+    runs no phi-weight code, raises its failures with no ``try``."""
     import ast
     from pathlib import Path
 
@@ -416,6 +417,9 @@ def test_window_data_is_built_in_window_only():
     ]
     phi = _calls_by_function(tree, ("phi1", "phi2"))
     assert sorted(phi) == [("_window", "phi1"), ("_window", "phi2"), ("_window", "phi2")]
+    assert _calls_by_function(tree, ("apply_nonlinearity",)) == [
+        ("_forcing_history", "apply_nonlinearity")
+    ]
     heun = next(fn for fn in ast.walk(tree)
                 if isinstance(fn, ast.FunctionDef) and fn.name == "_heun_march")
     assert not any(isinstance(node, ast.Try) for node in ast.walk(heun))
@@ -465,6 +469,29 @@ def test_march_plan_lives_in_certify_only():
         if path.name != "certify.py" and (calls := _plan_calls(path))
     }
     assert stray == {}
+
+
+def test_initial_conditions_are_read_from_model():
+    """The runner's initial conditions ``zero`` and ``gaussian`` are the
+    source entries of ``model.SOURCES``, and the runner reads no table and
+    evaluates no profile of ``model`` itself: no ``loadtxt``, ``reader``,
+    ``interp`` or ``exp``."""
+    import ast
+    from pathlib import Path
+
+    from cubelap.model import SOURCES
+    from cubelap.runner import INITIAL_CONDITIONS
+
+    assert INITIAL_CONDITIONS["zero"] is SOURCES["zero"]
+    assert INITIAL_CONDITIONS["gaussian"] is SOURCES["gaussian"]
+    src = Path(cl.__file__).parent
+    names = {"loadtxt", "reader", "interp", "exp"}
+
+    def called(module):
+        return {name for _, name in _calls(ast.parse((src / module).read_text()), names)}
+
+    assert called("model.py") == names - {"loadtxt"}  # the scan sees model's own calls
+    assert called("runner.py") == set()
 
 
 _CERTIFICATE_KEYS = ("C_small_T_limit", "valid=")

@@ -63,15 +63,13 @@ def test_kernel_strength_homogeneous_in_amplitude():
     assert abs(scaled - 2.5 * base) <= 1e-9 * scaled
 
 
+def _synthetic_kernel():
+    return cl.KernelSpec(name="synthetic", g=lambda x: np.exp(-np.asarray(x) ** 2),
+                         l1=3.0, l1_d6=4.0, norm_method="declared")
+
+
 def test_synthetic_three_four_five_kernel():
-    k = cl.KernelSpec(
-        name="synthetic",
-        g=lambda x: np.exp(-np.asarray(x) ** 2),
-        l1=3.0,
-        l1_d6=4.0,
-        norm_method="declared",
-    )
-    assert cl.kernel_strength(k) == 5.0
+    assert cl.kernel_strength(_synthetic_kernel()) == 5.0
 
 
 @pytest.mark.parametrize("l1, l1_d6", [(np.nan, 4.0), (3.0, np.inf), (0.0, 4.0)])
@@ -278,12 +276,21 @@ def test_tabulated_csv_skips_comment_and_blank_rows(tmp_path):
     assert k.params == {"n_samples": 13}
     assert (k.l1, k.l1_d6) == (ref.l1, ref.l1_d6)
     assert np.array_equal(k.grid_spectrum, ref.grid_spectrum)
+    # the same table read as the runner's csv initial condition
+    from cubelap.runner import INITIAL_CONDITIONS
+
+    u0 = INITIAL_CONDITIONS["csv"].build(path)(g.x)
+    assert np.array_equal(u0, np.interp(g.x, xs, np.exp(-(xs * xs)), left=0.0, right=0.0))
 
 
-def _three_column_csv(tmp_path):
-    path = tmp_path / "kern.csv"
-    path.write_text("0.0,1.0\n1.0,0.5,2\n")
-    return cl.tabulated_kernel_from_csv(cl.make_grid(10.0, 64), path)
+def _kernel_csv(text):
+    """The call that reads ``text`` as a tabulated kernel's CSV in tmp."""
+    def call(tmp_path):
+        path = tmp_path / "kern.csv"
+        path.write_text(text)
+        return cl.tabulated_kernel_from_csv(cl.make_grid(10.0, 64), path)
+
+    return call
 
 
 def _problem_with_u0(values):
@@ -318,8 +325,18 @@ MODEL_REFUSALS = {
         lambda tmp: cl.tabulated_kernel(_G64, np.array([0.0, 1.0, 2.0]), np.array([1.0, 1.0])),
         ValueError, "need two equal-length 1-d sample arrays"),
     "tabulated_csv_three_columns": (
-        _three_column_csv, ValueError,
+        _kernel_csv("0.0,1.0\n1.0,0.5,2\n"), ValueError,
         "expected two columns in {tmp}/kern.csv, got ['1.0', '0.5', '2']"),
+    "tabulated_csv_one_row": (
+        _kernel_csv("# x, G(x)\n0.0,1.0\n"), ValueError,
+        "table {tmp}/kern.csv needs two rows or more, got 1"),
+    "tabulated_csv_x_decreasing": (
+        _kernel_csv("1.0,1.0\n0.0,1.0\n"), ValueError,
+        "table {tmp}/kern.csv: x samples must be strictly increasing"),
+    "kernel_without_spectrum": (
+        lambda tmp: _synthetic_kernel().spectrum_on(_G64), ValueError,
+        "the synthetic kernel has no spectrum; build a kernel from samples with "
+        "tabulated_kernel"),
     "source_band_reversed": (
         lambda tmp: cl.source_bandlimited(_G64, 1.0, 2.0, 1.0), ValueError,
         "need 0 <= p_lo < p_hi inside the resolved band"),

@@ -829,7 +829,7 @@ REJECTION_CASES = {
                                 "nonlinearity.source needs a 'name'", True),
     "path_not_string": (lambda c, p: c.update(initial_condition={"name": "csv", "path": 3}),
                         "initial_condition.path must be a string", True),
-    "csv_three_columns": (_three_column_csv, "must have two columns", False),
+    "csv_three_columns": (_three_column_csv, "expected two columns", False),
     "csv_one_row": (_csv_rows([(0.0, 1.0)]), "needs two rows or more, got 1", False),
     "csv_x_decreasing": (_csv_rows(_GAUSSIAN_ROWS[::-1]),
                          "x samples must be strictly increasing", False),
