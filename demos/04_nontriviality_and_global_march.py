@@ -44,5 +44,5 @@ print(f"march over horizon 3.0 used {len(reports_g)} certified windows "
 for rep in reports_g:
     print(f"  window at t = {rep.t_offset:4.2f}: {rep.trace.iterations} iterations, "
           f"end L2 = {rep.l2_per_frame[-1]:.6f}")
-print(f"final overlap record: {reports_g[-1].overlap:.4f}; "
+print(f"final overlap record: {overlap_g:.4f}; "
       "the zero start did not stay at zero")

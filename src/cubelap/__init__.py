@@ -56,7 +56,6 @@ from .grid import (
     inverse_transform,
     l1_norm,
     l2_norm,
-    l2_spacetime_norm,
     make_grid,
     spacetime_sobolev_norm,
     spectral_derivative,

@@ -173,16 +173,15 @@ class WindowSchedule:
     """The plan of a global march: ``count`` windows of one length under one
     certificate.
 
-    t_w is the window cap: safety * t_max, lowered to ``max_window_length``
-    if given. The march uses the uniform length t_total / count <= t_w, and
-    ``certificate`` is ``Certificate.for_window`` at that length: valid for
-    every certified schedule, invalid only on the override path.
+    t_w is the window cap: safety * t_max for the ``safety`` passed to
+    ``window_schedule``, lowered to ``max_window_length`` if given. The
+    march's uniform length is t_total / count <= t_w; ``certificate`` is
+    ``Certificate.for_window`` at it, invalid only on the override path.
     """
 
     t_total: float
     t_w: float
     count: int
-    safety: float
     certificate: Certificate
 
     @property
@@ -236,7 +235,7 @@ def window_schedule(
     count = max(1, math.ceil(t_total / t_w))
     cert = Certificate.for_window(q, l, a, b, float(t_total) / count)
     return WindowSchedule(
-        t_total=float(t_total), t_w=t_w, count=count, safety=safety, certificate=cert
+        t_total=float(t_total), t_w=t_w, count=count, certificate=cert
     )
 
 

@@ -102,7 +102,6 @@ from .model import (
     ProblemSpec,
     apply_nonlinearity,
     kernel_strength,
-    nontriviality_overlap,
     validate_kernel,
 )
 
@@ -435,7 +434,6 @@ class SolveReport:
     dudt_l2_per_frame: np.ndarray
     tail_warnings: tuple[str, ...]
     oracle_rel_deviation: float | None = None
-    overlap: float | None = None
 
     @property
     def field(self) -> SpacetimeField:
@@ -800,8 +798,7 @@ def global_march(
     certificate covers every window: the march runs the ``count`` windows
     of ``window_schedule``'s plan under its ``certificate``. What is
     re-checked per window is the part the analysis cannot see, the
-    box-truncation tail mass. The final report carries the support-overlap
-    measure for the nontriviality criterion.
+    box-truncation tail mass (the support overlap is not the march's).
 
     Order of work: the Picard chain runs until every window is solved or
     one fails. The march keeps one list of start states in ``rfft_raw``
@@ -856,7 +853,4 @@ def global_march(
             rep.oracle_rel_deviation = num / den if den > 0 else num
     if failed is not None:
         _raise_window_failure(*failed)
-    reports[-1].overlap = nontriviality_overlap(
-        prob.kernel, prob.nonlinearity, prob.grid
-    )
     return reports

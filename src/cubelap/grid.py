@@ -72,6 +72,8 @@ class SpectralGrid:
     x: np.ndarray = field(init=False, repr=False, compare=False)
     wavenumbers: np.ndarray = field(init=False, repr=False, compare=False)
 
+    # a box whose norm weights leave the float range is refused by name below
+    @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
         L, N = self.half_length, self.n_points
         if not L > 0:
@@ -113,6 +115,11 @@ class SpectralGrid:
         d6 = l2 * np.repeat(p12[: N // 2 + 1], 2)
         raw = (self.dx / np.sqrt(2.0 * np.pi)) ** 2
         views = {"l2": raw * l2, "d6": raw * d6, "h6": raw * (l2 + d6)}
+        if not np.all(np.isfinite(views["h6"])):
+            raise ValueError(
+                f"the box L = {L!r} with N = {N} has norm weights "
+                "(dx/sqrt(2 pi))^2 (1 + p^12) dp outside the float range"
+            )
         for w in views.values():
             w.flags.writeable = False
         object.__setattr__(self, "_view_weights", views)
@@ -133,7 +140,8 @@ class SpectralGrid:
 
 
 def make_grid(half_length: float, n_points: int) -> SpectralGrid:
-    """Build the periodic grid; rejects odd N, N < 8 and nonpositive L."""
+    """Build the periodic grid; rejects odd N, N < 8, nonpositive L and a box
+    whose norm weights are not finite floats."""
     return SpectralGrid(float(half_length), int(n_points))
 
 
@@ -364,12 +372,6 @@ def _check_same_layout(u: SpacetimeField, v: SpacetimeField):
         u.time_grid, v.time_grid
     ):
         raise ValueError("spacetime fields live on different time grids")
-
-
-def l2_spacetime_norm(u: SpacetimeField) -> float:
-    """L2 norm over the box times [0, T], trapezoid rule in time."""
-    per_frame = np.sum(np.abs(u.frames) ** 2, axis=1) * u.grid.dp
-    return float(np.sqrt(np.trapezoid(per_frame, u.time_grid)))
 
 
 def trapezoid_weights(time_grid: np.ndarray) -> np.ndarray:

@@ -325,13 +325,10 @@ def tabulated_kernel_from_csv(grid: SpectralGrid, path) -> KernelSpec:
 
 @dataclass(frozen=True)
 class KernelValidationReport:
-    nonvanishing: bool
-    l1: float
-    l1_d6: float
-    norm_method: str
+    """What validation measured: box tail mass, outer share of |p^6 Ghat|, notes."""
+
     tail_fraction: float
     spectral_tail_fraction: float | None
-    compact_spectral_support: bool
     notes: tuple[str, ...]
 
 
@@ -364,13 +361,8 @@ def validate_kernel(kernel: KernelSpec, grid: SpectralGrid) -> KernelValidationR
             f"compact spectral support by construction: |p| <= {kernel.spectral_cutoff:g}"
         )
     return KernelValidationReport(
-        nonvanishing=True,
-        l1=kernel.l1,
-        l1_d6=kernel.l1_d6,
-        norm_method=kernel.norm_method,
         tail_fraction=tail,
         spectral_tail_fraction=spectral_tail,
-        compact_spectral_support=kernel.spectral_cutoff is not None,
         notes=tuple(notes),
     )
 
@@ -717,8 +709,7 @@ def nontriviality_overlap(
     """
     if eps_supp <= 0:
         raise ValueError("eps_supp must be positive")
-    zero_state = Field(grid, np.zeros(grid.n_points), "physical")
-    f0 = nonlinearity.fn(zero_state.values.real, grid.x)
+    f0 = nonlinearity.fn(np.zeros(grid.n_points), grid.x)
     if np.max(np.abs(f0)) == 0.0:
         warnings.warn(
             "F(0, .) is identically zero: the nontriviality hypothesis cannot hold",

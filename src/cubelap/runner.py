@@ -3,9 +3,9 @@
 A run is a single JSON file naming the grid, the model constants, a kernel
 and a nonlinearity from the catalogs of ``model``, an initial condition (a
 profile x -> u0(x), sampled once on the grid) and a horizon.
-The pipeline validates the structural assumptions, evaluates the contraction
-certificate, refuses by default when it is invalid, executes the windowed
-global solve, and writes everything needed to audit the run:
+The pipeline validates the assumptions, evaluates the contraction certificate,
+refuses by default when it is invalid, executes the windowed global solve,
+measures the support overlap and writes everything needed to audit the run:
 
     certificate.txt    flat key=value, enough to recompute C by hand; a run
                        that ends before its march returns writes certify's
@@ -64,6 +64,7 @@ from .model import (
     Subsection,
     check_lipschitz_sampling,
     kernel_strength,
+    nontriviality_overlap,
     read_table,
     table_profile,
     validate_kernel,
@@ -134,7 +135,6 @@ class RunArtifacts:
     output_dir: Path
     summary: dict
     reports: list[SolveReport] = field(default_factory=list)
-    config: RunConfig | None = None
 
 
 def _require_keys(section: dict, name: str, known: dict):
@@ -443,6 +443,8 @@ def run(config: RunConfig) -> RunArtifacts:
                 run_oracle=config.flags["run_oracle"],
                 oracle_substeps_factor=config.solver["oracle_substeps_factor"],
             )
+            # its F(0, .) warning is one of the run's runtime warnings
+            overlap = nontriviality_overlap(prob.kernel, prob.nonlinearity, prob.grid)
 
         cert = schedule.certificate
         if override and not cert.valid:
@@ -468,7 +470,7 @@ def run(config: RunConfig) -> RunArtifacts:
                 "q": cert.q,
                 "l": cert.l,
                 "T_max": cert.t_max,
-                "overlap": reports[-1].overlap,
+                "overlap": overlap,
                 "final_l2": float(reports[-1].l2_per_frame[-1]),
                 "final_h6_part": float(reports[-1].d6_l2_per_frame[-1]),
                 "max_picard_ratio": max_ratio,
@@ -488,7 +490,6 @@ def run(config: RunConfig) -> RunArtifacts:
     _write_trail(out, summary, watermark, refused)
     return RunArtifacts(
         exit_code=summary["exit_code"], output_dir=out, summary=summary, reports=reports,
-        config=config,
     )
 
 
@@ -631,7 +632,3 @@ def main(argv=None) -> int:
     err = artifacts.summary.get("error")
     print(f"status={status} exit={artifacts.exit_code}" + (f" ({err})" if err else ""))
     return artifacts.exit_code
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -62,7 +62,6 @@ def test_criterion_2_transform_fidelity():
             assert lhs6 <= rhs6 * (1 + 1e-10)
 
 
-@pytest.mark.filterwarnings("ignore:F\\(0, .\\) is identically zero")
 def test_criterion_3_linear_exactness():
     with _report(3, "linear exactness and semigroup march"):
         g = cl.make_grid(np.pi, 64)

@@ -159,7 +159,7 @@ def test_bandlimited_kernel_support_is_exact():
     assert np.all(ghat[outside] == 0)
     assert np.max(np.abs(ghat)) > 0
     report = cl.validate_kernel(k, g)
-    assert report.compact_spectral_support
+    assert k.spectral_cutoff is not None
     assert any("compact spectral support" in note for note in report.notes)
 
 

@@ -214,7 +214,6 @@ def test_oracle_flag_records_deviation(tmp_path):
 # --------------------------------------------------------------------------
 
 
-@pytest.mark.filterwarnings("ignore:F\\(0, .\\) is identically zero")
 def test_decay_csv_slope_for_free_mode(tmp_path):
     # F == 0, single mode k=1 on an L=pi grid: log ||u(t)|| has slope a - 1
     out = tmp_path / "out"
@@ -924,7 +923,6 @@ def test_summary_reports_certificate_slack_and_picard_error_bound(tmp_path):
     assert bound > 0.0
 
 
-@pytest.mark.filterwarnings("ignore:F\\(0, .\\) is identically zero")
 def test_summary_diagnostics_read_none_without_a_ratio(tmp_path):
     # F == 0: the first iterate is the fixed point, so no ratio is measured
     cfg = _certified_config(tmp_path / "out")
@@ -935,6 +933,40 @@ def test_summary_diagnostics_read_none_without_a_ratio(tmp_path):
     assert summary["oracle_rel_deviation"] == "none"
     assert summary["certificate_slack"] == "none"
     assert summary["picard_error_bound"] == "none"
+
+
+_ZERO_F0 = "F(0, .) is identically zero: the nontriviality hypothesis cannot hold"
+
+
+def test_runner_measures_the_overlap_among_its_runtime_warnings(tmp_path):
+    # F(0, .) = 0: overlap 0.0, and the warning of nontriviality_overlap is
+    # one of the run's runtime warnings, listed once
+    cfg = _certified_config(tmp_path / "out")
+    cfg["nonlinearity"] = {"name": "saturating", "lipschitz": 3.8}
+    code, _, summary = _main_artifacts(tmp_path, cfg)
+    assert code == EXIT_OK
+    assert summary["overlap"] == "0.0"
+    assert summary["runtime_warnings"].split("; ").count(_ZERO_F0) == 1
+    # a gaussian source: the problem's own overlap, bit for bit
+    config = cl.parse_config(_write(tmp_path, _certified_config(tmp_path / "g_out"), "g.json"))
+    artifacts = cl.run(config)
+    prob = cl.build_problem(config)
+    overlap = cl.nontriviality_overlap(prob.kernel, prob.nonlinearity, prob.grid)
+    assert overlap > 0.0
+    assert artifacts.summary["overlap"].hex() == overlap.hex()
+    assert f"overlap={overlap!r}" in (tmp_path / "g_out" / "summary.txt").read_text()
+
+
+def test_records_keep_only_what_they_measured():
+    from dataclasses import fields
+
+    def names(record):
+        return {f.name for f in fields(record)}
+
+    assert "overlap" not in names(cl.SolveReport)
+    assert names(cl.KernelValidationReport) == {"tail_fraction", "spectral_tail_fraction", "notes"}
+    assert names(cl.WindowSchedule) == {"t_total", "t_w", "count", "certificate"}
+    assert names(cl.RunArtifacts) == {"exit_code", "output_dir", "summary", "reports"}
 
 
 def test_summary_diagnostics_read_none_when_c_is_not_below_one(tmp_path):
@@ -1015,6 +1047,13 @@ def test_override_run_with_a_tolerance_stops_at_the_first_non_finite_distance(tm
     )
 
 
+def _box_case(half_length):
+    def edit(cfg):
+        cfg.update(grid={"L": half_length, "N": 64}, initial_condition={"name": "zero"})
+
+    return edit, EXIT_ASSUMPTION_VIOLATION, f"the box L = {half_length!r} with N = 64 "
+
+
 # id: (config edit, exit code, the start of error=) of finite constants at
 # which the kernel's L1 sizes or the certificate arithmetic leave the floats
 EXTREME_CASES = {
@@ -1032,9 +1071,16 @@ EXTREME_CASES = {
                                      EXIT_ASSUMPTION_VIOLATION,
                                      "the window cap 0.0 leaves no finite window count"),
     "lipschitz_tiny": (lambda c: c["nonlinearity"].update(lipschitz=1e-300), EXIT_OK, None),
+    # (dx/sqrt(2 pi))^2 or p^12 leaves the floats: the grid refuses the box
+    # while the problem is built (with a zero start, L = 1e160 exited 3 at the
+    # first Picard image, 1e308 and 1e-25 blamed the start's Sobolev norm)
+    "box_L_1e160": _box_case(1e160),
+    "box_L_1e308": _box_case(1e308),
+    "box_L_1e-25": _box_case(1e-25),
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", list(EXTREME_CASES))
 def test_extreme_finite_constants_exit_without_arithmetic_errors(tmp_path, case):
     edit, code, error = EXTREME_CASES[case]
