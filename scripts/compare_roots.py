@@ -9,8 +9,9 @@ only read:
 * every ``batch_configs`` config (the full set) and every
   ``known_defect_configs`` config at seeds 0-2, through the root's
   ``runner.main`` as the ``batch_cli`` workload runs them: the exit code,
-  the text of ``summary.txt`` and ``certificate.txt``, and the sha256 of
-  every other artifact file, ``final_field.sxd`` included;
+  the text of ``summary.txt``, ``certificate.txt``, ``trace_w<k>.csv`` and
+  ``norms_w<k>.csv``, and the sha256 of every other artifact file,
+  ``final_field.sxd`` included;
 * ``march_oracle`` at full size and ``march_wide`` at smoke size, seeds 0-1,
   through the root's ``global_march``: every window's ``final_raw``, Picard
   distances and ``oracle_rel_deviation``;
@@ -20,8 +21,10 @@ only read:
 
 Each root runs in an interpreter of its own, in a temporary directory, with
 no bytecode written. The script prints every key whose value differs or is
-missing on one side, with the largest relative gap of a differing array
-and the first differing line of each side of a differing text, then the
+missing on one side, with the largest relative gap of a differing array;
+of a differing text, the first differing line of each side and the largest
+relative gap between the numbers of its differing lines, or "text differs"
+when their count or the text around them differs. Then it prints the
 number of keys compared. It exits 1 if any key differs, else 0.
 """
 
@@ -32,6 +35,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import math
 import os
 import pickle
 import re
@@ -47,8 +51,11 @@ BATCH_SEEDS = (0, 1, 2)
 MARCH_SEEDS = (0, 1)
 #: (workload, smoke) of each march compared
 MARCHES = (("march_oracle", False), ("march_wide", True))
-#: artifacts compared by their text, so that a difference shows its line
-TEXT_ARTIFACTS = ("summary.txt", "certificate.txt")
+#: artifacts compared by their text, so that a difference shows its line and size
+TEXT_ARTIFACTS = re.compile(r"summary\.txt|certificate\.txt|(?:trace|norms)_w\d+\.csv")
+#: a number as the artifacts print it (``repr`` of a float or an int, nan, inf),
+#: not part of a name such as ``trace_w0`` or ``d6u_l2``
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)(?![\w.])")
 
 
 def mask_mkdtemp(text: str, tmpdir: Path) -> str:
@@ -84,7 +91,8 @@ def collect(src: Path, workloads_path: Path, workdir: Path) -> dict:
             values[f"{key}/exit"] = str(code)
             for path in sorted(out.iterdir()):
                 data = path.read_bytes()
-                values[f"{key}/{path.name}"] = (data.decode() if path.name in TEXT_ARTIFACTS
+                text = TEXT_ARTIFACTS.fullmatch(path.name)
+                values[f"{key}/{path.name}"] = (data.decode() if text
                                                 else hashlib.sha256(data).hexdigest())
     for name, smoke in MARCHES:
         march = wl.WORKLOADS[name]
@@ -108,11 +116,33 @@ def collect(src: Path, workloads_path: Path, workdir: Path) -> dict:
     return values
 
 
-def _first_differing_line(parent: str, change: str) -> tuple[int, str, str]:
-    """(number, parent's line, change's line) of the first line at which two
-    different texts differ; a text that has ended reads ``<end>`` there."""
+def _line_gap(parent: str, change: str) -> float | None:
+    """The largest |change - parent| / |parent| between the numbers of two
+    lines, paired in order, or None when their count or the text around them
+    differs. Equal numbers (nan with nan too) have gap 0; any other change
+    from 0, nan or inf, or to nan or inf, has gap inf."""
+    ps, cs = NUMBER.findall(parent), NUMBER.findall(change)
+    if len(ps) != len(cs) or NUMBER.sub("#", parent) != NUMBER.sub("#", change):
+        return None
+    gaps = [0.0]
+    for p, c in zip(map(float, ps), map(float, cs)):
+        if p != c and not (math.isnan(p) and math.isnan(c)):
+            finite = p != 0 and math.isfinite(p) and math.isfinite(c)
+            gaps.append(abs(c - p) / abs(p) if finite else math.inf)
+    return max(gaps)
+
+
+def _text_difference(parent: str, change: str) -> str:
+    """The first line at which two different texts differ, on each side (a
+    text that has ended reads ``<end>`` there), and the largest relative gap
+    over all their differing lines, or "text differs"."""
     pairs = zip_longest(parent.split("\n"), change.split("\n"), fillvalue="<end>")
-    return next((n, p, c) for n, (p, c) in enumerate(pairs, 1) if p != c)
+    differing = [(n, p, c) for n, (p, c) in enumerate(pairs, 1) if p != c]
+    gaps = [_line_gap(p, c) for _, p, c in differing]
+    n, p, c = differing[0]
+    size = ("text differs" if None in gaps else
+            f"largest relative gap {max(gaps):.3e} over {len(differing)} differing lines")
+    return f"line {n}: {p!r} -> {c!r}; {size}"
 
 
 def differences(parent: dict, change: dict) -> list[str]:
@@ -124,8 +154,8 @@ def differences(parent: dict, change: dict) -> list[str]:
             continue
         p, c = parent[key], change[key]
         if isinstance(p, str) or isinstance(c, str):
-            if p != c and key.rsplit("/", 1)[-1] in TEXT_ARTIFACTS:
-                lines.append("{}: line {}: {!r} -> {!r}".format(key, *_first_differing_line(p, c)))
+            if p != c and TEXT_ARTIFACTS.fullmatch(key.rsplit("/", 1)[-1]):
+                lines.append(f"{key}: {_text_difference(p, c)}")
             elif p != c:
                 lines.append(f"{key}: {p} -> {c}")
         elif p.shape != c.shape:

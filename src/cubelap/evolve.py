@@ -117,6 +117,14 @@ DEFAULT_MAX_ITER = 200
 #: The fewest Heun substeps per frame the oracle takes, and the march's default.
 MIN_ORACLE_SUBSTEPS_FACTOR = 4
 
+#: Memory a run may plan for (README, "Limits"). A window solve peaks at
+#: about one array of (frames + 1) x N complex values of 16 bytes: the
+#: iterate and its time derivative, two (frames + 1) x K arrays on the
+#: window's live band K <= N/2 + 1, of which the report keeps the first, and
+#: a few blocks. So two such arrays per window at K = N/2 + 1 bound a march's
+#: windows - 1 reports and its last solve's pair (``global_march``).
+MEMORY_BUDGET_BYTES = 2 * 2**30
+
 
 class SolverError(RuntimeError):
     pass
@@ -771,6 +779,15 @@ def _heun_march(
             yield u_hat
 
 
+def _fmt_count(n: int) -> str:
+    """An integer in full up to 15 digits, beyond that as format ``.4g``
+    would give it, rounded on the integer: a count may pass the float range."""
+    if n < 10**15:
+        return str(n)
+    digits = str(round(n, 4 - len(str(n))))
+    return f"{digits[0]}.{digits[1:4]}e+{len(digits) - 1}"
+
+
 def _raise_window_failure(k: int, exc: Exception):
     """Raise window k's failure the way ``global_march`` reports it: a solver
     or value error wrapped in ``MarchWindowError(k)``, anything else (a
@@ -795,10 +812,12 @@ def global_march(
     """Chain certified windows across the whole horizon.
 
     The contraction constant does not depend on the initial state, so one
-    certificate covers every window: the march runs the ``count`` windows
-    of ``window_schedule``'s plan under its ``certificate``. What is
-    re-checked per window is the part the analysis cannot see, the
-    box-truncation tail mass (the support overlap is not the march's).
+    certificate covers every window: the march makes the one plan,
+    ``window_schedule``'s, refuses it before window 0 (a ``ValueError``) if
+    its reports could pass ``MEMORY_BUDGET_BYTES``, and runs its ``count``
+    windows under its ``certificate``. What is re-checked per window is the
+    part the analysis cannot see, the box-truncation tail mass (the support
+    overlap is not the march's).
 
     Order of work: the Picard chain runs until every window is solved or
     one fails. The march keeps one list of start states in ``rfft_raw``
@@ -819,6 +838,11 @@ def global_march(
     schedule = window_schedule(
         t_total, q, ell, prob.a, prob.b, safety, max_window_length, override_certificate
     )
+    report_bytes = 2 * schedule.count * (n_frames + 1) * prob.grid.n_half * 16
+    if report_bytes > MEMORY_BUDGET_BYTES:
+        raise ValueError(f"the schedule's {_fmt_count(schedule.count)} windows would keep "
+                         f"{_fmt_count(report_bytes)} bytes of reports, more than the "
+                         f"{MEMORY_BUDGET_BYTES // 2**30} GiB memory budget")
     t_win = schedule.window_length
     starts = [rfft_raw(prob.u0.values.real)]
     reports: list[SolveReport] = []

@@ -3,13 +3,15 @@
 A run is a single JSON file naming the grid, the model constants, a kernel
 and a nonlinearity from the catalogs of ``model``, an initial condition (a
 profile x -> u0(x), sampled once on the grid) and a horizon.
-The pipeline validates the assumptions, evaluates the contraction certificate,
-refuses by default when it is invalid, executes the windowed global solve,
-measures the support overlap and writes everything needed to audit the run:
+The pipeline validates the assumptions; ``global_march`` plans the windows
+under one certificate, refuses by default when it is invalid or its reports
+could pass the memory budget, and solves them; the runner measures the
+support overlap and writes everything needed to audit the run:
 
-    certificate.txt    flat key=value, enough to recompute C by hand; a run
-                       that ends before its march returns writes certify's
-                       refusal trail (nan for a value set-up never reached)
+    certificate.txt    the march's certificate, flat key=value, enough to
+                       recompute C by hand; a run that ends before its march
+                       returns writes certify's refusal trail (nan for a
+                       value set-up never reached)
     config_echo.json   the configuration with every default materialized
     summary.txt        status, warnings, overlap measure, final norms,
                        certificate slack and Picard error bound
@@ -37,11 +39,11 @@ from .certify import (
     NoAdmissibleWindow,
     certificate_report,
     partial_certificate_report,
-    window_schedule,
 )
 from .evolve import (
     DEFAULT_FRAMES,
     DEFAULT_MAX_ITER,
+    MEMORY_BUDGET_BYTES,
     MIN_ORACLE_SUBSTEPS_FACTOR,
     CertificateRefusedError,
     SolveReport,
@@ -86,15 +88,9 @@ class ConfigError(ValueError):
     """Configuration file violates the documented schema."""
 
 
-#: Memory a run may plan for (README, "Limits"). A window solve peaks at
-#: about one array of (frames + 1) x N complex values of 16 bytes: the
-#: iterate and its time derivative, two (frames + 1) x K arrays on the
-#: window's live band K <= N/2 + 1, of which the report keeps the first, and
-#: a few blocks; the bound allows 16 such arrays at K = N/2 + 1. The
-#: Lipschitz sampler takes about 82 bytes per trial; the bound allows 16
-#: floats of 8 bytes. Once the certificate fixes the window count, ``run``
-#: refuses a schedule whose reports and last iterate could exceed the budget.
-MEMORY_BUDGET_BYTES = 2 * 2**30
+#: Sizes a config may ask for under the march's memory budget: 16 arrays of
+#: (frames + 1) x N complex values, and per trial of the Lipschitz sampler,
+#: which takes about 82 bytes, 16 floats of 8 bytes.
 MAX_TRAJECTORY_VALUES = MEMORY_BUDGET_BYTES // (16 * 16)
 MAX_LIPSCHITZ_TRIALS = MEMORY_BUDGET_BYTES // (16 * 8)
 
@@ -351,15 +347,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _fmt_count(n: int) -> str:
-    """An integer in full up to 15 digits, beyond that as format ``.4g``
-    would give it, rounded on the integer: a count may pass the float range."""
-    if n < 10**15:
-        return str(n)
-    digits = str(round(n, 4 - len(str(n))))
-    return f"{digits[0]}.{digits[1:4]}e+{len(digits) - 1}"
-
-
 def _write_lines(path: Path, lines: list[str], watermark: str | None = None):
     path.write_text((watermark or "") + "\n".join(lines) + "\n")
 
@@ -394,7 +381,8 @@ def _norm_rows(report: SolveReport) -> list[str]:
 
 
 def run(config: RunConfig) -> RunArtifacts:
-    """Execute the whole certified pipeline for one configuration."""
+    """Execute the whole certified pipeline for one configuration; the
+    certificate it reports is the one ``global_march`` planned and ran under."""
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     override = config.flags["override_certificate"]
@@ -414,21 +402,6 @@ def run(config: RunConfig) -> RunArtifacts:
             trials=config.solver["lipschitz_trials"],
             seed=config.solver["seed"],
         )
-        schedule = window_schedule(
-            config.horizon, q, ell, prob.a, prob.b, config.solver["safety"],
-            config.solver["max_window_length"], override,
-        )
-        setting_up = False
-        # each window's report keeps u_band, (frames + 1) x K with K <= N/2 + 1
-        # its live band, and the last solve holds the iterate pair, so two
-        # arrays per window at K = N/2 + 1 bound windows - 1 reports and that pair
-        report_bytes = 2 * schedule.count * (config.solver["frames"] + 1) * prob.grid.n_half * 16
-        if report_bytes > MEMORY_BUDGET_BYTES:
-            raise ConfigError(
-                f"the schedule's {_fmt_count(schedule.count)} windows would keep "
-                f"{_fmt_count(report_bytes)} bytes of reports, more than the "
-                f"{MEMORY_BUDGET_BYTES // 2**30} GiB memory budget"
-            )
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             reports = global_march(
@@ -443,10 +416,11 @@ def run(config: RunConfig) -> RunArtifacts:
                 run_oracle=config.flags["run_oracle"],
                 oracle_substeps_factor=config.solver["oracle_substeps_factor"],
             )
+            setting_up = False
             # its F(0, .) warning is one of the run's runtime warnings
             overlap = nontriviality_overlap(prob.kernel, prob.nonlinearity, prob.grid)
 
-        cert = schedule.certificate
+        cert = reports[0].certificate
         if override and not cert.valid:
             watermark = (
                 f"# OVERRIDE: certificate invalid (C={cert.constant!r}); "
@@ -465,7 +439,7 @@ def run(config: RunConfig) -> RunArtifacts:
         summary.update(
             {
                 "windows": len(reports),
-                "window_length": schedule.window_length,
+                "window_length": cert.T,
                 "C": cert.constant,
                 "q": cert.q,
                 "l": cert.l,
@@ -495,9 +469,10 @@ def run(config: RunConfig) -> RunArtifacts:
 
 def _exit_for(exc: Exception, setting_up: bool) -> tuple[int, str, str]:
     """(exit code, status, error) of a run that raised ``exc``; an unforeseen
-    failure (say, out of memory) is named by its type. Setting up ends with
-    the march's plan. OSError while setting up: a file the config names (a
-    CSV table) cannot be read."""
+    failure (say, out of memory) is named by its type. Setting up ends when
+    the march returns, since the plan is made inside it (a window's failure
+    is no set-up error). OSError while setting up: a file the config names
+    (a CSV table) cannot be read."""
     refusals = (NoAdmissibleWindow, CertificateRefusedError)
     if isinstance(exc, refusals) or isinstance(exc.__cause__, refusals):
         return EXIT_CERTIFICATE_REFUSED, "certificate_refused", str(exc)

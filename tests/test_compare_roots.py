@@ -24,14 +24,38 @@ def test_differences_name_every_changed_missing_or_reshaped_key():
               "m/final_raw": np.nextafter(x, 3.0),
               "m/distances": np.ones(3), "m/oracle_rel_deviation": np.array(1e-6), "new": "1"}
     assert compare_roots.differences(parent, change) == [
-        "c/certificate.txt: line 2: '' -> 'T=2'",
+        "c/certificate.txt: line 2: '' -> 'T=2'; text differs",
         "c/exit: 0 -> 3",
         "c/final_field.sxd: aa -> bb",
-        "c/summary.txt: line 2: 'error=a' -> 'error=b'",
+        "c/summary.txt: line 2: 'error=a' -> 'error=b'; text differs",
         "gone: only in parent",
         "m/distances: shape (2,) -> (3,)",
         "m/final_raw: differs, max |change - parent| / max |parent| = 2.220e-16",
         "new: only in change",
+    ]
+
+
+def test_text_artifacts_show_the_size_of_a_numeric_difference():
+    # the CSVs are compared as text: numbers that moved in their low bits
+    # show the largest relative gap over the file's differing lines, and a
+    # line whose words or number count changed shows "text differs"
+    header = "n,d_n,r_n,C\n"
+    parent = {"c/trace_w0.csv": header + "1,0.5,,0.0125\n2,0.25,0.5,0.0125\n",
+              "c/norms_w1.csv": "t,l2,d6u_l2,dudt_l2\n0.4,1.0,2.0,nan\n",
+              "c/trace_w1.csv": header + "1,0.5,,0.0125\n",
+              "c/summary.txt": "overlap=0.0\nwindows=1\n"}
+    change = {"c/trace_w0.csv": header + "1,0.5000000000000001,,0.0125\n2,0.25,0.5,0.0126\n",
+              "c/norms_w1.csv": "t,l2,d6u_l2,dudt_l2\n0.4,1.0,2.0000000000000004,nan\n",
+              "c/trace_w1.csv": header + "1,0.5,0.9,0.0125\n",
+              "c/summary.txt": "overlap=1e-300\nwindows=1\n"}
+    assert compare_roots.differences(parent, change) == [
+        "c/norms_w1.csv: line 2: '0.4,1.0,2.0,nan' -> '0.4,1.0,2.0000000000000004,nan'; "
+        "largest relative gap 2.220e-16 over 1 differing lines",
+        "c/summary.txt: line 1: 'overlap=0.0' -> 'overlap=1e-300'; "
+        "largest relative gap inf over 1 differing lines",
+        "c/trace_w0.csv: line 2: '1,0.5,,0.0125' -> '1,0.5000000000000001,,0.0125'; "
+        "largest relative gap 8.000e-03 over 2 differing lines",
+        "c/trace_w1.csv: line 2: '1,0.5,,0.0125' -> '1,0.5,0.9,0.0125'; text differs",
     ]
 
 

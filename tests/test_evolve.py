@@ -604,6 +604,34 @@ def test_march_disjoint_bands_stay_zero():
         assert np.max(np.abs(rep.field.frames)) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "a, horizon, window",
+    [(1e300, 0.4, None), (0.0, 1e6, 0.4)],
+    ids=["a_1e300", "horizon_1e6_at_0.4"],
+)
+def test_march_refuses_a_plan_past_the_memory_budget_before_window_0(
+    certified_problem, monkeypatch, a, horizon, window
+):
+    # windows of about 1e-300, or 2.5e6 windows of 0.4: the reports would
+    # pass the budget, so no caller of global_march gets a window solved
+    import dataclasses
+
+    import cubelap.evolve as evolve
+
+    solved = []
+
+    def solve(*args, **kwargs):
+        solved.append(kwargs["t_offset"])
+        raise AssertionError("a window was solved")
+
+    monkeypatch.setattr(evolve, "picard_solve", solve)
+    prob = dataclasses.replace(certified_problem[0], a=a)
+    with pytest.raises(ValueError, match=r"^the schedule's .* windows would keep .* bytes of "
+                       r"reports, more than the 2 GiB memory budget$"):
+        cl.global_march(prob, horizon, n_frames=8, max_window_length=window)
+    assert solved == []
+
+
 def test_march_wraps_window_failures(certified_problem):
     prob, cert, T = certified_problem
     with pytest.raises(cl.MarchWindowError) as exc:

@@ -482,6 +482,21 @@ def test_march_plan_lives_in_certify_only():
     assert stray == {}
 
 
+def test_march_is_planned_in_global_march_only():
+    """``evolve.global_march`` is the one caller of ``window_schedule``: a
+    run's plan is made once, by the march that runs it."""
+    import ast
+    from pathlib import Path
+
+    src = Path(cl.__file__).parent
+    callers = [
+        (path.name, fn)
+        for path in sorted(src.glob("*.py"))
+        for fn, _ in _calls_by_function(ast.parse(path.read_text()), {"window_schedule"})
+    ]
+    assert callers == [("evolve.py", "global_march")]
+
+
 def test_initial_conditions_are_read_from_model():
     """The runner's initial conditions ``zero`` and ``gaussian`` are the
     source entries of ``model.SOURCES``, and the runner reads no table and

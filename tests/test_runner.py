@@ -589,6 +589,36 @@ def test_report_memory_beyond_the_budget_exits_4_through_main(tmp_path):
     assert not list((tmp_path / "main_out").glob("trace_w*.csv"))
 
 
+def test_a_run_plans_its_march_once(tmp_path, monkeypatch):
+    # global_march makes the run's one plan and the runner marches once,
+    # reporting the certificate of that plan
+    import cubelap.evolve as evolve
+    import cubelap.runner as runner
+
+    def counting(calls, f):
+        def wrapper(*args, **kwargs):
+            calls.append(f(*args, **kwargs))
+            return calls[-1]
+
+        return wrapper
+
+    plans, marches = [], []
+    for module in (runner, evolve):
+        if hasattr(module, "window_schedule"):
+            monkeypatch.setattr(module, "window_schedule",
+                                counting(plans, module.window_schedule))
+    monkeypatch.setattr(runner, "global_march", counting(marches, runner.global_march))
+    cfg = _certified_config(tmp_path / "out", solver={"frames": 32, "max_window_length": 0.2})
+    artifacts = runner.run(cl.parse_config(_write(tmp_path, cfg)))
+    assert artifacts.exit_code == EXIT_OK and len(artifacts.reports) == 2
+    assert len(plans) == 1 and len(marches) == 1
+    (schedule,) = plans
+    assert all(rep.certificate is schedule.certificate for rep in artifacts.reports)
+    assert (tmp_path / "out" / "certificate.txt").read_text() == (
+        cl.certificate_report(schedule.certificate))
+    assert artifacts.summary["window_length"] == schedule.window_length
+
+
 def test_tail_warning_reaches_summary(tmp_path):
     cfg = _certified_config(tmp_path / "out")
     # a bump near the right edge of the box [-20, 20)
@@ -727,8 +757,12 @@ def _raises_memory_error(*args, **kwargs):
     raise MemoryError("stand-in: no memory left")
 
 
-# id: (config edit, runner global replaced by a MemoryError, exit code,
-#      status, C_small_T_limit: "None", "nan", the limit of q and l, or
+def _raises_value_error(*args, **kwargs):
+    raise ValueError("stand-in: a bare value error")
+
+
+# id: (config edit, (module, global, stand-in that raises) or None, exit
+#      code, status, C_small_T_limit: "None", "nan", the limit of q and l, or
 #      absent because the run's own certificate was written)
 TRAIL_CASES = {
     "rejected_config": (lambda c, d: c["model"].update(a=-1.0), None,
@@ -744,8 +778,13 @@ TRAIL_CASES = {
                       EXIT_ASSUMPTION_VIOLATION, "assumption_violation", "limit"),
     "max_iter_one": (lambda c, d: c["solver"].update(max_iter=1), None,
                      EXIT_SOLVER_FAILURE, "solver_failure", "limit"),
-    "memory_error": (None, "global_march", EXIT_SOLVER_FAILURE, "solver_failure", "limit"),
-    "failure_after_certificate": (None, "dump_spacetime_field",
+    "memory_error": (None, (cl.runner, "global_march", _raises_memory_error),
+                     EXIT_SOLVER_FAILURE, "solver_failure", "limit"),
+    # set-up lasts until the march returns, yet a bare ValueError inside
+    # window 0 reaches the runner wrapped in MarchWindowError: a solver failure
+    "value_error_in_window_0": (None, (cl.evolve, "picard_solve", _raises_value_error),
+                                EXIT_SOLVER_FAILURE, "solver_failure", "limit"),
+    "failure_after_certificate": (None, (cl.runner, "dump_spacetime_field", _raises_memory_error),
                                   EXIT_SOLVER_FAILURE, "solver_failure", None),
 }
 
@@ -761,7 +800,7 @@ def test_certificate_trail_on_every_exit_path(tmp_path, monkeypatch, case):
     if edit is not None:
         edit(cfg, tmp_path)
     if stubbed is not None:
-        monkeypatch.setattr(runner, stubbed, _raises_memory_error)
+        monkeypatch.setattr(*stubbed)
     out = tmp_path / "main_out"
     assert runner.main(["--config", str(_write(tmp_path, cfg)), "--out", str(out)]) == code
     summary = (out / "summary.txt").read_text().splitlines()
@@ -1098,7 +1137,7 @@ def test_extreme_finite_constants_exit_without_arithmetic_errors(tmp_path, case)
 
 def test_report_memory_refusal_rounds_counts_past_15_digits(tmp_path):
     # a = 1e300: windows of about 1e-300, a 300-digit count given to 4 digits
-    from cubelap.runner import _fmt_count
+    from cubelap.evolve import _fmt_count
 
     assert [_fmt_count(n) for n in (968_800, 10**15 - 1, 10**15, 6378 * 10**296, 10**400)] == [
         "968800", "999999999999999", "1.000e+15", "6.378e+299", "1.000e+400"]
