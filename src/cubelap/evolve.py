@@ -64,9 +64,11 @@ solver of the parareal split (Lions, Maday & Turinici, 2001). The Heun march
 yields its state at every frame, whatever the start's shape: the
 single-state oracle keeps every frame, the block march only the last.
 Failures are reported in the sequential order Picard 0, oracle 0, Picard 1,
-...: the first one wins. The block march stops at its first failure; only
-then are its windows marched again one at a time, in order, so that the
-lowest failing window is raised with the message of its own march.
+...: the first one wins, as ``MarchWindowError(k, phase, cause)``; an
+exception outside ``_WINDOW_FAILURES`` leaves at once, as it is. The block
+march stops at its first failure; only then are its windows marched again
+one at a time, in order, so that the lowest failing window is raised with
+the message of its own march.
 """
 
 from __future__ import annotations
@@ -153,9 +155,18 @@ class ReferenceInstabilityError(SolverError):
 
 
 class MarchWindowError(SolverError):
-    def __init__(self, window_index: int, cause: Exception):
-        super().__init__(f"window {window_index} failed: {cause}")
+    """Window ``window_index`` of a march failed in its ``phase``, ``"picard"``
+    or ``"oracle"``; ``__cause__`` is the failure."""
+
+    def __init__(self, window_index: int, phase: str, cause: Exception):
+        super().__init__(f"window {window_index} failed ({phase}): {cause}")
         self.window_index = window_index
+        self.phase = phase
+        self.__cause__ = cause
+
+
+#: A window's own failures, which a march raises as ``MarchWindowError``.
+_WINDOW_FAILURES = (SolverError, ValueError, ModelEvaluationError)
 
 
 def phi1(z):
@@ -700,9 +711,9 @@ def etd_reference_solve(
     result is then the (K, N/2+1) array of end states in the same units, the
     last block the march yields. If
     the block fails, its windows are marched again one at a time, in order,
-    and the first failure is raised as ``global_march`` raises window k's,
-    with the message of the window's own march; if no window fails alone (a
-    reaction that couples rows), the block's error is.
+    and the first failure is raised as ``MarchWindowError(k, "oracle",
+    cause)``, the cause being the window's own march's error; if no window
+    fails alone (a reaction that couples rows), the block's error is.
     """
     grid = prob.grid
     march = (prob, window_length, substeps, n_frames)
@@ -719,15 +730,14 @@ def etd_reference_solve(
     if bad.size:
         raise ValueError(f"starts must be a (K, {grid.n_half}) array of finite modes; "
                          f"rows {bad.tolist()} are not finite")
-    failures = (ValueError, SolverError, ModelEvaluationError)
     try:
         return deque(_heun_march(*march, u0), maxlen=1)[0]
-    except failures:
+    except _WINDOW_FAILURES:
         for k, row in enumerate(u0):
             try:
                 deque(_heun_march(*march, row), maxlen=0)
-            except failures as exc:
-                _raise_window_failure(k, exc)
+            except _WINDOW_FAILURES as exc:
+                raise MarchWindowError(k, "oracle", exc)
         raise
 
 
@@ -788,15 +798,6 @@ def _fmt_count(n: int) -> str:
     return f"{digits[0]}.{digits[1:4]}e+{len(digits) - 1}"
 
 
-def _raise_window_failure(k: int, exc: Exception):
-    """Raise window k's failure the way ``global_march`` reports it: a solver
-    or value error wrapped in ``MarchWindowError(k)``, anything else (a
-    ``ModelEvaluationError``) as it is."""
-    if isinstance(exc, (SolverError, ValueError)):
-        raise MarchWindowError(k, exc) from exc
-    raise exc
-
-
 def global_march(
     prob: ProblemSpec,
     t_total: float,
@@ -829,8 +830,9 @@ def global_march(
     its oracle end state. The first failure in the sequential order (Picard
     0, oracle 0, Picard 1, ...) is raised: an oracle failure at window
     k < j beats a Picard failure at window j, and the lowest failing oracle
-    window wins, whatever substep it failed at. A solver or value error is
-    raised as ``MarchWindowError(k)``, a ``ModelEvaluationError`` as it is.
+    window wins, whatever substep it failed at, as ``MarchWindowError(k,
+    phase, cause)``; any other exception (out of memory, say) leaves the
+    march at once, as it is, without an oracle.
     """
     validate_kernel(prob.kernel, prob.grid)
     q = kernel_strength(prob.kernel)
@@ -860,8 +862,8 @@ def global_march(
                 t_offset=k * t_win,
                 start=starts[k],
             ))
-        except Exception as exc:
-            failed = (k, exc)
+        except _WINDOW_FAILURES as exc:
+            failed = exc
             break
         starts.append(reports[-1].final_raw)
     if run_oracle and reports:
@@ -876,5 +878,5 @@ def global_march(
             den = math.sqrt(half_sq_norms(prob.grid, mine, "l2"))
             rep.oracle_rel_deviation = num / den if den > 0 else num
     if failed is not None:
-        _raise_window_failure(*failed)
+        raise MarchWindowError(k, "picard", failed)
     return reports

@@ -19,8 +19,10 @@ support overlap and writes everything needed to audit the run:
     norms_w<k>.csv     per-window frame norms, header t,l2,d6u_l2,dudt_l2
     final_field.sxd    binary dump of the last window's spectral frames
 
-Exit codes: 0 success, 2 certificate refusal, 3 solver failure,
-4 assumption/configuration violation; ``_exit_for`` maps a failure to its code.
+Exit codes: 0 success, 2 certificate refusal, 3 solver failure (a window's
+``MarchWindowError`` among them), 4 assumption/configuration violation or an
+artifact that cannot be written; ``_exit_for`` maps a failure to its code by
+its type alone.
 """
 
 from __future__ import annotations
@@ -58,9 +60,7 @@ from .model import (
     NONLINEARITIES,
     REQUIRED,
     SOURCES,
-    AssumptionViolation,
     CatalogEntry,
-    ModelEvaluationError,
     ProblemSpec,
     Required,
     Subsection,
@@ -388,11 +388,10 @@ def run(config: RunConfig) -> RunArtifacts:
     override = config.flags["override_certificate"]
     watermark = None
     summary: dict = {"status": "ok", "exit_code": EXIT_OK}
-    (out / "config_echo.json").write_text(json.dumps(config.echo(), indent=2) + "\n")
     reports: list[SolveReport] = []
     q = ell = float("nan")
-    setting_up = True
     try:
+        (out / "config_echo.json").write_text(json.dumps(config.echo(), indent=2) + "\n")
         prob = build_problem(config)
         ell = prob.nonlinearity.lipschitz_l
         validate_kernel(prob.kernel, prob.grid)
@@ -416,7 +415,6 @@ def run(config: RunConfig) -> RunArtifacts:
                 run_oracle=config.flags["run_oracle"],
                 oracle_substeps_factor=config.solver["oracle_substeps_factor"],
             )
-            setting_up = False
             # its F(0, .) warning is one of the run's runtime warnings
             overlap = nontriviality_overlap(prob.kernel, prob.nonlinearity, prob.grid)
 
@@ -456,7 +454,7 @@ def run(config: RunConfig) -> RunArtifacts:
             }
         )
     except Exception as exc:
-        summary["exit_code"], summary["status"], error = _exit_for(exc, setting_up)
+        summary["exit_code"], summary["status"], error = _exit_for(exc)
         if error:
             summary["error"] = error
     # the run's own certificate is written once the march returns
@@ -467,20 +465,19 @@ def run(config: RunConfig) -> RunArtifacts:
     )
 
 
-def _exit_for(exc: Exception, setting_up: bool) -> tuple[int, str, str]:
-    """(exit code, status, error) of a run that raised ``exc``; an unforeseen
-    failure (say, out of memory) is named by its type. Setting up ends when
-    the march returns, since the plan is made inside it (a window's failure
-    is no set-up error). OSError while setting up: a file the config names
-    (a CSV table) cannot be read."""
+def _exit_for(exc: Exception) -> tuple[int, str, str]:
+    """(exit code, status, error) of a run that raised ``exc``, by its type
+    alone: a certificate refusal, or a window failure it caused, exits 2; a
+    ValueError or OSError (bad input, a table that cannot be read, an
+    artifact that cannot be written) 4; a solver error, a window's failure
+    among them, 3 with its message; anything else (out of memory) 3, named
+    by its type."""
     refusals = (NoAdmissibleWindow, CertificateRefusedError)
     if isinstance(exc, refusals) or isinstance(exc.__cause__, refusals):
         return EXIT_CERTIFICATE_REFUSED, "certificate_refused", str(exc)
-    if isinstance(exc, ConfigError) or (
-        setting_up and isinstance(exc, (AssumptionViolation, ValueError, OSError))
-    ):
+    if isinstance(exc, (ValueError, OSError)):
         return EXIT_ASSUMPTION_VIOLATION, "assumption_violation", str(exc)
-    if isinstance(exc, (SolverError, ModelEvaluationError)):
+    if isinstance(exc, SolverError):
         return EXIT_SOLVER_FAILURE, "solver_failure", str(exc)
     return EXIT_SOLVER_FAILURE, "solver_failure", f"{type(exc).__name__}: {exc}"
 

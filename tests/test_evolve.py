@@ -531,7 +531,7 @@ def test_entry_points_reject_bad_inputs_up_front(certified_problem, entry, kwarg
             calls[entry]()
     err = exc.value
     if wrapped:
-        assert err.window_index == 0
+        assert (err.window_index, err.phase) == (0, "oracle" if "starts" in kwargs else "picard")
         err = err.__cause__
     assert isinstance(err, ValueError) and match in str(err)
 
@@ -636,7 +636,10 @@ def test_march_wraps_window_failures(certified_problem):
     prob, cert, T = certified_problem
     with pytest.raises(cl.MarchWindowError) as exc:
         cl.global_march(prob, T, max_iter=1, max_window_length=T)
-    assert exc.value.window_index == 0
+    err = exc.value
+    assert (err.window_index, err.phase) == (0, "picard")
+    assert isinstance(err.__cause__, cl.PicardConvergenceError)
+    assert str(err) == f"window 0 failed (picard): {err.__cause__}"
 
 
 def test_ratio_gate_trips_on_an_understated_lipschitz_constant(certified_problem):
@@ -805,17 +808,19 @@ def _staged_picard(monkeypatch, fail_at):
 
 def _sequential_march_error(prob, windows, n_frames, substeps, picard):
     """The slow path: each window's oracle right after its Picard solve, the
-    order the march had before its oracle was batched; (window, error) of
-    its first failure."""
+    order the march had before its oracle was batched; (window, phase,
+    error) of its first failure."""
     q = cl.kernel_strength(prob.kernel)
     cert = cl.Certificate.for_window(q, prob.nonlinearity.lipschitz_l, prob.a, prob.b, _BLOWUP_T)
     current = prob
     for k in range(windows):
+        phase = "picard"
         try:
             rep = picard(current, _BLOWUP_T, cert, n_frames=n_frames, t_offset=k * _BLOWUP_T)
+            phase = "oracle"
             cl.etd_reference_solve(current, _BLOWUP_T, substeps, n_frames)
-        except (cl.SolverError, ValueError, cl.ModelEvaluationError) as exc:
-            return k, exc
+        except cl.evolve._WINDOW_FAILURES as exc:
+            return k, phase, exc
         current = _next_start(current, rep)
     return None
 
@@ -838,25 +843,52 @@ def test_march_first_failure_wins(monkeypatch, picard_fails_at):
     # later Picard failure in march order, so it must be the one raised
     prob = _blowup_problem(_STARTS[0])
     staged = _staged_picard(monkeypatch, picard_fails_at)
-    k, cause = _sequential_march_error(prob, 4, 16, 16 * 16, staged)
+    k, phase, cause = _sequential_march_error(prob, 4, 16, 16 * 16, staged)
     with pytest.raises(cl.MarchWindowError) as exc:
         cl.global_march(
             prob, 4 * _BLOWUP_T, n_frames=16, max_window_length=_BLOWUP_T,
             run_oracle=True, oracle_substeps_factor=16,
         )
     got = exc.value
-    assert (got.window_index, str(got)) == (k, str(cl.MarchWindowError(k, cause)))
+    want = cl.MarchWindowError(k, phase, cause)
+    assert (got.window_index, got.phase, str(got)) == (k, phase, str(want))
     assert type(got.__cause__) is type(cause)
     if picard_fails_at == 1:
-        assert isinstance(got.__cause__, cl.PicardConvergenceError)
+        assert phase == "picard" and isinstance(got.__cause__, cl.PicardConvergenceError)
     else:
-        assert got.window_index == 1
+        assert (got.window_index, phase) == (1, "oracle")
         assert isinstance(got.__cause__, cl.ReferenceInstabilityError)
+
+
+def test_unforeseen_error_leaves_the_march_at_once(monkeypatch):
+    # not a window failure: it leaves as it is, before the oracle of window 0
+    import cubelap.evolve as ev
+
+    prob = _blowup_problem(_STARTS[0])
+    staged = _staged_picard(monkeypatch, None)
+    real_oracle, oracle_calls = ev.etd_reference_solve, []
+
+    def picard(prob, T, cert, **kwargs):
+        if round(kwargs["t_offset"] / T) == 1:
+            raise MemoryError("stand-in: no memory left")
+        return staged(prob, T, cert, **kwargs)
+
+    def oracle(*args, **kwargs):
+        oracle_calls.append(args)
+        return real_oracle(*args, **kwargs)
+
+    monkeypatch.setattr(ev, "picard_solve", picard)
+    monkeypatch.setattr(ev, "etd_reference_solve", oracle)
+    with pytest.raises(MemoryError, match="^stand-in: no memory left$"):
+        cl.global_march(prob, 4 * _BLOWUP_T, n_frames=16, max_window_length=_BLOWUP_T,
+                        run_oracle=True, oracle_substeps_factor=16)
+    assert oracle_calls == []
 
 
 def test_batched_oracle_model_error_reads_as_one_window():
     # F is NaN once |u| passes 1e3: rows 1 and 2 reach it, row 2 first; the
-    # batch raises row 1's error with the message of a single-state march
+    # batch raises row 1's error, the cause having the message of a
+    # single-state march
     def fn(u, x):
         return np.where(np.abs(u) > 1e3, np.nan, 0.0 * u)
 
@@ -873,10 +905,13 @@ def test_batched_oracle_model_error_reads_as_one_window():
             singles.append(str(exc))
     assert singles[0] is None and singles[1] and singles[2]
     starts = np.stack([rfft_raw(p.u0.values.real) for p in probs])
-    with pytest.raises(cl.ModelEvaluationError) as exc:
+    with pytest.raises(cl.MarchWindowError) as exc:
         cl.etd_reference_solve(probs[0], _BLOWUP_T, 256, n_frames=16, starts=starts)
-    assert str(exc.value) == singles[1]
-    assert "in frame" not in str(exc.value)
+    got = exc.value
+    assert (got.window_index, got.phase) == (1, "oracle")
+    assert isinstance(got.__cause__, cl.ModelEvaluationError)
+    assert str(got) == f"window 1 failed (oracle): {singles[1]}"
+    assert "in frame" not in str(got)
 
 
 def test_oracle_refuses_a_non_finite_forcing_in_both_forms():
@@ -895,7 +930,8 @@ def test_oracle_refuses_a_non_finite_forcing_in_both_forms():
         with pytest.raises(cl.MarchWindowError) as block:
             cl.etd_reference_solve(prob, 0.4, 64, n_frames=16, starts=np.zeros((1, g.n_half)))
     assert type(single.value) is cl.SolverError and str(single.value) == message
-    assert block.value.window_index == 0 and str(block.value) == f"window 0 failed: {message}"
+    assert block.value.window_index == 0
+    assert str(block.value) == f"window 0 failed (oracle): {message}"
 
 
 def test_batched_oracle_substep_preconditions_fail_window_0():
@@ -937,7 +973,7 @@ def _single_window_failure(prob, starts, substeps, n_frames):
         one = dataclasses.replace(prob, u0=cl.Field(prob.grid, row))
         try:
             ends.append(cl.etd_reference_solve(one, _BLOWUP_T, substeps, n_frames).frames[-1])
-        except (cl.SolverError, ValueError, cl.ModelEvaluationError) as exc:
+        except cl.evolve._WINDOW_FAILURES as exc:
             return k, exc
     return None, np.stack(ends)
 
@@ -969,15 +1005,11 @@ def test_batched_oracle_replay_matches_single_window_marches():
             assert np.array_equal(unitary_spectrum(prob.grid, ends), cause)
             seen.add("none")
             continue
-        with pytest.raises((cl.SolverError, cl.ModelEvaluationError)) as exc:
+        with pytest.raises(cl.MarchWindowError) as exc:
             cl.etd_reference_solve(prob, _BLOWUP_T, substeps, n_frames, starts=raw)
         got = exc.value
-        if isinstance(cause, (cl.SolverError, ValueError)):
-            want = (cl.MarchWindowError, k, str(cl.MarchWindowError(k, cause)), type(cause))
-        else:
-            want = (type(cause), None, str(cause), type(None))
-        assert (type(got), getattr(got, "window_index", None), str(got),
-                type(got.__cause__)) == want
+        want = (k, "oracle", str(cl.MarchWindowError(k, "oracle", cause)), type(cause))
+        assert (got.window_index, got.phase, str(got), type(got.__cause__)) == want
         seen.add((type(cause).__name__, k > 0))
     # the draws reach every failure type, at window 0 and past it
     assert seen >= {"none", ("ValueError", False), ("ModelEvaluationError", True),

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -475,7 +476,7 @@ def test_ratio_gate_exits_3_through_main(tmp_path, monkeypatch):
     code, cert, summary = _main_artifacts(tmp_path, cfg)
     assert code == EXIT_SOLVER_FAILURE
     assert summary["status"] == "solver_failure"
-    assert summary["error"].startswith("window 0 failed: measured ratio")
+    assert summary["error"].startswith("window 0 failed (picard): measured ratio")
     assert "exceeds C * 1.05" in summary["error"]
     assert cert["valid"] == "false" and float(cert["l"]) == 3.8 / 40
 
@@ -498,7 +499,9 @@ def test_oracle_blowup_exits_3_through_main(tmp_path):
     code, cert, summary = _main_artifacts(tmp_path, cfg)
     assert code == EXIT_SOLVER_FAILURE
     assert summary["status"] == "solver_failure"
-    assert summary["error"].startswith("window 0 failed: reference marcher unstable at step 174:")
+    assert summary["error"].startswith(
+        "window 0 failed (oracle): reference marcher unstable at step 174:"
+    )
     assert cert["valid"] == "false"
 
 
@@ -516,7 +519,9 @@ def test_non_finite_forcing_exits_3_through_main(tmp_path):
         code, cert, summary = _main_artifacts(tmp_path, cfg)
     assert code == EXIT_SOLVER_FAILURE
     assert summary["status"] == "solver_failure"
-    assert summary["error"] == "window 0 failed: forcing history contains non-finite values"
+    assert summary["error"] == (
+        "window 0 failed (picard): forcing history contains non-finite values"
+    )
     assert cert["valid"] == "false" and float(cert["l"]) == 1.0
 
 
@@ -559,7 +564,8 @@ def test_growth_bound_exits_3_through_main(tmp_path, monkeypatch):
     code, cert, summary = _main_artifacts(tmp_path, cfg)
     assert code == EXIT_SOLVER_FAILURE
     assert summary["status"] == "solver_failure"
-    assert summary["error"].startswith("growth bound violated: ||F(u)|| = ")
+    assert summary["error"].startswith("window 0 failed (picard): growth bound violated: "
+                                        "||F(u)|| = ")
     assert summary["error"].endswith(" in frame 0")
     assert cert["valid"] == "false" and float(cert["l"]) == 3.8
 
@@ -717,6 +723,17 @@ def test_missing_csv_exits_4_with_artifacts(tmp_path):
     assert cert["valid"] == "false"
 
 
+def test_config_echo_that_cannot_be_written_exits_4_with_artifacts(tmp_path):
+    # config_echo.json is the run's first artifact: a directory in its place
+    # ends the run before set-up, as an artifact that cannot be written
+    (tmp_path / "main_out" / "config_echo.json").mkdir(parents=True)
+    code, cert, summary = _main_artifacts(tmp_path, _certified_config(tmp_path / "out"))
+    assert code == EXIT_ASSUMPTION_VIOLATION
+    assert summary["status"] == "assumption_violation"
+    assert summary["error"].endswith("config_echo.json'")
+    assert cert["valid"] == "false" and cert["q"] == cert["l"] == "nan"
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -761,6 +778,10 @@ def _raises_value_error(*args, **kwargs):
     raise ValueError("stand-in: a bare value error")
 
 
+def _raises_os_error(*args, **kwargs):
+    raise OSError(errno.ENOSPC, "stand-in: no space left on device")
+
+
 # id: (config edit, (module, global, stand-in that raises) or None, exit
 #      code, status, C_small_T_limit: "None", "nan", the limit of q and l, or
 #      absent because the run's own certificate was written)
@@ -780,12 +801,15 @@ TRAIL_CASES = {
                      EXIT_SOLVER_FAILURE, "solver_failure", "limit"),
     "memory_error": (None, (cl.runner, "global_march", _raises_memory_error),
                      EXIT_SOLVER_FAILURE, "solver_failure", "limit"),
-    # set-up lasts until the march returns, yet a bare ValueError inside
-    # window 0 reaches the runner wrapped in MarchWindowError: a solver failure
+    # a bare ValueError inside window 0 reaches the runner as window 0's
+    # failure, MarchWindowError, which is a solver failure by its type
     "value_error_in_window_0": (None, (cl.evolve, "picard_solve", _raises_value_error),
                                 EXIT_SOLVER_FAILURE, "solver_failure", "limit"),
     "failure_after_certificate": (None, (cl.runner, "dump_spacetime_field", _raises_memory_error),
                                   EXIT_SOLVER_FAILURE, "solver_failure", None),
+    # an artifact that cannot be written is exit 4, whenever it happens
+    "os_error_after_certificate": (None, (cl.runner, "dump_spacetime_field", _raises_os_error),
+                                   EXIT_ASSUMPTION_VIOLATION, "assumption_violation", None),
 }
 
 
@@ -1071,7 +1095,7 @@ def test_override_run_whose_constant_overflows_names_the_norm(tmp_path):
     code, summary = _override_run(tmp_path, 1.0, 1.0, a=400.0)
     assert code == EXIT_SOLVER_FAILURE
     assert summary["error"] == (
-        "window 0 failed: the first Picard image has a non-finite norm (inf); "
+        "window 0 failed (picard): the first Picard image has a non-finite norm (inf); "
         "no default tolerance can be set from it"
     )
 
@@ -1081,7 +1105,7 @@ def test_override_run_with_a_tolerance_stops_at_the_first_non_finite_distance(tm
     code, summary = _override_run(tmp_path, 1.0, 1.0, a=400.0, tol_fix=1e-8)
     assert code == EXIT_SOLVER_FAILURE
     assert summary["error"] == (
-        "window 0 failed: the Picard distance of iteration 1 is not finite "
+        "window 0 failed (picard): the Picard distance of iteration 1 is not finite "
         "(last distance inf, tol 1.000e-08)"
     )
 

@@ -2,7 +2,8 @@
 
 For every configuration file, well-formed or not, ``main`` returns 0, 2, 3
 or 4 without raising and leaves ``certificate.txt`` and ``summary.txt`` in
-the ``--out`` directory. Configurations are drawn around tiny valid runs
+the ``--out`` directory; a run that exits 3 names its failing window and
+phase in the ``error=`` line of ``summary.txt``. Configurations are drawn around tiny valid runs
 (N <= 64, at most 8 frames, horizons up to 0.5) over every catalog entry,
 then broken by up to three edits: a key deleted, an unknown key added, or a
 value replaced by a malformed one (wrong type, NaN, infinity, non-positive)
@@ -14,6 +15,7 @@ window): the runner bounds memory, not run time.
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 from cubelap.runner import MAX_LIPSCHITZ_TRIALS, main
 
 EXIT_CODES = {0, 2, 3, 4}
+WINDOW_FAILURE = re.compile(r"^window \d+ failed \((picard|oracle)\): ")
 
 
 def _floats(lo, hi):
@@ -156,4 +159,8 @@ def test_main_keeps_the_exit_code_contract(cfg):
             code = main(["--config", str(path), "--out", str(out)])
         assert code in EXIT_CODES
         assert (out / "certificate.txt").is_file()
-        assert (out / "summary.txt").is_file()
+        summary = dict(line.split("=", 1)
+                       for line in (out / "summary.txt").read_text().splitlines()
+                       if not line.startswith("#"))
+        if code == 3:
+            assert WINDOW_FAILURE.match(summary["error"]), summary["error"]
