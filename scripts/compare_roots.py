@@ -9,9 +9,9 @@ only read:
 * every ``batch_configs`` config (the full set) and every
   ``known_defect_configs`` config at seeds 0-2, through the root's
   ``runner.main`` as the ``batch_cli`` workload runs them: the exit code,
-  the text of ``summary.txt``, ``certificate.txt``, ``trace_w<k>.csv`` and
-  ``norms_w<k>.csv``, and the sha256 of every other artifact file,
-  ``final_field.sxd`` included;
+  what ``main`` prints to stdout and to stderr, the text of ``summary.txt``,
+  ``certificate.txt``, ``trace_w<k>.csv`` and ``norms_w<k>.csv``, and the
+  sha256 of every other artifact file, ``final_field.sxd`` included;
 * ``march_oracle`` at full size and ``march_wide`` at smoke size, seeds 0-1,
   through the root's ``global_march``: every window's ``final_raw``, Picard
   distances and ``oracle_rel_deviation``;
@@ -51,8 +51,10 @@ BATCH_SEEDS = (0, 1, 2)
 MARCH_SEEDS = (0, 1)
 #: (workload, smoke) of each march compared
 MARCHES = (("march_oracle", False), ("march_wide", True))
-#: artifacts compared by their text, so that a difference shows its line and size
-TEXT_ARTIFACTS = re.compile(r"summary\.txt|certificate\.txt|(?:trace|norms)_w\d+\.csv")
+#: artifacts and streams compared by their text, so that a difference shows
+#: its line and size
+TEXT_ARTIFACTS = re.compile(r"summary\.txt|certificate\.txt|(?:trace|norms)_w\d+\.csv"
+                            r"|stdout|stderr")
 #: a number as the artifacts print it (``repr`` of a float or an int, nan, inf),
 #: not part of a name such as ``trace_w0`` or ``d6u_l2``
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)(?![\w.])")
@@ -84,11 +86,13 @@ def collect(src: Path, workloads_path: Path, workdir: Path) -> dict:
         for cfg in inputs["configs"] + inputs["probe"]:
             name = cfg["name"]
             out = Path("out") / name
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = cl.runner.main(["--config", f"{name}.json", "--out", str(out)])
             key = f"batch_cli/seed{seed}/{name}"
             values[f"{key}/exit"] = str(code)
+            values[f"{key}/stdout"] = stdout.getvalue()
+            values[f"{key}/stderr"] = stderr.getvalue()
             for path in sorted(out.iterdir()):
                 data = path.read_bytes()
                 text = TEXT_ARTIFACTS.fullmatch(path.name)
@@ -112,7 +116,7 @@ def collect(src: Path, workloads_path: Path, workdir: Path) -> dict:
                               capture_output=True, text=True)
         values[f"demos/{demo.stem}/exit"] = str(proc.returncode)
         stdout = mask_mkdtemp(proc.stdout, tmpdir).encode()
-        values[f"demos/{demo.stem}/stdout"] = hashlib.sha256(stdout).hexdigest()
+        values[f"demos/{demo.stem}/stdout_sha256"] = hashlib.sha256(stdout).hexdigest()
     return values
 
 

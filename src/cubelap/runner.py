@@ -21,8 +21,9 @@ support overlap and writes everything needed to audit the run:
 
 Exit codes: 0 success, 2 certificate refusal, 3 solver failure (a window's
 ``MarchWindowError`` among them), 4 assumption/configuration violation or an
-artifact that cannot be written; ``_exit_for`` maps a failure to its code by
-its type alone.
+artifact that cannot be written, the directory included; ``_exit_for`` maps a
+failure to its code by its type alone. ``run`` raises for no I/O error: where
+not even ``summary.txt`` can be written, one line on stderr says why.
 """
 
 from __future__ import annotations
@@ -347,17 +348,36 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_lines(path: Path, lines: list[str], watermark: str | None = None):
-    path.write_text((watermark or "") + "\n".join(lines) + "\n")
+def _watermark(reports: list[SolveReport]) -> str:
+    """The line that starts each text artifact of a run whose march ran under
+    an invalid certificate, which only ``override_certificate`` allows."""
+    if not reports or reports[0].certificate.valid:
+        return ""
+    c = reports[0].certificate.constant
+    return f"# OVERRIDE: certificate invalid (C={c!r}); results are experimental\n"
 
 
-def _write_trail(out: Path, summary: dict, watermark: str | None = None, refused=None):
-    """Write ``summary.txt``, one ``key=value`` line per entry of ``summary``;
-    with ``refused = (q, l, a, b)``, first the ``certificate.txt`` of a run
-    that has no certificate of its own (``partial_certificate_report``)."""
-    if refused is not None:
-        (out / "certificate.txt").write_text(partial_certificate_report(*refused))
-    _write_lines(out / "summary.txt", [f"{k}={_fmt(v)}" for k, v in summary.items()], watermark)
+def _write_lines(path: Path, lines: list[str], watermark: str):
+    path.write_text(watermark + "\n".join(lines) + "\n")
+
+
+def _write_trail(out: Path, summary: dict, watermark: str = "", refused=None):
+    """Make ``out`` and write ``summary.txt``, one ``key=value`` line per entry
+    of ``summary``; with ``refused = (q, l, a, b)``, first the ``certificate.txt``
+    of a run that has no certificate of its own (``partial_certificate_report``).
+    An ``OSError`` leaves one stderr line naming the path, and ``summary`` takes
+    its exit code, status and error (``_exit_for``)."""
+    path = out
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        if refused is not None:
+            path = out / "certificate.txt"
+            path.write_text(partial_certificate_report(*refused))
+        path = out / "summary.txt"
+        _write_lines(path, [f"{k}={_fmt(v)}" for k, v in summary.items()], watermark)
+    except OSError as exc:
+        print(f"{path} cannot be written: {exc.strerror or exc}", file=sys.stderr)
+        summary["exit_code"], summary["status"], summary["error"] = _exit_for(exc)
 
 
 def _trace_rows(report: SolveReport, first_n: int) -> list[str]:
@@ -382,15 +402,14 @@ def _norm_rows(report: SolveReport) -> list[str]:
 
 def run(config: RunConfig) -> RunArtifacts:
     """Execute the whole certified pipeline for one configuration; the
-    certificate it reports is the one ``global_march`` planned and ran under."""
+    certificate it reports is the one ``global_march`` planned and ran under.
+    Every write, the directory's first, is in a handler: I/O failures exit 4."""
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    override = config.flags["override_certificate"]
-    watermark = None
     summary: dict = {"status": "ok", "exit_code": EXIT_OK}
     reports: list[SolveReport] = []
     q = ell = float("nan")
     try:
+        out.mkdir(parents=True, exist_ok=True)
         (out / "config_echo.json").write_text(json.dumps(config.echo(), indent=2) + "\n")
         prob = build_problem(config)
         ell = prob.nonlinearity.lipschitz_l
@@ -411,7 +430,7 @@ def run(config: RunConfig) -> RunArtifacts:
                 tol_fix=config.solver["tol_fix"],
                 max_iter=config.solver["max_iter"],
                 max_window_length=config.solver["max_window_length"],
-                override_certificate=override,
+                override_certificate=config.flags["override_certificate"],
                 run_oracle=config.flags["run_oracle"],
                 oracle_substeps_factor=config.solver["oracle_substeps_factor"],
             )
@@ -419,12 +438,8 @@ def run(config: RunConfig) -> RunArtifacts:
             overlap = nontriviality_overlap(prob.kernel, prob.nonlinearity, prob.grid)
 
         cert = reports[0].certificate
-        if override and not cert.valid:
-            watermark = (
-                f"# OVERRIDE: certificate invalid (C={cert.constant!r}); "
-                "results are experimental\n"
-            )
-        (out / "certificate.txt").write_text((watermark or "") + certificate_report(cert))
+        watermark = _watermark(reports)
+        (out / "certificate.txt").write_text(watermark + certificate_report(cert))
         for k, rep in enumerate(reports):
             _write_lines(out / f"trace_w{k}.csv", [TRACE_HEADER, *_trace_rows(rep, 1)], watermark)
             _write_lines(out / f"norms_w{k}.csv", [NORMS_HEADER, *_norm_rows(rep)], watermark)
@@ -459,7 +474,7 @@ def run(config: RunConfig) -> RunArtifacts:
             summary["error"] = error
     # the run's own certificate is written once the march returns
     refused = None if reports else (q, ell, config.model["a"], config.model["b"])
-    _write_trail(out, summary, watermark, refused)
+    _write_trail(out, summary, _watermark(reports), refused)
     return RunArtifacts(
         exit_code=summary["exit_code"], output_dir=out, summary=summary, reports=reports,
     )
@@ -511,12 +526,12 @@ def emit_plot_data(artifacts: RunArtifacts, which: str, frames=None) -> list[Pat
     which = 'decay'    -> decay.csv with (t, L2 norm) across all windows
             'trace'    -> trace.csv, all windows concatenated, global n
             'snapshot' -> snapshot_f<j>.csv with (x, Re u) per requested frame
-                          of the final window (default: first and last frame)
+                          j in 0..M of the final window (default: 0 and M);
+                          any other index is refused before a file is written
+    Each file starts with the run's override watermark, if it has one.
     """
     if artifacts.exit_code != EXIT_OK or not artifacts.reports:
         raise ValueError("plot data requires a completed successful run")
-    out = artifacts.output_dir
-    written: list[Path] = []
     if which == "decay":
         lines = [DECAY_HEADER]
         for k, rep in enumerate(artifacts.reports):
@@ -526,42 +541,30 @@ def emit_plot_data(artifacts: RunArtifacts, which: str, frames=None) -> list[Pat
                 lines.append(
                     f"{_fmt(rep.t_offset + float(tg[j]))},{_fmt(float(rep.l2_per_frame[j]))}"
                 )
-        path = out / "decay.csv"
-        _write_lines(path, lines)
-        written.append(path)
+        tables = [("decay.csv", lines)]
     elif which == "trace":
         lines = [TRACE_HEADER]
         for rep in artifacts.reports:
             lines += _trace_rows(rep, len(lines))  # after the header, len is the next n
-        path = out / "trace.csv"
-        _write_lines(path, lines)
-        written.append(path)
+        tables = [("trace.csv", lines)]
     elif which == "snapshot":
         field = artifacts.reports[-1].field
-        idx = frames if frames is not None else [0, field.n_frames - 1]
-        for j in idx:
+        last = field.n_frames - 1
+        tables = []
+        for j in frames if frames is not None else [0, last]:
+            if isinstance(j, bool) or not isinstance(j, (int, np.integer)) or not 0 <= j <= last:
+                raise ValueError(f"snapshot frames must be integers in 0..{last}, got {j!r}")
             phys = inverse_transform(field.frame(j))
             lines = [SNAPSHOT_HEADER]
             for xj, uj in zip(field.grid.x, phys.values.real):
                 lines.append(f"{_fmt(float(xj))},{_fmt(float(uj))}")
-            path = out / f"snapshot_f{j}.csv"
-            _write_lines(path, lines)
-            written.append(path)
+            tables.append((f"snapshot_f{j}.csv", lines))
     else:
         raise ValueError(f"unknown plot selector {which!r}")
-    return written
-
-
-def _make_output_dir(path: str) -> bool:
-    """Create the output directory; if that fails (the path names a file,
-    say), print one line to stderr and return False: no artifact can be
-    written then."""
-    try:
-        Path(path).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"output directory {path} cannot be created: {exc}", file=sys.stderr)
-        return False
-    return True
+    watermark = _watermark(artifacts.reports)
+    for name, lines in tables:
+        _write_lines(artifacts.output_dir / name, lines, watermark)
+    return [artifacts.output_dir / name for name, _ in tables]
 
 
 def main(argv=None) -> int:
@@ -585,7 +588,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration rejected: {exc}", file=sys.stderr)
         # without --out there is no directory to write to
-        if args.out and _make_output_dir(args.out):
+        if args.out:
             # nothing was parsed, so every number of the certificate is unknown
             summary = {"status": "config_rejected", "exit_code": EXIT_ASSUMPTION_VIOLATION,
                        "error": str(exc)}
@@ -593,12 +596,8 @@ def main(argv=None) -> int:
         return EXIT_ASSUMPTION_VIOLATION
     if args.out:
         config.output_dir = args.out
-    if args.oracle:
-        config.flags["run_oracle"] = True
-    if args.override_certificate:
-        config.flags["override_certificate"] = True
-    if not _make_output_dir(config.output_dir):
-        return EXIT_ASSUMPTION_VIOLATION
+    config.flags["run_oracle"] |= args.oracle
+    config.flags["override_certificate"] |= args.override_certificate
     artifacts = run(config)
     status = artifacts.summary.get("status")
     err = artifacts.summary.get("error")

@@ -59,6 +59,21 @@ def test_text_artifacts_show_the_size_of_a_numeric_difference():
     ]
 
 
+def test_what_main_prints_is_compared_as_text():
+    # a batch run's stdout and stderr are keys of their own; a changed line
+    # shows as a text artifact's does, an empty stream equals itself
+    parent = {"c/stdout": "status=ok exit=0\n", "c/stderr": "",
+              "d/stdout": "", "d/stderr": "configuration rejected: x\n"}
+    change = {"c/stdout": "status=assumption_violation exit=4 (y)\n", "c/stderr": "",
+              "d/stdout": "", "d/stderr": "configuration rejected: x\nout cannot be written\n"}
+    assert compare_roots.differences(parent, change) == [
+        "c/stdout: line 1: 'status=ok exit=0' -> 'status=assumption_violation exit=4 (y)'; "
+        "text differs",
+        "d/stderr: line 2: '' -> 'out cannot be written'; text differs",
+    ]
+    assert compare_roots.differences(parent, dict(parent)) == []
+
+
 def test_bitwise_equal_values_are_no_difference():
     # a window without an oracle records nan, equal to itself bit for bit
     values = {"c/exit": "0", "m/oracle_rel_deviation": np.array(np.nan),

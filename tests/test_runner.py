@@ -259,6 +259,21 @@ def test_unknown_plot_selector(tmp_path):
         cl.emit_plot_data(artifacts, "spectrogram")
 
 
+@pytest.mark.parametrize("frames", [[0, -1], [0, 33], [0, 1.0], [0, True], [0, "1"]],
+                         ids=["negative", "past_M", "float", "bool", "string"])
+def test_snapshot_refuses_a_frame_index_outside_0_to_M_before_writing(tmp_path, frames):
+    out = tmp_path / "out"
+    config = cl.parse_config(_write(tmp_path, _certified_config(out)))
+    artifacts = cl.run(config)
+    before = sorted(out.iterdir())
+    with pytest.raises(ValueError, match=r"^snapshot frames must be integers in 0\.\.32, got "):
+        cl.emit_plot_data(artifacts, "snapshot", frames=frames)
+    assert sorted(out.iterdir()) == before
+    # numpy integers name frames as ints do
+    paths = cl.emit_plot_data(artifacts, "snapshot", frames=[np.int64(32)])
+    assert [p.name for p in paths] == ["snapshot_f32.csv"]
+
+
 @pytest.mark.parametrize("exit_code", [EXIT_CERTIFICATE_REFUSED, EXIT_OK])
 def test_plot_data_refuses_a_run_without_reports(tmp_path, exit_code):
     # a refused run, and a run that reads exit 0 but kept no report
@@ -707,11 +722,22 @@ def test_out_naming_a_file_exits_4_without_traceback(tmp_path, capsys, valid):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
     assert main(["--config", str(path), "--out", str(taken)]) == EXIT_ASSUMPTION_VIOLATION
-    err = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
     # a rejected config says so first; either way one line names the directory
     assert len(err) == (1 if valid else 2)
-    assert err[-1].startswith(f"output directory {taken} cannot be created")
+    assert err[-1].startswith(f"{taken} cannot be written: ")
     assert taken.read_text() == "not a directory\n"
+    if valid:
+        # the run reports the directory as an artifact it cannot write
+        assert captured.out.startswith("status=assumption_violation exit=4 (")
+        config = cl.parse_config(path)
+        config.output_dir = str(taken)
+        artifacts = cl.run(config)
+        assert artifacts.exit_code == EXIT_ASSUMPTION_VIOLATION
+        assert artifacts.summary["status"] == "assumption_violation"
+        assert str(taken) in artifacts.summary["error"]
+        assert taken.read_text() == "not a directory\n"
 
 
 def test_missing_csv_exits_4_with_artifacts(tmp_path):
@@ -840,6 +866,83 @@ def test_certificate_trail_on_every_exit_path(tmp_path, monkeypatch, case):
     elif limit is not None:
         assert cert["C_small_T_limit"] == limit
         assert cert["q"] == cert["l"] == limit
+
+
+# id: the config edit of a run whose every write is made to fail in turn
+WRITE_FAILURE_CASES = {
+    "two_windows": lambda c, d: c["solver"].update(max_window_length=0.2),
+    "refusal": TRAIL_CASES["refusal"][0],
+    "max_iter_one": TRAIL_CASES["max_iter_one"][0],
+    "rejected_config": TRAIL_CASES["rejected_config"][0],
+}
+
+
+@pytest.mark.parametrize("case", list(WRITE_FAILURE_CASES))
+def test_a_write_failure_at_every_write_index_exits_4_without_traceback(
+        tmp_path, monkeypatch, capsys, case):
+    import cubelap.runner as runner
+
+    cfg = _certified_config(tmp_path / "out", grid={"L": 20.0, "N": 64})
+    WRITE_FAILURE_CASES[case](cfg, tmp_path)
+    config = str(_write(tmp_path, cfg))
+    written: list[Path] = []
+    fail_at = None  # the 1-based index of the first write that fails
+
+    def failing(write):
+        def stand_in(path, *args, **kwargs):
+            written.append(Path(path))
+            if fail_at is not None and len(written) >= fail_at:
+                raise OSError(errno.ENOSPC, "stand-in: no space left on device")
+            return write(path, *args, **kwargs)
+        return stand_in
+
+    monkeypatch.setattr(Path, "write_text", failing(Path.write_text))
+    monkeypatch.setattr(runner, "dump_spacetime_field", failing(runner.dump_spacetime_field))
+
+    def main(out):
+        written.clear()
+        code = runner.main(["--config", config, "--out", str(out)])
+        return code, capsys.readouterr()
+
+    clean_code, _ = main(tmp_path / "clean")
+    names = [path.name for path in written]
+    assert names[-1] == "summary.txt"
+    if case == "two_windows":
+        assert clean_code == EXIT_OK and "norms_w1.csv" in names and "final_field.sxd" in names
+    for fail_at in range(1, len(names) + 1):
+        out = tmp_path / f"fail_at_{fail_at}"
+        code, captured = main(out)
+        assert code == EXIT_ASSUMPTION_VIOLATION, fail_at
+        # every later write fails too, so the trail is lost and stderr names it
+        assert not (out / "summary.txt").exists()
+        lines = [line for line in captured.err.splitlines() if "stand-in" in line]
+        assert len(lines) == 1, (fail_at, captured.err)
+        assert lines[0].startswith(f"{out}{os.sep}")
+        assert lines[0].endswith(" cannot be written: stand-in: no space left on device")
+        if case != "rejected_config":
+            assert captured.out.startswith("status=assumption_violation exit=4 (")
+
+
+@pytest.mark.parametrize("valid", [True, False], ids=["valid_config", "rejected_config"])
+def test_summary_that_cannot_be_written_exits_4_without_traceback(tmp_path, capsys, valid):
+    from cubelap.runner import main
+
+    out = tmp_path / "out"
+    (out / "summary.txt").mkdir(parents=True)
+    if valid:
+        path = _write(tmp_path, _certified_config(tmp_path / "configured"))
+    else:
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+    assert main(["--config", str(path), "--out", str(out)]) == EXIT_ASSUMPTION_VIOLATION
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    # a rejected config says so first, then the write that failed
+    assert len(err) == (1 if valid else 2)
+    assert err[-1].startswith(f"{out / 'summary.txt'} cannot be written: ")
+    if valid:
+        assert captured.out.startswith("status=assumption_violation exit=4 (")
+        assert (out / "certificate.txt").read_text().startswith("q=")
 
 
 def _not_utf8(cfg, path):
@@ -1063,6 +1166,18 @@ def test_override_certificate_flag_watermarks_every_text_artifact(tmp_path):
         assert f.read_text().startswith("# OVERRIDE: certificate invalid (C="), f.name
     echo = json.loads((out / "config_echo.json").read_text())
     assert echo["flags"] == {"run_oracle": False, "override_certificate": True}
+    # the plot CSVs of the same run carry the watermark too
+    config = cl.parse_config(path)
+    config.output_dir = str(tmp_path / "lib_out")
+    config.flags["override_certificate"] = True
+    artifacts = cl.run(config)
+    assert artifacts.exit_code == EXIT_OK
+    plots = [p for which in ("decay", "trace", "snapshot")
+             for p in cl.emit_plot_data(artifacts, which)]
+    assert [p.name for p in plots] == ["decay.csv", "trace.csv", "snapshot_f0.csv",
+                                       "snapshot_f32.csv"]
+    for p in plots:
+        assert p.read_text().startswith("# OVERRIDE: certificate invalid (C="), p.name
 
 
 def _override_run(tmp_path, horizon, max_window_length, a=0.0, **solver):
