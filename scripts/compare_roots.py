@@ -1,4 +1,4 @@
-"""Byte identity of two checkouts on the benchmark's inputs.
+"""Agreement of two checkouts on the benchmark's inputs, by the march rule.
 
     python3 scripts/compare_roots.py --parent DIR --change DIR
 
@@ -10,13 +10,15 @@ only read:
   ``known_defect_configs`` config at seeds 0-2, through the root's
   ``runner.main`` as the ``batch_cli`` workload runs them: the exit code,
   what ``main`` prints to stdout and to stderr, the text of ``summary.txt``,
-  ``certificate.txt``, ``trace_w<k>.csv`` and ``norms_w<k>.csv``, and the
-  sha256 of every other artifact file, ``final_field.sxd`` included;
+  ``certificate.txt``, ``trace_w<k>.csv`` and ``norms_w<k>.csv``, the last
+  frame of ``final_field.sxd`` (``final_field.sxd/last_frame``) with the
+  shape of its frames, and the sha256 of every other artifact file;
 * ``march_oracle`` at full size and ``march_wide`` at smoke size, seeds 0-1,
-  through the root's ``global_march``: every window's ``final_raw``, Picard
-  distances and ``oracle_rel_deviation``;
+  and ``march_wide`` at full size, seed 1 (where its windows force on a
+  reduced grid), through the root's ``global_march``: every window's
+  ``final_raw``, Picard distances and ``oracle_rel_deviation``;
 * every script in the root's ``demos/``, run on the root's ``src/`` in a
-  fresh interpreter: the exit code and the sha256 of its stdout, with the
+  fresh interpreter: the exit code and its stdout as text, with the
   directory that ``tempfile.mkdtemp`` made (demo 05 prints it) masked.
 
 Each root runs in an interpreter of its own, in a temporary directory, with
@@ -25,7 +27,18 @@ missing on one side, with the largest relative gap of a differing array;
 of a differing text, the first differing line of each side and the largest
 relative gap between the numbers of its differing lines, or "text differs"
 when their count or the text around them differs. Then it prints the
-number of keys compared. It exits 1 if any key differs, else 0.
+number of keys compared, and applies the march rule to every differing key
+(``failures``): a key present on both sides; exit codes, digests and the
+non-numeric text identical; every number within ``RTOL`` relative; every
+Picard distance within ``RTOL`` times its window's first distance d_1, and
+the numbers derived from distances (the ratios ``r_n``, and
+``max_picard_ratio``, ``certificate_slack`` and ``picard_error_bound`` of
+``summary.txt``) within what that moves them by; a final frame within
+``RTOL`` in relative L2, and an oracle deviation, a fraction of the state's
+norm, within ``RTOL``. Two nonzero numbers below ``ROUNDOFF`` in magnitude
+are both the round-off of a zero and agree; an exact zero must stay one.
+It prints each key that breaks the rule, then ``PASS`` and exits 0, or
+``FAIL`` and exits 1.
 """
 
 from __future__ import annotations
@@ -48,9 +61,18 @@ from pathlib import Path
 import numpy as np
 
 BATCH_SEEDS = (0, 1, 2)
-MARCH_SEEDS = (0, 1)
-#: (workload, smoke) of each march compared
-MARCHES = (("march_oracle", False), ("march_wide", True))
+#: (workload, smoke, seeds) of each march compared: ``march_wide`` at full
+#: size reaches the reduced forcing grid, which the smoke size (N = 512) does not
+MARCHES = (("march_oracle", False, (0, 1)), ("march_wide", True, (0, 1)),
+           ("march_wide", False, (1,)))
+#: The march rule: numbers agree to this relative gap, Picard distances to
+#: this multiple of their window's first distance d_1.
+RTOL = 1e-12
+#: Numbers of the artifacts and demos are of problems of order 1: two nonzero
+#: numbers below this are the round-off of a zero (100 eps).
+ROUNDOFF = 1e-14
+#: the summary keys derived from Picard distances
+DISTANCE_KEYS = ("max_picard_ratio", "certificate_slack", "picard_error_bound")
 #: artifacts and streams compared by their text, so that a difference shows
 #: its line and size
 TEXT_ARTIFACTS = re.compile(r"summary\.txt|certificate\.txt|(?:trace|norms)_w\d+\.csv"
@@ -94,16 +116,21 @@ def collect(src: Path, workloads_path: Path, workdir: Path) -> dict:
             values[f"{key}/stdout"] = stdout.getvalue()
             values[f"{key}/stderr"] = stderr.getvalue()
             for path in sorted(out.iterdir()):
+                if path.name == "final_field.sxd":
+                    frames = cl.load_spacetime_field(path).frames
+                    values[f"{key}/{path.name}/last_frame"] = frames[-1]
+                    values[f"{key}/{path.name}/shape"] = str(frames.shape)
+                    continue
                 data = path.read_bytes()
                 text = TEXT_ARTIFACTS.fullmatch(path.name)
                 values[f"{key}/{path.name}"] = (data.decode() if text
                                                 else hashlib.sha256(data).hexdigest())
-    for name, smoke in MARCHES:
+    for name, smoke, seeds in MARCHES:
         march = wl.WORKLOADS[name]
-        for seed in MARCH_SEEDS:
+        for seed in seeds:
             inputs = march.build(cl, seed, smoke, workdir)
             for k, rep in enumerate(march.solve(cl, inputs)):
-                key = f"{name}/seed{seed}/w{k}"
+                key = f"{name}{'-smoke' if smoke else ''}/seed{seed}/w{k}"
                 values[f"{key}/final_raw"] = rep.final_raw
                 values[f"{key}/distances"] = rep.trace.distances
                 dev = rep.oracle_rel_deviation
@@ -115,8 +142,7 @@ def collect(src: Path, workloads_path: Path, workdir: Path) -> dict:
         proc = subprocess.run([sys.executable, "-B", str(demo)], cwd=tmpdir, env=env,
                               capture_output=True, text=True)
         values[f"demos/{demo.stem}/exit"] = str(proc.returncode)
-        stdout = mask_mkdtemp(proc.stdout, tmpdir).encode()
-        values[f"demos/{demo.stem}/stdout_sha256"] = hashlib.sha256(stdout).hexdigest()
+        values[f"demos/{demo.stem}/stdout"] = mask_mkdtemp(proc.stdout, tmpdir)
     return values
 
 
@@ -171,6 +197,118 @@ def differences(parent: dict, change: dict) -> list[str]:
     return lines
 
 
+def _agree(p: float, c: float, tol: float) -> bool:
+    """Whether c is p within ``tol``: equal (nan with nan too), both nonzero
+    round-off below ``ROUNDOFF``, or finite and at most ``tol`` apart."""
+    if p == c or (math.isnan(p) and math.isnan(c)):
+        return True
+    if not (math.isfinite(p) and math.isfinite(c)):
+        return False
+    if p != 0 and c != 0 and max(abs(p), abs(c)) < ROUNDOFF:
+        return True
+    return abs(c - p) <= tol
+
+
+def _trace_rows(text: str) -> list[list[float | None]]:
+    """The n,d_n,r_n,C rows of a ``trace_w<k>.csv``, an empty ratio None."""
+    return [[float(v) if v else None for v in line.split(",")]
+            for line in text.split("\n") if line[:1].isdigit()]
+
+
+def _ratio_tol(r: float, d_n: float, d_1: float) -> float:
+    """How far r_n = d_{n+1}/d_n may move when every distance moves by up to
+    RTOL d_1: (RTOL d_1 + r RTOL d_1) / d_n, and RTOL r for rounding."""
+    return RTOL * (abs(r) + d_1 * (1.0 + abs(r)) / d_n)
+
+
+def _trace_tols(rows: list[list[float | None]]) -> list[list[float | None]]:
+    """The tolerance of every number of a trace's rows, by column."""
+    d_1 = rows[0][1]
+    return [[0.0, RTOL * d_1, None if r is None else _ratio_tol(r, d, d_1), RTOL * abs(c)]
+            for _, d, r, c in rows]
+
+
+def _summary_tols(key: str, parent: dict) -> dict[str, float]:
+    """The tolerance of each distance-derived ``summary.txt`` value of the
+    run whose summary is ``key``, from the parent's traces of that run: a
+    maximum of ratios moves by at most the largest ratio tolerance, the
+    slack by that over C, and the Banach bound C/(1-C) d_last by C/(1-C)
+    RTOL d_1 of the window with the largest d_1."""
+    run = key.rsplit("/", 1)[0] + "/"
+    traces = [_trace_rows(text) for k, text in parent.items()
+              if k.startswith(run) and re.fullmatch(r"trace_w\d+\.csv", k[len(run):])]
+    if not traces or not traces[0]:
+        return {}
+    c = traces[0][0][3]
+    ratio = max([t[2] for rows in traces for t in _trace_tols(rows) if t[2] is not None],
+                default=0.0)
+    d_1 = max(rows[0][1] for rows in traces)
+    return {"max_picard_ratio": ratio, "certificate_slack": ratio / c,
+            "picard_error_bound": c / (1.0 - c) * RTOL * d_1 if c < 1.0 else 0.0}
+
+
+def _text_failure(key: str, p: str, c: str, parent: dict) -> str | None:
+    """Why two texts break the march rule, or None: their lines pair up with
+    the same text around the numbers, and each number agrees (``_agree``)
+    within its tolerance, RTOL relative unless the trace or the summary
+    gives a wider one."""
+    name = key.rsplit("/", 1)[-1]
+    plines, clines = p.split("\n"), c.split("\n")
+    if len(plines) != len(clines):
+        return f"{len(plines)} lines -> {len(clines)}"
+    trace = _trace_rows(p) if re.fullmatch(r"trace_w\d+\.csv", name) else None
+    tols = iter(_trace_tols(trace)) if trace else None
+    derived = _summary_tols(key, parent) if name == "summary.txt" else {}
+    for n, (pl, cl) in enumerate(zip(plines, clines), 1):
+        row = next(tols) if tols is not None and pl[:1].isdigit() else None
+        if pl == cl:
+            continue
+        if NUMBER.sub("#", pl) != NUMBER.sub("#", cl):
+            return f"line {n}: text differs"
+        if row is not None:
+            pairs = [(float(a), float(b), t) for a, b, t
+                     in zip(pl.split(","), cl.split(","), row) if a and b]
+        else:
+            extra = derived.get(pl.split("=", 1)[0], 0.0)
+            numbers = zip(map(float, NUMBER.findall(pl)), map(float, NUMBER.findall(cl)))
+            pairs = [(a, b, RTOL * abs(a) + extra) for a, b in numbers]
+        for a, b, t in pairs:
+            if not _agree(a, b, t):
+                return f"line {n}: {a!r} -> {b!r}, more than {t:.3e} apart"
+    return None
+
+
+def failures(parent: dict, change: dict) -> list[str]:
+    """One line per key whose values break the march rule (module docstring)."""
+    lines = []
+    for key in sorted(parent.keys() | change.keys()):
+        if key not in parent or key not in change:
+            lines.append(f"{key}: only in {'change' if key in change else 'parent'}")
+            continue
+        p, c = parent[key], change[key]
+        name = key.rsplit("/", 1)[-1]
+        why = None
+        if isinstance(p, str) or isinstance(c, str):
+            if p != c:
+                why = (_text_failure(key, p, c, parent) if TEXT_ARTIFACTS.fullmatch(name)
+                       else "differs")
+        elif p.shape != c.shape:
+            why = f"shape {p.shape} -> {c.shape}"
+        elif p.tobytes() != c.tobytes():
+            with np.errstate(all="ignore"):
+                if name == "distances":
+                    gap, bound = np.max(np.abs(c - p)), RTOL * p[0]
+                elif name == "oracle_rel_deviation":
+                    gap, bound = abs(float(c - p)), RTOL
+                else:
+                    gap, bound = np.linalg.norm(c - p), RTOL * np.linalg.norm(p)
+            if not gap <= bound:
+                why = f"gap {gap:.3e} > {bound:.3e}"
+        if why is not None:
+            lines.append(f"{key}: {why}")
+    return lines
+
+
 def _run_root(side: str, root: Path, workloads_path: Path, scratch: Path) -> dict:
     """``collect`` in a fresh interpreter for one checkout."""
     workdir, result = scratch / side, scratch / f"{side}.pickle"
@@ -202,7 +340,9 @@ def main(argv=None) -> int:
                   for side, root in (("parent", args.parent), ("change", args.change))}
     lines = differences(values["parent"], values["change"])
     print("\n".join(lines + [f"{len(lines)} of {len(values['change'])} keys differ"]))
-    return 1 if lines else 0
+    broken = failures(values["parent"], values["change"])
+    print("\n".join([f"FAIL {line}" for line in broken] + ["FAIL" if broken else "PASS"]))
+    return 1 if broken else 0
 
 
 if __name__ == "__main__":

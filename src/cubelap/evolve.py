@@ -48,12 +48,30 @@ to j and the new one at frame j - 1, and frame 0 with its forcing is the
 same in every iterate, so a window solve holds a single band pair
 (u, du/dt), computes frame 0's forcing once, and each iterate overwrites its
 predecessor in one forward walk over blocks of frames 1..M
-(``grid.block_bounds``): per block,
+(``grid.block_bounds``, sized by the forcing grid): per block,
 one batched real transform pair around one ``apply_nonlinearity`` call,
 the recursion carried on from the frame before the block, the time
 derivative and the block's share of the contraction-norm distance. The
 default tolerance is set once, from the contraction norm of the first
 iterate's image, after its walk.
+
+Where the forcing is evaluated. Frames 1..M are trigonometric polynomials
+of the band's K modes, and the recursion reads F's transform on modes
+0..K-1 only, so a window may sample its band frames on a grid of N' < N
+points of the same box, apply the reaction there, and keep modes 0..K-1 of
+the result (``grid.band_samples`` / ``grid.resampled_rfft``): the padding
+and truncation of pseudo-spectral codes (Orszag, J. Atmos. Sci. 28, 1971;
+Boyd, Chebyshev and Fourier Spectral Methods, 2001, ch. 11). N' is the
+smallest power of two >= 3K, doubled while the forcing of the first
+iterate's frame 1, a band frame evaluated once on all N points, has more
+than ``ALIAS_TOL`` of its energy in the modes from 3N'/8 up (what folds
+onto the band shows there, whatever the spectrum's shape), and kept only
+below N. What F's spectrum later
+has beyond N'/2 folds onto lower modes; each block therefore reads the
+alias indicator of its reduced spectrum, and one past ``ALIAS_TOL`` ends
+the attempt: the window is solved again on twice as many points, up to
+N. Frame 0's forcing, which has modes above K, and the oracle are
+evaluated on all N points, and so is every window whose N' is not below N.
 
 The march first runs the certified Picard chain, window after window, since
 each window starts from the previous one's end state. The oracle of window k
@@ -76,7 +94,7 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -89,11 +107,13 @@ from .grid import (
     SpacetimeField,
     SpectralGrid,
     TAIL_TOL,
+    band_samples,
     block_bounds,
     contraction_sq,
     frame_norms,
     half_sq_norms,
     irfft_raw,
+    resampled_rfft,
     rfft_raw,
     tail_mass_fraction,
     trapezoid_weights,
@@ -126,6 +146,19 @@ MIN_ORACLE_SUBSTEPS_FACTOR = 4
 #: a few blocks. So two such arrays per window at K = N/2 + 1 bound a march's
 #: windows - 1 reports and its last solve's pair (``global_march``).
 MEMORY_BUDGET_BYTES = 2 * 2**30
+
+#: The alias indicator a window's reduced forcing grid may read, in any row
+#: of any block: the energy of the reduced forcing spectrum's modes from
+#: 3N'/8 up over the whole (``_alias_indicator``). Past it the reaction's
+#: spectrum reaches the modes that fold onto the band, and the window is
+#: solved again on twice as many points, up to N (``picard_solve``), or
+#: starts on more (the probe of ``_reduced_forcing``). Rounding alone reads
+#: about eps^2, 1e-32 to 1e-31. A spectrum with a floor above that (a
+#: source cut off by the box edge, a clipped reaction) folds onto the band
+#: about the square root of its indicator: on drawn problems an indicator
+#: of 1e-20 moved the Picard distances by up to 1.5e-11 d_1, and one of at
+#: most 1e-28 by no more than 2.1e-15 d_1.
+ALIAS_TOL = 1e-28
 
 
 class SolverError(RuntimeError):
@@ -251,9 +284,11 @@ class _Window:
     live band, modes 0..K-1, the recursion's per-mode factors
     e_dt = e^{dt lam}, w_prev = g dt (phi1 - phi2)(dt lam) and
     w_next = g dt phi2(dt lam), the convolution factor g = sqrt(2 pi) Ghat and
-    the symbol lam itself; and u0's modes K, K+1, ... up to its last nonzero
+    the symbol lam itself; u0's modes K, K+1, ... up to its last nonzero
     one, ``u0_tail``, with lam times them, ``dudt0_tail``: frame 0's modes
-    above the band, which no iterate changes.
+    above the band, which no iterate changes; and the reduced grid its band
+    frames are forced on (``picard_solve`` chooses it), or None when they
+    are forced on all N points.
     """
 
     u0: np.ndarray
@@ -264,11 +299,57 @@ class _Window:
     lam: np.ndarray
     u0_tail: np.ndarray
     dudt0_tail: np.ndarray
+    reduced: "_ReducedForcing | None" = None
 
     @property
     def band(self) -> int:
         """K, the number of live modes."""
         return self.e_dt.size
+
+
+class _AliasedForcing(Exception):
+    """A reduced forcing block read an alias indicator past ``ALIAS_TOL``."""
+
+
+@dataclass(eq=False)
+class _ReducedForcing:
+    """The grid of N' < N points of the box on which a window's band frames
+    are forced, and the largest alias indicator its blocks have read."""
+
+    grid: SpectralGrid
+    alias: float = 0.0
+
+    def read(self, fh: np.ndarray) -> None:
+        """Take the alias indicator of each row of a reduced forcing block,
+        its modes 0..N'/2. Raises ``_AliasedForcing`` past ``ALIAS_TOL``."""
+        ratio = float(np.max(_alias_indicator(fh, self.grid.n_points)))
+        if not ratio <= ALIAS_TOL:
+            raise _AliasedForcing(ratio)
+        self.alias = max(self.alias, ratio)
+
+
+def _alias_indicator(fh: np.ndarray, n: int) -> np.ndarray:
+    """The alias indicator of each row of the half spectra ``fh`` for a grid
+    of n points: the energy of its modes from 3n/8 up (the top eighth of
+    that grid's modes, and all above) over the whole; 0 for a zero row."""
+    sq = np.square(fh.view(np.float64))
+    total = sq.sum(axis=-1)
+    top = sq[..., 2 * (3 * n // 8):].sum(axis=-1)
+    return np.divide(top, total, out=np.zeros_like(top), where=total > 0)
+
+
+def _reduced_forcing(grid: SpectralGrid, n: int, probe: np.ndarray) -> _ReducedForcing | None:
+    """The reduced forcing of a window on the first of n, 2n, 4n, ... points
+    below N at which the forcing ``probe`` of one band frame, modes 0..N/2
+    on N points, where nothing folds, reads an alias indicator within
+    ``ALIAS_TOL``: what the reduced grid's blocks would read, and all that
+    would fold (a source whose band lies above n/2, say). None when no such
+    count is below N."""
+    while n < grid.n_points:
+        if _alias_indicator(probe, n) <= ALIAS_TOL:
+            return _ReducedForcing(grid.resampled(n))
+        n *= 2
+    return None
 
 
 def _live_band(*factors: np.ndarray) -> int:
@@ -311,17 +392,31 @@ def _window(prob: ProblemSpec, dt: float, start: np.ndarray | None = None) -> _W
 
 
 def _forcing_history(
-    frames: np.ndarray, prob: ProblemSpec, first_frame: int = 0, band: int | None = None
+    frames: np.ndarray,
+    prob: ProblemSpec,
+    first_frame: int = 0,
+    band: int | None = None,
+    reduced: _ReducedForcing | None = None,
+    rows: str = "frame",
 ) -> np.ndarray:
     """Transforms of F(v(., t_j), .) for every frame: half-spectrum frames
     (..., K') in ``rfft_raw`` units (modes above K' zero) in, their modes
     0..N/2, or 0..``band``-1, out. The finiteness check sees all N/2+1
-    modes. A model error names frame ``first_frame`` + row."""
+    modes. A model error names the row (frame ``first_frame`` + row, or
+    what ``rows`` says the rows are) and x[j] of the grid it was forced on.
+
+    With ``reduced``, the frames (K' <= N'/3) are sampled and forced on its
+    grid of N' points instead of N, and the finiteness check sees its
+    N'/2+1 modes, which ``reduced.read`` then checks for aliasing."""
     grid = prob.grid
-    phys = irfft_raw(grid, frames)
-    fh = rfft_raw(apply_nonlinearity(phys, prob.nonlinearity, grid, first_frame))
+    on = grid if reduced is None else reduced.grid
+    phys = irfft_raw(grid, frames) if reduced is None else band_samples(grid, frames, on.n_points)
+    vals = apply_nonlinearity(phys, prob.nonlinearity, on, first_frame, rows)
+    fh = rfft_raw(vals) if reduced is None else resampled_rfft(grid, vals)
     if not np.all(np.isfinite(fh)):
         raise SolverError("forcing history contains non-finite values")
+    if reduced is not None:
+        reduced.read(fh)
     return fh[..., :band]
 
 
@@ -378,8 +473,12 @@ def duhamel_map(
     j+2, ... of a trajectory whose frame j has the image u_j and the forcing
     transform f_j: the same recursion continues from frame j, and a model
     error names the frame of the trajectory, not of the block.
+
+    Frames of at most K modes are forced on the window's reduced grid, if it
+    has one; wider frames on all N points.
     """
-    fh = _forcing_history(v, prob, 0 if carry is None else carry[0] + 1, window.band)
+    reduced = window.reduced if v.shape[-1] <= window.band else None
+    fh = _forcing_history(v, prob, 0 if carry is None else carry[0] + 1, window.band, reduced)
     u = np.empty_like(fh) if out is None else out
     if carry is None:
         u[0] = window.u0[: window.band]
@@ -439,6 +538,9 @@ class SolveReport:
     field), ``final_raw`` the last frame to modes 0..N/2 and
     ``final_state`` to a unitary ``Field``, on every access (uncached, so a
     caller holding many reports holds neither half nor full spectra).
+    ``forcing_points`` is the number of points its band frames were forced
+    on, N' or N, and ``alias_indicator`` the largest alias indicator of the
+    reduced grid's blocks, or None when they were forced on N points.
     """
 
     grid: SpectralGrid
@@ -452,6 +554,8 @@ class SolveReport:
     d6_l2_per_frame: np.ndarray
     dudt_l2_per_frame: np.ndarray
     tail_warnings: tuple[str, ...]
+    forcing_points: int
+    alias_indicator: float | None
     oracle_rel_deviation: float | None = None
 
     @property
@@ -540,7 +644,13 @@ def picard_solve(
     0's forcing computed once, and the default tolerance after the first
     walk. The report keeps the last iterate's u as it is, with frame 0's
     modes above the band, and of du/dt only its per-frame norms; every norm
-    of frame 0 counts those modes too.
+    of frame 0 counts those modes too. The band frames are forced on a
+    reduced grid of N' < N points where the forcing of the first iterate's
+    frame 1, evaluated on N points, allows it (``_reduced_forcing``); an
+    attempt whose forcing aliases is dropped, and the window is solved
+    again from the start on twice as many points, up to N, so that no
+    number depends on the attempts before the last. The report names the
+    grid (``forcing_points``) and its largest alias indicator.
     """
     _check_window(window_length, n_frames)
     if max_iter < 1:
@@ -568,35 +678,24 @@ def picard_solve(
     tg = np.linspace(0.0, window_length, n_frames + 1)
     tw = trapezoid_weights(tg)
     w = _window(prob, float(tg[1] - tg[0]), start)
-    # frame 0 and its forcing are the same in every iterate
+    # frame 0 and its forcing are the same in every iterate, on any forcing grid
     f0 = _forcing_history(w.u0[None], prob, band=w.band)[0]
-
-    # the first iterate e^{t_j lam} u0, as u_{j+1} = e^{dt lam} u_j, and its derivative
-    u = np.empty((n_frames + 1, w.band), np.complex128)
-    u[0] = w.u0[: w.band]
-    for j in range(n_frames):
-        np.multiply(w.e_dt, u[j], out=u[j + 1])
-    dudt = np.multiply(w.lam, u)
-
-    distances: list[float] = []
-    tol = tol_fix
-    for _ in range(max_iter):
-        d = float(np.sqrt(tw @ _picard_iterate(u, dudt, prob, w, f0)))
-        distances.append(d)
-        if tol is None:
-            # the contraction norm of the first image, frame 0's with its modes above the band
-            sq = np.concatenate([contraction_sq(grid, u[s:e], dudt[s:e], np.empty_like(u[s:e]))
-                                 for s, e in block_bounds(grid, n_frames + 1)])
-            sq[0] += half_sq_norms(grid, w.u0_tail, "h6", first=w.band)
-            sq[0] += half_sq_norms(grid, w.dudt0_tail, "l2", first=w.band)
-            norm = float(np.sqrt(tw @ sq))
-            if not math.isfinite(norm):
-                raise SolverError(f"the first Picard image has a non-finite norm ({norm}); "
-                                  "no default tolerance can be set from it")
-            tol = 1e-10 * max(1.0, norm)
-        converged = d < tol
-        if converged or not math.isfinite(d):
+    # the smallest power of two >= 3K: a band of K modes is sampled exactly,
+    # and the products of two band modes fold onto no band mode (3/2 rule)
+    n = max(8, 1 << (3 * w.band - 1).bit_length())
+    # frame 1 of the first iterate, a band frame, forced on all N points
+    probe = (_forcing_history((w.e_dt * w.u0[: w.band])[None], prob, first_frame=1)[0]
+             if n < grid.n_points else None)
+    while True:
+        w = replace(w, reduced=_reduced_forcing(grid, n, probe))
+        try:
+            u, dudt, distances, tol = _fixed_point(prob, w, f0, tw, tol_fix, max_iter)
             break
+        except _AliasedForcing:
+            # the reaction's spectrum has reached the modes that fold onto
+            # the band: the window again on twice as many points, up to N
+            n = 2 * w.reduced.grid.n_points
+    converged = distances[-1] < tol
 
     dists = np.asarray(distances)
     ratios = np.full(dists.shape, np.nan)
@@ -640,7 +739,53 @@ def picard_solve(
         d6_l2_per_frame=frame_norms(grid, u, "d6", w.u0_tail),
         dudt_l2_per_frame=frame_norms(grid, dudt, "l2", w.dudt0_tail),
         tail_warnings=_tail_check(grid, (w.u0, u[-1]), t_offset),
+        forcing_points=grid.n_points if w.reduced is None else w.reduced.grid.n_points,
+        alias_indicator=None if w.reduced is None else w.reduced.alias,
     )
+
+
+def _fixed_point(
+    prob: ProblemSpec,
+    w: _Window,
+    f0: np.ndarray,
+    tw: np.ndarray,
+    tol_fix: float | None,
+    max_iter: int,
+) -> tuple[np.ndarray, np.ndarray, list[float], float]:
+    """The iteration of ``picard_solve`` on the window ``w``, frame 0's
+    forcing ``f0`` and the trapezoid weights ``tw``: from the first iterate
+    e^{t_j lam} u0, at most ``max_iter`` walks (``_picard_iterate``) until a
+    distance is below the tolerance or not finite. Returns the last iterate's
+    (u, du/dt) on the band, the distances and the tolerance, set after the
+    first walk unless ``tol_fix`` gives it."""
+    grid = prob.grid
+    n_frames = len(tw) - 1
+    # the first iterate e^{t_j lam} u0, as u_{j+1} = e^{dt lam} u_j, and its derivative
+    u = np.empty((n_frames + 1, w.band), np.complex128)
+    u[0] = w.u0[: w.band]
+    for j in range(n_frames):
+        np.multiply(w.e_dt, u[j], out=u[j + 1])
+    dudt = np.multiply(w.lam, u)
+
+    distances: list[float] = []
+    tol = tol_fix
+    for _ in range(max_iter):
+        d = float(np.sqrt(tw @ _picard_iterate(u, dudt, prob, w, f0)))
+        distances.append(d)
+        if tol is None:
+            # the contraction norm of the first image, frame 0's with its modes above the band
+            sq = np.concatenate([contraction_sq(grid, u[s:e], dudt[s:e], np.empty_like(u[s:e]))
+                                 for s, e in block_bounds(grid, n_frames + 1)])
+            sq[0] += half_sq_norms(grid, w.u0_tail, "h6", first=w.band)
+            sq[0] += half_sq_norms(grid, w.dudt0_tail, "l2", first=w.band)
+            norm = float(np.sqrt(tw @ sq))
+            if not math.isfinite(norm):
+                raise SolverError(f"the first Picard image has a non-finite norm ({norm}); "
+                                  "no default tolerance can be set from it")
+            tol = 1e-10 * max(1.0, norm)
+        if d < tol or not math.isfinite(d):
+            break
+    return u, dudt, distances, tol
 
 
 def _picard_iterate(
@@ -662,7 +807,8 @@ def _picard_iterate(
     time integral is the caller's.
     """
     grid = prob.grid
-    blocks = [(s + 1, e + 1) for s, e in block_bounds(grid, len(u) - 1)]
+    forced_on = grid if w.reduced is None else w.reduced.grid
+    blocks = [(s + 1, e + 1) for s, e in block_bounds(forced_on, len(u) - 1)]
     size = max(e - s for s, e in blocks)
     new_u, new_du = (np.empty((size,) + u.shape[1:], np.complex128) for _ in range(2))
     dist_sq = np.empty(len(u))
@@ -745,9 +891,10 @@ def _heun_march(
     prob: ProblemSpec, window_length: float, substeps: int, n_frames: int, u_hat: np.ndarray
 ) -> Iterator[np.ndarray]:
     """The marcher of ``etd_reference_solve`` from the state ``u_hat`` in
-    ``rfft_raw`` units, a (N/2+1,) state or a (K, N/2+1) block of them:
-    yields the state, of u_hat's shape, at frames 1..n_frames, with the
-    symbol and the kernel factor of ``_half_symbols`` and no phi-weight.
+    ``rfft_raw`` units, a (N/2+1,) state or a (K, N/2+1) block of them (a
+    model error names its row as a window): yields the state, of u_hat's
+    shape, at frames 1..n_frames, with the symbol and the kernel factor of
+    ``_half_symbols`` and no phi-weight, on all N points.
     Raises the first failure: a window length or substep count that fails
     the preconditions, a model error or a non-finite forcing, or a row whose
     norm leaves 1e8 times the larger of its norms before and after substep 1.
@@ -772,9 +919,10 @@ def _heun_march(
     scale0 = l2(u_hat)
     ref = None
     for n in range(substeps):
-        nn = g * _forcing_history(u_hat, prob)
+        nn = g * _forcing_history(u_hat, prob, rows="window")
         pred = e_h * (u_hat + h * nn)
-        u_hat = e_h * u_hat + 0.5 * h * (e_h * nn + g * _forcing_history(pred, prob))
+        nn_pred = g * _forcing_history(pred, prob, rows="window")
+        u_hat = e_h * u_hat + 0.5 * h * (e_h * nn + nn_pred)
         norm_now = l2(u_hat)
         if ref is None:
             ref = np.fmax(np.fmax(scale0, norm_now), 1e-12)

@@ -17,7 +17,10 @@ all. The convention then enters in two places, both of them here: the norm
 weights of half spectra (times (dx/sqrt(2*pi))^2, in ``half_sq_norms``,
 which every norm of a half spectrum goes through), and the way to unitary
 coefficients at the API edge (``raw_to_unitary`` for half spectra,
-``unitary_spectrum`` for all N modes).
+``unitary_spectrum`` for all N modes). A band of K modes may also be
+sampled on another grid of the same box, of n >= 2K points, and
+transformed back in the same units (``band_samples`` /
+``resampled_rfft``, with the grid from ``SpectralGrid.resampled``).
 
 Truncation to a periodic box is policed rather than assumed: fields are
 expected to keep essentially all of their mass away from the box edges, and
@@ -44,13 +47,14 @@ _MAX_DERIVATIVE_ORDER = 8
 
 #: Every frame walk (the Picard iterate, with its transforms, reaction,
 #: recursion, time derivative and contraction norm) takes a trajectory in
-#: blocks of rows whose N real samples, the rows the transforms touch, are
-#: about this many bytes, so the operands of each step stay in a core's cache
-#: instead of streaming through memory once per operation, and the
-#: temporaries of a step are one block, not one trajectory, however narrow
-#: the live band of the stored rows; at small N one block holds the whole
-#: trajectory. See ``block_bounds``. It changes speed and memory only: every
-#: step, norms included, works row by row.
+#: blocks of rows whose real samples on the forcing grid, the rows the
+#: transforms touch (N points, or a window's reduced N' < N), are about this
+#: many bytes, so the operands of each step stay in a core's cache instead
+#: of streaming through memory once per operation, and the temporaries of a
+#: step are one block, not one trajectory, however narrow the live band of
+#: the stored rows; at small N one block holds the whole trajectory. See
+#: ``block_bounds``. It changes speed and memory only: every step, norms
+#: included, works row by row.
 BLOCK_BYTES = 2**18
 
 
@@ -123,6 +127,7 @@ class SpectralGrid:
         for w in views.values():
             w.flags.writeable = False
         object.__setattr__(self, "_view_weights", views)
+        object.__setattr__(self, "_resampled", {})
 
     @property
     def dx(self) -> float:
@@ -137,6 +142,14 @@ class SpectralGrid:
     def n_half(self) -> int:
         """N/2 + 1, the modes 0..N/2 that determine the spectrum of a real field."""
         return self.n_points // 2 + 1
+
+    def resampled(self, n_points: int) -> "SpectralGrid":
+        """The grid of the same box with ``n_points`` samples, built once per
+        grid and count, so that what is cached on a grid's ``x`` (a source
+        profile) stays cached across the windows of a march."""
+        if n_points not in self._resampled:
+            self._resampled[n_points] = SpectralGrid(self.half_length, n_points)
+        return self._resampled[n_points]
 
 
 def make_grid(half_length: float, n_points: int) -> SpectralGrid:
@@ -211,6 +224,25 @@ def irfft_raw(grid: SpectralGrid, raw: np.ndarray) -> np.ndarray:
     """Modes 0..K-1 in ``rfft_raw`` units (K <= N/2+1, the modes above K
     zero) -> the real samples along the last axis."""
     return np.fft.irfft(raw, n=grid.n_points, axis=-1)
+
+
+def band_samples(grid: SpectralGrid, raw: np.ndarray, n: int) -> np.ndarray:
+    """Modes 0..K-1 of frames on ``grid`` in ``rfft_raw`` units (K <= n/2,
+    the modes above K zero) -> their real samples on the n-point grid of the
+    same box (``grid.resampled(n)``), along the last axis: the same
+    trigonometric polynomial at other points."""
+    samples = np.fft.irfft(raw, n=n, axis=-1)
+    samples *= n / grid.n_points
+    return samples
+
+
+def resampled_rfft(grid: SpectralGrid, samples: np.ndarray) -> np.ndarray:
+    """Real samples on the n-point grid of ``grid``'s box -> their modes
+    0..n/2 in ``grid``'s ``rfft_raw`` units, along the last axis: the
+    inverse of ``band_samples``."""
+    raw = np.fft.rfft(samples, axis=-1)
+    raw *= grid.n_points / samples.shape[-1]
+    return raw
 
 
 def raw_to_unitary(grid: SpectralGrid, raw: np.ndarray) -> np.ndarray:
@@ -418,9 +450,11 @@ def half_sq_norms(
 def block_bounds(grid: SpectralGrid, n: int) -> list[tuple[int, int]]:
     """The (start, end) bounds of n rows of a trajectory on ``grid``, in
     order, in blocks whose N real samples are about BLOCK_BYTES each: the
-    transforms touch N samples a row, whatever the stored band. When fewer
-    than two blocks' worth of rows remain, the last block takes them all, so
-    no block is a short tail and none is more than twice the size."""
+    transforms touch N samples a row, whatever the stored band (``grid`` is
+    the walk's forcing grid, a reduced one if the rows are forced on it).
+    When fewer than two blocks' worth of rows remain, the last block takes
+    them all, so no block is a short tail and none is more than twice the
+    size."""
     step = max(1, BLOCK_BYTES // (8 * grid.n_points))
     count = max(1, n // step)
     return [(i * step, n if i == count - 1 else (i + 1) * step) for i in range(count)]

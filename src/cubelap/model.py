@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -386,21 +387,23 @@ def kernel_strength(kernel: KernelSpec) -> float:
 
 
 def _per_grid(h):
-    """The source profile h, remembering its values on the last array it read
-    that is read-only and owns its data, as a grid's ``x`` is: the solvers
-    call the reaction once per block of frames on one grid, and h(x) is the
-    part of it that does not change. The values are h's own, bit for bit,
-    handed out read-only."""
-    last = [None, None]
+    """The source profile h, remembering its values on the last two arrays it
+    read that are read-only and own their data, as a grid's ``x`` is: the
+    solvers call the reaction once per block of frames, on a box's N points
+    (frame 0 and the oracle) and on a window's reduced grid (its band
+    frames), and h(x) is the part of it that does not change. The values
+    are h's own, bit for bit, handed out read-only."""
+    last = deque(maxlen=2)
 
     def profile(x):
-        if x is last[0]:
-            return last[1]
+        for seen, vals in last:
+            if x is seen:
+                return vals
         vals = h(x)
         if isinstance(x, np.ndarray) and not x.flags.writeable and x.flags.owndata:
             vals = np.asarray(vals)
             vals.flags.writeable = False
-            last[:] = [x, vals]
+            last.append((x, vals))
         return vals
 
     return profile
@@ -605,7 +608,11 @@ NONLINEARITIES = {
 
 
 def apply_nonlinearity(
-    u: np.ndarray, nonlinearity: NonlinearitySpec, grid: SpectralGrid, first_frame: int = 0
+    u: np.ndarray,
+    nonlinearity: NonlinearitySpec,
+    grid: SpectralGrid,
+    first_frame: int = 0,
+    rows: str = "frame",
 ):
     """Pointwise F(u(x_j), x_j) on physical samples.
 
@@ -616,14 +623,15 @@ def apply_nonlinearity(
     and on a frame that violates the declared linear growth bound
     ||F(u,.)|| <= k||u|| + ||h||. The frames of a (frames, N) array are
     numbered from ``first_frame`` in the messages, the index of its first
-    frame in the trajectory it is a block of.
+    frame in the trajectory it is a block of; ``rows`` names what a row is
+    (a ``"window"`` of a batched march, say).
     """
     x = grid.x
     # an F that ignores u may return one (N,) profile for all frames
     vals = np.broadcast_to(nonlinearity.fn(u.real, x), u.shape)
 
     def in_frame(index):
-        return f" in frame {first_frame + index[0]}" if u.ndim > 1 else ""
+        return f" in {rows} {first_frame + index[0]}" if u.ndim > 1 else ""
 
     # row dots of the real samples: no modulus, no temporaries. A NaN or an
     # infinity makes its row's norm non-finite, so only then is it looked for

@@ -97,3 +97,81 @@ def test_mask_mkdtemp_hides_only_the_made_directory(tmp_path):
         "(python -m cubelap --config <mkdtemp>/run.json --oracle)\n"
         f"{tmp_path}other/x stays, {tmp_path} stays\n"
     )
+
+
+def _trace(*rows):
+    return "n,d_n,r_n,C\n" + "".join(f"{n},{d!r},{'' if r is None else repr(r)},0.5\n"
+                                     for n, (d, r) in enumerate(rows, 1))
+
+
+def test_failures_hold_distances_to_d1_and_their_ratios_to_what_that_moves():
+    # d_1 = 0.1: every distance may move by 1e-13, so a ratio r_n by about
+    # 1e-13 (1 + r_n) / d_n, 1e-8 at d_2 = 1e-5, and the Banach bound
+    # C/(1-C) d_last by 1e-13 at C = 0.5
+    parent = {"c/trace_w0.csv": _trace((0.1, 1e-4), (1e-5, 1e-4), (1e-9, None)),
+              "c/summary.txt": "C=0.5\nfinal_l2=2.0\nmax_picard_ratio=0.0001\n"
+                               "certificate_slack=0.0002\npicard_error_bound=1e-09\n"}
+    within = {"c/trace_w0.csv": _trace((0.1 + 5e-14, 1e-4), (1e-5 + 5e-14, 1.00005e-4),
+                                       (1e-9 + 9e-14, None)),
+              "c/summary.txt": "C=0.5\nfinal_l2=2.000000000001\nmax_picard_ratio=0.000100005\n"
+                               "certificate_slack=0.00020001\npicard_error_bound=1.00009e-09\n"}
+    assert compare_roots.failures(parent, within) == []
+    beyond = {"c/trace_w0.csv": _trace((0.1, 1e-4), (1e-5, 1e-4), (1.0002e-9, None)),
+              "c/summary.txt": "C=0.5\nfinal_l2=2.00000000001\nmax_picard_ratio=0.0001\n"
+                               "certificate_slack=0.0002\npicard_error_bound=1.0002e-09\n"}
+    assert compare_roots.failures(parent, beyond) == [
+        "c/summary.txt: line 2: 2.0 -> 2.00000000001, more than 2.000e-12 apart",
+        "c/trace_w0.csv: line 4: 1e-09 -> 1.0002e-09, more than 1.000e-13 apart",
+    ]
+    picard_bound = dict(parent, **{"c/summary.txt": parent["c/summary.txt"].replace(
+        "1e-09", "1.0002e-09")})
+    assert compare_roots.failures(parent, picard_bound) == [
+        "c/summary.txt: line 5: 1e-09 -> 1.0002e-09, more than 1.000e-13 apart"]
+
+
+def test_failures_keep_text_exit_codes_and_exact_zeros_exact():
+    parent = {"c/exit": "0", "c/config_echo.json": "aa", "c/stdout": "max = 1.141e-16\n",
+              "c/summary.txt": "overlap=0.0\nstatus=ok\n", "d/stdout": "x\n"}
+    # round-off of a zero moves freely below 1e-14; an exact zero may not
+    change = {"c/exit": "0", "c/config_echo.json": "aa", "c/stdout": "max = 6.237e-16\n",
+              "c/summary.txt": "overlap=0.0\nstatus=ok\n", "d/stdout": "x\n"}
+    assert compare_roots.failures(parent, change) == []
+    change.update({"c/exit": "3", "c/config_echo.json": "bb",
+                   "c/summary.txt": "overlap=1e-300\nstatus=solver_failure\n"})
+    del change["d/stdout"]
+    assert compare_roots.failures(parent, change) == [
+        "c/config_echo.json: differs",
+        "c/exit: differs",
+        "c/summary.txt: line 1: 0.0 -> 1e-300, more than 0.000e+00 apart",
+        "d/stdout: only in parent",
+    ]
+    assert compare_roots.failures(parent, {**parent, "c/stdout": "max is 1.141e-16\n"}) == [
+        "c/stdout: line 1: text differs"]
+
+
+def test_failures_apply_the_march_rule_to_arrays():
+    x = np.array([1.0 + 1.0j, -2.0, 0.5j])
+    d = np.array([0.1, 1e-3, 1e-9])
+    parent = {"m/final_raw": x, "m/distances": d, "m/oracle_rel_deviation": np.array(1e-6),
+              "c/final_field.sxd/last_frame": x}
+    within = {"m/final_raw": x * (1 + 5e-13), "m/distances": d + 9e-14,
+              "m/oracle_rel_deviation": np.array(1e-6 + 9e-13),
+              "c/final_field.sxd/last_frame": x + 1e-12}
+    assert compare_roots.failures(parent, within) == []
+    beyond = {"m/final_raw": x * (1 + 2e-12), "m/distances": d + 2e-13,
+              "m/oracle_rel_deviation": np.array(1e-6 + 2e-12),
+              "c/final_field.sxd/last_frame": x[:2]}
+    assert [line.split(":")[0] for line in compare_roots.failures(parent, beyond)] == [
+        "c/final_field.sxd/last_frame", "m/distances", "m/final_raw", "m/oracle_rel_deviation"]
+
+
+def test_main_ends_with_pass_or_fail(monkeypatch, capsys):
+    sides = {"parent": {"c/exit": "0", "m/distances": np.array([1.0, 0.5])}}
+    monkeypatch.setattr(compare_roots, "_run_root", lambda side, *args: sides[side])
+    sides["change"] = {"c/exit": "0", "m/distances": np.array([1.0, 0.5 + 1e-13])}
+    assert compare_roots.main(["--parent", "p", "--change", "c"]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == ["1 of 2 keys differ", "PASS"]
+    sides["change"] = {"c/exit": "2", "m/distances": np.array([1.0, 0.5])}
+    assert compare_roots.main(["--parent", "p", "--change", "c"]) == 1
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "1 of 2 keys differ", "FAIL c/exit: differs", "FAIL"]

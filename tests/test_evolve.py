@@ -1028,7 +1028,8 @@ def test_batched_oracle_raises_its_own_error_when_no_window_fails_alone():
     prob = _blowup_problem(_STARTS[0], spec)
     starts = np.stack([start(prob.grid.x) for start in (_STARTS[0], _STARTS[3])])
     assert _single_window_failure(prob, starts, 64, 16)[0] is None
-    with pytest.raises(cl.ModelEvaluationError, match=r"in frame 0$"):
+    # the block's rows are windows, and its message names them so
+    with pytest.raises(cl.ModelEvaluationError, match=r"at x\[0\] = -3\.14159 in window 0$"):
         cl.etd_reference_solve(prob, _BLOWUP_T, 64, n_frames=16, starts=rfft_raw(starts))
 
 

@@ -415,8 +415,11 @@ def _calls_by_function(tree, names):
 def test_window_data_is_built_in_window_only():
     """``evolve`` builds the symbol and the kernel factor in ``_half_symbols``
     only, the phi-weights in ``_window`` only, evaluates the reaction in
-    ``_forcing_history`` only, for both solvers, and the Heun march, which
-    runs no phi-weight code, raises its failures with no ``try``."""
+    ``_forcing_history`` only, for both solvers and on both forcing grids,
+    with the resampled transform pair and the alias check there too, picks
+    and refines the reduced grid in ``picard_solve`` only, and the Heun
+    march, which runs no phi-weight code and forces on all N points, raises
+    its failures with no ``try``."""
     import ast
     from pathlib import Path
 
@@ -431,10 +434,18 @@ def test_window_data_is_built_in_window_only():
     assert _calls_by_function(tree, ("apply_nonlinearity",)) == [
         ("_forcing_history", "apply_nonlinearity")
     ]
+    reduction = ("band_samples", "resampled_rfft", "read", "resampled", "_reduced_forcing")
+    assert sorted(_calls_by_function(tree, reduction)) == [
+        ("_forcing_history", "band_samples"), ("_forcing_history", "read"),
+        ("_forcing_history", "resampled_rfft"), ("_reduced_forcing", "resampled"),
+        ("picard_solve", "_reduced_forcing"),
+    ]
     heun = next(fn for fn in ast.walk(tree)
                 if isinstance(fn, ast.FunctionDef) and fn.name == "_heun_march")
     assert not any(isinstance(node, ast.Try) for node in ast.walk(heun))
     assert not _calls_by_function(heun, ("phi1", "phi2", "_window"))
+    assert not any(isinstance(node, ast.keyword) and node.arg == "reduced"
+                   for node in ast.walk(heun))
 
 
 def test_catalog_specs_are_built_in_their_builders_only():

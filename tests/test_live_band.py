@@ -6,9 +6,11 @@ exactly 0, so the solver iterates and stores modes 0..K-1 only, plus frame
 forced to all N/2+1 modes: its frames 1..M must be exactly 0 above K, and
 the band march must report the same trajectories, Picard distances and
 oracle deviations as values, and per-frame norms to 1e-15 relative (frame
-0's norm is summed in two parts). The memory pin checks that a march's
-reports keep no more than one band per window, window 0's frame 0 above its
-band and the per-window records.
+0's norm is summed in two parts), when both force on all N points. Where
+the band march forces on a reduced grid of N' < N points, it must agree
+with the full-width march to the 1e-12 gate. The memory pin checks that a
+march's reports keep no more than one band per window, window 0's frame 0
+above its band and the per-window records.
 """
 
 import tracemalloc
@@ -72,16 +74,19 @@ def _march(prob):
 def test_live_band_march_matches_full_width_march(name, size, monkeypatch):
     prob = _problem(name, size)
     n_half = prob.grid.n_half
-    band = _march(prob)
+    reduced = _march(prob)
+    with monkeypatch.context() as mp:
+        # both marches force on all N points: the full-width one always does
+        mp.setattr(ev, "_reduced_forcing", lambda *args: None)
+        band = _march(prob)
+        mp.setattr(ev, "_live_band", lambda *factors: factors[0].size)
+        full = _march(prob)
     k = band[0].u_band.shape[1]
     # a tabulated kernel's factor is a transform of samples, nonzero at every mode
     assert (k < n_half) == (size == WIDE and name != "tabulated")
     # frame 0's modes above the band, up to its last nonzero one
     assert (0 < band[0].u0_tail.size <= n_half - k) == (k < n_half)
     assert all(rep.u0_tail.size == 0 for rep in band[1:])
-    with monkeypatch.context() as mp:
-        mp.setattr(ev, "_live_band", lambda *factors: factors[0].size)
-        full = _march(prob)
     for b, f in zip(band, full):
         assert f.u_band.shape[1] == n_half and b.u_band.shape[1] == k
         assert np.all(f.u_band[1:, k:] == 0)
@@ -96,6 +101,23 @@ def test_live_band_march_matches_full_width_march(name, size, monkeypatch):
     # the window after the first starts from the last frame bit for bit
     for key in ("l2_per_frame", "d6_l2_per_frame"):
         assert getattr(band[1], key)[0] == getattr(band[0], key)[-1]
+    # of these, only the band-limited kernel's band is narrow enough to force
+    # on fewer points, 3K <= N' < N
+    n = prob.grid.n_points
+    assert all(r.forcing_points == reduced[0].forcing_points for r in reduced)
+    assert (reduced[0].forcing_points < n) == (size == WIDE and name == "bandlimited")
+    for r, f in zip(reduced, full):
+        if r.forcing_points < n:
+            assert 3 * k <= r.forcing_points and 0 <= r.alias_indicator <= ev.ALIAS_TOL
+        else:
+            assert r.alias_indicator is None
+        final_gap = np.linalg.norm(r.final_raw - f.final_raw) / np.linalg.norm(f.final_raw)
+        assert final_gap <= 1e-12
+        assert r.trace.iterations == f.trace.iterations
+        d_gap = np.max(np.abs(r.trace.distances - f.trace.distances)) / f.trace.distances[0]
+        assert d_gap <= 1e-12
+        # a deviation relative to the state's norm moves by at most its gap
+        assert abs(r.oracle_rel_deviation - f.oracle_rel_deviation) <= 1e-12
 
 
 def test_march_reports_hold_their_live_band():

@@ -494,6 +494,9 @@ def test_source_profiles_are_remembered_per_grid_bit_for_bit():
     assert np.array_equal(first, h(g.x))
     other = cl.make_grid(12.0, 64)
     assert np.array_equal(nl.source(other.x), h(other.x))
+    # the last two grids read are remembered both, as a box's N points and a
+    # window's reduced grid are
+    assert nl.source(g.x) is first and nl.source(other.x) is nl.source(other.x)
     # a writeable array is never remembered
     x = np.array(g.x)
     assert nl.source(x) is not nl.source(x)

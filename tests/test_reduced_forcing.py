@@ -1,0 +1,241 @@
+"""The reduced forcing grid against the N-point forcing it replaces.
+
+A window whose live band K satisfies 3K <= N' < N, N' a power of two, forces
+its band frames on N' points instead of N (``evolve._window``). The slow path
+is the same ``picard_solve`` with the reduced grid switched off
+(``evolve._reduced_forcing`` returning None), which forces on all N points
+as every window did before. On drawn problems over every kernel, reaction
+and source of the catalog the two agree to the 1e-12 gate: the same
+iteration count, the final frame to 1e-12 relative and every Picard
+distance to 1e-12 of the first. A tabulated kernel's factor is nonzero at
+every mode, so its windows never reduce. At 60 times the amplitude the
+reaction's spectrum reaches the modes that fold onto the band: the alias
+check then solves the window again on twice as many points, up to N, where
+it reproduces the N-point numbers bit for bit. So it does for a source
+cut off by the box edge, whose flat spectral floor folds onto the band. A
+band-limited source above N'/2 folds onto the band below the top eighth,
+where no reduced block can see it; the N-point forcing of one band frame
+does, and the window starts on a grid that resolves the source. On the
+reduced grid, as on N points, the block size changes no number.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import cubelap as cl
+import cubelap.evolve as ev
+import cubelap.grid
+from cubelap.model import KERNELS, NONLINEARITIES, SOURCES
+
+A, B, T, N_FRAMES = 0.3, -0.8, 0.4, 16
+#: On this box the drawn kernels' bands are K <= 170, so N' <= 512 < N.
+L, N = 10.0, 1024
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _kernel(draw, name, grid):
+    if name == "gaussian":
+        return cl.gaussian_kernel(draw(_floats(1e-3, 0.05)), draw(_floats(1.5, 4.0)))
+    if name == "sech":
+        return cl.sech_kernel(draw(_floats(1e-3, 0.05)), draw(_floats(9.0, 16.0)))
+    if name == "bandlimited":
+        return cl.bandlimited_kernel(grid, draw(_floats(1e-3, 0.05)), draw(_floats(1.0, 6.0)))
+    if name == "tabulated":
+        xs = np.linspace(-5.0, 5.0, 101)
+        return cl.tabulated_kernel(grid, xs, draw(_floats(1e-3, 0.05)) * np.exp(-(xs**2)))
+    raise AssertionError(f"no case for the catalog entry {name!r}")
+
+
+def _source(draw, name, grid):
+    if name == "zero":
+        return cl.source_zero()
+    if name == "gaussian":
+        return cl.source_gaussian(draw(_floats(-0.2, 0.2)), draw(_floats(0.5, 2.0)),
+                                  draw(_floats(-2.0, 2.0)))
+    if name == "bandlimited":
+        # up to p = 30, far above the Nyquist wavenumber 10 of N' = 64
+        p_lo = draw(_floats(0.0, 28.0))
+        return cl.source_bandlimited(grid, draw(_floats(0.01, 0.2)), p_lo,
+                                     p_lo + draw(_floats(1.0, 2.0)))
+    raise AssertionError(f"no case for the catalog entry {name!r}")
+
+
+def _reaction(draw, name, ell, source):
+    if name == "linear_plus_source":
+        return cl.linear_plus_source(draw(st.sampled_from([-1.0, 1.0])) * ell, source)
+    if name == "saturating":
+        return cl.saturating(ell, source)
+    if name == "logistic_clip":
+        return cl.logistic_clip(ell, draw(_floats(0.5, 2.0)), source)
+    raise AssertionError(f"no case for the catalog entry {name!r}")
+
+
+def _certified(kernel, a, b):
+    """The Lipschitz constant at which C = 0.5 on the window (C is linear in l)."""
+    return 0.5 / cl.Certificate.for_window(cl.kernel_strength(kernel), 1.0, a, b, T).constant
+
+
+@st.composite
+def problems(draw, kernel_name, reaction_name):
+    grid = cl.make_grid(L, N)
+    a, b = draw(_floats(0.0, 0.5)), draw(_floats(-1.0, 1.0))
+    kernel = _kernel(draw, kernel_name, grid)
+    source = _source(draw, draw(st.sampled_from(sorted(SOURCES))), grid)
+    reaction = _reaction(draw, reaction_name, _certified(kernel, a, b), source)
+    amp, width, center = draw(_floats(0.1, 2.0)), draw(_floats(0.7, 2.0)), draw(_floats(-2, 2))
+    u0 = cl.field_from_function(grid, lambda x: amp * np.exp(-((x - center) / width) ** 2))
+    return cl.ProblemSpec(a=a, b=b, kernel=kernel, nonlinearity=reaction, u0=u0, grid=grid)
+
+
+def _solve(prob, full=False):
+    cert = cl.Certificate.for_window(
+        cl.kernel_strength(prob.kernel), prob.nonlinearity.lipschitz_l, prob.a, prob.b, T
+    )
+    assert cert.valid
+    with pytest.MonkeyPatch.context() as mp:
+        if full:
+            mp.setattr(ev, "_reduced_forcing", lambda *args: None)
+        return cl.picard_solve(prob, T, cert, n_frames=N_FRAMES)
+
+
+def _gaps(rep, full):
+    """The final frame's relative gap and the largest distance gap over d_1."""
+    final = np.linalg.norm(rep.final_raw - full.final_raw) / np.linalg.norm(full.final_raw)
+    d = full.trace.distances
+    return final, np.max(np.abs(rep.trace.distances - d)) / d[0]
+
+
+def _assert_within_gate(rep, full):
+    assert rep.trace.iterations == full.trace.iterations
+    assert max(_gaps(rep, full)) <= 1e-12
+
+
+@pytest.mark.parametrize("reaction_name", sorted(NONLINEARITIES))
+@pytest.mark.parametrize("kernel_name", sorted(KERNELS))
+@settings(max_examples=8, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_reduced_forcing_matches_n_point_forcing(kernel_name, reaction_name, data):
+    prob = data.draw(problems(kernel_name, reaction_name))
+    rep, full = _solve(prob), _solve(prob, full=True)
+    k = rep.u_band.shape[1]
+    assert full.forcing_points == N and full.alias_indicator is None
+    if prob.kernel.name == "tabulated":
+        assert k == prob.grid.n_half
+    else:
+        assert 6 * k <= N  # so N' <= N/2
+    if rep.forcing_points < N:
+        assert 3 * k <= rep.forcing_points and 0 <= rep.alias_indicator <= ev.ALIAS_TOL
+    else:
+        # the window forced on N points, as its slow path does, with the same numbers
+        assert rep.alias_indicator is None
+        assert np.array_equal(rep.u_band, full.u_band)
+    _assert_within_gate(rep, full)
+
+
+def _bumps_problem(n_points, amplitude):
+    grid = cl.make_grid(L, n_points)
+    kernel = cl.gaussian_kernel(0.01, 2.0)
+    return cl.ProblemSpec(
+        a=A, b=B, kernel=kernel,
+        nonlinearity=cl.saturating(_certified(kernel, A, B), cl.source_gaussian(0.1, 1.0, 0.5)),
+        u0=cl.field_from_function(grid, lambda x: amplitude * (
+            np.exp(-((x - 1.0) ** 2) / 2.0) - 0.7 * np.exp(-((x + 1.5) ** 2) / 3.0))),
+        grid=grid,
+    )
+
+
+@pytest.mark.parametrize(("n_points", "forcing_points"), [(1024, 1024), (4096, 1024)])
+def test_an_aliased_window_is_solved_again_on_more_points(n_points, forcing_points):
+    # K = 87, so the window first forces on N' = 512 points. At amplitude 1
+    # it stays there; at 60 the alias indicator passes ALIAS_TOL there, and
+    # the window is solved again on 1024 points: all N of them on the
+    # smaller grid, where the numbers are the N-point ones bit for bit
+    calm = _solve(_bumps_problem(n_points, 1.0))
+    assert calm.u_band.shape[1] == 87 and calm.forcing_points == 512
+    prob = _bumps_problem(n_points, 60.0)
+    rep, full = _solve(prob), _solve(prob, full=True)
+    assert rep.forcing_points == forcing_points
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ev, "ALIAS_TOL", np.inf)
+        aliased = _solve(prob)
+    assert aliased.forcing_points == 512 and aliased.alias_indicator > ev.ALIAS_TOL
+    if forcing_points == n_points:
+        assert rep.alias_indicator is None
+        assert np.array_equal(rep.u_band, full.u_band)
+        assert np.array_equal(rep.trace.distances, full.trace.distances)
+    else:
+        assert 0 <= rep.alias_indicator <= ev.ALIAS_TOL
+    _assert_within_gate(rep, full)
+
+
+def test_a_source_cut_off_by_the_box_edge_is_forced_on_all_points():
+    # the source reads 2.3e-8 at the right edge of the box, so its spectrum
+    # has a floor at every mode; on N' = 64 points the modes above 32 fold
+    # onto the band's forcing
+    grid = cl.make_grid(L, N)
+    kernel = cl.bandlimited_kernel(grid, 0.05, 3.0)
+    prob = cl.ProblemSpec(
+        a=A, b=B, kernel=kernel,
+        nonlinearity=cl.linear_plus_source(-_certified(kernel, A, B),
+                                           cl.source_gaussian(0.2, 2.0, 2.0)),
+        u0=cl.field_from_function(grid, lambda x: np.exp(-((x - 1.0) ** 2) / 2.0)), grid=grid,
+    )
+    rep, full = _solve(prob), _solve(prob, full=True)
+    assert rep.forcing_points == N and rep.alias_indicator is None
+    assert np.array_equal(rep.u_band, full.u_band)
+    assert np.array_equal(rep.trace.distances, full.trace.distances)
+    # its indicator, 4e-16, is far below item 13's 1e-13, yet the reduced
+    # forcing misses the gate
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ev, "ALIAS_TOL", np.inf)
+        aliased = _solve(prob)
+    assert aliased.forcing_points == 64 and 1e-16 < aliased.alias_indicator < 1e-13
+    assert min(_gaps(aliased, full)) > 1e-11
+
+
+@pytest.mark.parametrize(("modes", "forcing_points"), [((46, 60), 256), ((180, 200), N)])
+def test_a_source_band_above_the_reduced_nyquist_mode_is_resolved(modes, forcing_points):
+    # K = 18, so N' = 64 at first. The source's modes fold onto modes 4..18
+    # of 64 points (and onto 0..20 of 256 and 512 at modes 180..200): onto
+    # the kernel's band, and below the top eighth, modes 25..32
+    grid = cl.make_grid(L, N)
+    kernel = cl.bandlimited_kernel(grid, 0.05, 3.0)
+    source = cl.source_bandlimited(grid, 0.2, modes[0] * grid.dp, modes[1] * grid.dp)
+    prob = cl.ProblemSpec(
+        a=A, b=B, kernel=kernel,
+        nonlinearity=cl.linear_plus_source(-_certified(kernel, A, B), source),
+        u0=cl.field_from_function(grid, lambda x: np.exp(-((x - 1.0) ** 2) / 2.0)), grid=grid,
+    )
+    rep, full = _solve(prob), _solve(prob, full=True)
+    assert rep.u_band.shape[1] == 18 and rep.forcing_points == forcing_points
+    _assert_within_gate(rep, full)
+    # with the probe's choice skipped, the blocks read no alias, and the
+    # reduced forcing is wrong by far more than the gate
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ev, "_reduced_forcing",
+                   lambda grid, n, probe: ev._ReducedForcing(grid.resampled(n)))
+        blind = _solve(prob)
+    assert blind.forcing_points == 64 and blind.alias_indicator <= ev.ALIAS_TOL
+    assert max(_gaps(blind, full)) > 1e-6
+
+
+@pytest.mark.parametrize("rows", [1, 5, 10**6], ids=["1_row", "5_rows", "whole_window"])
+def test_block_size_changes_no_number_on_the_reduced_grid(rows, monkeypatch):
+    prob = _bumps_problem(1024, 1.0)
+    default = _solve(prob)
+    assert default.forcing_points == 512
+    # blocks are sized by the forcing grid: at the default, one block of 64
+    # rows holds the window's 16 frames
+    monkeypatch.setattr(cubelap.grid, "BLOCK_BYTES", rows * 8 * default.forcing_points)
+    rep = _solve(prob)
+    assert rep.forcing_points == 512
+    for key in ("u_band", "l2_per_frame", "d6_l2_per_frame", "dudt_l2_per_frame"):
+        assert np.array_equal(getattr(rep, key), getattr(default, key)), key
+    assert np.array_equal(rep.trace.distances, default.trace.distances)
+    assert rep.alias_indicator == default.alias_indicator
