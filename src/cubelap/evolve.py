@@ -57,21 +57,22 @@ iterate's image, after its walk.
 
 Where the forcing is evaluated. Frames 1..M are trigonometric polynomials
 of the band's K modes, and the recursion reads F's transform on modes
-0..K-1 only, so a window may sample its band frames on a grid of N' < N
-points of the same box, apply the reaction there, and keep modes 0..K-1 of
-the result (``grid.band_samples`` / ``grid.resampled_rfft``): the padding
-and truncation of pseudo-spectral codes (Orszag, J. Atmos. Sci. 28, 1971;
-Boyd, Chebyshev and Fourier Spectral Methods, 2001, ch. 11). N' is the
-smallest power of two >= 3K, doubled while the forcing of the first
-iterate's frame 1, a band frame evaluated once on all N points, has more
-than ``ALIAS_TOL`` of its energy in the modes from 3N'/8 up (what folds
-onto the band shows there, whatever the spectrum's shape), and kept only
-below N. What F's spectrum later
-has beyond N'/2 folds onto lower modes; each block therefore reads the
-alias indicator of its reduced spectrum, and one past ``ALIAS_TOL`` ends
-the attempt: the window is solved again on twice as many points, up to
-N. Frame 0's forcing, which has modes above K, and the oracle are
-evaluated on all N points, and so is every window whose N' is not below N.
+0..K-1 only, so a window samples its band frames on a grid of n <= N
+points of the same box, applies the reaction there, and keeps modes
+0..K-1 of the result (``grid.band_samples`` / ``grid.resampled_rfft``,
+which at n = N are the N-point pair bit for bit): the padding and
+truncation of pseudo-spectral codes (Orszag, J. Atmos. Sci. 28, 1971;
+Boyd, Chebyshev and Fourier Spectral Methods, 2001, ch. 11). Its forcing
+grid is a rung of the ladder n, 2n, 4n, ..., N (``_rungs``). The first
+rung is the smallest power of two >= 3K, doubled while the forcing of the
+first iterate's frame 1, a band frame evaluated on N points, has more
+than ``ALIAS_TOL`` of its energy in the modes from 3n/8 up (what folds
+onto the band shows there, whatever the spectrum's shape). What F's
+spectrum later has beyond n/2 folds onto lower modes; below N each block
+therefore reads the alias indicator of its spectrum, and one past
+``ALIAS_TOL`` ends the attempt: the window is solved again on the next
+rung. On N points nothing folds, so the top rung ends the ladder. Frame
+0's forcing, which has modes above K, and the oracle are forced on N.
 
 The march first runs the certified Picard chain, window after window, since
 each window starts from the previous one's end state. The oracle of window k
@@ -147,12 +148,12 @@ MIN_ORACLE_SUBSTEPS_FACTOR = 4
 #: windows - 1 reports and its last solve's pair (``global_march``).
 MEMORY_BUDGET_BYTES = 2 * 2**30
 
-#: The alias indicator a window's reduced forcing grid may read, in any row
-#: of any block: the energy of the reduced forcing spectrum's modes from
-#: 3N'/8 up over the whole (``_alias_indicator``). Past it the reaction's
+#: The alias indicator a window's forcing grid of n < N points may read, in
+#: any row of any block: the energy of its forcing spectrum's modes from
+#: 3n/8 up over the whole (``_alias_indicator``). Past it the reaction's
 #: spectrum reaches the modes that fold onto the band, and the window is
-#: solved again on twice as many points, up to N (``picard_solve``), or
-#: starts on more (the probe of ``_reduced_forcing``). Rounding alone reads
+#: solved again on the next rung, up to N (``picard_solve``), or starts on
+#: a higher one (the probe of ``_first_rung``). Rounding alone reads
 #: about eps^2, 1e-32 to 1e-31. A spectrum with a floor above that (a
 #: source cut off by the box edge, a clipped reaction) folds onto the band
 #: about the square root of its indicator: on drawn problems an indicator
@@ -286,9 +287,8 @@ class _Window:
     w_next = g dt phi2(dt lam), the convolution factor g = sqrt(2 pi) Ghat and
     the symbol lam itself; u0's modes K, K+1, ... up to its last nonzero
     one, ``u0_tail``, with lam times them, ``dudt0_tail``: frame 0's modes
-    above the band, which no iterate changes; and the reduced grid its band
-    frames are forced on (``picard_solve`` chooses it), or None when they
-    are forced on all N points.
+    above the band, which no iterate changes; and the grid its band frames
+    are forced on, N by default (``picard_solve`` may choose a rung below).
     """
 
     u0: np.ndarray
@@ -299,7 +299,7 @@ class _Window:
     lam: np.ndarray
     u0_tail: np.ndarray
     dudt0_tail: np.ndarray
-    reduced: "_ReducedForcing | None" = None
+    forcing: "_ForcingGrid"
 
     @property
     def band(self) -> int:
@@ -308,24 +308,26 @@ class _Window:
 
 
 class _AliasedForcing(Exception):
-    """A reduced forcing block read an alias indicator past ``ALIAS_TOL``."""
+    """A forcing block below N read an alias indicator past ``ALIAS_TOL``."""
 
 
-@dataclass(eq=False)
-class _ReducedForcing:
-    """The grid of N' < N points of the box on which a window's band frames
-    are forced, and the largest alias indicator its blocks have read."""
+class _ForcingGrid:
+    """The grid of n <= N points of ``grid``'s box that frames are forced on:
+    ``grid`` itself at n = N, where nothing folds and ``alias`` is None, and
+    below N one whose blocks' largest alias indicator is ``alias``."""
 
-    grid: SpectralGrid
-    alias: float = 0.0
+    def __init__(self, grid: SpectralGrid, n: int):
+        self.grid = grid.resampled(n)
+        self.alias = 0.0 if n < grid.n_points else None
 
     def read(self, fh: np.ndarray) -> None:
-        """Take the alias indicator of each row of a reduced forcing block,
-        its modes 0..N'/2. Raises ``_AliasedForcing`` past ``ALIAS_TOL``."""
-        ratio = float(np.max(_alias_indicator(fh, self.grid.n_points)))
-        if not ratio <= ALIAS_TOL:
-            raise _AliasedForcing(ratio)
-        self.alias = max(self.alias, ratio)
+        """Take the alias indicator of each row of a forcing block, its
+        modes 0..n/2, below N. Raises ``_AliasedForcing`` past ``ALIAS_TOL``."""
+        if self.alias is not None:
+            ratio = float(np.max(_alias_indicator(fh, self.grid.n_points)))
+            if not ratio <= ALIAS_TOL:
+                raise _AliasedForcing(ratio)
+            self.alias = max(self.alias, ratio)
 
 
 def _alias_indicator(fh: np.ndarray, n: int) -> np.ndarray:
@@ -338,18 +340,27 @@ def _alias_indicator(fh: np.ndarray, n: int) -> np.ndarray:
     return np.divide(top, total, out=np.zeros_like(top), where=total > 0)
 
 
-def _reduced_forcing(grid: SpectralGrid, n: int, probe: np.ndarray) -> _ReducedForcing | None:
-    """The reduced forcing of a window on the first of n, 2n, 4n, ... points
-    below N at which the forcing ``probe`` of one band frame, modes 0..N/2
-    on N points, where nothing folds, reads an alias indicator within
-    ``ALIAS_TOL``: what the reduced grid's blocks would read, and all that
-    would fold (a source whose band lies above n/2, say). None when no such
-    count is below N."""
-    while n < grid.n_points:
-        if _alias_indicator(probe, n) <= ALIAS_TOL:
-            return _ReducedForcing(grid.resampled(n))
+def _first_rung(prob: ProblemSpec, w: _Window) -> int:
+    """The first rung of the window's forcing grid: the smallest power of two
+    n >= 3K, doubled below N while the forcing of the first iterate's frame
+    1, a band frame, forced on N points, where nothing folds, reads an alias
+    indicator for n points past ``ALIAS_TOL`` (a source above n/2, say)."""
+    # a band of K modes is sampled exactly, and the products of two band
+    # modes fold onto no band mode (3/2 rule)
+    n = max(8, 1 << (3 * w.band - 1).bit_length())
+    if n < prob.grid.n_points:
+        probe = _forcing_history((w.e_dt * w.u0[: w.band])[None], prob, w.forcing, 1)[0]
+        while n < prob.grid.n_points and not _alias_indicator(probe, n) <= ALIAS_TOL:
+            n *= 2
+    return n
+
+
+def _rungs(n: int, top: int) -> Iterator[int]:
+    """n, 2n, 4n, ... below top, then top: the ladder ends at N."""
+    while n < top:
+        yield n
         n *= 2
-    return None
+    yield top
 
 
 def _live_band(*factors: np.ndarray) -> int:
@@ -388,35 +399,32 @@ def _window(prob: ProblemSpec, dt: float, start: np.ndarray | None = None) -> _W
         lam=lam[:k],
         u0_tail=tail,
         dudt0_tail=lam[k : k + tail.size] * tail,
+        forcing=_ForcingGrid(prob.grid, prob.grid.n_points),
     )
 
 
 def _forcing_history(
     frames: np.ndarray,
     prob: ProblemSpec,
+    forcing: _ForcingGrid,
     first_frame: int = 0,
     band: int | None = None,
-    reduced: _ReducedForcing | None = None,
     rows: str = "frame",
 ) -> np.ndarray:
     """Transforms of F(v(., t_j), .) for every frame: half-spectrum frames
-    (..., K') in ``rfft_raw`` units (modes above K' zero) in, their modes
-    0..N/2, or 0..``band``-1, out. The finiteness check sees all N/2+1
-    modes. A model error names the row (frame ``first_frame`` + row, or
-    what ``rows`` says the rows are) and x[j] of the grid it was forced on.
-
-    With ``reduced``, the frames (K' <= N'/3) are sampled and forced on its
-    grid of N' points instead of N, and the finiteness check sees its
-    N'/2+1 modes, which ``reduced.read`` then checks for aliasing."""
-    grid = prob.grid
-    on = grid if reduced is None else reduced.grid
-    phys = irfft_raw(grid, frames) if reduced is None else band_samples(grid, frames, on.n_points)
+    (..., K') in ``rfft_raw`` units (modes above K' zero; K' <= n/3 below N)
+    in, sampled and forced on the n points of ``forcing``, their modes
+    0..n/2, or 0..``band``-1, out. The finiteness check sees all n/2+1
+    modes, and ``forcing.read`` then checks them for aliasing. A model error
+    names the row (frame ``first_frame`` + row, or what ``rows`` says the
+    rows are) and x[j] of the grid it was forced on."""
+    on = forcing.grid
+    phys = band_samples(prob.grid, frames, on.n_points)
     vals = apply_nonlinearity(phys, prob.nonlinearity, on, first_frame, rows)
-    fh = rfft_raw(vals) if reduced is None else resampled_rfft(grid, vals)
+    fh = resampled_rfft(prob.grid, vals)
     if not np.all(np.isfinite(fh)):
         raise SolverError("forcing history contains non-finite values")
-    if reduced is not None:
-        reduced.read(fh)
+    forcing.read(fh)
     return fh[..., :band]
 
 
@@ -472,13 +480,11 @@ def duhamel_map(
     With ``carry = (j, u_j, f_j)``, v is instead the block of frames j+1,
     j+2, ... of a trajectory whose frame j has the image u_j and the forcing
     transform f_j: the same recursion continues from frame j, and a model
-    error names the frame of the trajectory, not of the block.
-
-    Frames of at most K modes are forced on the window's reduced grid, if it
-    has one; wider frames on all N points.
+    error names the frame of the trajectory, not of the block. The frames
+    are forced on the window's forcing grid.
     """
-    reduced = window.reduced if v.shape[-1] <= window.band else None
-    fh = _forcing_history(v, prob, 0 if carry is None else carry[0] + 1, window.band, reduced)
+    fh = _forcing_history(v, prob, window.forcing, 0 if carry is None else carry[0] + 1,
+                          window.band)
     u = np.empty_like(fh) if out is None else out
     if carry is None:
         u[0] = window.u0[: window.band]
@@ -538,9 +544,9 @@ class SolveReport:
     field), ``final_raw`` the last frame to modes 0..N/2 and
     ``final_state`` to a unitary ``Field``, on every access (uncached, so a
     caller holding many reports holds neither half nor full spectra).
-    ``forcing_points`` is the number of points its band frames were forced
-    on, N' or N, and ``alias_indicator`` the largest alias indicator of the
-    reduced grid's blocks, or None when they were forced on N points.
+    ``forcing_points`` is the number of points n <= N its band frames were
+    forced on, and ``alias_indicator`` the largest alias indicator of their
+    blocks below N, or None at n = N, where nothing folds.
     """
 
     grid: SpectralGrid
@@ -644,13 +650,13 @@ def picard_solve(
     0's forcing computed once, and the default tolerance after the first
     walk. The report keeps the last iterate's u as it is, with frame 0's
     modes above the band, and of du/dt only its per-frame norms; every norm
-    of frame 0 counts those modes too. The band frames are forced on a
-    reduced grid of N' < N points where the forcing of the first iterate's
-    frame 1, evaluated on N points, allows it (``_reduced_forcing``); an
-    attempt whose forcing aliases is dropped, and the window is solved
-    again from the start on twice as many points, up to N, so that no
-    number depends on the attempts before the last. The report names the
-    grid (``forcing_points``) and its largest alias indicator.
+    of frame 0 counts those modes too. The band frames are forced on the
+    first rung the forcing of the first iterate's frame 1, evaluated on N
+    points, allows (``_first_rung``); an attempt whose forcing aliases is
+    dropped, and the window is solved again from the start on the next
+    rung, up to N, so that no number depends on the attempts before the
+    last. The report names the grid (``forcing_points``) and its largest
+    alias indicator.
     """
     _check_window(window_length, n_frames)
     if max_iter < 1:
@@ -678,23 +684,17 @@ def picard_solve(
     tg = np.linspace(0.0, window_length, n_frames + 1)
     tw = trapezoid_weights(tg)
     w = _window(prob, float(tg[1] - tg[0]), start)
-    # frame 0 and its forcing are the same in every iterate, on any forcing grid
-    f0 = _forcing_history(w.u0[None], prob, band=w.band)[0]
-    # the smallest power of two >= 3K: a band of K modes is sampled exactly,
-    # and the products of two band modes fold onto no band mode (3/2 rule)
-    n = max(8, 1 << (3 * w.band - 1).bit_length())
-    # frame 1 of the first iterate, a band frame, forced on all N points
-    probe = (_forcing_history((w.e_dt * w.u0[: w.band])[None], prob, first_frame=1)[0]
-             if n < grid.n_points else None)
-    while True:
-        w = replace(w, reduced=_reduced_forcing(grid, n, probe))
+    # frame 0 and its forcing, on N points, are the same in every iterate
+    f0 = _forcing_history(w.u0[None], prob, w.forcing, band=w.band)[0]
+    for n in _rungs(_first_rung(prob, w), grid.n_points):
+        w = replace(w, forcing=_ForcingGrid(grid, n))
         try:
             u, dudt, distances, tol = _fixed_point(prob, w, f0, tw, tol_fix, max_iter)
             break
         except _AliasedForcing:
             # the reaction's spectrum has reached the modes that fold onto
-            # the band: the window again on twice as many points, up to N
-            n = 2 * w.reduced.grid.n_points
+            # the band: the window again on the next rung, which N ends
+            pass
     converged = distances[-1] < tol
 
     dists = np.asarray(distances)
@@ -739,8 +739,8 @@ def picard_solve(
         d6_l2_per_frame=frame_norms(grid, u, "d6", w.u0_tail),
         dudt_l2_per_frame=frame_norms(grid, dudt, "l2", w.dudt0_tail),
         tail_warnings=_tail_check(grid, (w.u0, u[-1]), t_offset),
-        forcing_points=grid.n_points if w.reduced is None else w.reduced.grid.n_points,
-        alias_indicator=None if w.reduced is None else w.reduced.alias,
+        forcing_points=w.forcing.grid.n_points,
+        alias_indicator=w.forcing.alias,
     )
 
 
@@ -807,8 +807,7 @@ def _picard_iterate(
     time integral is the caller's.
     """
     grid = prob.grid
-    forced_on = grid if w.reduced is None else w.reduced.grid
-    blocks = [(s + 1, e + 1) for s, e in block_bounds(forced_on, len(u) - 1)]
+    blocks = [(s + 1, e + 1) for s, e in block_bounds(w.forcing.grid, len(u) - 1)]
     size = max(e - s for s, e in blocks)
     new_u, new_du = (np.empty((size,) + u.shape[1:], np.complex128) for _ in range(2))
     dist_sq = np.empty(len(u))
@@ -911,6 +910,7 @@ def _heun_march(
     h = window_length / substeps
     lam, g = _half_symbols(prob)
     e_h = np.exp(h * lam)
+    on = _ForcingGrid(grid, grid.n_points)
 
     def l2(u: np.ndarray) -> np.ndarray:
         return np.sqrt(np.atleast_1d(half_sq_norms(grid, u, "l2")))
@@ -919,9 +919,9 @@ def _heun_march(
     scale0 = l2(u_hat)
     ref = None
     for n in range(substeps):
-        nn = g * _forcing_history(u_hat, prob, rows="window")
+        nn = g * _forcing_history(u_hat, prob, on, rows="window")
         pred = e_h * (u_hat + h * nn)
-        nn_pred = g * _forcing_history(pred, prob, rows="window")
+        nn_pred = g * _forcing_history(pred, prob, on, rows="window")
         u_hat = e_h * u_hat + 0.5 * h * (e_h * nn + nn_pred)
         norm_now = l2(u_hat)
         if ref is None:

@@ -144,12 +144,12 @@ class SpectralGrid:
         return self.n_points // 2 + 1
 
     def resampled(self, n_points: int) -> "SpectralGrid":
-        """The grid of the same box with ``n_points`` samples, built once per
-        grid and count, so that what is cached on a grid's ``x`` (a source
-        profile) stays cached across the windows of a march."""
-        if n_points not in self._resampled:
+        """The grid of the same box with ``n_points`` samples: the grid itself
+        at its own count, any other built once per grid and count, so that
+        what is cached on a grid's ``x`` (a source profile) stays cached."""
+        if n_points != self.n_points and n_points not in self._resampled:
             self._resampled[n_points] = SpectralGrid(self.half_length, n_points)
-        return self._resampled[n_points]
+        return self._resampled.get(n_points, self)
 
 
 def make_grid(half_length: float, n_points: int) -> SpectralGrid:
@@ -227,10 +227,10 @@ def irfft_raw(grid: SpectralGrid, raw: np.ndarray) -> np.ndarray:
 
 
 def band_samples(grid: SpectralGrid, raw: np.ndarray, n: int) -> np.ndarray:
-    """Modes 0..K-1 of frames on ``grid`` in ``rfft_raw`` units (K <= n/2,
-    the modes above K zero) -> their real samples on the n-point grid of the
-    same box (``grid.resampled(n)``), along the last axis: the same
-    trigonometric polynomial at other points."""
+    """Modes 0..K-1 of frames on ``grid`` in ``rfft_raw`` units (K <= n/2, or
+    N/2+1 at n = N; the modes above K zero) -> their real samples on the
+    n-point grid of the same box (``grid.resampled(n)``) along the last axis:
+    the same trigonometric polynomial at other points, ``irfft_raw``'s at N."""
     samples = np.fft.irfft(raw, n=n, axis=-1)
     samples *= n / grid.n_points
     return samples
@@ -239,7 +239,7 @@ def band_samples(grid: SpectralGrid, raw: np.ndarray, n: int) -> np.ndarray:
 def resampled_rfft(grid: SpectralGrid, samples: np.ndarray) -> np.ndarray:
     """Real samples on the n-point grid of ``grid``'s box -> their modes
     0..n/2 in ``grid``'s ``rfft_raw`` units, along the last axis: the
-    inverse of ``band_samples``."""
+    inverse of ``band_samples``, and ``rfft_raw`` bit for bit at n = N."""
     raw = np.fft.rfft(samples, axis=-1)
     raw *= grid.n_points / samples.shape[-1]
     return raw
@@ -451,7 +451,7 @@ def block_bounds(grid: SpectralGrid, n: int) -> list[tuple[int, int]]:
     """The (start, end) bounds of n rows of a trajectory on ``grid``, in
     order, in blocks whose N real samples are about BLOCK_BYTES each: the
     transforms touch N samples a row, whatever the stored band (``grid`` is
-    the walk's forcing grid, a reduced one if the rows are forced on it).
+    the grid the rows are forced on, of N points or fewer).
     When fewer than two blocks' worth of rows remain, the last block takes
     them all, so no block is a short tail and none is more than twice the
     size."""

@@ -1123,11 +1123,12 @@ def _per_frame_picard(prob, T, n_frames):
 
 
 def test_batched_forcing_matches_per_frame_loop(hot_path_problem):
-    from cubelap.evolve import _forcing_history
+    from cubelap.evolve import _ForcingGrid, _forcing_history
 
     prob, cert, T = hot_path_problem
     v, _, _ = _free_trajectory(prob, T, 32)
-    batched = raw_to_unitary(prob.grid, _forcing_history(v, prob))
+    on = _ForcingGrid(prob.grid, prob.grid.n_points)
+    batched = raw_to_unitary(prob.grid, _forcing_history(v, prob, on))
     reference = _per_frame_forcing(unitary_spectrum(prob.grid, v), prob)[:, : v.shape[1]]
     assert np.max(np.abs(batched - reference)) <= 1e-12 * np.max(np.abs(reference))
 

@@ -3,8 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cubelap as cl
+import cubelap.grid as grid_mod
 
 from conftest import random_smooth_field
 
@@ -338,6 +341,27 @@ def test_linf_bounds_on_random_corpus():
         assert lhs6 <= rhs6 * (1.0 + 1e-10)
 
 
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_the_n_point_rung_is_the_n_point_transform_pair_bit_for_bit(data):
+    """At n = N, ``band_samples`` and ``resampled_rfft`` scale by exactly 1,
+    so they are ``irfft_raw`` and ``rfft_raw`` bit for bit: the top rung of
+    a window's forcing grid takes the one forcing path."""
+    g = cl.make_grid(data.draw(st.floats(0.5, 50.0)), 2 * data.draw(st.integers(4, 600)))
+    shape = tuple(data.draw(st.lists(st.integers(1, 4), max_size=2)))
+    k = data.draw(st.integers(1, g.n_half))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    raw = rng.standard_normal(shape + (k,)) + 1j * rng.standard_normal(shape + (k,))
+    assert _bits(grid_mod.band_samples(g, raw, g.n_points)) == _bits(grid_mod.irfft_raw(g, raw))
+    x = rng.standard_normal(shape + (g.n_points,))
+    assert _bits(grid_mod.resampled_rfft(g, x)) == _bits(grid_mod.rfft_raw(x))
+    assert g.resampled(g.n_points) is g
+
+
 def test_tail_mass_fraction():
     g = cl.make_grid(20.0, 256)
     centered = cl.field_from_function(g, lambda x: np.exp(-(x**2)))
@@ -415,11 +439,11 @@ def _calls_by_function(tree, names):
 def test_window_data_is_built_in_window_only():
     """``evolve`` builds the symbol and the kernel factor in ``_half_symbols``
     only, the phi-weights in ``_window`` only, evaluates the reaction in
-    ``_forcing_history`` only, for both solvers and on both forcing grids,
-    with the resampled transform pair and the alias check there too, picks
-    and refines the reduced grid in ``picard_solve`` only, and the Heun
-    march, which runs no phi-weight code and forces on all N points, raises
-    its failures with no ``try``."""
+    ``_forcing_history`` only, for both solvers and on every rung of the
+    forcing grid, with one transform pair, the resampled one, and the alias
+    check there too, picks the first rung in ``picard_solve`` only, and the
+    Heun march, which runs no phi-weight code and forces on the N rung,
+    raises its failures with no ``try``."""
     import ast
     from pathlib import Path
 
@@ -434,18 +458,19 @@ def test_window_data_is_built_in_window_only():
     assert _calls_by_function(tree, ("apply_nonlinearity",)) == [
         ("_forcing_history", "apply_nonlinearity")
     ]
-    reduction = ("band_samples", "resampled_rfft", "read", "resampled", "_reduced_forcing")
-    assert sorted(_calls_by_function(tree, reduction)) == [
-        ("_forcing_history", "band_samples"), ("_forcing_history", "read"),
-        ("_forcing_history", "resampled_rfft"), ("_reduced_forcing", "resampled"),
-        ("picard_solve", "_reduced_forcing"),
+    one_path = ("band_samples", "resampled_rfft", "read", "resampled", "_first_rung", "_rungs")
+    assert sorted(_calls_by_function(tree, one_path)) == [
+        ("__init__", "resampled"), ("_forcing_history", "band_samples"),
+        ("_forcing_history", "read"), ("_forcing_history", "resampled_rfft"),
+        ("picard_solve", "_first_rung"), ("picard_solve", "_rungs"),
     ]
-    heun = next(fn for fn in ast.walk(tree)
-                if isinstance(fn, ast.FunctionDef) and fn.name == "_heun_march")
+    fns = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    assert not _calls(fns["_forcing_history"], ("irfft_raw", "rfft_raw"))
+    heun = fns["_heun_march"]
     assert not any(isinstance(node, ast.Try) for node in ast.walk(heun))
     assert not _calls_by_function(heun, ("phi1", "phi2", "_window"))
-    assert not any(isinstance(node, ast.keyword) and node.arg == "reduced"
-                   for node in ast.walk(heun))
+    assert [ast.unparse(node) for node in ast.walk(heun) if isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "_ForcingGrid"] == ["_ForcingGrid(grid, grid.n_points)"]
 
 
 def test_catalog_specs_are_built_in_their_builders_only():

@@ -76,8 +76,8 @@ def test_live_band_march_matches_full_width_march(name, size, monkeypatch):
     n_half = prob.grid.n_half
     reduced = _march(prob)
     with monkeypatch.context() as mp:
-        # both marches force on all N points: the full-width one always does
-        mp.setattr(ev, "_reduced_forcing", lambda *args: None)
+        # both marches force on the N rung: the full-width one always does
+        mp.setattr(ev, "_first_rung", lambda prob, w: prob.grid.n_points)
         band = _march(prob)
         mp.setattr(ev, "_live_band", lambda *factors: factors[0].size)
         full = _march(prob)

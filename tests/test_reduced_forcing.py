@@ -1,22 +1,24 @@
 """The reduced forcing grid against the N-point forcing it replaces.
 
 A window whose live band K satisfies 3K <= N' < N, N' a power of two, forces
-its band frames on N' points instead of N (``evolve._window``). The slow path
-is the same ``picard_solve`` with the reduced grid switched off
-(``evolve._reduced_forcing`` returning None), which forces on all N points
-as every window did before. On drawn problems over every kernel, reaction
-and source of the catalog the two agree to the 1e-12 gate: the same
-iteration count, the final frame to 1e-12 relative and every Picard
-distance to 1e-12 of the first. A tabulated kernel's factor is nonzero at
-every mode, so its windows never reduce. At 60 times the amplitude the
-reaction's spectrum reaches the modes that fold onto the band: the alias
-check then solves the window again on twice as many points, up to N, where
-it reproduces the N-point numbers bit for bit. So it does for a source
-cut off by the box edge, whose flat spectral floor folds onto the band. A
-band-limited source above N'/2 folds onto the band below the top eighth,
-where no reduced block can see it; the N-point forcing of one band frame
-does, and the window starts on a grid that resolves the source. On the
-reduced grid, as on N points, the block size changes no number.
+its band frames on N' points instead of N: the first rung of its forcing
+grid's ladder N', 2N', ..., N. The slow path is the same ``picard_solve``
+started on the top rung (``evolve._first_rung`` returning N), which forces
+on all N points as every window did before. On drawn problems over every
+kernel, reaction and source of the catalog the two agree to the 1e-12
+gate: the same iteration count, the final frame to 1e-12 relative and
+every Picard distance to 1e-12 of the first. A tabulated kernel's factor
+is nonzero at every mode, so its windows never reduce. At 60 times the
+amplitude the reaction's spectrum reaches the modes that fold onto the
+band: the alias check then solves the window again on the next rung, up
+to N, where it reproduces the N-point numbers bit for bit. The ladder ends
+at N whatever rung it starts on, since nothing folds there. A source cut
+off by the box edge, whose flat spectral floor folds onto the band, is
+forced on N points too. A band-limited source above N'/2 folds onto the
+band below the top eighth, where no reduced block can see it; the N-point
+forcing of one band frame does, and the window starts on a grid that
+resolves the source. On the reduced grid, as on N points, the block size
+changes no number.
 """
 
 import numpy as np
@@ -99,7 +101,7 @@ def _solve(prob, full=False):
     assert cert.valid
     with pytest.MonkeyPatch.context() as mp:
         if full:
-            mp.setattr(ev, "_reduced_forcing", lambda *args: None)
+            mp.setattr(ev, "_first_rung", lambda prob, w: prob.grid.n_points)
         return cl.picard_solve(prob, T, cert, n_frames=N_FRAMES)
 
 
@@ -174,18 +176,23 @@ def test_an_aliased_window_is_solved_again_on_more_points(n_points, forcing_poin
     _assert_within_gate(rep, full)
 
 
+def _narrow_band_problem(source):
+    """A window of band K = 18 on N points, so N' = 64 at first, with the
+    linear reaction around the source ``source(grid)``."""
+    grid = cl.make_grid(L, N)
+    kernel = cl.bandlimited_kernel(grid, 0.05, 3.0)
+    return cl.ProblemSpec(
+        a=A, b=B, kernel=kernel,
+        nonlinearity=cl.linear_plus_source(-_certified(kernel, A, B), source(grid)),
+        u0=cl.field_from_function(grid, lambda x: np.exp(-((x - 1.0) ** 2) / 2.0)), grid=grid,
+    )
+
+
 def test_a_source_cut_off_by_the_box_edge_is_forced_on_all_points():
     # the source reads 2.3e-8 at the right edge of the box, so its spectrum
     # has a floor at every mode; on N' = 64 points the modes above 32 fold
     # onto the band's forcing
-    grid = cl.make_grid(L, N)
-    kernel = cl.bandlimited_kernel(grid, 0.05, 3.0)
-    prob = cl.ProblemSpec(
-        a=A, b=B, kernel=kernel,
-        nonlinearity=cl.linear_plus_source(-_certified(kernel, A, B),
-                                           cl.source_gaussian(0.2, 2.0, 2.0)),
-        u0=cl.field_from_function(grid, lambda x: np.exp(-((x - 1.0) ** 2) / 2.0)), grid=grid,
-    )
+    prob = _narrow_band_problem(lambda grid: cl.source_gaussian(0.2, 2.0, 2.0))
     rep, full = _solve(prob), _solve(prob, full=True)
     assert rep.forcing_points == N and rep.alias_indicator is None
     assert np.array_equal(rep.u_band, full.u_band)
@@ -204,25 +211,44 @@ def test_a_source_band_above_the_reduced_nyquist_mode_is_resolved(modes, forcing
     # K = 18, so N' = 64 at first. The source's modes fold onto modes 4..18
     # of 64 points (and onto 0..20 of 256 and 512 at modes 180..200): onto
     # the kernel's band, and below the top eighth, modes 25..32
-    grid = cl.make_grid(L, N)
-    kernel = cl.bandlimited_kernel(grid, 0.05, 3.0)
-    source = cl.source_bandlimited(grid, 0.2, modes[0] * grid.dp, modes[1] * grid.dp)
-    prob = cl.ProblemSpec(
-        a=A, b=B, kernel=kernel,
-        nonlinearity=cl.linear_plus_source(-_certified(kernel, A, B), source),
-        u0=cl.field_from_function(grid, lambda x: np.exp(-((x - 1.0) ** 2) / 2.0)), grid=grid,
-    )
+    prob = _narrow_band_problem(lambda grid: cl.source_bandlimited(
+        grid, 0.2, modes[0] * grid.dp, modes[1] * grid.dp))
     rep, full = _solve(prob), _solve(prob, full=True)
     assert rep.u_band.shape[1] == 18 and rep.forcing_points == forcing_points
     _assert_within_gate(rep, full)
     # with the probe's choice skipped, the blocks read no alias, and the
     # reduced forcing is wrong by far more than the gate
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ev, "_reduced_forcing",
-                   lambda grid, n, probe: ev._ReducedForcing(grid.resampled(n)))
+        mp.setattr(ev, "_first_rung", lambda prob, w: 64)
         blind = _solve(prob)
     assert blind.forcing_points == 64 and blind.alias_indicator <= ev.ALIAS_TOL
     assert max(_gaps(blind, full)) > 1e-6
+
+
+@pytest.mark.parametrize(("start", "tried"), [(64, [64, 128, 256, 512, N]), (4 * N, [N])],
+                         ids=["from_64", "from_4N"])
+def test_the_alias_fallback_stops_at_n(start, tried, monkeypatch):
+    # a blind first rung, and a tolerance that every block below N exceeds:
+    # the window is tried on each rung up to N, where no block is checked,
+    # and has the N-point numbers bit for bit
+    prob = _narrow_band_problem(lambda grid: cl.source_gaussian(0.1, 1.0, 0.5))
+    full = _solve(prob, full=True)
+    rungs = []
+
+    class Recorded(ev._ForcingGrid):
+        def __init__(self, grid, n):
+            rungs.append(n)
+            super().__init__(grid, n)
+
+    monkeypatch.setattr(ev, "_first_rung", lambda prob, w: start)
+    monkeypatch.setattr(ev, "ALIAS_TOL", -1.0)
+    monkeypatch.setattr(ev, "_ForcingGrid", Recorded)
+    rep = _solve(prob)
+    # the first is the window's default, the N rung of frame 0's forcing
+    assert rungs == [N] + tried
+    assert rep.forcing_points == N and rep.alias_indicator is None
+    assert np.array_equal(rep.u_band, full.u_band)
+    assert np.array_equal(rep.trace.distances, full.trace.distances)
 
 
 @pytest.mark.parametrize("rows", [1, 5, 10**6], ids=["1_row", "5_rows", "whole_window"])
