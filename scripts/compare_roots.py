@@ -35,8 +35,9 @@ the numbers derived from distances (the ratios ``r_n``, and
 ``max_picard_ratio``, ``certificate_slack`` and ``picard_error_bound`` of
 ``summary.txt``) within what that moves them by; a final frame within
 ``RTOL`` in relative L2, and an oracle deviation, a fraction of the state's
-norm, within ``RTOL``. Two nonzero numbers below ``ROUNDOFF`` in magnitude
-are both the round-off of a zero and agree; an exact zero must stay one.
+norm, within ``RTOL``, in the march's arrays and in ``summary.txt`` alike.
+Two nonzero numbers below ``ROUNDOFF`` in magnitude are both the round-off
+of a zero and agree; an exact zero must stay one.
 It prints each key that breaks the rule, then ``PASS`` and exits 0, or
 ``FAIL`` and exits 1.
 """
@@ -229,21 +230,24 @@ def _trace_tols(rows: list[list[float | None]]) -> list[list[float | None]]:
 
 
 def _summary_tols(key: str, parent: dict) -> dict[str, float]:
-    """The tolerance of each distance-derived ``summary.txt`` value of the
-    run whose summary is ``key``, from the parent's traces of that run: a
-    maximum of ratios moves by at most the largest ratio tolerance, the
-    slack by that over C, and the Banach bound C/(1-C) d_last by C/(1-C)
-    RTOL d_1 of the window with the largest d_1."""
+    """The tolerance, beyond RTOL relative, of each ``summary.txt`` value of
+    the run whose summary is ``key`` that the march rule holds to another
+    scale: the oracle deviation, a fraction of the state's norm, to RTOL
+    absolute, and the values derived from distances, from the parent's
+    traces of that run: a maximum of ratios moves by at most the largest
+    ratio tolerance, the slack by that over C, and the Banach bound C/(1-C)
+    d_last by C/(1-C) RTOL d_1 of the window with the largest d_1."""
+    tols = {"oracle_rel_deviation": RTOL}
     run = key.rsplit("/", 1)[0] + "/"
     traces = [_trace_rows(text) for k, text in parent.items()
               if k.startswith(run) and re.fullmatch(r"trace_w\d+\.csv", k[len(run):])]
     if not traces or not traces[0]:
-        return {}
+        return tols
     c = traces[0][0][3]
     ratio = max([t[2] for rows in traces for t in _trace_tols(rows) if t[2] is not None],
                 default=0.0)
     d_1 = max(rows[0][1] for rows in traces)
-    return {"max_picard_ratio": ratio, "certificate_slack": ratio / c,
+    return {**tols, "max_picard_ratio": ratio, "certificate_slack": ratio / c,
             "picard_error_bound": c / (1.0 - c) * RTOL * d_1 if c < 1.0 else 0.0}
 
 

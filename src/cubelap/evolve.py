@@ -48,7 +48,7 @@ to j and the new one at frame j - 1, and frame 0 with its forcing is the
 same in every iterate, so a window solve holds a single band pair
 (u, du/dt), computes frame 0's forcing once, and each iterate overwrites its
 predecessor in one forward walk over blocks of frames 1..M
-(``grid.block_bounds``, sized by the forcing grid): per block,
+(``grid.block_bounds``, sized by the forcing grid and the band): per block,
 one batched real transform pair around one ``apply_nonlinearity`` call,
 the recursion carried on from the frame before the block, the time
 derivative and the block's share of the contraction-norm distance. The
@@ -64,10 +64,14 @@ which at n = N are the N-point pair bit for bit): the padding and
 truncation of pseudo-spectral codes (Orszag, J. Atmos. Sci. 28, 1971;
 Boyd, Chebyshev and Fourier Spectral Methods, 2001, ch. 11). Its forcing
 grid is a rung of the ladder n, 2n, 4n, ..., N (``_rungs``). The first
-rung is the smallest power of two >= 3K, doubled while the forcing of the
-first iterate's frame 1, a band frame evaluated on N points, has more
-than ``ALIAS_TOL`` of its energy in the modes from 3n/8 up (what folds
-onto the band shows there, whatever the spectrum's shape). What F's
+rung is the smallest even 5-smooth n >= 2K, on which the band is sampled
+exactly (``grid.smooth_points``), doubled while the forcing of the first
+iterate's frame 1, a band frame evaluated on N points, has more than
+``ALIAS_TOL`` of its energy in the modes from 3n/8 up (what folds onto the
+band shows there, whatever the spectrum's shape; below n = 8K/3 that
+window takes in the band's top modes too, which only makes it stricter).
+No padding is exact for every reaction (the 3/2 rule is exact for
+quadratic products only), so the indicator, not the start, decides. What F's
 spectrum later has beyond n/2 folds onto lower modes; below N each block
 therefore reads the alias indicator of its spectrum, and one past
 ``ALIAS_TOL`` ends the attempt: the window is solved again on the next
@@ -116,6 +120,7 @@ from .grid import (
     irfft_raw,
     resampled_rfft,
     rfft_raw,
+    smooth_points,
     tail_mass_fraction,
     trapezoid_weights,
     unitary_spectrum,
@@ -341,13 +346,14 @@ def _alias_indicator(fh: np.ndarray, n: int) -> np.ndarray:
 
 
 def _first_rung(prob: ProblemSpec, w: _Window) -> int:
-    """The first rung of the window's forcing grid: the smallest power of two
-    n >= 3K, doubled below N while the forcing of the first iterate's frame
-    1, a band frame, forced on N points, where nothing folds, reads an alias
-    indicator for n points past ``ALIAS_TOL`` (a source above n/2, say)."""
-    # a band of K modes is sampled exactly, and the products of two band
-    # modes fold onto no band mode (3/2 rule)
-    n = max(8, 1 << (3 * w.band - 1).bit_length())
+    """The first rung of the window's forcing grid: the smallest even
+    5-smooth n >= 2K (at least 8), doubled below N while the forcing of the
+    first iterate's frame 1, a band frame, forced on N points, where
+    nothing folds, reads an alias indicator for n points past ``ALIAS_TOL``
+    (a source above n/2, say)."""
+    # a band of K modes is sampled exactly; whether the reaction's spectrum
+    # folds onto it is the indicator's to say, not a padding rule's
+    n = max(8, smooth_points(w.band))
     if n < prob.grid.n_points:
         probe = _forcing_history((w.e_dt * w.u0[: w.band])[None], prob, w.forcing, 1)[0]
         while n < prob.grid.n_points and not _alias_indicator(probe, n) <= ALIAS_TOL:
@@ -412,7 +418,7 @@ def _forcing_history(
     rows: str = "frame",
 ) -> np.ndarray:
     """Transforms of F(v(., t_j), .) for every frame: half-spectrum frames
-    (..., K') in ``rfft_raw`` units (modes above K' zero; K' <= n/3 below N)
+    (..., K') in ``rfft_raw`` units (modes above K' zero; K' <= n/2 below N)
     in, sampled and forced on the n points of ``forcing``, their modes
     0..n/2, or 0..``band``-1, out. The finiteness check sees all n/2+1
     modes, and ``forcing.read`` then checks them for aliasing. A model error
@@ -775,7 +781,7 @@ def _fixed_point(
         if tol is None:
             # the contraction norm of the first image, frame 0's with its modes above the band
             sq = np.concatenate([contraction_sq(grid, u[s:e], dudt[s:e], np.empty_like(u[s:e]))
-                                 for s, e in block_bounds(grid, n_frames + 1)])
+                                 for s, e in block_bounds(grid, n_frames + 1, w.band)])
             sq[0] += half_sq_norms(grid, w.u0_tail, "h6", first=w.band)
             sq[0] += half_sq_norms(grid, w.dudt0_tail, "l2", first=w.band)
             norm = float(np.sqrt(tw @ sq))
@@ -807,7 +813,7 @@ def _picard_iterate(
     time integral is the caller's.
     """
     grid = prob.grid
-    blocks = [(s + 1, e + 1) for s, e in block_bounds(w.forcing.grid, len(u) - 1)]
+    blocks = [(s + 1, e + 1) for s, e in block_bounds(w.forcing.grid, len(u) - 1, w.band)]
     size = max(e - s for s, e in blocks)
     new_u, new_du = (np.empty((size,) + u.shape[1:], np.complex128) for _ in range(2))
     dist_sq = np.empty(len(u))

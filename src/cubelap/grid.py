@@ -20,7 +20,9 @@ coefficients at the API edge (``raw_to_unitary`` for half spectra,
 ``unitary_spectrum`` for all N modes). A band of K modes may also be
 sampled on another grid of the same box, of n >= 2K points, and
 transformed back in the same units (``band_samples`` /
-``resampled_rfft``, with the grid from ``SpectralGrid.resampled``).
+``resampled_rfft``, with the grid from ``SpectralGrid.resampled``); the
+fewest such points of a length the FFT factors directly are
+``smooth_points``.
 
 Truncation to a periodic box is policed rather than assumed: fields are
 expected to keep essentially all of their mass away from the box edges, and
@@ -47,15 +49,16 @@ _MAX_DERIVATIVE_ORDER = 8
 
 #: Every frame walk (the Picard iterate, with its transforms, reaction,
 #: recursion, time derivative and contraction norm) takes a trajectory in
-#: blocks of rows whose real samples on the forcing grid, the rows the
-#: transforms touch (N points, or a window's reduced N' < N), are about this
-#: many bytes, so the operands of each step stay in a core's cache instead
-#: of streaming through memory once per operation, and the temporaries of a
-#: step are one block, not one trajectory, however narrow the live band of
-#: the stored rows; at small N one block holds the whole trajectory. See
+#: blocks of rows that hold about this many bytes (``block_row_bytes``): a
+#: row's real samples on the forcing grid, the rows the transforms touch (N
+#: points, or a window's reduced N' < N), and the band pair the walk writes
+#: per row. So the operands of each step stay in a core's cache instead of
+#: streaming through memory once per operation, and the temporaries of a
+#: step are one block, not one trajectory, whether the forcing grid or the
+#: band is the wider; at small N one block holds the whole trajectory. See
 #: ``block_bounds``. It changes speed and memory only: every step, norms
 #: included, works row by row.
-BLOCK_BYTES = 2**18
+BLOCK_BYTES = 2**19
 
 
 class RepresentationError(ValueError):
@@ -224,6 +227,22 @@ def irfft_raw(grid: SpectralGrid, raw: np.ndarray) -> np.ndarray:
     """Modes 0..K-1 in ``rfft_raw`` units (K <= N/2+1, the modes above K
     zero) -> the real samples along the last axis."""
     return np.fft.irfft(raw, n=grid.n_points, axis=-1)
+
+
+def smooth_points(band: int) -> int:
+    """The smallest even 5-smooth n >= 2K, K = ``band``: 2m for the smallest
+    m >= K whose only prime factors are 2, 3 and 5, the fewest points of a
+    length pocketfft factors directly on which ``band_samples`` holds a
+    band of K modes (K <= n/2)."""
+    m = max(1, band)
+    while True:
+        r = m
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return 2 * m
+        m += 1
 
 
 def band_samples(grid: SpectralGrid, raw: np.ndarray, n: int) -> np.ndarray:
@@ -447,15 +466,22 @@ def half_sq_norms(
     return np.add.reduce(sq, axis=-1)
 
 
-def block_bounds(grid: SpectralGrid, n: int) -> list[tuple[int, int]]:
-    """The (start, end) bounds of n rows of a trajectory on ``grid``, in
-    order, in blocks whose N real samples are about BLOCK_BYTES each: the
-    transforms touch N samples a row, whatever the stored band (``grid`` is
-    the grid the rows are forced on, of N points or fewer).
+def block_row_bytes(grid: SpectralGrid, band: int) -> int:
+    """The bytes a block holds per row of a trajectory of ``band`` stored
+    modes forced on ``grid`` (N points, or fewer): the row's N real samples
+    and a pair of complex band rows, the new iterate and its time derivative
+    of the walk."""
+    return 8 * grid.n_points + 32 * band
+
+
+def block_bounds(grid: SpectralGrid, n: int, band: int) -> list[tuple[int, int]]:
+    """The (start, end) bounds of n rows of a trajectory of ``band`` stored
+    modes on ``grid``, the grid the rows are forced on, in order, in blocks
+    of about BLOCK_BYTES (``block_row_bytes`` per row).
     When fewer than two blocks' worth of rows remain, the last block takes
     them all, so no block is a short tail and none is more than twice the
     size."""
-    step = max(1, BLOCK_BYTES // (8 * grid.n_points))
+    step = max(1, BLOCK_BYTES // block_row_bytes(grid, band))
     count = max(1, n // step)
     return [(i * step, n if i == count - 1 else (i + 1) * step) for i in range(count)]
 
@@ -497,7 +523,7 @@ def frame_norms(
     block by block of rows (``block_bounds``) through one block of scratch,
     so that no trajectory-sized temporary is allocated. ``tail`` holds row
     0's modes K, K+1, ... if it has any: its sum is added to row 0's."""
-    blocks = block_bounds(grid, len(half))
+    blocks = block_bounds(grid, len(half), half.shape[-1])
     scratch = np.empty_like(half[: max(e - s for s, e in blocks)])
     out = np.empty(len(half))
     for s, e in blocks:

@@ -129,6 +129,21 @@ def test_failures_hold_distances_to_d1_and_their_ratios_to_what_that_moves():
         "c/summary.txt: line 5: 1e-09 -> 1.0002e-09, more than 1.000e-13 apart"]
 
 
+def test_failures_hold_the_summary_oracle_deviation_to_rtol_absolute():
+    # the deviation is a fraction of the state's norm, so its line gets RTOL
+    # itself, as the march's array does; another number of the same size
+    # keeps RTOL relative
+    def summary(dev, l2="3.3035379168e-09"):
+        return {"c/summary.txt": f"oracle_rel_deviation={dev}\nfinal_l2={l2}\n"}
+
+    parent = summary("3.3035379168e-09")
+    assert compare_roots.failures(parent, summary("3.3045279168e-09")) == []
+    assert compare_roots.failures(parent, summary("3.3045479168e-09")) == [
+        "c/summary.txt: line 1: 3.3035379168e-09 -> 3.3045479168e-09, more than 1.000e-12 apart"]
+    assert compare_roots.failures(parent, summary("3.3035379168e-09", "3.3035379169e-09")) == [
+        "c/summary.txt: line 2: 3.3035379168e-09 -> 3.3035379169e-09, more than 3.304e-21 apart"]
+
+
 def test_failures_keep_text_exit_codes_and_exact_zeros_exact():
     parent = {"c/exit": "0", "c/config_echo.json": "aa", "c/stdout": "max = 1.141e-16\n",
               "c/summary.txt": "overlap=0.0\nstatus=ok\n", "d/stdout": "x\n"}

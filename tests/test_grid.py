@@ -362,6 +362,37 @@ def test_the_n_point_rung_is_the_n_point_transform_pair_bit_for_bit(data):
     assert g.resampled(g.n_points) is g
 
 
+def test_smooth_points_is_the_smallest_even_5_smooth_length_of_twice_the_band():
+    import bisect
+
+    smooth = sorted(2**a * 3**b * 5**c for a in range(14) for b in range(9) for c in range(6)
+                    if 2**a * 3**b * 5**c <= 10**4)
+    for k in range(1, 5001):
+        assert grid_mod.smooth_points(k) == 2 * smooth[bisect.bisect_left(smooth, k)], k
+
+
+@pytest.mark.parametrize("n", [90, 360, 720, 1440])
+def test_a_band_round_trips_through_a_rung_of_5_smooth_points(n):
+    """A band of K = n/2 modes sampled on n points, a length with factors 3
+    and 5, is the band's trigonometric polynomial at those points, and
+    ``resampled_rfft`` returns the band from them."""
+    g = cl.make_grid(12.0, 4096)
+    k = n // 2
+    rng = np.random.default_rng(n)
+    raw = rng.standard_normal((3, k)) + 1j * rng.standard_normal((3, k))
+    raw[:, 0] = raw[:, 0].real
+    samples = grid_mod.band_samples(g, raw, n)
+    # the polynomial sum_k c_k e^{i p_k (x + L)} / N of a real field at the
+    # n points x_j = -L + 2 L j / n, the mirror modes as conjugates
+    phase = np.exp(2j * np.pi * (np.outer(np.arange(k), np.arange(n)) % n) / n)
+    direct = (2.0 * (raw @ phase).real - raw[:, :1].real) / g.n_points
+    assert np.max(np.abs(samples - direct)) <= 1e-14 * np.max(np.abs(direct))
+    back = grid_mod.resampled_rfft(g, samples)
+    assert back.shape == (3, n // 2 + 1)
+    assert np.linalg.norm(back[:, :k] - raw) <= 1e-15 * np.linalg.norm(raw)
+    assert np.linalg.norm(back[:, k:]) <= 1e-15 * np.linalg.norm(raw)
+
+
 def test_tail_mass_fraction():
     g = cl.make_grid(20.0, 256)
     centered = cl.field_from_function(g, lambda x: np.exp(-(x**2)))

@@ -101,14 +101,14 @@ def test_live_band_march_matches_full_width_march(name, size, monkeypatch):
     # the window after the first starts from the last frame bit for bit
     for key in ("l2_per_frame", "d6_l2_per_frame"):
         assert getattr(band[1], key)[0] == getattr(band[0], key)[-1]
-    # of these, only the band-limited kernel's band is narrow enough to force
-    # on fewer points, 3K <= N' < N
+    # of these, every band below N/2 + 1 is narrow enough to force on fewer
+    # points, 2K <= N' < N
     n = prob.grid.n_points
     assert all(r.forcing_points == reduced[0].forcing_points for r in reduced)
-    assert (reduced[0].forcing_points < n) == (size == WIDE and name == "bandlimited")
+    assert (reduced[0].forcing_points < n) == (k < n_half)
     for r, f in zip(reduced, full):
         if r.forcing_points < n:
-            assert 3 * k <= r.forcing_points and 0 <= r.alias_indicator <= ev.ALIAS_TOL
+            assert 2 * k <= r.forcing_points and 0 <= r.alias_indicator <= ev.ALIAS_TOL
         else:
             assert r.alias_indicator is None
         final_gap = np.linalg.norm(r.final_raw - f.final_raw) / np.linalg.norm(f.final_raw)
@@ -153,6 +153,6 @@ def test_march_reports_hold_their_live_band():
     bands = windows * (frames + 1) * k * 16
     records = windows * (4 * (frames + 1) * 8 + 4096)
     assert held <= bands + grid.n_half * 16 + records, held
-    # measured 1.43 trajectories of real samples, (M+1) x N float64
+    # measured 1.47 trajectories of real samples, (M+1) x N float64
     samples = (frames + 1) * grid.n_points * 8
     assert peak <= 1.6 * samples, peak / samples

@@ -19,7 +19,7 @@ frame 0's forcing is one more reaction call, and a model error names the
 frame of the trajectory.
 
 The block size changes no number: at every block size a march of 257-frame
-windows (two default blocks each) reports bitwise the trajectories,
+windows (three default blocks each) reports bitwise the trajectories,
 distances, per-frame norms and oracle deviations of the default blocks, and
 ``runner.main`` writes byte-equal artifacts.
 
@@ -143,9 +143,10 @@ WHOLE_WINDOW = 10**6
 )
 def block_frames(request, monkeypatch):
     """Frames per block of the solver's loops at N = 256: the default, 1, 5,
-    or more than any window holds."""
+    or more than any window holds. The band is all 129 modes, so every
+    window forces on the N points."""
     if request.param is not None:
-        bytes_per_frame = 16 * (256 // 2 + 1)
+        bytes_per_frame = cubelap.grid.block_row_bytes(cl.make_grid(20.0, 256), 129)
         monkeypatch.setattr(cubelap.grid, "BLOCK_BYTES", request.param * bytes_per_frame)
     return request.param
 
@@ -327,9 +328,10 @@ def _march_numbers():
 
 
 def test_block_size_changes_no_number_of_a_march(default_blocks, block_frames):
-    # 257 frames of 2064 bytes: the default 2^18-byte blocks split each window
-    # in two
-    assert DEFAULT_BLOCK_BYTES // (16 * 129) < 257
+    # 257 frames of 129 modes forced on 256 points: the default 2^19-byte
+    # blocks of 84 rows split each window's walk over frames 1..256 in three
+    row = cubelap.grid.block_row_bytes(cl.make_grid(20.0, 256), 129)
+    assert 256 // (DEFAULT_BLOCK_BYTES // row) == 3
     want = default_blocks["march"]
     got = _march_numbers()
     assert len(got) == len(want)

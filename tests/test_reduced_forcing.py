@@ -1,8 +1,8 @@
 """The reduced forcing grid against the N-point forcing it replaces.
 
-A window whose live band K satisfies 3K <= N' < N, N' a power of two, forces
-its band frames on N' points instead of N: the first rung of its forcing
-grid's ladder N', 2N', ..., N. The slow path is the same ``picard_solve``
+A window whose live band K satisfies 2K <= N' < N, N' the smallest even
+5-smooth such length, forces its band frames on N' points instead of N: the
+first rung of its forcing grid's ladder N', 2N', ..., N. The slow path is the same ``picard_solve``
 started on the top rung (``evolve._first_rung`` returning N), which forces
 on all N points as every window did before. On drawn problems over every
 kernel, reaction and source of the catalog the two agree to the 1e-12
@@ -17,8 +17,10 @@ off by the box edge, whose flat spectral floor folds onto the band, is
 forced on N points too. A band-limited source above N'/2 folds onto the
 band below the top eighth, where no reduced block can see it; the N-point
 forcing of one band frame does, and the window starts on a grid that
-resolves the source. On the reduced grid, as on N points, the block size
-changes no number.
+resolves the source. Below N' = 8K/3 the top eighth takes in the band's top
+modes too, so a forcing with energy there alone, which N' samples without
+folding, still sends the window up the ladder. On the reduced grid, as on
+N points, the block size changes no number.
 """
 
 import numpy as np
@@ -32,7 +34,7 @@ import cubelap.grid
 from cubelap.model import KERNELS, NONLINEARITIES, SOURCES
 
 A, B, T, N_FRAMES = 0.3, -0.8, 0.4, 16
-#: On this box the drawn kernels' bands are K <= 170, so N' <= 512 < N.
+#: On this box the drawn kernels' bands are K <= 170, so N' <= 360 < N.
 L, N = 10.0, 1024
 
 
@@ -132,7 +134,7 @@ def test_reduced_forcing_matches_n_point_forcing(kernel_name, reaction_name, dat
     else:
         assert 6 * k <= N  # so N' <= N/2
     if rep.forcing_points < N:
-        assert 3 * k <= rep.forcing_points and 0 <= rep.alias_indicator <= ev.ALIAS_TOL
+        assert 2 * k <= rep.forcing_points and 0 <= rep.alias_indicator <= ev.ALIAS_TOL
     else:
         # the window forced on N points, as its slow path does, with the same numbers
         assert rep.alias_indicator is None
@@ -152,21 +154,22 @@ def _bumps_problem(n_points, amplitude):
     )
 
 
-@pytest.mark.parametrize(("n_points", "forcing_points"), [(1024, 1024), (4096, 1024)])
+@pytest.mark.parametrize(("n_points", "forcing_points"), [(1024, 1024), (4096, 1440)])
 def test_an_aliased_window_is_solved_again_on_more_points(n_points, forcing_points):
-    # K = 87, so the window first forces on N' = 512 points. At amplitude 1
-    # it stays there; at 60 the alias indicator passes ALIAS_TOL there, and
-    # the window is solved again on 1024 points: all N of them on the
-    # smaller grid, where the numbers are the N-point ones bit for bit
+    # K = 87, so the window first forces on N' = 180 points. At amplitude 1
+    # it stays there; at 60 the alias indicator passes ALIAS_TOL there and on
+    # 360 and 720 points, and the window is solved again on the next rung:
+    # all N = 1024 points on the smaller grid, where the numbers are the
+    # N-point ones bit for bit, and 1440 on the larger
     calm = _solve(_bumps_problem(n_points, 1.0))
-    assert calm.u_band.shape[1] == 87 and calm.forcing_points == 512
+    assert calm.u_band.shape[1] == 87 and calm.forcing_points == 180
     prob = _bumps_problem(n_points, 60.0)
     rep, full = _solve(prob), _solve(prob, full=True)
     assert rep.forcing_points == forcing_points
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ev, "ALIAS_TOL", np.inf)
         aliased = _solve(prob)
-    assert aliased.forcing_points == 512 and aliased.alias_indicator > ev.ALIAS_TOL
+    assert aliased.forcing_points == 180 and aliased.alias_indicator > ev.ALIAS_TOL
     if forcing_points == n_points:
         assert rep.alias_indicator is None
         assert np.array_equal(rep.u_band, full.u_band)
@@ -176,10 +179,10 @@ def test_an_aliased_window_is_solved_again_on_more_points(n_points, forcing_poin
     _assert_within_gate(rep, full)
 
 
-def _narrow_band_problem(source):
-    """A window of band K = 18 on N points, so N' = 64 at first, with the
-    linear reaction around the source ``source(grid)``."""
-    grid = cl.make_grid(L, N)
+def _narrow_band_problem(source, n_points=N):
+    """A window of band K = 18 on ``n_points`` points, so N' = 36 at first,
+    with the linear reaction around the source ``source(grid)``."""
+    grid = cl.make_grid(L, n_points)
     kernel = cl.bandlimited_kernel(grid, 0.05, 3.0)
     return cl.ProblemSpec(
         a=A, b=B, kernel=kernel,
@@ -190,39 +193,77 @@ def _narrow_band_problem(source):
 
 def test_a_source_cut_off_by_the_box_edge_is_forced_on_all_points():
     # the source reads 2.3e-8 at the right edge of the box, so its spectrum
-    # has a floor at every mode; on N' = 64 points the modes above 32 fold
+    # has a floor at every mode; on N' = 36 points the modes above 18 fold
     # onto the band's forcing
     prob = _narrow_band_problem(lambda grid: cl.source_gaussian(0.2, 2.0, 2.0))
     rep, full = _solve(prob), _solve(prob, full=True)
     assert rep.forcing_points == N and rep.alias_indicator is None
     assert np.array_equal(rep.u_band, full.u_band)
     assert np.array_equal(rep.trace.distances, full.trace.distances)
-    # its indicator, 4e-16, is far below item 13's 1e-13, yet the reduced
-    # forcing misses the gate
+    # its indicator, 4e-15, is far below 1e-13, yet the reduced forcing
+    # misses the gate
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ev, "ALIAS_TOL", np.inf)
         aliased = _solve(prob)
-    assert aliased.forcing_points == 64 and 1e-16 < aliased.alias_indicator < 1e-13
+    assert aliased.forcing_points == 36 and 1e-16 < aliased.alias_indicator < 1e-13
     assert min(_gaps(aliased, full)) > 1e-11
 
 
-@pytest.mark.parametrize(("modes", "forcing_points"), [((46, 60), 256), ((180, 200), N)])
+@pytest.mark.parametrize(("modes", "forcing_points"), [((46, 60), 288), ((180, 200), N)])
 def test_a_source_band_above_the_reduced_nyquist_mode_is_resolved(modes, forcing_points):
-    # K = 18, so N' = 64 at first. The source's modes fold onto modes 4..18
-    # of 64 points (and onto 0..20 of 256 and 512 at modes 180..200): onto
-    # the kernel's band, and below the top eighth, modes 25..32
+    # K = 18, so N' = 36 at first, then 72, 144, 288, 576 and N; the probe
+    # starts the window on the first rung whose top eighth the source's
+    # modes, seen on N points, stay below. Started blind on 64 points, the
+    # source's modes fold onto modes 4..18 (and onto 0..20 of 256 and 512
+    # at modes 180..200): onto the kernel's band, and below the top eighth,
+    # modes 24..32
     prob = _narrow_band_problem(lambda grid: cl.source_bandlimited(
         grid, 0.2, modes[0] * grid.dp, modes[1] * grid.dp))
     rep, full = _solve(prob), _solve(prob, full=True)
     assert rep.u_band.shape[1] == 18 and rep.forcing_points == forcing_points
     _assert_within_gate(rep, full)
-    # with the probe's choice skipped, the blocks read no alias, and the
-    # reduced forcing is wrong by far more than the gate
+    # with the probe's choice skipped for 64 points, the blocks read no
+    # alias, and the reduced forcing is wrong by far more than the gate
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ev, "_first_rung", lambda prob, w: 64)
         blind = _solve(prob)
     assert blind.forcing_points == 64 and blind.alias_indicator <= ev.ALIAS_TOL
     assert max(_gaps(blind, full)) > 1e-6
+
+
+@pytest.mark.parametrize(("n_points", "rung"), [(72, 72), (N, 72)])
+def test_a_forcing_in_the_band_top_modes_climbs_past_the_first_rung(n_points, rung):
+    # K = 18 and N' = 36 < 8K/3 = 48: the top eighth of 36 points, modes
+    # 13..18, takes in the band's modes 13..17, where the source lies. On 36
+    # points nothing folds, since the forcing has no mode above 17, but the
+    # indicator counts them all the same: the probe starts the window on 72
+    # points, and a window started blind on 36 is solved again there, with
+    # the same bits. On N = 72 that is the top rung, the N-point solve.
+    prob = _narrow_band_problem(lambda grid: cl.source_bandlimited(
+        grid, 0.2, 12.5 * grid.dp, 17.5 * grid.dp), n_points)
+    rep, full = _solve(prob), _solve(prob, full=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ev, "_first_rung", lambda prob, w: 36)
+        blind = _solve(prob)
+    assert rep.u_band.shape[1] == 18
+    assert rep.forcing_points == blind.forcing_points == rung
+    assert np.array_equal(rep.u_band, blind.u_band)
+    assert np.array_equal(rep.trace.distances, blind.trace.distances)
+    if rung == n_points:
+        assert rep.alias_indicator is None
+        assert np.array_equal(rep.u_band, full.u_band)
+        assert np.array_equal(rep.trace.distances, full.trace.distances)
+    else:
+        assert 0 <= rep.alias_indicator <= ev.ALIAS_TOL
+        _assert_within_gate(rep, full)
+    # with the indicator off, the window stays on 36 points, where most of
+    # the forcing's energy is in the top eighth, and, as nothing folds,
+    # agrees with the N-point solve: the climb is the indicator's strictness
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ev, "ALIAS_TOL", np.inf)
+        lax = _solve(prob)
+    assert lax.forcing_points == 36 and lax.alias_indicator > 0.5
+    _assert_within_gate(lax, full)
 
 
 @pytest.mark.parametrize(("start", "tried"), [(64, [64, 128, 256, 512, N]), (4 * N, [N])],
@@ -255,12 +296,14 @@ def test_the_alias_fallback_stops_at_n(start, tried, monkeypatch):
 def test_block_size_changes_no_number_on_the_reduced_grid(rows, monkeypatch):
     prob = _bumps_problem(1024, 1.0)
     default = _solve(prob)
-    assert default.forcing_points == 512
-    # blocks are sized by the forcing grid: at the default, one block of 64
-    # rows holds the window's 16 frames
-    monkeypatch.setattr(cubelap.grid, "BLOCK_BYTES", rows * 8 * default.forcing_points)
+    assert default.forcing_points == 180
+    # blocks are sized by the forcing grid and the band: at the default, one
+    # block of 124 rows holds the window's 16 frames
+    on = prob.grid.resampled(default.forcing_points)
+    row = cubelap.grid.block_row_bytes(on, default.u_band.shape[1])
+    monkeypatch.setattr(cubelap.grid, "BLOCK_BYTES", rows * row)
     rep = _solve(prob)
-    assert rep.forcing_points == 512
+    assert rep.forcing_points == 180
     for key in ("u_band", "l2_per_frame", "d6_l2_per_frame", "dudt_l2_per_frame"):
         assert np.array_equal(getattr(rep, key), getattr(default, key)), key
     assert np.array_equal(rep.trace.distances, default.trace.distances)
