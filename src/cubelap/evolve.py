@@ -86,9 +86,10 @@ block: the Picard chain is the sequential propagator and the oracle the fine
 solver of the parareal split (Lions, Maday & Turinici, 2001). The Heun march
 yields its state at every frame, whatever the start's shape: the
 single-state oracle keeps every frame, the block march only the last.
-Failures are reported in the sequential order Picard 0, oracle 0, Picard 1,
-...: the first one wins, as ``MarchWindowError(k, phase, cause)``; an
-exception outside ``_WINDOW_FAILURES`` leaves at once, as it is. The block
+A bad argument is a ``ValueError`` before any work (``_check_window``).
+Failures inside a window are reported in the sequential order Picard 0,
+oracle 0, Picard 1, ...: the first one wins, as ``MarchWindowError(k, phase,
+cause)``; an exception outside ``_WINDOW_FAILURES`` leaves at once. The block
 march stops at its first failure; only then are its windows marched again
 one at a time, in order, so that the lowest failing window is raised with
 the message of its own march.
@@ -204,7 +205,8 @@ class MarchWindowError(SolverError):
         self.__cause__ = cause
 
 
-#: A window's own failures, which a march raises as ``MarchWindowError``.
+#: A window's own failures, which a march raises as ``MarchWindowError``; a
+#: bad argument is refused before window 0 (``_check_window``).
 _WINDOW_FAILURES = (SolverError, ValueError, ModelEvaluationError)
 
 
@@ -615,12 +617,24 @@ def _tail_check(
     return tuple(warnings_out)
 
 
-def _check_window(window_length: float, n_frames: int) -> None:
-    """The window preconditions both solvers share."""
+def _check_window(window_length: float, n_frames: int, max_iter: int = 1,
+                  tol_fix: float | None = None, substeps: int | None = None) -> None:
+    """Every precondition of a window solve, an oracle march and a march.
+    Each entry point calls it once, on entry, before any work, so a bad
+    argument is a plain ``ValueError``, never a window's failure."""
     if not 0 < window_length < math.inf:
         raise ValueError(f"window length must be positive and finite, got {window_length}")
-    if n_frames < 1:
-        raise ValueError(f"n_frames must be at least 1, got {n_frames}")
+    for name, count in (("n_frames", n_frames), ("max_iter", max_iter)):
+        if not isinstance(count, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, got {count}")
+    if tol_fix is not None and not tol_fix > 0:
+        raise ValueError(f"tol_fix must be None or positive, got {tol_fix}")
+    if substeps is not None and (not isinstance(substeps, (int, np.integer)) or substeps % n_frames
+                                 or substeps < MIN_ORACLE_SUBSTEPS_FACTOR * n_frames):
+        raise ValueError(f"substeps = {substeps} must be an integer multiple of the frame "
+                         f"count {n_frames}, at least {MIN_ORACLE_SUBSTEPS_FACTOR}x it")
 
 
 def picard_solve(
@@ -664,11 +678,7 @@ def picard_solve(
     last. The report names the grid (``forcing_points``) and its largest
     alias indicator.
     """
-    _check_window(window_length, n_frames)
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if tol_fix is not None and not tol_fix > 0:
-        raise ValueError(f"tol_fix must be None or positive, got {tol_fix}")
+    _check_window(window_length, n_frames, max_iter, tol_fix)
     if start is not None:
         start = np.asarray(start)
         if start.shape != (prob.grid.n_half,) or not np.all(np.isfinite(start)):
@@ -765,11 +775,10 @@ def _fixed_point(
     (u, du/dt) on the band, the distances and the tolerance, set after the
     first walk unless ``tol_fix`` gives it."""
     grid = prob.grid
-    n_frames = len(tw) - 1
     # the first iterate e^{t_j lam} u0, as u_{j+1} = e^{dt lam} u_j, and its derivative
-    u = np.empty((n_frames + 1, w.band), np.complex128)
+    u = np.empty((len(tw), w.band), np.complex128)
     u[0] = w.u0[: w.band]
-    for j in range(n_frames):
+    for j in range(len(tw) - 1):
         np.multiply(w.e_dt, u[j], out=u[j + 1])
     dudt = np.multiply(w.lam, u)
 
@@ -780,8 +789,7 @@ def _fixed_point(
         distances.append(d)
         if tol is None:
             # the contraction norm of the first image, frame 0's with its modes above the band
-            sq = np.concatenate([contraction_sq(grid, u[s:e], dudt[s:e], np.empty_like(u[s:e]))
-                                 for s, e in block_bounds(grid, n_frames + 1, w.band)])
+            sq = contraction_sq(grid, u, dudt, np.empty_like(u))
             sq[0] += half_sq_norms(grid, w.u0_tail, "h6", first=w.band)
             sq[0] += half_sq_norms(grid, w.dudt0_tail, "l2", first=w.band)
             norm = float(np.sqrt(tw @ sq))
@@ -854,18 +862,20 @@ def etd_reference_solve(
 
     Without ``starts`` the march advances the single state ``prob.u0`` and
     returns its ``SpacetimeField`` of n_frames + 1 frames, the start and the
-    n_frames states the march yields. ``starts`` is a
-    (K, N/2+1) block of finite start states in ``rfft_raw`` units, the unit
-    of ``picard_solve(start=)`` (a non-finite row is refused by its index),
-    row k the start of window k of a march,
-    advanced as it is (per substep two reaction calls on all K rows); the
-    result is then the (K, N/2+1) array of end states in the same units, the
-    last block the march yields. If
-    the block fails, its windows are marched again one at a time, in order,
-    and the first failure is raised as ``MarchWindowError(k, "oracle",
-    cause)``, the cause being the window's own march's error; if no window
-    fails alone (a reaction that couples rows), the block's error is.
+    n_frames states the march yields. ``starts`` is a (K, N/2+1) block of
+    finite start states in ``rfft_raw`` units, the unit of
+    ``picard_solve(start=)`` (a non-finite row is refused by its index), row
+    k the start of window k of a march, advanced as it is (per substep two
+    reaction calls on all K rows); the result is then the (K, N/2+1) array
+    of end states in the same units, the last block the march yields. A bad
+    argument is a ``ValueError`` in both forms, before any substep
+    (``_check_window``). If the block fails, its windows are marched again
+    one at a time, in order, and the first failure is raised as
+    ``MarchWindowError(k, "oracle", cause)``, the cause being the window's
+    own march's error; if no window fails alone (a reaction that couples
+    rows), the block's error is.
     """
+    _check_window(window_length, n_frames, substeps=substeps)
     grid = prob.grid
     march = (prob, window_length, substeps, n_frames)
     if starts is None:
@@ -899,19 +909,10 @@ def _heun_march(
     ``rfft_raw`` units, a (N/2+1,) state or a (K, N/2+1) block of them (a
     model error names its row as a window): yields the state, of u_hat's
     shape, at frames 1..n_frames, with the symbol and the kernel factor of
-    ``_half_symbols`` and no phi-weight, on all N points.
-    Raises the first failure: a window length or substep count that fails
-    the preconditions, a model error or a non-finite forcing, or a row whose
-    norm leaves 1e8 times the larger of its norms before and after substep 1.
+    ``_half_symbols`` and no phi-weight, on all N points. Raises the first
+    failure: a model error or a non-finite forcing, or a row whose norm
+    leaves 1e8 times the larger of its norms before and after substep 1.
     """
-    _check_window(window_length, n_frames)
-    if substeps < MIN_ORACLE_SUBSTEPS_FACTOR * n_frames:
-        raise ValueError(
-            f"substeps = {substeps} must be at least {MIN_ORACLE_SUBSTEPS_FACTOR}x "
-            f"the frame count {n_frames}"
-        )
-    if substeps % n_frames != 0:
-        raise ValueError("substeps must be an integer multiple of the frame count")
     grid = prob.grid
     h = window_length / substeps
     lam, g = _half_symbols(prob)
@@ -969,7 +970,8 @@ def global_march(
     The contraction constant does not depend on the initial state, so one
     certificate covers every window: the march makes the one plan,
     ``window_schedule``'s, refuses it before window 0 (a ``ValueError``) if
-    its reports could pass ``MEMORY_BUDGET_BYTES``, and runs its ``count``
+    its arguments, the oracle's substeps among them, fail ``_check_window``
+    or its reports could pass ``MEMORY_BUDGET_BYTES``, and runs its ``count``
     windows under its ``certificate``. What is re-checked per window is the
     part the analysis cannot see, the box-truncation tail mass (the support
     overlap is not the march's).
@@ -994,12 +996,14 @@ def global_march(
     schedule = window_schedule(
         t_total, q, ell, prob.a, prob.b, safety, max_window_length, override_certificate
     )
+    t_win = schedule.window_length
+    _check_window(t_win, n_frames, max_iter, tol_fix,
+                  oracle_substeps_factor * n_frames if run_oracle else None)
     report_bytes = 2 * schedule.count * (n_frames + 1) * prob.grid.n_half * 16
     if report_bytes > MEMORY_BUDGET_BYTES:
         raise ValueError(f"the schedule's {_fmt_count(schedule.count)} windows would keep "
                          f"{_fmt_count(report_bytes)} bytes of reports, more than the "
                          f"{MEMORY_BUDGET_BYTES // 2**30} GiB memory budget")
-    t_win = schedule.window_length
     starts = [rfft_raw(prob.u0.values.real)]
     reports: list[SolveReport] = []
     failed = None

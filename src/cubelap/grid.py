@@ -47,15 +47,15 @@ SPECTRAL = "spectral"
 
 _MAX_DERIVATIVE_ORDER = 8
 
-#: Every frame walk (the Picard iterate, with its transforms, reaction,
-#: recursion, time derivative and contraction norm) takes a trajectory in
-#: blocks of rows that hold about this many bytes (``block_row_bytes``): a
-#: row's real samples on the forcing grid, the rows the transforms touch (N
-#: points, or a window's reduced N' < N), and the band pair the walk writes
-#: per row. So the operands of each step stay in a core's cache instead of
-#: streaming through memory once per operation, and the temporaries of a
-#: step are one block, not one trajectory, whether the forcing grid or the
-#: band is the wider; at small N one block holds the whole trajectory. See
+#: The Picard iterate's walk (its transforms, reaction, recursion, time
+#: derivative and contraction norm) takes a trajectory in blocks of rows
+#: that hold about this many bytes (``block_row_bytes``): a row's real
+#: samples on the forcing grid, the rows the transforms touch (N points, or
+#: a window's reduced N' < N), and the band pair the walk writes per row.
+#: So the operands of each step stay in a core's cache instead of streaming
+#: through memory once per operation, and the temporaries of a step are one
+#: block, not one trajectory, whether the forcing grid or the band is the
+#: wider; at small N one block holds the whole trajectory. See
 #: ``block_bounds``. It changes speed and memory only: every step, norms
 #: included, works row by row.
 BLOCK_BYTES = 2**19
@@ -477,10 +477,10 @@ def block_row_bytes(grid: SpectralGrid, band: int) -> int:
 def block_bounds(grid: SpectralGrid, n: int, band: int) -> list[tuple[int, int]]:
     """The (start, end) bounds of n rows of a trajectory of ``band`` stored
     modes on ``grid``, the grid the rows are forced on, in order, in blocks
-    of about BLOCK_BYTES (``block_row_bytes`` per row).
-    When fewer than two blocks' worth of rows remain, the last block takes
-    them all, so no block is a short tail and none is more than twice the
-    size."""
+    of about BLOCK_BYTES (``block_row_bytes`` per row): the Picard
+    iterate's walk, whose rows are forcing samples. When fewer than two
+    blocks' worth of rows remain, the last block takes them all, so no block
+    is a short tail and none is more than twice the size."""
     step = max(1, BLOCK_BYTES // block_row_bytes(grid, band))
     count = max(1, n // step)
     return [(i * step, n if i == count - 1 else (i + 1) * step) for i in range(count)]
@@ -497,8 +497,8 @@ def contraction_sq(
 
         ||du/dt||^2 + ||d^6 u/dx^6||^2 + ||u||^2
 
-    of half-spectrum frames in ``rfft_raw`` units (a block of rows of a
-    trajectory, modes 0..K-1), or of their differences from the pair
+    of half-spectrum frames in ``rfft_raw`` units (a trajectory or a block
+    of its rows, modes 0..K-1), or of their differences from the pair
     ``minus`` (then u - minus[0] and du_dt - minus[1]). The sixth derivative
     is spectral and the time derivative is supplied, never
     finite-differenced here. ``scratch``, a complex array of u's shape
@@ -520,14 +520,9 @@ def frame_norms(
     grid: SpectralGrid, half: np.ndarray, kind: str, tail: np.ndarray | None = None
 ) -> np.ndarray:
     """The norms sqrt(``half_sq_norms``) of (M+1, K) half-spectrum frames,
-    block by block of rows (``block_bounds``) through one block of scratch,
-    so that no trajectory-sized temporary is allocated. ``tail`` holds row
-    0's modes K, K+1, ... if it has any: its sum is added to row 0's."""
-    blocks = block_bounds(grid, len(half), half.shape[-1])
-    scratch = np.empty_like(half[: max(e - s for s, e in blocks)])
-    out = np.empty(len(half))
-    for s, e in blocks:
-        out[s:e] = half_sq_norms(grid, half[s:e], kind, out=scratch[: e - s])
+    in one call on the whole band array (rows summed on their own). ``tail``
+    holds row 0's modes K, K+1, ... if it has any: its sum is added to row 0's."""
+    out = half_sq_norms(grid, half, kind)
     if tail is not None:
         out[0] += half_sq_norms(grid, tail, kind, first=half.shape[-1])
     return np.sqrt(out)

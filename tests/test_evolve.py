@@ -510,10 +510,14 @@ _BAD_LENGTHS = [
     ("global_march", {"n_frames": 0}, "n_frames must be at least 1"),
     ("global_march", {"tol_fix": -1.0}, _TOL_ERROR),
     *_BAD_LENGTHS,
+    ("picard_solve", {"n_frames": 2.0}, "n_frames must be an integer, got 2.0"),
+    ("picard_solve", {"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
+    ("etd_reference_solve", {"n_frames": 2.0, "starts": True}, "n_frames must be an integer"),
+    ("global_march", {"max_iter": 2.0}, "max_iter must be an integer, got 2.0"),
 ])
 def test_entry_points_reject_bad_inputs_up_front(certified_problem, entry, kwargs, match):
-    # a value error before any work and with no numpy warning; the march and
-    # the batched oracle report it as window 0's failure
+    # a plain value error before any work and with no numpy warning, in
+    # every entry point and form: an argument is never a window's failure
     prob, cert, T = certified_problem
     kwargs = dict(kwargs)
     T = kwargs.pop("window_length", T)
@@ -524,16 +528,39 @@ def test_entry_points_reject_bad_inputs_up_front(certified_problem, entry, kwarg
         "etd_reference_solve": lambda: cl.etd_reference_solve(prob, T, 64, **kwargs),
         "global_march": lambda: cl.global_march(prob, T, max_window_length=T, **kwargs),
     }
-    wrapped = entry == "global_march" or "starts" in kwargs
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(cl.MarchWindowError if wrapped else ValueError) as exc:
+        with pytest.raises(ValueError) as exc:
             calls[entry]()
-    err = exc.value
-    if wrapped:
-        assert (err.window_index, err.phase) == (0, "oracle" if "starts" in kwargs else "picard")
-        err = err.__cause__
-    assert isinstance(err, ValueError) and match in str(err)
+    assert type(exc.value) is ValueError and match in str(exc.value)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"max_iter": 0}, "max_iter must be at least 1, got 0"),
+    ({"tol_fix": -1.0}, _TOL_ERROR),
+    *[({"run_oracle": True, "oracle_substeps_factor": factor},
+       f"substeps = {factor * 64} must be an integer multiple of the frame count 64, at least 4x")
+      for factor in (3, 4.5, 5.0)],
+    ({"n_frames": 2.0}, "n_frames must be an integer, got 2.0"),
+])
+def test_march_solves_no_window_for_a_bad_argument(certified_problem, monkeypatch, kwargs, match):
+    # the march checks every argument of its windows, the oracle's substeps
+    # too, on entry: a bad one solves no window, not even the ten Picard
+    # windows that precede the oracle, and is no window's failure
+    prob = certified_problem[0]
+    solved, picard_solve = [], cl.evolve.picard_solve
+
+    def counting_solve(*args, **kw):
+        solved.append(kw["t_offset"])
+        return picard_solve(*args, **kw)
+
+    monkeypatch.setattr(cl.evolve, "picard_solve", counting_solve)
+    with pytest.raises(ValueError) as exc:
+        cl.global_march(prob, 1.0, max_window_length=0.1, **kwargs)
+    assert type(exc.value) is ValueError and match in str(exc.value)
+    assert solved == []
+    # the stand-in does count: the march with good arguments solves ten windows
+    assert len(cl.global_march(prob, 1.0, max_window_length=0.1, n_frames=8)) == len(solved) == 10
 
 
 def test_march_semigroup_for_free_evolution():
@@ -934,13 +961,17 @@ def test_oracle_refuses_a_non_finite_forcing_in_both_forms():
     assert str(block.value) == f"window 0 failed (oracle): {message}"
 
 
-def test_batched_oracle_substep_preconditions_fail_window_0():
+def test_batched_oracle_refuses_bad_substeps_up_front():
+    # too few substeps, or a count that is no multiple of the frames, is the
+    # argument's error, not window 0's, in the batched form too
     prob = _simple_problem(cl.linear_plus_source(0.0))
     physical = np.stack([prob.u0.values.real] * 2)
     starts = rfft_raw(physical)
-    with pytest.raises(cl.MarchWindowError) as exc:
-        cl.etd_reference_solve(prob, 0.5, 32, n_frames=16, starts=starts)
-    assert exc.value.window_index == 0 and isinstance(exc.value.__cause__, ValueError)
+    message = "substeps = {} must be an integer multiple of the frame count 16, at least 4x it"
+    for substeps in (32, 72, 64.0):
+        with pytest.raises(ValueError) as exc:
+            cl.etd_reference_solve(prob, 0.5, substeps, n_frames=16, starts=starts)
+        assert type(exc.value) is ValueError and str(exc.value) == message.format(substeps)
     # the block is raw half spectra: (K, N/2+1), never physical (K, N) samples
     nan_row = starts.copy()
     nan_row[1, 3] = np.nan
@@ -991,7 +1022,8 @@ def test_batched_oracle_replay_matches_single_window_marches():
             _threshold_reaction("grow_above", 3.0, 10 ** rng.uniform(2, 10)),
             cl.linear_plus_source(0.0),
         ][kind]
-        substeps = int(rng.choice([20, 36])) if kind == 3 else 8 * n_frames
+        # kind 3 marches at the fewest substeps the oracle allows, or 5x
+        substeps = int(rng.choice([4, 5])) * n_frames if kind == 3 else 8 * n_frames
         prob = _blowup_problem(_STARTS[0], nonlinearity)
         x = prob.grid.x
         starts = np.stack([
@@ -1011,9 +1043,9 @@ def test_batched_oracle_replay_matches_single_window_marches():
         want = (k, "oracle", str(cl.MarchWindowError(k, "oracle", cause)), type(cause))
         assert (got.window_index, got.phase, str(got), type(got.__cause__)) == want
         seen.add((type(cause).__name__, k > 0))
-    # the draws reach every failure type, at window 0 and past it
-    assert seen >= {"none", ("ValueError", False), ("ModelEvaluationError", True),
-                    ("ReferenceInstabilityError", True)}
+    # the draws reach every failure type inside a window, past window 0; a
+    # bad substep count is refused before any window (the test above)
+    assert seen >= {"none", ("ModelEvaluationError", True), ("ReferenceInstabilityError", True)}
 
 
 def test_batched_oracle_raises_its_own_error_when_no_window_fails_alone():
