@@ -24,10 +24,12 @@ oracle; it shares the reaction evaluation and its finiteness guard
 
 The unknown is a real field, the kernel and the reaction are real and
 lam(-p) = conj(lam(p)), so every spectrum in the solvers is Hermitian and is
-determined by its modes 0..N/2. Of those, a window's map moves only its live
-band, modes 0..K-1: above it e^{dt lam} and the kernel factor sqrt(2 pi) Ghat
-underflow to exactly 0 (the -p^6 of the sixth-order operator), so every frame
-after the first is exactly 0 there, and only frame 0, the start state, may
+determined by its modes 0..N/2. Of those, a window's map keeps only its live
+band, modes 0..K-1: above it e^{dt lam}, the kernel factor sqrt(2 pi) Ghat
+and the phi-weights are each at most ``BAND_TOL`` (1e-32) of their largest
+magnitude (the -p^6 of the sixth-order operator, and the kernel's decay), so
+the map leaves every frame after the first below the rounding of the band's
+modes there, and the solvers keep 0; only frame 0, the start state, may
 have modes above K. Inside the solvers a trajectory is the plain (M+1, K)
 complex array of the band, and norms weight each stored mode by its
 multiplicity in the full spectrum. Every solver array is in raw ``rfft``
@@ -65,11 +67,12 @@ truncation of pseudo-spectral codes (Orszag, J. Atmos. Sci. 28, 1971;
 Boyd, Chebyshev and Fourier Spectral Methods, 2001, ch. 11). Its forcing
 grid is a rung of the ladder n, 2n, 4n, ..., N (``_rungs``). The first
 rung is the smallest even 5-smooth n >= 2K, on which the band is sampled
-exactly (``grid.smooth_points``), doubled while the forcing of the first
-iterate's frame 1, a band frame evaluated on N points, has more than
-``ALIAS_TOL`` of its energy in the modes from 3n/8 up (what folds onto the
-band shows there, whatever the spectrum's shape; below n = 8K/3 that
-window takes in the band's top modes too, which only makes it stricter).
+exactly (``grid.smooth_points``), stepped to the next even 5-smooth length
+while the forcing of the first iterate's frame 1, a band frame evaluated on
+N points, has more than ``ALIAS_TOL`` of its energy in the modes from 3n/8
+up (what folds onto the band shows there, whatever the spectrum's shape;
+below n = 8K/3 that window takes in the band's top modes too, which only
+makes it stricter).
 No padding is exact for every reaction (the 3/2 rule is exact for
 quadratic products only), so the indicator, not the start, decides. What F's
 spectrum later has beyond n/2 folds onto lower modes; below N each block
@@ -166,6 +169,16 @@ MEMORY_BUDGET_BYTES = 2 * 2**30
 #: of 1e-20 moved the Picard distances by up to 1.5e-11 d_1, and one of at
 #: most 1e-28 by no more than 2.1e-15 d_1.
 ALIAS_TOL = 1e-28
+
+#: The relative floor of a window's live band (``_live_band``): above mode
+#: K - 1 each of the map's per-mode factors e^{dt lam}, sqrt(2 pi) Ghat and
+#: the phi-weights is at most this times its own largest magnitude, below
+#: eps^2 (about 4.9e-32), and the band solution keeps 0 there: a spectral
+#: cut at a relative floor (Boyd, Chebyshev and Fourier Spectral Methods,
+#: 2001, ch. 11). On the catalog's kernels a full-width march read at most
+#: 4.2e-40 of its largest mode there. A tabulated kernel's factor has a
+#: floor far above it and keeps every mode.
+BAND_TOL = 1e-32
 
 
 class SolverError(RuntimeError):
@@ -289,7 +302,8 @@ class _Window:
     """What the mild-solution map needs on one window, computed once per window:
 
     the initial coefficients u0 of modes 0..N/2 in ``rfft_raw`` units; on the
-    live band, modes 0..K-1, the recursion's per-mode factors
+    live band, modes 0..K-1 (``_live_band``: above it each factor is at most
+    ``BAND_TOL`` of its own largest magnitude), the recursion's per-mode factors
     e_dt = e^{dt lam}, w_prev = g dt (phi1 - phi2)(dt lam) and
     w_next = g dt phi2(dt lam), the convolution factor g = sqrt(2 pi) Ghat and
     the symbol lam itself; u0's modes K, K+1, ... up to its last nonzero
@@ -349,18 +363,19 @@ def _alias_indicator(fh: np.ndarray, n: int) -> np.ndarray:
 
 def _first_rung(prob: ProblemSpec, w: _Window) -> int:
     """The first rung of the window's forcing grid: the smallest even
-    5-smooth n >= 2K (at least 8), doubled below N while the forcing of the
-    first iterate's frame 1, a band frame, forced on N points, where
-    nothing folds, reads an alias indicator for n points past ``ALIAS_TOL``
-    (a source above n/2, say)."""
+    5-smooth n >= 2K (at least 8) below N at which the forcing of the first
+    iterate's frame 1, a band frame, forced on N points, where nothing
+    folds, reads an alias indicator for n points of at most ``ALIAS_TOL``
+    (a source above n/2 reads more), or N. The probe steps through every
+    such length; the fallback of ``_rungs`` doubles from the rung."""
     # a band of K modes is sampled exactly; whether the reaction's spectrum
     # folds onto it is the indicator's to say, not a padding rule's
     n = max(8, smooth_points(w.band))
     if n < prob.grid.n_points:
         probe = _forcing_history((w.e_dt * w.u0[: w.band])[None], prob, w.forcing, 1)[0]
         while n < prob.grid.n_points and not _alias_indicator(probe, n) <= ALIAS_TOL:
-            n *= 2
-    return n
+            n = smooth_points(n // 2 + 1)
+    return min(n, prob.grid.n_points)
 
 
 def _rungs(n: int, top: int) -> Iterator[int]:
@@ -372,9 +387,12 @@ def _rungs(n: int, top: int) -> Iterator[int]:
 
 
 def _live_band(*factors: np.ndarray) -> int:
-    """1 + the highest mode at which any of the per-mode ``factors`` is
-    nonzero: above it the mild-solution map sends every mode to exactly 0."""
-    return 1 + int(np.flatnonzero(np.any(np.stack(factors) != 0, axis=0))[-1])
+    """1 + the highest mode at which any of the per-mode ``factors`` exceeds
+    ``BAND_TOL`` times its own largest magnitude: above it the mild-solution
+    map sends every mode below that floor, and the band solution keeps 0."""
+    mags = np.abs(np.stack(factors))
+    live = mags > BAND_TOL * mags.max(axis=1, keepdims=True)
+    return 1 + int(np.flatnonzero(np.any(live, axis=0))[-1])
 
 
 def _half_symbols(prob: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -542,8 +560,9 @@ class SolveReport:
     """Everything a window solve produced, plus diagnostics.
 
     The solution is kept on the window's live band: the read-only (M+1, K)
-    array ``u_band`` on ``time_grid``, in ``rfft_raw`` units, whose modes
-    above K are exactly 0 in every frame but frame 0; frame 0's modes K,
+    array ``u_band`` on ``time_grid``, in ``rfft_raw`` units; above K, where
+    the map's factors are below ``BAND_TOL`` of their peaks (``_live_band``),
+    every frame but frame 0 is kept as 0; frame 0's modes K,
     K+1, ... up to its last nonzero one are ``u0_tail`` (empty when the
     window starts from a previous window's end state). Of the time
     derivative only its per-frame norms are kept; ``time_derivative`` forms

@@ -387,13 +387,14 @@ def kernel_strength(kernel: KernelSpec) -> float:
 
 
 def _per_grid(h):
-    """The source profile h, remembering its values on the last two arrays it
-    read that are read-only and own their data, as a grid's ``x`` is: the
+    """The source profile h, remembering its values on the last three arrays
+    it read that are read-only and own their data, as a grid's ``x`` is: the
     solvers call the reaction once per block of frames, on a box's N points
-    (frame 0 and the oracle) and on a window's reduced grid (its band
-    frames), and h(x) is the part of it that does not change. The values
-    are h's own, bit for bit, handed out read-only."""
-    last = deque(maxlen=2)
+    (frame 0, the first rung's probe and the oracle) and on a window's
+    reduced grid (its band frames), which may differ between window 0 and
+    the windows after it, and h(x) is the part of it that does not change.
+    The values are h's own, bit for bit, handed out read-only."""
+    last = deque(maxlen=3)
 
     def profile(x):
         for seen, vals in last:

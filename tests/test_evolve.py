@@ -129,11 +129,11 @@ def test_propagate_rejects_negative_time_and_physical_rep():
 
 
 def _free_trajectory(prob, T, m):
-    """The reaction-free trajectory on modes 0..N/2 in raw rfft units, its
-    time grid and the window data of its frame spacing."""
+    """The reaction-free trajectory on the live band of its frame spacing, in
+    raw rfft units, its time grid and the window data of that spacing."""
     tg = np.linspace(0.0, T, m + 1)
     w = _window(prob, float(tg[1] - tg[0]))
-    return np.exp(np.outer(tg, w.lam)) * w.u0, tg, w
+    return np.exp(np.outer(tg, w.lam)) * w.u0[: w.band], tg, w
 
 
 def _simple_problem(nonlinearity, a=0.0, b=0.0, n=128, zero_ic=False):
@@ -158,12 +158,13 @@ def test_duhamel_map_zero_reaction_is_pure_propagation():
 def test_duhamel_map_source_only_closed_form():
     # constant-in-s forcing: the phi-weighted quadrature is exact, so the
     # output matches e^{t lam} u0 + sqrt(2 pi) Ghat hhat t phi1(t lam) to
-    # roundoff at every frame
+    # roundoff at every frame, on every mode: 0 above the band, where the
+    # closed form is below the band's floor
     prob = _simple_problem(cl.linear_plus_source(0.0, cl.source_gaussian(0.1, 1.0)), b=1.0)
     T, m = 0.4, 32
     v, tg, w = _free_trajectory(prob, T, m)
-    out = raw_to_unitary(prob.grid, cl.duhamel_map(v, prob, w)[0])
-    half = slice(0, prob.grid.n_half)
+    assert w.band < prob.grid.n_half
+    out = unitary_spectrum(prob.grid, cl.duhamel_map(v, prob, w)[0])
     lam = cl.build_symbol(prob.grid, prob.a, prob.b)
     g_hat = prob.kernel.spectrum_on(prob.grid)
     h_hat = cl.forward_transform(
@@ -176,7 +177,7 @@ def test_duhamel_map_source_only_closed_form():
         closed = np.exp(t * lam) * u0h + np.sqrt(2 * np.pi) * g_hat * h_hat * t * cl.phi1(
             t * lam
         )
-        assert np.max(np.abs(out[j] - closed[half])) <= 1e-12 * scale
+        assert np.max(np.abs(out[j] - closed)) <= 1e-12 * scale
 
 
 def test_duhamel_map_zero_fixed_point():
@@ -247,8 +248,9 @@ def test_time_derivative_consistent_with_finite_differences(certified_problem):
         dt = tg[1] - tg[0]
         fd = (u[2:] - u[:-2]) / (2.0 * dt)
         grid = prob.grid
-        err = np.abs(raw_to_unitary(grid, fd - du[1:-1]))
-        per_frame = np.sqrt(np.sum(grid._half_weights * err**2, axis=1) * grid.dp)
+        band = slice(0, w.band)
+        err = np.abs(grid._raw_scale[band] * (fd - du[1:-1]))
+        per_frame = np.sqrt(np.sum(grid._half_weights[band] * err**2, axis=1) * grid.dp)
         return np.max(per_frame[per_frame.size // 2 :])
 
     e1, e2 = fd_defect(32), fd_defect(64)
@@ -400,8 +402,11 @@ def test_first_iterate_by_recursion_matches_exp_form(monkeypatch):
 
 def test_reference_matches_propagator_without_reaction():
     prob = _simple_problem(cl.linear_plus_source(0.0), a=0.2, b=1.0)
+    # on every mode: the oracle keeps N/2+1 of them, and above the band,
+    # where the propagation has left 0, the oracle's are below its floor
     ref = cl.etd_reference_solve(prob, 0.5, substeps=64, n_frames=16)
-    v = raw_to_unitary(prob.grid, _free_trajectory(prob, 0.5, 16)[0])
+    v = unitary_spectrum(prob.grid, _free_trajectory(prob, 0.5, 16)[0])[:, : prob.grid.n_half]
+    v[0] = cl.to_spectral(prob.u0).values[: prob.grid.n_half]
     half = ref.frames[:, : prob.grid.n_half]
     assert np.max(np.abs(half - v)) <= 1e-12 * np.max(np.abs(v))
 
@@ -1161,7 +1166,7 @@ def test_batched_forcing_matches_per_frame_loop(hot_path_problem):
     v, _, _ = _free_trajectory(prob, T, 32)
     on = _ForcingGrid(prob.grid, prob.grid.n_points)
     batched = raw_to_unitary(prob.grid, _forcing_history(v, prob, on))
-    reference = _per_frame_forcing(unitary_spectrum(prob.grid, v), prob)[:, : v.shape[1]]
+    reference = _per_frame_forcing(unitary_spectrum(prob.grid, v), prob)[:, : prob.grid.n_half]
     assert np.max(np.abs(batched - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
@@ -1313,9 +1318,9 @@ def test_solver_loops_construct_no_field_wrappers(certified_problem, monkeypatch
 def test_solver_loops_call_the_public_functions(certified_problem, monkeypatch):
     # per iterate picard_solve applies the map and its time derivative once
     # per block of frames, with one reaction call per block, and the 16
-    # frames after frame 0 at N = 256 are one block; frame 0's forcing is one
-    # more reaction call per window; the oracle calls the reaction twice per
-    # substep
+    # frames after frame 0 at N = 256 are one block; frame 0's forcing and
+    # the first rung's probe (the band is below N/2) are one more reaction
+    # call each per window; the oracle calls the reaction twice per substep
     import collections
 
     import cubelap.evolve as ev
@@ -1331,7 +1336,7 @@ def test_solver_loops_call_the_public_functions(certified_problem, monkeypatch):
     prob, cert, T = certified_problem
     its = cl.picard_solve(prob, T, cert, n_frames=16).trace.iterations
     assert dict(calls) == {
-        "duhamel_map": its, "time_derivative": its, "apply_nonlinearity": its + 1
+        "duhamel_map": its, "time_derivative": its, "apply_nonlinearity": its + 2
     }
     calls.clear()
     cl.etd_reference_solve(prob, T, 4 * 16, n_frames=16)
@@ -1341,8 +1346,8 @@ def test_solver_loops_call_the_public_functions(certified_problem, monkeypatch):
 @pytest.mark.parametrize("windows", [1, 3])
 def test_march_oracle_calls_the_reaction_twice_per_substep(certified_problem, monkeypatch, windows):
     # one batched oracle for all windows: the reaction count is the Picard
-    # iterations, one frame-0 forcing per window, and two per substep,
-    # whatever the window count
+    # iterations, one frame-0 forcing and one first-rung probe per window,
+    # and two per substep, whatever the window count
     import cubelap.evolve as ev
 
     calls = []
@@ -1357,7 +1362,7 @@ def test_march_oracle_calls_the_reaction_twice_per_substep(certified_problem, mo
     )
     assert len(reports) == windows
     its = sum(rep.trace.iterations for rep in reports)
-    assert len(calls) == its + windows + 2 * 4 * 16
+    assert len(calls) == its + 2 * windows + 2 * 4 * 16
 
 
 def test_window_solve_holds_about_two_trajectory_arrays():

@@ -492,11 +492,13 @@ def test_source_profiles_are_remembered_per_grid_bit_for_bit():
     first = nl.source(g.x)
     assert nl.source(g.x) is first and not first.flags.writeable
     assert np.array_equal(first, h(g.x))
-    other = cl.make_grid(12.0, 64)
+    other, third = cl.make_grid(12.0, 64), cl.make_grid(10.0, 48)
     assert np.array_equal(nl.source(other.x), h(other.x))
-    # the last two grids read are remembered both, as a box's N points and a
-    # window's reduced grid are
+    assert np.array_equal(nl.source(third.x), h(third.x))
+    # the last three grids read are remembered all, as a box's N points and
+    # the reduced grids of window 0 and of the windows after it are
     assert nl.source(g.x) is first and nl.source(other.x) is nl.source(other.x)
+    assert nl.source(third.x) is nl.source(third.x)
     # a writeable array is never remembered
     x = np.array(g.x)
     assert nl.source(x) is not nl.source(x)

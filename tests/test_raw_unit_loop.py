@@ -15,11 +15,11 @@ frames, so that blocks end inside the trajectory, and at 5 frames the last
 one takes the 2 frames left over as well, and grow them to a whole window at
 any size. At every block size the walk calls ``duhamel_map``,
 ``time_derivative`` and ``apply_nonlinearity`` once per block and iterate,
-frame 0's forcing is one more reaction call, and a model error names the
-frame of the trajectory.
+frame 0's forcing and the first rung's probe are one more reaction call
+each, and a model error names the frame of the trajectory.
 
 The block size changes no number: at every block size a march of 257-frame
-windows (three default blocks each) reports bitwise the trajectories,
+windows (one default block each) reports bitwise the trajectories,
 distances, per-frame norms and oracle deviations of the default blocks, and
 ``runner.main`` writes byte-equal artifacts.
 
@@ -142,12 +142,12 @@ WHOLE_WINDOW = 10**6
     ids=["default_blocks", "1_frame_blocks", "5_frame_blocks", "whole_window_blocks"],
 )
 def block_frames(request, monkeypatch):
-    """Frames per block of the solver's loops at N = 256: the default, 1, 5,
-    or more than any window holds. The band is all 129 modes, so every
-    window forces on the N points."""
+    """Frames per block of the solver's loops: the default, 1, 5, or more
+    than any window holds, on whatever grid a window forces on and whatever
+    its band (a row of one byte makes ``BLOCK_BYTES`` a row count)."""
     if request.param is not None:
-        bytes_per_frame = cubelap.grid.block_row_bytes(cl.make_grid(20.0, 256), 129)
-        monkeypatch.setattr(cubelap.grid, "BLOCK_BYTES", request.param * bytes_per_frame)
+        monkeypatch.setattr(cubelap.grid, "block_row_bytes", lambda grid, band: 1)
+        monkeypatch.setattr(cubelap.grid, "BLOCK_BYTES", request.param)
     return request.param
 
 
@@ -178,11 +178,12 @@ def test_block_walk_calls_the_public_functions_once_per_block(block_frames, monk
     q = cl.kernel_strength(prob.kernel)
     cert = cl.Certificate.for_window(q, prob.nonlinearity.lipschitz_l, A, B, T)
     its = cl.picard_solve(prob, T, cert, n_frames=N_FRAMES).trace.iterations
-    # the walk covers frames 1..N_FRAMES; frame 0's forcing is computed once
+    # the walk covers frames 1..N_FRAMES; frame 0's forcing and the probe of
+    # the first rung, the band of 55 modes being below N/2, are computed once
     blocks = 1 if block_frames is None else max(1, N_FRAMES // block_frames)
     want = its * blocks
     assert dict(calls) == {"duhamel_map": want, "time_derivative": want,
-                           "apply_nonlinearity": want + 1}
+                           "apply_nonlinearity": want + 2}
 
 
 def test_growth_violation_names_its_trajectory_frame(block_frames):
@@ -328,10 +329,9 @@ def _march_numbers():
 
 
 def test_block_size_changes_no_number_of_a_march(default_blocks, block_frames):
-    # 257 frames of 129 modes forced on 256 points: the default 2^19-byte
-    # blocks of 84 rows split each window's walk over frames 1..256 in three
-    row = cubelap.grid.block_row_bytes(cl.make_grid(20.0, 256), 129)
-    assert 256 // (DEFAULT_BLOCK_BYTES // row) == 3
+    # 257 frames of 55 modes forced on 256 and 180 points: a default
+    # 2^19-byte block holds 137 and 163 rows, so each window's walk over
+    # frames 1..256 is one block, which the 1- and 5-frame blocks split
     want = default_blocks["march"]
     got = _march_numbers()
     assert len(got) == len(want)

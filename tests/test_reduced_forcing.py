@@ -1,27 +1,32 @@
 """The reduced forcing grid against the N-point forcing it replaces.
 
-A window whose live band K satisfies 2K <= N' < N, N' the smallest even
-5-smooth such length, forces its band frames on N' points instead of N: the
-first rung of its forcing grid's ladder N', 2N', ..., N. The slow path is the same ``picard_solve``
-started on the top rung (``evolve._first_rung`` returning N), which forces
-on all N points as every window did before. On drawn problems over every
-kernel, reaction and source of the catalog the two agree to the 1e-12
-gate: the same iteration count, the final frame to 1e-12 relative and
-every Picard distance to 1e-12 of the first. A tabulated kernel's factor
-is nonzero at every mode, so its windows never reduce. At 60 times the
-amplitude the reaction's spectrum reaches the modes that fold onto the
-band: the alias check then solves the window again on the next rung, up
-to N, where it reproduces the N-point numbers bit for bit. The ladder ends
-at N whatever rung it starts on, since nothing folds there. A source cut
-off by the box edge, whose flat spectral floor folds onto the band, is
-forced on N points too. A band-limited source above N'/2 folds onto the
-band below the top eighth, where no reduced block can see it; the N-point
-forcing of one band frame does, and the window starts on a grid that
-resolves the source. Below N' = 8K/3 the top eighth takes in the band's top
-modes too, so a forcing with energy there alone, which N' samples without
-folding, still sends the window up the ladder. On the reduced grid, as on
-N points, the block size changes no number.
+A window whose live band K satisfies 2K <= N' < N forces its band frames on
+N' points instead of N: the first rung of its forcing grid's ladder N',
+2N', ..., N, N' the smallest even 5-smooth length >= 2K on which the
+N-point forcing of one band frame reads no alias (``evolve._first_rung``).
+The slow path is the same ``picard_solve`` started on the top rung
+(``_first_rung`` returning N), which forces on all N points as every window
+did before. On drawn problems over every kernel, reaction and source of the
+catalog the two agree to the 1e-12 gate: the same iteration count, the
+final frame to 1e-12 relative and every Picard distance to 1e-12 of the
+first. A tabulated kernel's factor has a floor above ``BAND_TOL`` at every
+mode, so its windows never reduce. At 80 times the amplitude the reaction's
+spectrum reaches the modes that fold onto the band: the probe starts the
+window higher, and where a later block still aliases, the alias check
+solves the window again on the next rung, up to N, where it reproduces the
+N-point numbers bit for bit. The ladder ends at N whatever rung it starts
+on, since nothing folds there. A source cut off by the box edge, whose flat
+spectral floor folds onto the band, is forced on N points too. A
+band-limited source above N'/2 folds onto the band below the top eighth,
+where no reduced block can see it; the N-point forcing of one band frame
+does, and the window starts on a grid that resolves the source. Below
+N' = 8K/3 the top eighth takes in the band's top modes too, so a forcing
+with energy there alone, which N' samples without folding, still sends the
+window up the ladder. On the reduced grid, as on N points, the block size
+changes no number.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -154,22 +159,70 @@ def _bumps_problem(n_points, amplitude):
     )
 
 
-@pytest.mark.parametrize(("n_points", "forcing_points"), [(1024, 1024), (4096, 1440)])
+def _even_5_smooth(lo, hi):
+    """The even lengths lo <= n <= hi with no prime factor but 2, 3 and 5,
+    in order, by enumeration."""
+    lengths = (2**i * 3**j * 5**k for i in range(1, 16) for j in range(10) for k in range(7))
+    return sorted(n for n in lengths if lo <= n <= hi)
+
+
+def _scanned_first_rung(prob, w):
+    """``_first_rung`` by a scan: the smallest even 5-smooth n >= 2K (at
+    least 8) below N at which frame 1 of the first iterate, e^{dt lam} u0 on
+    the band, forced on all N points, has at most ``ALIAS_TOL`` of its energy
+    in modes 3n/8 and up, or N."""
+    grid = prob.grid
+    frame = np.zeros(grid.n_half, np.complex128)
+    frame[: w.band] = w.e_dt * w.u0[: w.band]
+    samples = cubelap.grid.irfft_raw(grid, frame)
+    sq = np.abs(cubelap.grid.rfft_raw(cl.apply_nonlinearity(samples, prob.nonlinearity, grid)))**2
+    for n in _even_5_smooth(max(8, 2 * w.band), grid.n_points - 1):
+        if np.sum(sq[3 * n // 8:]) <= ev.ALIAS_TOL * np.sum(sq):
+            return n
+    return grid.n_points
+
+
+@pytest.mark.parametrize("reaction_name", sorted(NONLINEARITIES))
+@pytest.mark.parametrize("kernel_name", sorted(KERNELS))
+@settings(max_examples=8, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_the_first_rung_is_the_scanned_one(kernel_name, reaction_name, data):
+    # on drawn problems at 1 and 80 times their drawn initial amplitude, from
+    # prob.u0 and from a start state with no modes above the band
+    prob = data.draw(problems(kernel_name, reaction_name))
+    scale = data.draw(st.sampled_from([1.0, 80.0]))
+    prob = replace(prob, u0=cl.Field(prob.grid, scale * prob.u0.values, "physical"))
+    w = ev._window(prob, T / N_FRAMES)
+    start = np.zeros(prob.grid.n_half, np.complex128)
+    start[: w.band] = w.u0[: w.band]
+    for win in (w, ev._window(prob, T / N_FRAMES, start)):
+        assert ev._first_rung(prob, win) == _scanned_first_rung(prob, win)
+
+
+@pytest.mark.parametrize(("n_points", "forcing_points"), [(1024, 1024), (4096, 960)])
 def test_an_aliased_window_is_solved_again_on_more_points(n_points, forcing_points):
-    # K = 87, so the window first forces on N' = 180 points. At amplitude 1
-    # it stays there; at 60 the alias indicator passes ALIAS_TOL there and on
-    # 360 and 720 points, and the window is solved again on the next rung:
-    # all N = 1024 points on the smaller grid, where the numbers are the
-    # N-point ones bit for bit, and 1440 on the larger
+    # K = 28, so a window's first rung is at least 2K = 60 points; at
+    # amplitude 1 the probe starts it on 120. At 80 the alias indicator
+    # passes ALIAS_TOL on 60 points: the probe starts the window on 900
+    # points of the smaller grid, where a later block aliases and the window
+    # is solved again on all N = 1024 points, with the N-point numbers bit
+    # for bit, and on 960 of the larger. Started blind on 60 points, the
+    # window is solved again on 120, 240, 480 and 960 points
     calm = _solve(_bumps_problem(n_points, 1.0))
-    assert calm.u_band.shape[1] == 87 and calm.forcing_points == 180
-    prob = _bumps_problem(n_points, 60.0)
+    assert calm.u_band.shape[1] == 28 and calm.forcing_points == 120
+    prob = _bumps_problem(n_points, 80.0)
     rep, full = _solve(prob), _solve(prob, full=True)
     assert rep.forcing_points == forcing_points
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ev, "ALIAS_TOL", np.inf)
         aliased = _solve(prob)
-    assert aliased.forcing_points == 180 and aliased.alias_indicator > ev.ALIAS_TOL
+    assert aliased.forcing_points == 60 and aliased.alias_indicator > ev.ALIAS_TOL
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ev, "_first_rung", lambda prob, w: 60)
+        blind = _solve(prob)
+    assert blind.forcing_points == 960
+    _assert_within_gate(blind, full)
     if forcing_points == n_points:
         assert rep.alias_indicator is None
         assert np.array_equal(rep.u_band, full.u_band)
@@ -180,10 +233,11 @@ def test_an_aliased_window_is_solved_again_on_more_points(n_points, forcing_poin
 
 
 def _narrow_band_problem(source, n_points=N):
-    """A window of band K = 18 on ``n_points`` points, so N' = 36 at first,
-    with the linear reaction around the source ``source(grid)``."""
+    """A window of band K = 18, the kernel's modes 0..17 below its cutoff,
+    on ``n_points`` points, so N' = 36 at first, with the linear reaction
+    around the source ``source(grid)``."""
     grid = cl.make_grid(L, n_points)
-    kernel = cl.bandlimited_kernel(grid, 0.05, 3.0)
+    kernel = cl.bandlimited_kernel(grid, 0.05, 5.5)
     return cl.ProblemSpec(
         a=A, b=B, kernel=kernel,
         nonlinearity=cl.linear_plus_source(-_certified(kernel, A, B), source(grid)),
@@ -209,11 +263,12 @@ def test_a_source_cut_off_by_the_box_edge_is_forced_on_all_points():
     assert min(_gaps(aliased, full)) > 1e-11
 
 
-@pytest.mark.parametrize(("modes", "forcing_points"), [((46, 60), 288), ((180, 200), N)])
+@pytest.mark.parametrize(("modes", "forcing_points"), [((46, 60), 160), ((180, 200), N)])
 def test_a_source_band_above_the_reduced_nyquist_mode_is_resolved(modes, forcing_points):
-    # K = 18, so N' = 36 at first, then 72, 144, 288, 576 and N; the probe
-    # starts the window on the first rung whose top eighth the source's
-    # modes, seen on N points, stay below. Started blind on 64 points, the
+    # K = 18, so N' = 36 at first; the probe starts the window on the first
+    # even 5-smooth length whose top eighth the source's modes, seen on N
+    # points, stay below: 160 points, and 800 for modes 180..200, where a
+    # later block aliases and the window is solved again on N. Started blind on 64 points, the
     # source's modes fold onto modes 4..18 (and onto 0..20 of 256 and 512
     # at modes 180..200): onto the kernel's band, and below the top eighth,
     # modes 24..32
@@ -231,14 +286,15 @@ def test_a_source_band_above_the_reduced_nyquist_mode_is_resolved(modes, forcing
     assert max(_gaps(blind, full)) > 1e-6
 
 
-@pytest.mark.parametrize(("n_points", "rung"), [(72, 72), (N, 72)])
-def test_a_forcing_in_the_band_top_modes_climbs_past_the_first_rung(n_points, rung):
+@pytest.mark.parametrize(("n_points", "climbed"), [(72, 72), (N, 72)])
+def test_a_forcing_in_the_band_top_modes_climbs_past_the_first_rung(n_points, climbed):
     # K = 18 and N' = 36 < 8K/3 = 48: the top eighth of 36 points, modes
     # 13..18, takes in the band's modes 13..17, where the source lies. On 36
     # points nothing folds, since the forcing has no mode above 17, but the
-    # indicator counts them all the same: the probe starts the window on 72
-    # points, and a window started blind on 36 is solved again there, with
-    # the same bits. On N = 72 that is the top rung, the N-point solve.
+    # indicator counts them all the same: the probe starts the window on 48
+    # points, the first whose top eighth starts above mode 17, and a window
+    # started blind on 36 is solved again on 72. On N = 72 that is the top
+    # rung, the N-point solve bit for bit.
     prob = _narrow_band_problem(lambda grid: cl.source_bandlimited(
         grid, 0.2, 12.5 * grid.dp, 17.5 * grid.dp), n_points)
     rep, full = _solve(prob), _solve(prob, full=True)
@@ -246,16 +302,16 @@ def test_a_forcing_in_the_band_top_modes_climbs_past_the_first_rung(n_points, ru
         mp.setattr(ev, "_first_rung", lambda prob, w: 36)
         blind = _solve(prob)
     assert rep.u_band.shape[1] == 18
-    assert rep.forcing_points == blind.forcing_points == rung
-    assert np.array_equal(rep.u_band, blind.u_band)
-    assert np.array_equal(rep.trace.distances, blind.trace.distances)
-    if rung == n_points:
-        assert rep.alias_indicator is None
-        assert np.array_equal(rep.u_band, full.u_band)
-        assert np.array_equal(rep.trace.distances, full.trace.distances)
+    assert rep.forcing_points == 48 and 0 <= rep.alias_indicator <= ev.ALIAS_TOL
+    assert blind.forcing_points == climbed
+    _assert_within_gate(rep, full)
+    if climbed == n_points:
+        assert blind.alias_indicator is None
+        assert np.array_equal(blind.u_band, full.u_band)
+        assert np.array_equal(blind.trace.distances, full.trace.distances)
     else:
-        assert 0 <= rep.alias_indicator <= ev.ALIAS_TOL
-        _assert_within_gate(rep, full)
+        assert 0 <= blind.alias_indicator <= ev.ALIAS_TOL
+        _assert_within_gate(blind, full)
     # with the indicator off, the window stays on 36 points, where most of
     # the forcing's energy is in the top eighth, and, as nothing folds,
     # agrees with the N-point solve: the climb is the indicator's strictness
@@ -296,14 +352,14 @@ def test_the_alias_fallback_stops_at_n(start, tried, monkeypatch):
 def test_block_size_changes_no_number_on_the_reduced_grid(rows, monkeypatch):
     prob = _bumps_problem(1024, 1.0)
     default = _solve(prob)
-    assert default.forcing_points == 180
+    assert default.forcing_points == 120
     # blocks are sized by the forcing grid and the band: at the default, one
-    # block of 124 rows holds the window's 16 frames
+    # block of 282 rows holds the window's 16 frames
     on = prob.grid.resampled(default.forcing_points)
     row = cubelap.grid.block_row_bytes(on, default.u_band.shape[1])
     monkeypatch.setattr(cubelap.grid, "BLOCK_BYTES", rows * row)
     rep = _solve(prob)
-    assert rep.forcing_points == 180
+    assert rep.forcing_points == 120
     for key in ("u_band", "l2_per_frame", "d6_l2_per_frame", "dudt_l2_per_frame"):
         assert np.array_equal(getattr(rep, key), getattr(default, key)), key
     assert np.array_equal(rep.trace.distances, default.trace.distances)

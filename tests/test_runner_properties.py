@@ -13,6 +13,7 @@ window): the runner bounds memory, not run time.
 """
 
 import contextlib
+import copy
 import io
 import json
 import re
@@ -109,7 +110,8 @@ SIZES = [
 
 @st.composite
 def configs(draw):
-    cfg = draw(VALID)
+    # st.just hands out one dict object to every example: edit a copy
+    cfg = copy.deepcopy(draw(VALID))
     for _ in range(draw(st.integers(0, 3))):
         section = draw(st.sampled_from(sorted(cfg) + ["<top>"]))
         target = cfg.get(section) if isinstance(cfg.get(section), dict) else cfg
