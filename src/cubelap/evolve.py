@@ -104,6 +104,7 @@ import warnings
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -122,6 +123,7 @@ from .grid import (
     frame_norms,
     half_sq_norms,
     irfft_raw,
+    over_row_blocks,
     resampled_rfft,
     rfft_raw,
     smooth_points,
@@ -448,7 +450,7 @@ def _forcing_history(
     phys = band_samples(prob.grid, frames, on.n_points)
     vals = apply_nonlinearity(phys, prob.nonlinearity, on, first_frame, rows)
     fh = resampled_rfft(prob.grid, vals)
-    if not np.all(np.isfinite(fh)):
+    if not np.isfinite(fh).all():
         raise SolverError("forcing history contains non-finite values")
     forcing.read(fh)
     return fh[..., :band]
@@ -644,7 +646,7 @@ def _check_window(window_length: float, n_frames: int, max_iter: int = 1,
     if not 0 < window_length < math.inf:
         raise ValueError(f"window length must be positive and finite, got {window_length}")
     for name, count in (("n_frames", n_frames), ("max_iter", max_iter)):
-        if not isinstance(count, (int, np.integer)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {count!r}")
         if count < 1:
             raise ValueError(f"{name} must be at least 1, got {count}")
@@ -808,7 +810,7 @@ def _fixed_point(
         distances.append(d)
         if tol is None:
             # the contraction norm of the first image, frame 0's with its modes above the band
-            sq = contraction_sq(grid, u, dudt, np.empty_like(u))
+            sq = over_row_blocks(partial(contraction_sq, grid), u, dudt)
             sq[0] += half_sq_norms(grid, w.u0_tail, "h6", first=w.band)
             sq[0] += half_sq_norms(grid, w.dudt0_tail, "l2", first=w.band)
             norm = float(np.sqrt(tw @ sq))
@@ -878,6 +880,10 @@ def etd_reference_solve(
     N(u) = sqrt(2 pi) Ghat fhat_u. Genuinely second order (including against
     constant forcing, where the mild-solution quadrature is exact), and free
     of phi-weights by design so the two solvers share no quadrature path.
+    The march forms both stages from e^{h lam} u_n, taken once per substep,
+    and three per-march factors of the forcing f = fhat: pred = e^{h lam} u_n
+    + (h e^{h lam} g) f_n and u_next = e^{h lam} u_n + (h/2 e^{h lam} g) f_n
+    + (h/2 g) f(pred), g = sqrt(2 pi) Ghat.
 
     Without ``starts`` the march advances the single state ``prob.u0`` and
     returns its ``SpacetimeField`` of n_frames + 1 frames, the start and the
@@ -927,34 +933,45 @@ def _heun_march(
     """The marcher of ``etd_reference_solve`` from the state ``u_hat`` in
     ``rfft_raw`` units, a (N/2+1,) state or a (K, N/2+1) block of them (a
     model error names its row as a window): yields the state, of u_hat's
-    shape, at frames 1..n_frames, with the symbol and the kernel factor of
-    ``_half_symbols`` and no phi-weight, on all N points. Raises the first
-    failure: a model error or a non-finite forcing, or a row whose norm
-    leaves 1e8 times the larger of its norms before and after substep 1.
+    shape, at frames 1..n_frames, with the symbol and the kernel factor g of
+    ``_half_symbols`` and no phi-weight, on all N points. The factors
+    h e^{h lam} g, h/2 e^{h lam} g and h/2 g are formed once per march; each
+    substep takes e^{h lam} u once and adds the forcing terms to it in
+    place, two reaction calls in all. Raises the first failure: a model
+    error or a non-finite forcing, or a row whose norm leaves 1e8 times the
+    larger of its norms before and after substep 1.
     """
     grid = prob.grid
     h = window_length / substeps
     lam, g = _half_symbols(prob)
     e_h = np.exp(h * lam)
+    pred_f = h * e_h * g
+    next_f = 0.5 * pred_f
+    next_fp = 0.5 * h * g
     on = _ForcingGrid(grid, grid.n_points)
 
     def l2(u: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.atleast_1d(half_sq_norms(grid, u, "l2")))
+        return np.sqrt(half_sq_norms(grid, u, "l2"))
 
     stride = substeps // n_frames
     scale0 = l2(u_hat)
     ref = None
     for n in range(substeps):
-        nn = g * _forcing_history(u_hat, prob, on, rows="window")
-        pred = e_h * (u_hat + h * nn)
-        nn_pred = g * _forcing_history(pred, prob, on, rows="window")
-        u_hat = e_h * u_hat + 0.5 * h * (e_h * nn + nn_pred)
+        f = _forcing_history(u_hat, prob, on, rows="window")
+        u_hat = e_h * u_hat
+        pred = np.multiply(pred_f, f)
+        pred += u_hat
+        f_pred = _forcing_history(pred, prob, on, rows="window")
+        u_hat += np.multiply(next_f, f, out=f)
+        u_hat += np.multiply(next_fp, f_pred, out=f_pred)
         norm_now = l2(u_hat)
         if ref is None:
             ref = np.fmax(np.fmax(scale0, norm_now), 1e-12)
         bad = ~(np.isfinite(norm_now) & (norm_now <= 1e8 * ref))
-        if np.any(bad):
-            r = int(np.argmax(bad))
+        if bad.any():
+            # a single state's norms are scalars; index them as rows
+            norm_now, ref, bad = np.atleast_1d(norm_now, ref, bad)
+            r = int(bad.argmax())
             raise ReferenceInstabilityError(
                 f"reference marcher unstable at step {n + 1}: "
                 f"norm {norm_now[r]:.3e} vs initial {ref[r]:.3e}"

@@ -251,7 +251,8 @@ def band_samples(grid: SpectralGrid, raw: np.ndarray, n: int) -> np.ndarray:
     n-point grid of the same box (``grid.resampled(n)``) along the last axis:
     the same trigonometric polynomial at other points, ``irfft_raw``'s at N."""
     samples = np.fft.irfft(raw, n=n, axis=-1)
-    samples *= n / grid.n_points
+    if n != grid.n_points:
+        samples *= n / grid.n_points
     return samples
 
 
@@ -260,7 +261,8 @@ def resampled_rfft(grid: SpectralGrid, samples: np.ndarray) -> np.ndarray:
     0..n/2 in ``grid``'s ``rfft_raw`` units, along the last axis: the
     inverse of ``band_samples``, and ``rfft_raw`` bit for bit at n = N."""
     raw = np.fft.rfft(samples, axis=-1)
-    raw *= grid.n_points / samples.shape[-1]
+    if samples.shape[-1] != grid.n_points:
+        raw *= grid.n_points / samples.shape[-1]
     return raw
 
 
@@ -516,13 +518,29 @@ def contraction_sq(
     return sq
 
 
+def over_row_blocks(squares, *halves: np.ndarray) -> np.ndarray:
+    """``squares(*rows, scratch)``, the per-row squares of one block of rows
+    of each of the (M+1, K) complex arrays ``halves`` with a complex scratch
+    of the block's shape, over blocks of about BLOCK_BYTES, into one (M+1,)
+    array: the temporary is one block whatever the arrays' size, and since
+    each row is summed on its own, the blocks move no bit."""
+    n = len(halves[0])
+    step = max(1, BLOCK_BYTES // halves[0][0].nbytes)
+    scratch = np.empty_like(halves[0][:step])
+    out = np.empty(n)
+    for s in range(0, n, step):
+        e = min(n, s + step)
+        out[s:e] = squares(*(h[s:e] for h in halves), scratch[: e - s])
+    return out
+
+
 def frame_norms(
     grid: SpectralGrid, half: np.ndarray, kind: str, tail: np.ndarray | None = None
 ) -> np.ndarray:
     """The norms sqrt(``half_sq_norms``) of (M+1, K) half-spectrum frames,
-    in one call on the whole band array (rows summed on their own). ``tail``
-    holds row 0's modes K, K+1, ... if it has any: its sum is added to row 0's."""
-    out = half_sq_norms(grid, half, kind)
+    squared in row blocks (``over_row_blocks``). ``tail`` holds row 0's
+    modes K, K+1, ... if it has any: its sum is added to row 0's."""
+    out = over_row_blocks(lambda rows, scratch: half_sq_norms(grid, rows, kind, out=scratch), half)
     if tail is not None:
         out[0] += half_sq_norms(grid, tail, kind, first=half.shape[-1])
     return np.sqrt(out)

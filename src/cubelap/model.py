@@ -628,28 +628,32 @@ def apply_nonlinearity(
     (a ``"window"`` of a batched march, say).
     """
     x = grid.x
-    # an F that ignores u may return one (N,) profile for all frames
-    vals = np.broadcast_to(nonlinearity.fn(u.real, x), u.shape)
+    vals = np.asarray(nonlinearity.fn(u.real, x))
+    if vals.shape != u.shape:
+        # an F that ignores u may return one (N,) profile for all frames
+        vals = np.broadcast_to(vals, u.shape)
 
     def in_frame(index):
         return f" in {rows} {first_frame + index[0]}" if u.ndim > 1 else ""
 
     # row dots of the real samples: no modulus, no temporaries. A NaN or an
     # infinity makes its row's norm non-finite, so only then is it looked for
-    f_norm = np.atleast_1d(np.sqrt(np.einsum("...j,...j->...", vals, vals) * grid.dx))
-    if not np.all(np.isfinite(f_norm)):
+    f_norm = np.sqrt(np.einsum("...j,...j->...", vals, vals) * grid.dx)
+    if not np.isfinite(f_norm).all():
         bad = ~np.isfinite(vals)
-        if np.any(bad):
-            index = np.unravel_index(np.argmax(bad), bad.shape)
+        if bad.any():
+            index = np.unravel_index(bad.argmax(), bad.shape)
             j = index[-1]
             raise ModelEvaluationError(
                 f"nonlinearity produced {vals[index]!r} at x[{j}] = {x[j]:g}{in_frame(index)}"
             )
-    u_norm = np.atleast_1d(np.sqrt(np.einsum("...j,...j->...", u, u) * grid.dx))
+    u_norm = np.sqrt(np.einsum("...j,...j->...", u, u) * grid.dx)
     bound = nonlinearity.growth_k * u_norm + nonlinearity.source_norm(grid)
     over = ~(f_norm <= bound * (1 + 1e-9) + 1e-300)
-    if np.any(over):
-        k = int(np.argmax(over))
+    if over.any():
+        # a single frame's norms are scalars; index them as rows
+        f_norm, bound, over = np.atleast_1d(f_norm, bound, over)
+        k = int(over.argmax())
         raise ModelEvaluationError(
             f"growth bound violated: ||F(u)|| = {f_norm[k]:g} > "
             f"k||u|| + ||h|| = {bound[k]:g}{in_frame((k,))}"

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -471,6 +472,43 @@ def test_apply_nonlinearity_names_the_frame_of_the_trajectory():
     j = int(np.argmax(g.x > 5.0))
     with pytest.raises(cl.ModelEvaluationError, match=rf"nan\) at x\[{j}\] = .* in frame 8$"):
         cl.apply_nonlinearity(block, bad, g, first_frame=7)
+
+
+@pytest.mark.parametrize("rows", [None, 3], ids=["one_state", "rows"])
+def test_apply_nonlinearity_keeps_every_check_in_both_shapes(rows):
+    # one (N,) state, or a (K, N) block of windows 5, 6, 7 whose last row is
+    # the one that fails: each check raises with its exact message
+    g = cl.make_grid(10.0, 64)
+    shape = (64,) if rows is None else (rows, 64)
+    where = "" if rows is None else f" in window {5 + rows - 1}"
+
+    def call(fn, u, growth_k=1.0, source=cl.source_zero()):
+        spec = cl.NonlinearitySpec(name="f", fn=fn, source=source, growth_k=growth_k,
+                                   lipschitz_l=1.0)
+        return cl.apply_nonlinearity(u, spec, g, first_frame=5, rows="window")
+
+    u = np.ones(shape)
+    u.reshape(-1, 64)[-1] = 2.0
+    j = int(np.argmax(g.x > 5.0))
+    with pytest.raises(cl.ModelEvaluationError) as exc:
+        call(lambda u, x: np.where((x > 5.0) & (u > 1.5), np.nan, u), u)
+    assert str(exc.value) == (
+        f"nonlinearity produced {np.float64(np.nan)!r} at x[{j}] = {g.x[j]:g}{where}"
+    )
+
+    # F = 2u against k = 1: the row of 2s alone is over, the rows of 0s are not
+    u = np.where(u > 1.5, 2.0, 0.0)
+    f_norm, bound = math.sqrt(64 * 16.0 * g.dx), math.sqrt(64 * 4.0 * g.dx)
+    with pytest.raises(cl.ModelEvaluationError) as exc:
+        call(lambda u, x: 2.0 * u, u)
+    assert str(exc.value) == (
+        f"growth bound violated: ||F(u)|| = {f_norm:g} > k||u|| + ||h|| = {bound:g}{where}"
+    )
+
+    # an F that ignores u returns one (N,) profile, read for every row
+    h = cl.source_gaussian(0.5, 1.0)
+    out = call(lambda u, x: h(x), u, source=h)
+    assert out.shape == shape and np.array_equal(out, np.broadcast_to(h(g.x), shape))
 
 
 def test_a_finite_reaction_whose_norm_overflows_fails_the_growth_bound():

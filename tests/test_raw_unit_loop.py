@@ -24,7 +24,9 @@ distances, per-frame norms and oracle deviations of the default blocks, and
 ``runner.main`` writes byte-equal artifacts.
 
 ``_unitary_heun`` is the Heun oracle in unitary coefficients, the slow path
-of ``etd_reference_solve``, single-state and batched. The report's per-frame
+of ``etd_reference_solve``, single-state and batched, here and on the drawn
+problems of ``test_reduced_forcing`` over every kernel, reaction and source
+of the catalog, each batched with two drawn starts. The report's per-frame
 norms are checked against ``l2_norm`` of its full-spectrum frames and of the
 time derivative the solve took its norms of.
 """
@@ -34,12 +36,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import cubelap as cl
 import cubelap.grid
 from cubelap.grid import raw_to_unitary, rfft_raw, unitary_spectrum
-from cubelap.model import NONLINEARITIES
+from cubelap.model import KERNELS, NONLINEARITIES, SOURCES
 from cubelap.runner import main
+from test_reduced_forcing import _floats, problems
 
 A, B, T, N_FRAMES = 0.3, -0.8, 0.4, 32
 DEFAULT_BLOCK_BYTES = cubelap.grid.BLOCK_BYTES
@@ -272,6 +277,33 @@ def test_raw_unit_oracle_matches_unitary_oracle(name):
     ])
     ends = cl.etd_reference_solve(prob, T, substeps, N_FRAMES, starts=rfft_raw(starts))
     want = _unitary_heun(prob, T, substeps, N_FRAMES, starts)[-1]
+    for r in range(len(starts)):
+        assert _rel_gap(raw_to_unitary(grid, ends[r]), want[r]) <= 1e-12
+
+
+@pytest.mark.parametrize("source_name", sorted(SOURCES))
+@pytest.mark.parametrize("reaction_name", sorted(NONLINEARITIES))
+@pytest.mark.parametrize("kernel_name", sorted(KERNELS))
+@settings(max_examples=4, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_batched_oracle_matches_unitary_oracle_on_drawn_problems(
+    kernel_name, reaction_name, source_name, data
+):
+    # the drawn problems of the reduced-forcing test, every kernel, reaction
+    # and source of the catalog, each marched from its own start and from two
+    # drawn gaussians in one block
+    prob = data.draw(problems(kernel_name, reaction_name, source_name))
+    grid = prob.grid
+    starts = [prob.u0.values.real]
+    for _ in range(2):
+        amp, center = data.draw(_floats(0.1, 2.0)), data.draw(_floats(-3.0, 3.0))
+        width = data.draw(_floats(0.7, 2.0))
+        starts.append(amp * np.exp(-(((grid.x - center) / width) ** 2)))
+    starts = np.stack(starts)
+    substeps, n_frames = 4 * 8, 8
+    ends = cl.etd_reference_solve(prob, T, substeps, n_frames, starts=rfft_raw(starts))
+    want = _unitary_heun(prob, T, substeps, n_frames, starts)[-1]
     for r in range(len(starts)):
         assert _rel_gap(raw_to_unitary(grid, ends[r]), want[r]) <= 1e-12
 

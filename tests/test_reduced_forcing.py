@@ -90,11 +90,11 @@ def _certified(kernel, a, b):
 
 
 @st.composite
-def problems(draw, kernel_name, reaction_name):
+def problems(draw, kernel_name, reaction_name, source_name=None):
     grid = cl.make_grid(L, N)
     a, b = draw(_floats(0.0, 0.5)), draw(_floats(-1.0, 1.0))
     kernel = _kernel(draw, kernel_name, grid)
-    source = _source(draw, draw(st.sampled_from(sorted(SOURCES))), grid)
+    source = _source(draw, source_name or draw(st.sampled_from(sorted(SOURCES))), grid)
     reaction = _reaction(draw, reaction_name, _certified(kernel, a, b), source)
     amp, width, center = draw(_floats(0.1, 2.0)), draw(_floats(0.7, 2.0)), draw(_floats(-2, 2))
     u0 = cl.field_from_function(grid, lambda x: amp * np.exp(-((x - center) / width) ** 2))
