@@ -104,7 +104,6 @@ import warnings
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -123,7 +122,6 @@ from .grid import (
     frame_norms,
     half_sq_norms,
     irfft_raw,
-    over_row_blocks,
     resampled_rfft,
     rfft_raw,
     smooth_points,
@@ -794,7 +792,8 @@ def _fixed_point(
     e^{t_j lam} u0, at most ``max_iter`` walks (``_picard_iterate``) until a
     distance is below the tolerance or not finite. Returns the last iterate's
     (u, du/dt) on the band, the distances and the tolerance, set after the
-    first walk unless ``tol_fix`` gives it."""
+    first walk unless ``tol_fix`` gives it: 1e-10 * max(1, the contraction
+    norm of the first image, squared row by row by ``half_sq_norms``)."""
     grid = prob.grid
     # the first iterate e^{t_j lam} u0, as u_{j+1} = e^{dt lam} u_j, and its derivative
     u = np.empty((len(tw), w.band), np.complex128)
@@ -810,7 +809,8 @@ def _fixed_point(
         distances.append(d)
         if tol is None:
             # the contraction norm of the first image, frame 0's with its modes above the band
-            sq = over_row_blocks(partial(contraction_sq, grid), u, dudt)
+            sq = half_sq_norms(grid, u, "h6")
+            sq += half_sq_norms(grid, dudt, "l2")
             sq[0] += half_sq_norms(grid, w.u0_tail, "h6", first=w.band)
             sq[0] += half_sq_norms(grid, w.dudt0_tail, "l2", first=w.band)
             norm = float(np.sqrt(tw @ sq))

@@ -56,7 +56,8 @@ _MAX_DERIVATIVE_ORDER = 8
 #: through memory once per operation, and the temporaries of a step are one
 #: block, not one trajectory, whether the forcing grid or the band is the
 #: wider; at small N one block holds the whole trajectory. See
-#: ``block_bounds``. It changes speed and memory only: every step, norms
+#: ``block_bounds``; ``half_sq_norms`` squares a larger trajectory in blocks
+#: of this size too. It changes speed and memory only: every step, norms
 #: included, works row by row.
 BLOCK_BYTES = 2**19
 
@@ -456,12 +457,22 @@ def half_sq_norms(
         "h6"  ||u||^2 + ||d^6 u/dx^6||^2
 
     The float64 view is squared and weighted, with no complex modulus, into
-    ``out`` if given (``half``'s shape and dtype, or ``half`` itself). Each
-    row is then summed on its own, not by a matrix product, whose result for
-    one row depends on the rows beside it, so a row reads the same bits in
-    any block or batch. Every half-spectrum norm in the package is summed
-    here.
+    ``out`` if given (``half``'s shape and dtype, or ``half`` itself).
+    Without ``out``, a 2-D ``half`` of more than BLOCK_BYTES is squared in
+    blocks of rows of about that size through one block-sized scratch, so
+    the temporary is one block whatever the trajectory's size. Each row is
+    then summed on its own, not by a matrix product, whose result for one
+    row depends on the rows beside it, so a row reads the same bits in any
+    block or batch. Every half-spectrum norm in the package is summed here.
     """
+    if out is None and half.ndim == 2 and half.nbytes > BLOCK_BYTES:
+        step = max(1, BLOCK_BYTES // half[0].nbytes)
+        scratch = np.empty_like(half[:step])
+        sums = np.empty(len(half))
+        for s in range(0, len(half), step):
+            rows = half[s : s + step]
+            sums[s : s + len(rows)] = half_sq_norms(grid, rows, kind, scratch[: len(rows)], first)
+        return sums
     k = half.shape[-1]
     sq = np.square(half.view(np.float64), out=None if out is None else out.view(np.float64))
     sq *= grid._view_weights[kind][2 * first : 2 * (first + k)]
@@ -493,54 +504,33 @@ def contraction_sq(
     u: np.ndarray,
     du_dt: np.ndarray,
     scratch: np.ndarray,
-    minus: tuple[np.ndarray, np.ndarray] | None = None,
+    minus: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Per-frame squares of the solve's contraction norm
 
         ||du/dt||^2 + ||d^6 u/dx^6||^2 + ||u||^2
 
-    of half-spectrum frames in ``rfft_raw`` units (a trajectory or a block
-    of its rows, modes 0..K-1), or of their differences from the pair
-    ``minus`` (then u - minus[0] and du_dt - minus[1]). The sixth derivative
-    is spectral and the time derivative is supplied, never
-    finite-differenced here. ``scratch``, a complex array of u's shape
-    (``minus[0]`` itself, if that is not needed afterwards), takes the
-    differences and the squares. Over the window the norm is
-    sqrt(w @ (these squares of every frame)) with w the
-    ``trapezoid_weights`` of the time grid.
+    of the differences u - minus[0] and du_dt - minus[1] of half-spectrum
+    frames in ``rfft_raw`` units (a block of a trajectory's rows, modes
+    0..K-1): the Picard distance of the walk. The sixth derivative is
+    spectral and the time derivative is supplied, never finite-differenced
+    here. ``scratch``, a complex array of u's shape (``minus[0]`` itself,
+    if that is not needed afterwards), takes the differences and the
+    squares. Over the window the norm is sqrt(w @ (these squares of every
+    frame)) with w the ``trapezoid_weights`` of the time grid.
     """
-    if minus is not None:
-        u = np.subtract(u, minus[0], out=scratch)
-    sq = half_sq_norms(grid, u, "h6", out=scratch)
-    if minus is not None:
-        du_dt = np.subtract(du_dt, minus[1], out=scratch)
-    sq += half_sq_norms(grid, du_dt, "l2", out=scratch)
+    sq = half_sq_norms(grid, np.subtract(u, minus[0], out=scratch), "h6", out=scratch)
+    sq += half_sq_norms(grid, np.subtract(du_dt, minus[1], out=scratch), "l2", out=scratch)
     return sq
-
-
-def over_row_blocks(squares, *halves: np.ndarray) -> np.ndarray:
-    """``squares(*rows, scratch)``, the per-row squares of one block of rows
-    of each of the (M+1, K) complex arrays ``halves`` with a complex scratch
-    of the block's shape, over blocks of about BLOCK_BYTES, into one (M+1,)
-    array: the temporary is one block whatever the arrays' size, and since
-    each row is summed on its own, the blocks move no bit."""
-    n = len(halves[0])
-    step = max(1, BLOCK_BYTES // halves[0][0].nbytes)
-    scratch = np.empty_like(halves[0][:step])
-    out = np.empty(n)
-    for s in range(0, n, step):
-        e = min(n, s + step)
-        out[s:e] = squares(*(h[s:e] for h in halves), scratch[: e - s])
-    return out
 
 
 def frame_norms(
     grid: SpectralGrid, half: np.ndarray, kind: str, tail: np.ndarray | None = None
 ) -> np.ndarray:
     """The norms sqrt(``half_sq_norms``) of (M+1, K) half-spectrum frames,
-    squared in row blocks (``over_row_blocks``). ``tail`` holds row 0's
+    which ``half_sq_norms`` squares in row blocks. ``tail`` holds row 0's
     modes K, K+1, ... if it has any: its sum is added to row 0's."""
-    out = over_row_blocks(lambda rows, scratch: half_sq_norms(grid, rows, kind, out=scratch), half)
+    out = half_sq_norms(grid, half, kind)
     if tail is not None:
         out[0] += half_sq_norms(grid, tail, kind, first=half.shape[-1])
     return np.sqrt(out)
@@ -548,11 +538,12 @@ def frame_norms(
 
 def spacetime_sobolev_norm(u: SpacetimeField, du_dt: SpacetimeField) -> float:
     """The contraction norm of ``contraction_sq`` for full-spectrum
-    fields of one layout, with ``forward_transform``'s coefficients."""
+    fields of one layout, with ``forward_transform``'s coefficients, in
+    time by the rule of ``trapezoid_weights``."""
     _check_same_layout(u, du_dt)
     grid = u.grid
     per_frame = (
         np.sum((1.0 + grid._p12) * np.abs(u.frames) ** 2, axis=1)
         + np.sum(np.abs(du_dt.frames) ** 2, axis=1)
     ) * grid.dp
-    return float(np.sqrt(np.trapezoid(per_frame, u.time_grid)))
+    return float(np.sqrt(trapezoid_weights(u.time_grid) @ per_frame))

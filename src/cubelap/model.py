@@ -636,9 +636,12 @@ def apply_nonlinearity(
     def in_frame(index):
         return f" in {rows} {first_frame + index[0]}" if u.ndim > 1 else ""
 
-    # row dots of the real samples: no modulus, no temporaries. A NaN or an
-    # infinity makes its row's norm non-finite, so only then is it looked for
-    f_norm = np.sqrt(np.einsum("...j,...j->...", vals, vals) * grid.dx)
+    # row dots of the real samples: no modulus, no temporaries, no overflow
+    # warning (a run would list it; the growth check refuses such a norm). A
+    # NaN or an infinity makes its row's norm non-finite, so only then is it looked for
+    with np.errstate(over="ignore"):
+        f_norm = np.sqrt(np.vecdot(vals, vals) * grid.dx)
+        u_norm = np.sqrt(np.vecdot(u, u) * grid.dx)
     if not np.isfinite(f_norm).all():
         bad = ~np.isfinite(vals)
         if bad.any():
@@ -647,7 +650,6 @@ def apply_nonlinearity(
             raise ModelEvaluationError(
                 f"nonlinearity produced {vals[index]!r} at x[{j}] = {x[j]:g}{in_frame(index)}"
             )
-    u_norm = np.sqrt(np.einsum("...j,...j->...", u, u) * grid.dx)
     bound = nonlinearity.growth_k * u_norm + nonlinearity.source_norm(grid)
     over = ~(f_norm <= bound * (1 + 1e-9) + 1e-300)
     if over.any():

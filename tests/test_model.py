@@ -523,6 +523,22 @@ def test_a_finite_reaction_whose_norm_overflows_fails_the_growth_bound():
         cl.apply_nonlinearity(np.ones((2, 64)), huge, g)
 
 
+def test_a_row_norm_past_the_float_range_raises_no_warning():
+    # the growth check judges such a norm; a numpy warning would also reach
+    # a run's runtime_warnings
+    g = cl.make_grid(10.0, 64)
+    huge = cl.NonlinearitySpec(
+        name="huge", fn=lambda u, x: np.full_like(u, 1e300),
+        source=cl.source_zero(), growth_k=1.0, lipschitz_l=1.0,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(cl.ModelEvaluationError, match="growth bound violated"):
+            cl.apply_nonlinearity(np.ones((2, 64)), huge, g)
+        out = cl.apply_nonlinearity(np.full((2, 64), 1e200), cl.saturating(1.0), g)
+    assert np.array_equal(out, np.sin(np.full((2, 64), 1e200)))
+
+
 def test_source_profiles_are_remembered_per_grid_bit_for_bit():
     g = cl.make_grid(10.0, 64)
     h = cl.source_gaussian(0.3, 1.2, 0.5)
