@@ -27,15 +27,17 @@ missing on one side, with the largest relative gap of a differing array;
 of a differing text, the first differing line of each side and the largest
 relative gap between the numbers of its differing lines, or "text differs"
 when their count or the text around them differs. Then it prints the
-number of keys compared, and applies the march rule to every differing key
-(``failures``): a key present on both sides; exit codes, digests and the
-non-numeric text identical; every number within ``RTOL`` relative; every
-Picard distance within ``RTOL`` times its window's first distance d_1, and
-the numbers derived from distances (the ratios ``r_n``, and
-``max_picard_ratio``, ``certificate_slack`` and ``picard_error_bound`` of
-``summary.txt``) within what that moves them by; a final frame within
-``RTOL`` in relative L2, and an oracle deviation, a fraction of the state's
-norm, within ``RTOL``, in the march's arrays and in ``summary.txt`` alike.
+number of keys compared, and applies the march rule of
+``scripts/march_rule.py``, whose ``RTOL`` and ``ratio_tol`` it reads, to
+every differing key (``failures``): a key present on both sides; exit
+codes, digests and the non-numeric text identical; every number within
+``RTOL`` relative; every Picard distance within ``RTOL`` times its window's
+first distance d_1, and the numbers derived from distances (the ratios
+``r_n``, and ``max_picard_ratio``, ``certificate_slack`` and
+``picard_error_bound`` of ``summary.txt``) within what that moves them by; a
+final frame within ``RTOL`` in relative L2, and an oracle deviation, a
+fraction of the state's norm, within ``RTOL``, in the march's arrays and in
+``summary.txt`` alike.
 Two nonzero numbers below ``ROUNDOFF`` in magnitude are both the round-off
 of a zero and agree; an exact zero must stay one.
 It prints each key that breaks the rule, then ``PASS`` and exits 0, or
@@ -61,14 +63,16 @@ from pathlib import Path
 
 import numpy as np
 
+from march_rule import RTOL, breaks, ratio_tol
+
 BATCH_SEEDS = (0, 1, 2)
 #: (workload, smoke, seeds) of each march compared: ``march_wide`` at full
 #: size reaches the reduced forcing grid, which the smoke size (N = 512) does not
 MARCHES = (("march_oracle", False, (0, 1)), ("march_wide", True, (0, 1)),
            ("march_wide", False, (1,)))
-#: The march rule: numbers agree to this relative gap, Picard distances to
-#: this multiple of their window's first distance d_1.
-RTOL = 1e-12
+#: the part of the march rule each array key is held to; any other array is
+#: a final frame
+ARRAY_PARTS = {"distances": "distances", "oracle_rel_deviation": "deviation"}
 #: Numbers of the artifacts and demos are of problems of order 1: two nonzero
 #: numbers below this are the round-off of a zero (100 eps).
 ROUNDOFF = 1e-14
@@ -216,16 +220,10 @@ def _trace_rows(text: str) -> list[list[float | None]]:
             for line in text.split("\n") if line[:1].isdigit()]
 
 
-def _ratio_tol(r: float, d_n: float, d_1: float) -> float:
-    """How far r_n = d_{n+1}/d_n may move when every distance moves by up to
-    RTOL d_1: (RTOL d_1 + r RTOL d_1) / d_n, and RTOL r for rounding."""
-    return RTOL * (abs(r) + d_1 * (1.0 + abs(r)) / d_n)
-
-
 def _trace_tols(rows: list[list[float | None]]) -> list[list[float | None]]:
     """The tolerance of every number of a trace's rows, by column."""
     d_1 = rows[0][1]
-    return [[0.0, RTOL * d_1, None if r is None else _ratio_tol(r, d, d_1), RTOL * abs(c)]
+    return [[0.0, RTOL * d_1, None if r is None else ratio_tol(r, d, d_1), RTOL * abs(c)]
             for _, d, r, c in rows]
 
 
@@ -299,15 +297,7 @@ def failures(parent: dict, change: dict) -> list[str]:
         elif p.shape != c.shape:
             why = f"shape {p.shape} -> {c.shape}"
         elif p.tobytes() != c.tobytes():
-            with np.errstate(all="ignore"):
-                if name == "distances":
-                    gap, bound = np.max(np.abs(c - p)), RTOL * p[0]
-                elif name == "oracle_rel_deviation":
-                    gap, bound = abs(float(c - p)), RTOL
-                else:
-                    gap, bound = np.linalg.norm(c - p), RTOL * np.linalg.norm(p)
-            if not gap <= bound:
-                why = f"gap {gap:.3e} > {bound:.3e}"
+            why = "; ".join(breaks(**{ARRAY_PARTS.get(name, "final"): (c, p)})) or None
         if why is not None:
             lines.append(f"{key}: {why}")
     return lines

@@ -392,7 +392,9 @@ class SpacetimeField:
         if tg[0] != 0.0 or np.any(np.diff(tg) <= 0):
             raise ValueError("time_grid must start at 0 and strictly increase")
         dts = np.diff(tg)
-        if not np.allclose(dts, dts[0], rtol=1e-12, atol=0.0):
+        # np.linspace's spacings spread by up to about eps M over M steps
+        rtol = max(1e-12, 4.0 * np.finfo(float).eps * dts.size)
+        if not np.allclose(dts, dts[0], rtol=rtol, atol=0.0):
             raise ValueError("time_grid must be uniform")
         if fr.shape != (tg.size, self.grid.n_points):
             raise ValueError(

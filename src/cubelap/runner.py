@@ -229,6 +229,10 @@ def parse_config(path) -> RunConfig:
         )
     for key in ("frames", "max_iter", "oracle_substeps_factor", "seed", "lipschitz_trials"):
         _as_integer(solver[key], f"solver.{key}")
+    if solver["lipschitz_trials"] < 1:
+        raise ConfigError("solver.lipschitz_trials violates the constraint lipschitz_trials >= 1")
+    if solver["seed"] < 0:
+        raise ConfigError("solver.seed violates the constraint seed >= 0")
     values = N * (solver["frames"] + 1)
     if values > MAX_TRAJECTORY_VALUES:
         raise ConfigError(

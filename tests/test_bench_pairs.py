@@ -1,14 +1,8 @@
 """``scripts/bench_pairs.py``: the numbers of every BENCH_*.json."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
+import bench_pairs
 
 BENCH = {"end_to_end": [
     {"name": "solve_s", "unit": "s", "better": "lower", "bound": 0.25},

@@ -1,16 +1,8 @@
 """``scripts/compare_roots.py``: what counts as a difference between two roots."""
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 
-ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location(
-    "compare_roots", ROOT / "scripts" / "compare_roots.py"
-)
-compare_roots = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(compare_roots)
+import compare_roots
 
 
 def test_differences_name_every_changed_missing_or_reshaped_key():

@@ -266,6 +266,20 @@ def test_spacetime_field_rejects_nonuniform_times():
         cl.SpacetimeField(g, np.array([0.0, 0.5, 1.0]), np.zeros((2, 16), complex))
 
 
+@pytest.mark.parametrize("m", [2**16, 2**17])
+def test_spacetime_field_takes_linspace_grids_of_many_frames(m):
+    # np.linspace's spacings spread by up to about eps M, far past 1e-12 of
+    # the spacing at these M; a point moved by 1e-6 of the spacing is refused
+    g = cl.make_grid(2.0, 8)
+    frames = np.zeros((m + 1, 8), complex)
+    for horizon in (0.4, 1.0 / 3.0, 7.77):
+        times = np.linspace(0.0, horizon, m + 1)
+        assert cl.SpacetimeField(g, times, frames).n_frames == m + 1
+        times[m // 2] += 1e-6 * times[1]
+        with pytest.raises(ValueError, match="time_grid must be uniform"):
+            cl.SpacetimeField(g, times, frames)
+
+
 def _spacetime(grid, times):
     return cl.SpacetimeField(grid, np.asarray(times, dtype=float),
                              np.zeros((len(times), grid.n_points), complex))

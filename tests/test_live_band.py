@@ -7,14 +7,14 @@ modes 0..K-1 only, plus frame 0's modes above K. A tabulated kernel's
 factor has a floor far above that at every mode, so it keeps all N/2+1.
 The slow path is the same march with the band rule forced to all N/2+1
 modes: its frames 1..M must be at most ``BAND_TOL`` of its largest mode
-above K, and the band march must agree with it to the 1e-12 gate (the same
-iteration counts, the final frame to 1e-12 relative, every Picard distance
-to 1e-12 of the first and the oracle deviations to 1e-12), with per-frame
-norms to 1e-15 relative, whether it forces on all N points or on a reduced
-grid of N' < N. A bounded property test draws every catalog kernel and
-reaction. The memory pin checks that a march's reports keep no more than
-one band per window, window 0's frame 0 above its band and the per-window
-records.
+above K, and the band march must agree with it by the march rule
+(``scripts/march_rule.py``: the same iteration counts, the final frame to
+1e-12 relative, every Picard distance to 1e-12 of the first and the oracle
+deviations to 1e-12), with per-frame norms to 1e-15 relative, whether it
+forces on all N points or on a reduced grid of N' < N. A bounded property
+test draws every catalog kernel and reaction. The memory pin checks that a
+march's reports keep no more than one band per window, window 0's frame 0
+above its band and the per-window records.
 """
 
 import tracemalloc
@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 import cubelap as cl
 import cubelap.evolve as ev
 from cubelap.model import KERNELS, NONLINEARITIES
+from march_rule import report_breaks
 from test_reduced_forcing import problems
 
 A, B, T, N_FRAMES = 0.3, -0.8, 0.4, 32
@@ -77,19 +78,6 @@ def _march(prob, n_frames=N_FRAMES, run_oracle=True):
     return reports
 
 
-def _assert_within_gate(rep, full):
-    """The 1e-12 gate: the same iterations, the final frame to 1e-12
-    relative, every Picard distance to 1e-12 of the first, and a deviation
-    relative to the state's norm, which moves by at most its gap, to 1e-12."""
-    assert rep.trace.iterations == full.trace.iterations
-    final_gap = np.linalg.norm(rep.final_raw - full.final_raw) / np.linalg.norm(full.final_raw)
-    assert final_gap <= 1e-12
-    d = full.trace.distances
-    assert np.max(np.abs(rep.trace.distances - d)) <= 1e-12 * d[0]
-    if full.oracle_rel_deviation is not None:
-        assert abs(rep.oracle_rel_deviation - full.oracle_rel_deviation) <= 1e-12
-
-
 def _assert_below_the_floor(full, k):
     """Frames 1..M of a full-width report above mode K - 1 are at most
     ``BAND_TOL`` of its largest mode."""
@@ -121,7 +109,7 @@ def test_live_band_march_matches_full_width_march(name, size, monkeypatch):
     for b, f in zip(band, full):
         assert f.u_band.shape[1] == n_half and b.u_band.shape[1] == k
         _assert_below_the_floor(f, k)
-        _assert_within_gate(b, f)
+        assert report_breaks(b, f) == []
         for key in ("l2_per_frame", "d6_l2_per_frame", "dudt_l2_per_frame"):
             got, want = getattr(b, key), getattr(f, key)
             assert np.all(np.abs(got - want) <= 1e-15 * want), key
@@ -138,7 +126,7 @@ def test_live_band_march_matches_full_width_march(name, size, monkeypatch):
             assert 2 * k <= r.forcing_points and 0 <= r.alias_indicator <= ev.ALIAS_TOL
         else:
             assert r.alias_indicator is None
-        _assert_within_gate(r, f)
+        assert report_breaks(r, f) == []
 
 
 def _factors(prob, dt):
@@ -185,7 +173,7 @@ def test_band_march_matches_full_width_march_on_drawn_problems(kernel_name, reac
     assert (k < prob.grid.n_half) == (kernel_name != "tabulated")
     for r, f in zip(band, full):
         _assert_below_the_floor(f, k)
-        _assert_within_gate(r, f)
+        assert report_breaks(r, f) == []
 
 
 def test_march_reports_hold_their_live_band():

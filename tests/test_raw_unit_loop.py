@@ -6,14 +6,14 @@ trajectory in unitary coefficients (``forward_real``), the transform pair
 with g applied per frame, the time derivative as one expression, and the
 contraction norm from ``np.abs(u) ** 2`` with ``np.trapezoid``.
 ``picard_solve`` must agree with it for every entry of the nonlinearity
-catalog and on the override path (C >= 1), at a > 0 and b != 0: the same
-iteration count, the final frame to 1e-12 relative and every Picard distance
-to 1e-12 of the first. Each iterate is one forward walk over blocks of
-``grid.BLOCK_BYTES`` through frames 1..32 of a 33-frame trajectory, all of
-them one block at N = 256; the tests also shrink the blocks to 1 and 5
-frames, so that blocks end inside the trajectory, and at 5 frames the last
-one takes the 2 frames left over as well, and grow them to a whole window at
-any size. At every block size the walk calls ``duhamel_map``,
+catalog and on the override path (C >= 1), at a > 0 and b != 0, by the
+march rule (``scripts/march_rule.py``): the same iteration count, the final
+frame to 1e-12 relative and every Picard distance to 1e-12 of the first.
+Each iterate is one forward walk over blocks of ``grid.BLOCK_BYTES``
+through frames 1..32 of a 33-frame trajectory, all of them one block at
+N = 256; the tests also shrink the blocks to 1 and 5 frames, so that blocks
+end inside the trajectory, and at 5 frames the last one takes the 2 frames
+left over as well, and grow them to a whole window at any size. At every block size the walk calls ``duhamel_map``,
 ``time_derivative`` and ``apply_nonlinearity`` once per block and iterate,
 frame 0's forcing and the first rung's probe are one more reaction call
 each, and a model error names the frame of the trajectory.
@@ -44,6 +44,7 @@ import cubelap.grid
 from cubelap.grid import raw_to_unitary, rfft_raw, unitary_spectrum
 from cubelap.model import KERNELS, NONLINEARITIES, SOURCES
 from cubelap.runner import main
+from march_rule import RTOL, breaks, final_gap
 from test_reduced_forcing import _floats, problems
 
 A, B, T, N_FRAMES = 0.3, -0.8, 0.4, 32
@@ -132,11 +133,9 @@ def _catalog_nonlinearity(name):
 
 def _assert_matches_slow_path(rep, prob):
     frames, distances = _unitary_picard(prob, T, N_FRAMES)
-    assert rep.trace.iterations == distances.size
-    final = frames[-1]
-    got = raw_to_unitary(prob.grid, rep.final_raw)
-    assert np.linalg.norm(got - final) <= 1e-12 * np.linalg.norm(final)
-    assert np.all(np.abs(rep.trace.distances - distances) <= 1e-12 * distances[0])
+    assert breaks(iterations=(rep.trace.iterations, distances.size),
+                  final=(raw_to_unitary(prob.grid, rep.final_raw), frames[-1]),
+                  distances=(rep.trace.distances, distances)) == []
 
 
 WHOLE_WINDOW = 10**6
@@ -257,10 +256,6 @@ def _unitary_heun(prob, window_length, substeps, n_frames, u0):
     return np.stack(frames)
 
 
-def _rel_gap(got, want):
-    return np.linalg.norm(got - want) / np.linalg.norm(want)
-
-
 @pytest.mark.parametrize("name", sorted(NONLINEARITIES))
 def test_raw_unit_oracle_matches_unitary_oracle(name):
     prob = _problem(_catalog_nonlinearity(name))
@@ -268,7 +263,7 @@ def test_raw_unit_oracle_matches_unitary_oracle(name):
     substeps = 4 * N_FRAMES
     single = cl.etd_reference_solve(prob, T, substeps, N_FRAMES)
     want = _unitary_heun(prob, T, substeps, N_FRAMES, prob.u0.values.real[None, :])[:, 0]
-    assert _rel_gap(single.frames[:, : grid.n_half], want) <= 1e-12
+    assert final_gap(single.frames[:, : grid.n_half], want) <= RTOL
 
     starts = np.stack([
         prob.u0.values.real,
@@ -278,7 +273,7 @@ def test_raw_unit_oracle_matches_unitary_oracle(name):
     ends = cl.etd_reference_solve(prob, T, substeps, N_FRAMES, starts=rfft_raw(starts))
     want = _unitary_heun(prob, T, substeps, N_FRAMES, starts)[-1]
     for r in range(len(starts)):
-        assert _rel_gap(raw_to_unitary(grid, ends[r]), want[r]) <= 1e-12
+        assert final_gap(raw_to_unitary(grid, ends[r]), want[r]) <= RTOL
 
 
 @pytest.mark.parametrize("source_name", sorted(SOURCES))
@@ -305,7 +300,7 @@ def test_batched_oracle_matches_unitary_oracle_on_drawn_problems(
     ends = cl.etd_reference_solve(prob, T, substeps, n_frames, starts=rfft_raw(starts))
     want = _unitary_heun(prob, T, substeps, n_frames, starts)[-1]
     for r in range(len(starts)):
-        assert _rel_gap(raw_to_unitary(grid, ends[r]), want[r]) <= 1e-12
+        assert final_gap(raw_to_unitary(grid, ends[r]), want[r]) <= RTOL
 
 
 @pytest.mark.parametrize("name", sorted(NONLINEARITIES))

@@ -7,9 +7,9 @@ N-point forcing of one band frame reads no alias (``evolve._first_rung``).
 The slow path is the same ``picard_solve`` started on the top rung
 (``_first_rung`` returning N), which forces on all N points as every window
 did before. On drawn problems over every kernel, reaction and source of the
-catalog the two agree to the 1e-12 gate: the same iteration count, the
-final frame to 1e-12 relative and every Picard distance to 1e-12 of the
-first. A tabulated kernel's factor has a floor above ``BAND_TOL`` at every
+catalog the two agree by the march rule (``scripts/march_rule.py``): the
+same iteration count, the final frame to 1e-12 relative and every Picard
+distance to 1e-12 of the first. A tabulated kernel's factor has a floor above ``BAND_TOL`` at every
 mode, so its windows never reduce. At 80 times the amplitude the reaction's
 spectrum reaches the modes that fold onto the band: the probe starts the
 window higher, and where a later block still aliases, the alias check
@@ -37,6 +37,7 @@ import cubelap as cl
 import cubelap.evolve as ev
 import cubelap.grid
 from cubelap.model import KERNELS, NONLINEARITIES, SOURCES
+from march_rule import distance_gap, final_gap, report_breaks
 
 A, B, T, N_FRAMES = 0.3, -0.8, 0.4, 16
 #: On this box the drawn kernels' bands are K <= 170, so N' <= 360 < N.
@@ -112,18 +113,6 @@ def _solve(prob, full=False):
         return cl.picard_solve(prob, T, cert, n_frames=N_FRAMES)
 
 
-def _gaps(rep, full):
-    """The final frame's relative gap and the largest distance gap over d_1."""
-    final = np.linalg.norm(rep.final_raw - full.final_raw) / np.linalg.norm(full.final_raw)
-    d = full.trace.distances
-    return final, np.max(np.abs(rep.trace.distances - d)) / d[0]
-
-
-def _assert_within_gate(rep, full):
-    assert rep.trace.iterations == full.trace.iterations
-    assert max(_gaps(rep, full)) <= 1e-12
-
-
 @pytest.mark.parametrize("reaction_name", sorted(NONLINEARITIES))
 @pytest.mark.parametrize("kernel_name", sorted(KERNELS))
 @settings(max_examples=8, deadline=None, derandomize=True, database=None,
@@ -144,7 +133,7 @@ def test_reduced_forcing_matches_n_point_forcing(kernel_name, reaction_name, dat
         # the window forced on N points, as its slow path does, with the same numbers
         assert rep.alias_indicator is None
         assert np.array_equal(rep.u_band, full.u_band)
-    _assert_within_gate(rep, full)
+    assert report_breaks(rep, full) == []
 
 
 def _bumps_problem(n_points, amplitude):
@@ -222,14 +211,14 @@ def test_an_aliased_window_is_solved_again_on_more_points(n_points, forcing_poin
         mp.setattr(ev, "_first_rung", lambda prob, w: 60)
         blind = _solve(prob)
     assert blind.forcing_points == 960
-    _assert_within_gate(blind, full)
+    assert report_breaks(blind, full) == []
     if forcing_points == n_points:
         assert rep.alias_indicator is None
         assert np.array_equal(rep.u_band, full.u_band)
         assert np.array_equal(rep.trace.distances, full.trace.distances)
     else:
         assert 0 <= rep.alias_indicator <= ev.ALIAS_TOL
-    _assert_within_gate(rep, full)
+    assert report_breaks(rep, full) == []
 
 
 def _narrow_band_problem(source, n_points=N):
@@ -260,7 +249,8 @@ def test_a_source_cut_off_by_the_box_edge_is_forced_on_all_points():
         mp.setattr(ev, "ALIAS_TOL", np.inf)
         aliased = _solve(prob)
     assert aliased.forcing_points == 36 and 1e-16 < aliased.alias_indicator < 1e-13
-    assert min(_gaps(aliased, full)) > 1e-11
+    assert final_gap(aliased.final_raw, full.final_raw) > 1e-11
+    assert distance_gap(aliased.trace.distances, full.trace.distances) > 1e-11
 
 
 @pytest.mark.parametrize(("modes", "forcing_points"), [((46, 60), 160), ((180, 200), N)])
@@ -276,14 +266,15 @@ def test_a_source_band_above_the_reduced_nyquist_mode_is_resolved(modes, forcing
         grid, 0.2, modes[0] * grid.dp, modes[1] * grid.dp))
     rep, full = _solve(prob), _solve(prob, full=True)
     assert rep.u_band.shape[1] == 18 and rep.forcing_points == forcing_points
-    _assert_within_gate(rep, full)
+    assert report_breaks(rep, full) == []
     # with the probe's choice skipped for 64 points, the blocks read no
     # alias, and the reduced forcing is wrong by far more than the gate
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ev, "_first_rung", lambda prob, w: 64)
         blind = _solve(prob)
     assert blind.forcing_points == 64 and blind.alias_indicator <= ev.ALIAS_TOL
-    assert max(_gaps(blind, full)) > 1e-6
+    assert max(final_gap(blind.final_raw, full.final_raw),
+               distance_gap(blind.trace.distances, full.trace.distances)) > 1e-6
 
 
 @pytest.mark.parametrize(("n_points", "climbed"), [(72, 72), (N, 72)])
@@ -304,14 +295,14 @@ def test_a_forcing_in_the_band_top_modes_climbs_past_the_first_rung(n_points, cl
     assert rep.u_band.shape[1] == 18
     assert rep.forcing_points == 48 and 0 <= rep.alias_indicator <= ev.ALIAS_TOL
     assert blind.forcing_points == climbed
-    _assert_within_gate(rep, full)
+    assert report_breaks(rep, full) == []
     if climbed == n_points:
         assert blind.alias_indicator is None
         assert np.array_equal(blind.u_band, full.u_band)
         assert np.array_equal(blind.trace.distances, full.trace.distances)
     else:
         assert 0 <= blind.alias_indicator <= ev.ALIAS_TOL
-        _assert_within_gate(blind, full)
+        assert report_breaks(blind, full) == []
     # with the indicator off, the window stays on 36 points, where most of
     # the forcing's energy is in the top eighth, and, as nothing folds,
     # agrees with the N-point solve: the climb is the indicator's strictness
@@ -319,7 +310,7 @@ def test_a_forcing_in_the_band_top_modes_climbs_past_the_first_rung(n_points, cl
         mp.setattr(ev, "ALIAS_TOL", np.inf)
         lax = _solve(prob)
     assert lax.forcing_points == 36 and lax.alias_indicator > 0.5
-    _assert_within_gate(lax, full)
+    assert report_breaks(lax, full) == []
 
 
 @pytest.mark.parametrize(("start", "tried"), [(64, [64, 128, 256, 512, N]), (4 * N, [N])],

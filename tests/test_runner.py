@@ -682,6 +682,17 @@ def test_memory_bounds_admit_the_grid_ladder(tmp_path):
     assert 16384 * 257 <= MAX_TRAJECTORY_VALUES and 2000 <= MAX_LIPSCHITZ_TRIALS
 
 
+def test_a_run_of_many_frames_writes_its_field(tmp_path):
+    # 16384 frames of N = 16: the time grid's spacings spread past 1e-12 of
+    # the spacing, yet the run exits 0 and its field loads back
+    cfg = _certified_config(tmp_path / "out", grid={"L": 20.0, "N": 16},
+                            solver={"frames": 16384})
+    code, _, summary = _main_artifacts(tmp_path, cfg)
+    assert code == EXIT_OK and summary["status"] == "ok"
+    field = cl.load_spacetime_field(tmp_path / "main_out" / "final_field.sxd")
+    assert field.frames.shape == (16385, 16) and field.horizon == 0.4
+
+
 def test_unforeseen_solver_exception_exits_3_with_artifacts(tmp_path, monkeypatch):
     import cubelap.runner as runner
 
@@ -984,6 +995,9 @@ REJECTION_CASES = {
     "frames_one": (_edit("solver", frames=1), "solver.frames violates", True),
     "safety_one": (_edit("solver", safety=1.0), "solver.safety violates", True),
     "max_iter_zero": (_edit("solver", max_iter=0), "solver.max_iter violates", True),
+    "lipschitz_trials_zero": (_edit("solver", lipschitz_trials=0),
+                              "solver.lipschitz_trials violates", True),
+    "seed_negative": (_edit("solver", seed=-1), "solver.seed violates", True),
     "oracle_factor_three": (_edit("solver", oracle_substeps_factor=3),
                             "solver.oracle_substeps_factor violates", True),
     "flag_not_boolean": (_edit("flags", run_oracle=1), "flags.run_oracle must be a boolean",
