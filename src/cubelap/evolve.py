@@ -33,17 +33,18 @@ modes there, and the solvers keep 0; only frame 0, the start state, may
 have modes above K. Inside the solvers a trajectory is the plain (M+1, K)
 complex array of the band, and norms weight each stored mode by its
 multiplicity in the full spectrum. Every solver array is in raw ``rfft``
-units (``grid.rfft_raw`` / ``grid.irfft_raw``), in which the transform pair
-needs no factor: the Picard iterate, whose ``duhamel_map`` and
-``time_derivative`` take and return such arrays only, with the window's band
-and weights computed once (``_window``); the ``SolveReport``, which keeps the
-last iterate's trajectory (not its time derivative, of which it keeps the
-per-frame norms) and frame 0's modes above the band; the start state of the
-next window, which is the previous report's last frame, zero-padded to
-N/2+1 modes; and the Heun oracle, which keeps all N/2+1 modes. Unitary
-coefficients, ``Field`` and ``SpacetimeField`` (full spectrum, as in the
-``SXD1`` dump) appear only at the API edge: the report's ``field``,
-``final_raw`` and ``final_state`` expand (and convert) on every access.
+units (``grid``'s one raw pair, ``band_samples`` / ``resampled_rfft``), in
+which the transform pair needs no factor: the Picard iterate, whose
+``duhamel_map`` and ``time_derivative`` take and return such arrays only,
+with the window's band and weights computed once (``_window``); the
+``SolveReport``, which keeps the last iterate's trajectory (not its time
+derivative, of which it keeps the per-frame norms) and frame 0's modes
+above the band; the start state of the next window, which is the previous
+report's last frame, zero-padded to N/2+1 modes; and the Heun oracle,
+which keeps all N/2+1 modes. Unitary coefficients, ``Field`` and
+``SpacetimeField`` (full spectrum, as in the ``SXD1`` dump) appear only at
+the API edge: the report's ``field``, ``final_raw`` and ``final_state``
+expand (and convert) on every access.
 
 The new Picard iterate at frame j needs only the old iterate at frames up
 to j and the new one at frame j - 1, and frame 0 with its forcing is the
@@ -121,9 +122,7 @@ from .grid import (
     contraction_sq,
     frame_norms,
     half_sq_norms,
-    irfft_raw,
     resampled_rfft,
-    rfft_raw,
     smooth_points,
     tail_mass_fraction,
     trapezoid_weights,
@@ -301,7 +300,7 @@ def propagate(f: Field, lam: np.ndarray, t: float) -> Field:
 class _Window:
     """What the mild-solution map needs on one window, computed once per window:
 
-    the initial coefficients u0 of modes 0..N/2 in ``rfft_raw`` units; on the
+    the initial coefficients u0 of modes 0..N/2 in raw ``rfft`` units; on the
     live band, modes 0..K-1 (``_live_band``: above it each factor is at most
     ``BAND_TOL`` of its own largest magnitude), the recursion's per-mode factors
     e_dt = e^{dt lam}, w_prev = g dt (phi1 - phi2)(dt lam) and
@@ -406,7 +405,7 @@ def _half_symbols(prob: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _window(prob: ProblemSpec, dt: float, start: np.ndarray | None = None) -> _Window:
     """The window data for frame spacing dt, starting from ``start`` (modes
-    0..N/2 in ``rfft_raw`` units) or, by default, from ``prob.u0``, on the
+    0..N/2 in raw ``rfft`` units) or, by default, from ``prob.u0``, on the
     live band of e_dt, g, w_prev and w_next."""
     lam, g = _half_symbols(prob)
     z = dt * lam
@@ -414,7 +413,8 @@ def _window(prob: ProblemSpec, dt: float, start: np.ndarray | None = None) -> _W
     w_prev = g * (dt * (phi1(z) - phi2(z)))
     w_next = g * (dt * phi2(z))
     k = _live_band(e_dt, g, w_prev, w_next)
-    u0 = rfft_raw(prob.u0.values.real) if start is None else np.asarray(start, np.complex128)
+    u0 = (resampled_rfft(prob.grid, prob.u0.values.real) if start is None
+          else np.asarray(start, np.complex128))
     tail = np.trim_zeros(u0[k:], "b").copy()
     return _Window(
         u0=u0,
@@ -438,7 +438,7 @@ def _forcing_history(
     rows: str = "frame",
 ) -> np.ndarray:
     """Transforms of F(v(., t_j), .) for every frame: half-spectrum frames
-    (..., K') in ``rfft_raw`` units (modes above K' zero; K' <= n/2 below N)
+    (..., K') in raw ``rfft`` units (modes above K' zero; K' <= n/2 below N)
     in, sampled and forced on the n points of ``forcing``, their modes
     0..n/2, or 0..``band``-1, out. The finiteness check sees all n/2+1
     modes, and ``forcing.read`` then checks them for aliasing. A model error
@@ -495,7 +495,7 @@ def duhamel_map(
     substep and the exponential integrated exactly.
 
     v is the (M+1, K') array of half-spectrum frames of a real trajectory on
-    ``prob.grid``, in ``rfft_raw`` units (K' <= N/2+1, the modes above K'
+    ``prob.grid``, in raw ``rfft`` units (K' <= N/2+1, the modes above K'
     zero), and ``window`` the data ``_window`` computes for its frame
     spacing, with its band K. Returns the image u on the band, (M+1, K) in
     the same units (written into ``out`` if given), and the forcing
@@ -560,7 +560,7 @@ class SolveReport:
     """Everything a window solve produced, plus diagnostics.
 
     The solution is kept on the window's live band: the read-only (M+1, K)
-    array ``u_band`` on ``time_grid``, in ``rfft_raw`` units; above K, where
+    array ``u_band`` on ``time_grid``, in raw ``rfft`` units; above K, where
     the map's factors are below ``BAND_TOL`` of their peaks (``_live_band``),
     every frame but frame 0 is kept as 0; frame 0's modes K,
     K+1, ... up to its last nonzero one are ``u0_tail`` (empty when the
@@ -597,7 +597,7 @@ class SolveReport:
 
     @property
     def final_raw(self) -> np.ndarray:
-        """The last frame's modes 0..N/2, in ``rfft_raw`` units."""
+        """The last frame's modes 0..N/2, in raw ``rfft`` units."""
         last = np.zeros(self.grid.n_half, dtype=np.complex128)
         last[: self.u_band.shape[1]] = self.u_band[-1]
         return last
@@ -610,7 +610,7 @@ class SolveReport:
 def _spacetime_field(
     grid: SpectralGrid, time_grid: np.ndarray, raw: np.ndarray, tail: np.ndarray | None = None
 ) -> SpacetimeField:
-    """The ``SpacetimeField`` of half-spectrum frames in ``rfft_raw`` units,
+    """The ``SpacetimeField`` of half-spectrum frames in raw ``rfft`` units,
     with frame 0's further modes ``tail``, around their full spectrum with
     no copy."""
     full = unitary_spectrum(grid, raw)
@@ -626,7 +626,8 @@ def _tail_check(
     """The box-truncation warning of a window from its first and last
     frames' half spectra."""
     warnings_out = []
-    fractions = [tail_mass_fraction(Field(grid, irfft_raw(grid, f))) for f in frames]
+    n = grid.n_points
+    fractions = [tail_mass_fraction(Field(grid, band_samples(grid, f, n))) for f in frames]
     worst = max(fractions)
     if worst > TAIL_TOL:
         warnings_out.append(
@@ -648,6 +649,12 @@ def _check_window(window_length: float, n_frames: int, max_iter: int = 1,
             raise ValueError(f"{name} must be an integer, got {count!r}")
         if count < 1:
             raise ValueError(f"{name} must be at least 1, got {count}")
+    # below the normal floats no time grid is uniform; 1 / n_frames, of two
+    # ints, is a float for any count, where window_length / n_frames overflows
+    spacing = window_length * (1 / n_frames)
+    if spacing < np.finfo(float).tiny:
+        raise ValueError(f"frame spacing window_length / n_frames = {spacing:g} is below "
+                         f"the smallest normal float {np.finfo(float).tiny:g}")
     if tol_fix is not None and not tol_fix > 0:
         raise ValueError(f"tol_fix must be None or positive, got {tol_fix}")
     if substeps is not None and (not isinstance(substeps, (int, np.integer)) or substeps % n_frames
@@ -679,11 +686,11 @@ def picard_solve(
     certificate every measured ratio must stay below C * 1.05; a violation
     is raised as a defect, not smoothed over.
     The initial state is ``prob.u0``, or ``start``: modes 0..N/2 in
-    ``rfft_raw`` units, as a previous window's ``final_raw``, used as they
+    raw ``rfft`` units, as a previous window's ``final_raw``, used as they
     are.
 
     The iteration holds one trajectory pair, the (M+1, K) arrays u and du/dt
-    of the window's live band in ``rfft_raw`` units, and each iterate
+    of the window's live band in raw ``rfft`` units, and each iterate
     overwrites its predecessor in one forward walk over blocks of frames
     1..M (``_picard_iterate``), with the window's band, weights and frame
     0's forcing computed once, and the default tolerance after the first
@@ -888,7 +895,7 @@ def etd_reference_solve(
     Without ``starts`` the march advances the single state ``prob.u0`` and
     returns its ``SpacetimeField`` of n_frames + 1 frames, the start and the
     n_frames states the march yields. ``starts`` is a (K, N/2+1) block of
-    finite start states in ``rfft_raw`` units, the unit of
+    finite start states in raw ``rfft`` units, the unit of
     ``picard_solve(start=)`` (a non-finite row is refused by its index), row
     k the start of window k of a march, advanced as it is (per substep two
     reaction calls on all K rows); the result is then the (K, N/2+1) array
@@ -904,7 +911,7 @@ def etd_reference_solve(
     grid = prob.grid
     march = (prob, window_length, substeps, n_frames)
     if starts is None:
-        u0 = rfft_raw(prob.u0.values.real)
+        u0 = resampled_rfft(prob.grid, prob.u0.values.real)
         frames = np.stack([u0, *_heun_march(*march, u0)])
         return _spacetime_field(grid, np.linspace(0.0, window_length, n_frames + 1), frames)
     u0 = np.asarray(starts, dtype=np.complex128)
@@ -931,7 +938,7 @@ def _heun_march(
     prob: ProblemSpec, window_length: float, substeps: int, n_frames: int, u_hat: np.ndarray
 ) -> Iterator[np.ndarray]:
     """The marcher of ``etd_reference_solve`` from the state ``u_hat`` in
-    ``rfft_raw`` units, a (N/2+1,) state or a (K, N/2+1) block of them (a
+    raw ``rfft`` units, a (N/2+1,) state or a (K, N/2+1) block of them (a
     model error names its row as a window): yields the state, of u_hat's
     shape, at frames 1..n_frames, with the symbol and the kernel factor g of
     ``_half_symbols`` and no phi-weight, on all N points. The factors
@@ -1013,7 +1020,7 @@ def global_march(
     overlap is not the march's).
 
     Order of work: the Picard chain runs until every window is solved or
-    one fails. The march keeps one list of start states in ``rfft_raw``
+    one fails. The march keeps one list of start states in raw ``rfft``
     units, modes 0..N/2: ``prob.u0``'s, then each solved report's
     ``final_raw``, expanded once; window k starts from row k. With
     ``run_oracle`` one batched ``etd_reference_solve`` then marches the
@@ -1040,7 +1047,7 @@ def global_march(
         raise ValueError(f"the schedule's {_fmt_count(schedule.count)} windows would keep "
                          f"{_fmt_count(report_bytes)} bytes of reports, more than the "
                          f"{MEMORY_BUDGET_BYTES // 2**30} GiB memory budget")
-    starts = [rfft_raw(prob.u0.values.real)]
+    starts = [resampled_rfft(prob.grid, prob.u0.values.real)]
     reports: list[SolveReport] = []
     failed = None
     for k in range(schedule.count):

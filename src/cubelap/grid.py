@@ -11,18 +11,17 @@ as L and N grow. That convention is fixed here once; every downstream
 constant (Sobolev norms, the sqrt(2*pi) convolution factor, the contraction
 certificate) depends on it, so no other module touches raw FFTs.
 
-The solvers hold every trajectory in raw ``np.fft.rfft`` units instead
-(``rfft_raw`` / ``irfft_raw``), where a transform pair needs no factor at
-all. The convention then enters in two places, both of them here: the norm
-weights of half spectra (times (dx/sqrt(2*pi))^2, in ``half_sq_norms``,
-which every norm of a half spectrum goes through), and the way to unitary
-coefficients at the API edge (``raw_to_unitary`` for half spectra,
-``unitary_spectrum`` for all N modes). A band of K modes may also be
-sampled on another grid of the same box, of n >= 2K points, and
-transformed back in the same units (``band_samples`` /
-``resampled_rfft``, with the grid from ``SpectralGrid.resampled``); the
-fewest such points of a length the FFT factors directly are
-``smooth_points``.
+The solvers hold every trajectory in raw ``rfft`` units instead, the
+modes 0..N/2 of ``np.fft.rfft`` of the N samples, where a transform pair
+needs no factor at all. One raw pair moves between samples and those
+units: ``band_samples`` / ``resampled_rfft``, on N points or on another
+grid of the same box of n >= 2K points for a band of K modes (the grid
+from ``SpectralGrid.resampled``; the fewest such points of a length the
+FFT factors directly are ``smooth_points``). The convention then enters
+in two places, both of them here: the norm weights of half spectra (times
+(dx/sqrt(2*pi))^2, in ``half_sq_norms``, which every norm of a half
+spectrum goes through), and the way to unitary coefficients at the API
+edge (``unitary_spectrum``, all N modes).
 
 Truncation to a periodic box is policed rather than assumed: fields are
 expected to keep essentially all of their mass away from the box edges, and
@@ -70,6 +69,8 @@ class RepresentationError(ValueError):
 class SpectralGrid:
     """Uniform sampling of [-L, L) with its FFT-ordered wavenumber set.
 
+    Two grids are equal when their L and N are: the one comparison of grids.
+
     Attributes:
         half_length: L > 0, the box is [-L, L).
         n_points: N, even, at least 8.
@@ -108,14 +109,12 @@ class SpectralGrid:
         # modes of a real field: DC and Nyquist appear once, the rest twice
         half_weights = np.full(N // 2 + 1, 2.0)
         half_weights[[0, -1]] = 1.0
-        half_weights.flags.writeable = False
-        object.__setattr__(self, "_half_weights", half_weights)
-        # rfft_raw output times this is forward_transform's modes 0..N/2: the
-        # unitary scaling and the box-origin phase
+        # raw rfft modes times this are forward_transform's modes 0..N/2:
+        # the unitary scaling and the box-origin phase
         raw_scale = self.dx / np.sqrt(2.0 * np.pi) * self._phase[: N // 2 + 1]
         raw_scale.flags.writeable = False
         object.__setattr__(self, "_raw_scale", raw_scale)
-        # norm weights of the float64 view of rfft_raw half-spectrum frames,
+        # norm weights of the float64 view of raw half-spectrum frames,
         # where the real and imaginary parts of mode k sit in entries 2k and
         # 2k+1: raw_scale^2 = (dx/sqrt(2*pi))^2 times the unitary weights,
         # the multiplicity times dp, times p^12 for the sixth derivative
@@ -212,24 +211,6 @@ def inverse_transform(f: Field) -> Field:
     return Field(f.grid, coeff * np.fft.ifft(f.grid._phase * f.values), PHYSICAL)
 
 
-def rfft_raw(values: np.ndarray) -> np.ndarray:
-    """Real samples -> modes 0..N/2 in raw ``np.fft.rfft`` units, along the last axis.
-
-    No scale and no phase: the unitary forward and inverse scales multiply to
-    (dx/sqrt(2*pi)) * (dp*N/sqrt(2*pi)) = 1 and the phase squares to 1, so
-    ``irfft_raw`` returns the samples with no factor, and a diagonal map of
-    the modes reads the same in either unit. ``raw_to_unitary`` converts to
-    ``forward_transform``'s coefficients; ``half_sq_norms`` takes norms.
-    """
-    return np.fft.rfft(values, axis=-1)
-
-
-def irfft_raw(grid: SpectralGrid, raw: np.ndarray) -> np.ndarray:
-    """Modes 0..K-1 in ``rfft_raw`` units (K <= N/2+1, the modes above K
-    zero) -> the real samples along the last axis."""
-    return np.fft.irfft(raw, n=grid.n_points, axis=-1)
-
-
 def smooth_points(band: int) -> int:
     """The smallest even 5-smooth n >= 2K, K = ``band``: 2m for the smallest
     m >= K whose only prime factors are 2, 3 and 5, the fewest points of a
@@ -247,10 +228,11 @@ def smooth_points(band: int) -> int:
 
 
 def band_samples(grid: SpectralGrid, raw: np.ndarray, n: int) -> np.ndarray:
-    """Modes 0..K-1 of frames on ``grid`` in ``rfft_raw`` units (K <= n/2, or
-    N/2+1 at n = N; the modes above K zero) -> their real samples on the
+    """Modes 0..K-1 of frames on ``grid`` in raw ``rfft`` units (K <= n/2,
+    or N/2+1 at n = N; the modes above K zero) -> their real samples on the
     n-point grid of the same box (``grid.resampled(n)``) along the last axis:
-    the same trigonometric polynomial at other points, ``irfft_raw``'s at N."""
+    the same trigonometric polynomial at other points, ``np.fft.irfft``'s at
+    n = N."""
     samples = np.fft.irfft(raw, n=n, axis=-1)
     if n != grid.n_points:
         samples *= n / grid.n_points
@@ -259,22 +241,23 @@ def band_samples(grid: SpectralGrid, raw: np.ndarray, n: int) -> np.ndarray:
 
 def resampled_rfft(grid: SpectralGrid, samples: np.ndarray) -> np.ndarray:
     """Real samples on the n-point grid of ``grid``'s box -> their modes
-    0..n/2 in ``grid``'s ``rfft_raw`` units, along the last axis: the
-    inverse of ``band_samples``, and ``rfft_raw`` bit for bit at n = N."""
+    0..n/2 in ``grid``'s raw ``rfft`` units, along the last axis: the
+    inverse of ``band_samples``, and ``np.fft.rfft`` itself at n = N.
+
+    At n = N neither direction has a factor: the unitary forward and inverse
+    scales multiply to (dx/sqrt(2*pi)) * (dp*N/sqrt(2*pi)) = 1 and the
+    phase squares to 1, so a diagonal map of the modes reads the same in
+    raw and in unitary units. ``unitary_spectrum`` converts to
+    ``forward_transform``'s coefficients; ``half_sq_norms`` takes norms.
+    """
     raw = np.fft.rfft(samples, axis=-1)
     if samples.shape[-1] != grid.n_points:
         raw *= grid.n_points / samples.shape[-1]
     return raw
 
 
-def raw_to_unitary(grid: SpectralGrid, raw: np.ndarray) -> np.ndarray:
-    """Half spectra in ``rfft_raw`` units -> ``forward_transform``'s unitary
-    coefficients of modes 0..N/2; ``unitary_spectrum`` gives all N modes."""
-    return np.multiply(grid._raw_scale, raw)
-
-
 def unitary_spectrum(grid: SpectralGrid, raw: np.ndarray) -> np.ndarray:
-    """Half spectra in ``rfft_raw`` units, modes 0..K-1 (K <= N/2+1, the
+    """Half spectra in raw ``rfft`` units, modes 0..K-1 (K <= N/2+1, the
     modes above K zero) -> ``forward_transform``'s full spectra of the real
     fields, in one (..., N) allocation and no temporary: the unitary
     coefficients of modes 0..K-1, full[N-k] = conj(full[k]) for their
@@ -347,8 +330,9 @@ def transform_linf_bound(f: Field) -> tuple[float, float]:
     return lhs, rhs
 
 
-def tail_mass_fraction(f: Field, core_fraction: float = CORE_FRACTION) -> float:
-    """Fraction of L2 mass outside the central core of the box.
+def tail_mass_fraction(f: Field) -> float:
+    """Fraction of L2 mass outside the central core of the box, the inner
+    ``CORE_FRACTION`` of it.
 
     Returns 0 for an identically zero field.
     """
@@ -357,7 +341,7 @@ def tail_mass_fraction(f: Field, core_fraction: float = CORE_FRACTION) -> float:
     total = float(np.sum(dens))
     if total == 0.0:
         return 0.0
-    cut = core_fraction * f.grid.half_length
+    cut = CORE_FRACTION * f.grid.half_length
     outer = float(np.sum(dens[np.abs(f.grid.x) >= cut]))
     return outer / total
 
@@ -420,9 +404,7 @@ class SpacetimeField:
 
 
 def _check_same_layout(u: SpacetimeField, v: SpacetimeField):
-    if u.grid is not v.grid and (
-        u.grid.half_length != v.grid.half_length or u.grid.n_points != v.grid.n_points
-    ):
+    if u.grid != v.grid:
         raise ValueError("spacetime fields live on different grids")
     if u.time_grid.shape != v.time_grid.shape or not np.array_equal(
         u.time_grid, v.time_grid
@@ -446,7 +428,7 @@ def half_sq_norms(
     out: np.ndarray | None = None,
     first: int = 0,
 ) -> np.ndarray:
-    """Squared norms of half-spectrum frames in ``rfft_raw`` units, one per
+    """Squared norms of half-spectrum frames in raw ``rfft`` units, one per
     row of ``half`` (..., K), contiguous complex128: modes first..first+K-1
     of frames whose other modes 0..N/2 are not counted (zero, or summed in
     another call).
@@ -513,7 +495,7 @@ def contraction_sq(
         ||du/dt||^2 + ||d^6 u/dx^6||^2 + ||u||^2
 
     of the differences u - minus[0] and du_dt - minus[1] of half-spectrum
-    frames in ``rfft_raw`` units (a block of a trajectory's rows, modes
+    frames in raw ``rfft`` units (a block of a trajectory's rows, modes
     0..K-1): the Picard distance of the walk. The sixth derivative is
     spectral and the time derivative is supplied, never finite-differenced
     here. ``scratch``, a complex array of u's shape (``minus[0]`` itself,

@@ -125,6 +125,15 @@ class KernelSpec:
             gs.flags.writeable = False
             object.__setattr__(self, "grid_spectrum", gs)
 
+    def _check_grid(self, grid: SpectralGrid) -> None:
+        """Refuse, by the kernel's name, a grid of another length or size
+        than the one a grid-built kernel was built on."""
+        if self.bound_grid is not None and self.bound_grid != grid:
+            raise ValueError(
+                f"the {self.name} kernel was built on a different grid; "
+                "rebuild it for this one"
+            )
+
     def spectrum_on(self, grid: SpectralGrid) -> np.ndarray:
         """Spectral coefficients of G on the given grid.
 
@@ -134,12 +143,7 @@ class KernelSpec:
         by its name: ``tabulated_kernel`` builds a kernel from samples.
         """
         if self.grid_spectrum is not None:
-            bg = self.bound_grid
-            if bg.half_length != grid.half_length or bg.n_points != grid.n_points:
-                raise ValueError(
-                    f"the {self.name} kernel was built on a different grid; "
-                    "rebuild it for this one"
-                )
+            self._check_grid(grid)
             out = self.grid_spectrum
         elif self.spectrum_fn is not None:
             out = np.asarray(self.spectrum_fn(grid.wavenumbers), dtype=np.complex128)
@@ -758,11 +762,9 @@ class ProblemSpec:
         if self.a < 0:
             raise AssumptionViolation(f"linear rate a must be >= 0, got {self.a}")
         u0 = to_physical(self.u0)
-        if u0.grid is not self.grid and (
-            u0.grid.half_length != self.grid.half_length
-            or u0.grid.n_points != self.grid.n_points
-        ):
+        if u0.grid != self.grid:
             raise ValueError("initial condition lives on a different grid")
+        self.kernel._check_grid(self.grid)
         n0 = h6_norm(u0)
         if not np.isfinite(n0):
             raise AssumptionViolation("initial condition has non-finite Sobolev norm")

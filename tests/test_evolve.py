@@ -7,8 +7,9 @@ import pytest
 
 import cubelap as cl
 from cubelap.evolve import _window
-from cubelap.grid import raw_to_unitary, rfft_raw, unitary_spectrum
+from cubelap.grid import band_samples, unitary_spectrum
 from march_rule import breaks
+from slow_paths import _full_spectrum_heun, _per_frame_forcing, _per_frame_picard
 
 
 # --------------------------------------------------------------------------
@@ -249,9 +250,8 @@ def test_time_derivative_consistent_with_finite_differences(certified_problem):
         dt = tg[1] - tg[0]
         fd = (u[2:] - u[:-2]) / (2.0 * dt)
         grid = prob.grid
-        band = slice(0, w.band)
-        err = np.abs(grid._raw_scale[band] * (fd - du[1:-1]))
-        per_frame = np.sqrt(np.sum(grid._half_weights[band] * err**2, axis=1) * grid.dp)
+        err = unitary_spectrum(grid, fd - du[1:-1])
+        per_frame = np.sqrt(np.sum(np.abs(err) ** 2, axis=1) * grid.dp)
         return np.max(per_frame[per_frame.size // 2 :])
 
     e1, e2 = fd_defect(32), fd_defect(64)
@@ -431,7 +431,7 @@ def test_heun_march_yields_each_frame_in_the_shape_of_its_start(certified_proble
     from cubelap.evolve import _heun_march
 
     prob, cert, T = certified_problem
-    u0 = rfft_raw(prob.u0.values.real)
+    u0 = np.fft.rfft(prob.u0.values.real)
     starts = np.stack([u0, 0.5 * u0])
     march = (prob, T, 4 * 8, 8)
     single = list(_heun_march(*march, u0))
@@ -528,6 +528,10 @@ _BAD_LENGTHS = [
      "n_frames must be an integer, got True"),
     ("global_march", {"n_frames": True}, "n_frames must be an integer, got True"),
     ("global_march", {"max_iter": True}, "max_iter must be an integer, got True"),
+    # a subnormal frame spacing holds no uniform time grid
+    ("global_march", {"window_length": 1e-310, "n_frames": 16},
+     "frame spacing window_length / n_frames = 6.25e-312 is below the smallest normal float"),
+    ("picard_solve", {"n_frames": 10**400}, "frame spacing window_length / n_frames = 0 is"),
 ])
 def test_entry_points_reject_bad_inputs_up_front(certified_problem, entry, kwargs, match):
     # a plain value error before any work and with no numpy warning, in
@@ -536,7 +540,7 @@ def test_entry_points_reject_bad_inputs_up_front(certified_problem, entry, kwarg
     kwargs = dict(kwargs)
     T = kwargs.pop("window_length", T)
     if kwargs.get("starts"):
-        kwargs = dict(kwargs, starts=rfft_raw(prob.u0.values.real)[None, :])
+        kwargs = dict(kwargs, starts=np.fft.rfft(prob.u0.values.real)[None, :])
     calls = {
         "picard_solve": lambda: cl.picard_solve(prob, T, cert, **kwargs),
         "etd_reference_solve": lambda: cl.etd_reference_solve(prob, T, 64, **kwargs),
@@ -547,6 +551,19 @@ def test_entry_points_reject_bad_inputs_up_front(certified_problem, entry, kwarg
         with pytest.raises(ValueError) as exc:
             calls[entry]()
     assert type(exc.value) is ValueError and match in str(exc.value)
+
+
+def test_a_frame_spacing_of_the_smallest_normal_float_gives_valid_fields(certified_problem):
+    # the smallest spacing the entry points admit: both solvers' time grids
+    # are uniform, and every frame is finite
+    prob = certified_problem[0]
+    tiny = np.finfo(float).tiny
+    (rep,) = cl.global_march(prob, 16 * tiny, max_window_length=16 * tiny, n_frames=16,
+                             run_oracle=True)
+    oracle = cl.etd_reference_solve(prob, 16 * tiny, 64, n_frames=16)
+    for field in (rep.field, oracle):
+        assert isinstance(field, cl.SpacetimeField) and field.dt == tiny
+        assert field.horizon == 16 * tiny and np.isfinite(field.frames).all()
 
 
 @pytest.mark.parametrize("kwargs, match", [
@@ -728,20 +745,17 @@ def _next_start(prob, rep):
     samples: the start of a single-state oracle march of that window."""
     import dataclasses
 
-    from cubelap.grid import irfft_raw
-
-    end = irfft_raw(prob.grid, rep.final_raw)
+    end = band_samples(prob.grid, rep.final_raw, prob.grid.n_points)
     return dataclasses.replace(prob, u0=cl.Field(prob.grid, end))
 
 
 def _deviation(rep, end):
     """The relative L2 gap of the report's end state from the oracle's end
-    state ``end``, both half spectra in ``rfft_raw`` units (whose scale
-    cancels in the ratio); each mode weighted by its multiplicity."""
-    weights = rep.grid._half_weights
+    state ``end``, both half spectra in raw ``rfft`` units, over their full
+    unitary spectra."""
     mine = rep.final_raw
-    return math.sqrt(np.sum(weights * np.abs(mine - end) ** 2)
-                     / np.sum(weights * np.abs(mine) ** 2))
+    return (np.linalg.norm(unitary_spectrum(rep.grid, mine - end))
+            / np.linalg.norm(unitary_spectrum(rep.grid, mine)))
 
 
 def test_batched_oracle_matches_per_window_loop(certified_problem):
@@ -749,7 +763,7 @@ def test_batched_oracle_matches_per_window_loop(certified_problem):
     t_w = 0.25  # three windows exactly
     reports = cl.global_march(prob, 3 * t_w, max_window_length=t_w, n_frames=16, run_oracle=True)
     assert len(reports) == 3
-    current, start = prob, rfft_raw(prob.u0.values.real)
+    current, start = prob, np.fft.rfft(prob.u0.values.real)
     for k, rep in enumerate(reports):
         # the slow path: one etd_reference_solve per window, on its raw start
         # alone, which the single-state march from the physical start
@@ -757,8 +771,8 @@ def test_batched_oracle_matches_per_window_loop(certified_problem):
         # samples' round trip through the transform pair after it
         end = cl.etd_reference_solve(current, t_w, 4 * 16, n_frames=16, starts=start[None, :])[0]
         single = cl.etd_reference_solve(current, t_w, 4 * 16, n_frames=16)
-        got = single.frames[-1, : prob.grid.n_half]
-        want = raw_to_unitary(prob.grid, end)
+        got = single.frames[-1]
+        want = unitary_spectrum(prob.grid, end)
         if k == 0:
             assert np.array_equal(got, want)
         else:
@@ -770,7 +784,7 @@ def test_batched_oracle_matches_per_window_loop(certified_problem):
 
 def test_march_oracle_starts_from_the_picard_chain_states(certified_problem, monkeypatch):
     # one list of raw start states: the chain's window k and the oracle's row
-    # k both start from rfft_raw of u0, then from report k-1's final_raw
+    # k both start from the raw rfft of u0, then from report k-1's final_raw
     import cubelap.evolve as ev
 
     prob, cert, T = certified_problem
@@ -789,7 +803,7 @@ def test_march_oracle_starts_from_the_picard_chain_states(certified_problem, mon
     monkeypatch.setattr(ev, "picard_solve", picard)
     monkeypatch.setattr(ev, "_heun_march", heun)
     reports = cl.global_march(prob, 0.75, max_window_length=0.25, n_frames=16, run_oracle=True)
-    want = np.stack([rfft_raw(prob.u0.values.real)] + [rep.final_raw for rep in reports[:-1]])
+    want = np.stack([np.fft.rfft(prob.u0.values.real)] + [rep.final_raw for rep in reports[:-1]])
     assert len(reports) == 3 and len(blocks) == 1
     assert np.array_equal(blocks[0], want) and np.array_equal(np.stack(picard_starts), want)
 
@@ -827,7 +841,6 @@ def _staged_picard(monkeypatch, fail_at):
     import dataclasses
 
     import cubelap.evolve as ev
-    from cubelap.grid import rfft_raw
 
     real = ev.picard_solve
 
@@ -840,7 +853,7 @@ def _staged_picard(monkeypatch, fail_at):
         frames = np.zeros((len(rep.u_band), prob.grid.n_half), np.complex128)
         frames[:, :band] = rep.u_band
         frames[0, band : band + tail] = rep.u0_tail
-        frames[-1] = rfft_raw(_STARTS[(k + 1) % len(_STARTS)](prob.grid.x))
+        frames[-1] = np.fft.rfft(_STARTS[(k + 1) % len(_STARTS)](prob.grid.x))
         return dataclasses.replace(rep, u_band=frames, u0_tail=rep.u0_tail[:0])
 
     monkeypatch.setattr(ev, "picard_solve", staged)
@@ -945,7 +958,7 @@ def test_batched_oracle_model_error_reads_as_one_window():
         except cl.ModelEvaluationError as exc:
             singles.append(str(exc))
     assert singles[0] is None and singles[1] and singles[2]
-    starts = np.stack([rfft_raw(p.u0.values.real) for p in probs])
+    starts = np.stack([np.fft.rfft(p.u0.values.real) for p in probs])
     with pytest.raises(cl.MarchWindowError) as exc:
         cl.etd_reference_solve(probs[0], _BLOWUP_T, 256, n_frames=16, starts=starts)
     got = exc.value
@@ -1020,7 +1033,7 @@ def test_oracle_blowup_names_its_step_and_norm_in_both_forms(monkeypatch):
     import cubelap.evolve as ev
 
     prob = _simple_problem(cl.linear_plus_source(0.0), a=40.0)
-    u0 = rfft_raw(prob.u0.values.real)
+    u0 = np.fft.rfft(prob.u0.values.real)
     step, norm, ref = _heun_blowup(prob, 1.0, 64, u0)
     assert 1 < step < 64
     message = f"reference marcher unstable at step {step}: norm {norm:.3e} vs initial {ref:.3e}"
@@ -1037,7 +1050,7 @@ def test_oracle_blowup_names_its_step_and_norm_in_both_forms(monkeypatch):
     monkeypatch.setattr(ev, "apply_nonlinearity", lambda *a, **kw: calls.append(a[0].shape)
                         or real(*a, **kw))
     stable = _simple_problem(cl.saturating(0.1))
-    starts = np.stack([rfft_raw(stable.u0.values.real)] * 3)
+    starts = np.stack([np.fft.rfft(stable.u0.values.real)] * 3)
     cl.etd_reference_solve(stable, 0.5, 64, n_frames=16)
     cl.etd_reference_solve(stable, 0.5, 64, n_frames=16, starts=starts)
     assert calls == [(128,)] * 2 * 64 + [(3, 128)] * 2 * 64
@@ -1048,7 +1061,7 @@ def test_batched_oracle_refuses_bad_substeps_up_front():
     # argument's error, not window 0's, in the batched form too
     prob = _simple_problem(cl.linear_plus_source(0.0))
     physical = np.stack([prob.u0.values.real] * 2)
-    starts = rfft_raw(physical)
+    starts = np.fft.rfft(physical)
     message = "substeps = {} must be an integer multiple of the frame count 16, at least 4x it"
     for substeps in (32, 72, 64.0):
         with pytest.raises(ValueError) as exc:
@@ -1113,7 +1126,7 @@ def test_batched_oracle_replay_matches_single_window_marches():
             for _ in range(rng.integers(1, 6))
         ])
         k, cause = _single_window_failure(prob, starts, substeps, n_frames)
-        raw = rfft_raw(starts)
+        raw = np.fft.rfft(starts)
         if k is None:
             ends = cl.etd_reference_solve(prob, _BLOWUP_T, substeps, n_frames, starts=raw)
             assert np.array_equal(unitary_spectrum(prob.grid, ends), cause)
@@ -1144,7 +1157,7 @@ def test_batched_oracle_raises_its_own_error_when_no_window_fails_alone():
     assert _single_window_failure(prob, starts, 64, 16)[0] is None
     # the block's rows are windows, and its message names them so
     with pytest.raises(cl.ModelEvaluationError, match=r"at x\[0\] = -3\.14159 in window 0$"):
-        cl.etd_reference_solve(prob, _BLOWUP_T, 64, n_frames=16, starts=rfft_raw(starts))
+        cl.etd_reference_solve(prob, _BLOWUP_T, 64, n_frames=16, starts=np.fft.rfft(starts))
 
 
 def test_two_grid_consistency(certified_problem):
@@ -1188,62 +1201,14 @@ def hot_path_problem(request):
     return _bandlimited_source_problem()
 
 
-def _per_frame_forcing(frames, prob):
-    """F(v) transformed frame by frame on all N modes, through ``Field``s."""
-    grid = prob.grid
-    out = np.empty_like(frames)
-    for j in range(frames.shape[0]):
-        phys = cl.inverse_transform(cl.Field(grid, frames[j], "spectral")).values.real
-        vals = cl.apply_nonlinearity(phys, prob.nonlinearity, grid)
-        out[j] = cl.forward_transform(cl.Field(grid, vals)).values
-    return out
-
-
-def _per_frame_picard(prob, T, n_frames):
-    """The Field-by-Field Picard loop: per-frame transforms and reaction calls,
-    phi-weights rebuilt on every iteration, wrappers around every iterate."""
-    grid = prob.grid
-    lam = cl.build_symbol(grid, prob.a, prob.b)
-    tg = np.linspace(0.0, T, n_frames + 1)
-    u0h = cl.to_spectral(prob.u0).values
-    g_hat = prob.kernel.spectrum_on(grid)
-    free = np.exp(np.outer(tg, lam)) * u0h[None, :]
-    u_prev = cl.SpacetimeField(grid, tg, free)
-    du_prev = cl.SpacetimeField(grid, tg, lam[None, :] * free)
-    distances, tol = [], None
-    while tol is None or distances[-1] >= tol:
-        fh = _per_frame_forcing(u_prev.frames, prob)
-        dt = u_prev.dt
-        z = dt * lam
-        w_prev, w_next = dt * (cl.phi1(z) - cl.phi2(z)), dt * cl.phi2(z)
-        u = np.empty_like(fh)
-        u[0] = u0h
-        for j in range(n_frames):
-            u[j + 1] = np.exp(dt * lam) * u[j] + np.sqrt(2.0 * np.pi) * g_hat * (
-                w_prev * fh[j] + w_next * fh[j + 1]
-            )
-        u_new = cl.SpacetimeField(grid, tg, u)
-        du_new = cl.SpacetimeField(
-            grid, tg, lam[None, :] * u + np.sqrt(2.0 * np.pi) * g_hat[None, :] * fh
-        )
-        distances.append(cl.spacetime_sobolev_norm(
-            cl.SpacetimeField(grid, tg, u_new.frames - u_prev.frames),
-            cl.SpacetimeField(grid, tg, du_new.frames - du_prev.frames),
-        ))
-        if tol is None:
-            tol = 1e-10 * max(1.0, cl.spacetime_sobolev_norm(u_new, du_new))
-        u_prev, du_prev = u_new, du_new
-    return u_prev.frames[-1], np.array(distances)
-
-
 def test_batched_forcing_matches_per_frame_loop(hot_path_problem):
     from cubelap.evolve import _ForcingGrid, _forcing_history
 
     prob, cert, T = hot_path_problem
     v, _, _ = _free_trajectory(prob, T, 32)
     on = _ForcingGrid(prob.grid, prob.grid.n_points)
-    batched = raw_to_unitary(prob.grid, _forcing_history(v, prob, on))
-    reference = _per_frame_forcing(unitary_spectrum(prob.grid, v), prob)[:, : prob.grid.n_half]
+    batched = unitary_spectrum(prob.grid, _forcing_history(v, prob, on))
+    reference = _per_frame_forcing(unitary_spectrum(prob.grid, v), prob)
     assert np.max(np.abs(batched - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
@@ -1281,30 +1246,10 @@ def test_report_frames_are_exactly_hermitian(hot_path_problem):
     assert np.array_equal(frames[:, n - k], np.conj(frames[:, k]))
 
 
-def _full_spectrum_heun(prob, T, substeps, n_frames):
-    """The integrating-factor Heun oracle on all N modes, with the full
-    complex transforms (the oracle before the half-spectrum core)."""
-    grid = prob.grid
-    lam = cl.build_symbol(grid, prob.a, prob.b)
-    g = np.sqrt(2.0 * np.pi) * prob.kernel.spectrum_on(grid)
-    h = T / substeps
-    e_h = np.exp(h * lam)
-
-    def reaction(u_hat):
-        return g * _per_frame_forcing(u_hat[None, :], prob)[0]
-
-    u_hat = cl.to_spectral(prob.u0).values.copy()
-    for _ in range(substeps):
-        nn = reaction(u_hat)
-        pred = e_h * (u_hat + h * nn)
-        u_hat = e_h * u_hat + 0.5 * h * (e_h * nn + reaction(pred))
-    return u_hat
-
-
 def test_oracle_matches_full_spectrum_heun(hot_path_problem):
     prob, cert, T = hot_path_problem
     ref = cl.etd_reference_solve(prob, T, 4 * 16, n_frames=16)
-    full = _full_spectrum_heun(prob, T, 4 * 16, 16)
+    full = _full_spectrum_heun(prob, T, 4 * 16, 16)[-1]
     assert np.max(np.abs(ref.frames[-1] - full)) <= 1e-12 * np.max(np.abs(full))
 
 

@@ -363,16 +363,18 @@ def _bits(a):
 @given(data=st.data())
 def test_the_n_point_rung_is_the_n_point_transform_pair_bit_for_bit(data):
     """At n = N, ``band_samples`` and ``resampled_rfft`` scale by exactly 1,
-    so they are ``irfft_raw`` and ``rfft_raw`` bit for bit: the top rung of
-    a window's forcing grid takes the one forcing path."""
+    so they are ``np.fft.irfft`` and ``np.fft.rfft`` bit for bit: the top
+    rung of a window's forcing grid and every N-point transform of the
+    solvers take the one raw pair."""
     g = cl.make_grid(data.draw(st.floats(0.5, 50.0)), 2 * data.draw(st.integers(4, 600)))
     shape = tuple(data.draw(st.lists(st.integers(1, 4), max_size=2)))
     k = data.draw(st.integers(1, g.n_half))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     raw = rng.standard_normal(shape + (k,)) + 1j * rng.standard_normal(shape + (k,))
-    assert _bits(grid_mod.band_samples(g, raw, g.n_points)) == _bits(grid_mod.irfft_raw(g, raw))
+    want = np.fft.irfft(raw, n=g.n_points, axis=-1)
+    assert _bits(grid_mod.band_samples(g, raw, g.n_points)) == _bits(want)
     x = rng.standard_normal(shape + (g.n_points,))
-    assert _bits(grid_mod.resampled_rfft(g, x)) == _bits(grid_mod.rfft_raw(x))
+    assert _bits(grid_mod.resampled_rfft(g, x)) == _bits(np.fft.rfft(x, axis=-1))
     assert g.resampled(g.n_points) is g
 
 
@@ -507,15 +509,52 @@ def test_window_data_is_built_in_window_only():
     assert sorted(_calls_by_function(tree, one_path)) == [
         ("__init__", "resampled"), ("_forcing_history", "band_samples"),
         ("_forcing_history", "read"), ("_forcing_history", "resampled_rfft"),
+        ("_tail_check", "band_samples"), ("_window", "resampled_rfft"),
+        ("etd_reference_solve", "resampled_rfft"), ("global_march", "resampled_rfft"),
         ("picard_solve", "_first_rung"), ("picard_solve", "_rungs"),
     ]
+    # the solvers' every transform is the raw pair: no FFT of their own and
+    # no unitary transform
+    others = ("fft", "ifft", "rfft", "irfft", "forward_transform", "inverse_transform",
+              "to_spectral", "to_physical")
+    assert not _calls(tree, others)
     fns = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
-    assert not _calls(fns["_forcing_history"], ("irfft_raw", "rfft_raw"))
     heun = fns["_heun_march"]
     assert not any(isinstance(node, ast.Try) for node in ast.walk(heun))
     assert not _calls_by_function(heun, ("phi1", "phi2", "_window"))
     assert [ast.unparse(node) for node in ast.walk(heun) if isinstance(node, ast.Call)
             and ast.unparse(node.func) == "_ForcingGrid"] == ["_ForcingGrid(grid, grid.n_points)"]
+
+
+def test_the_package_calls_numpy_ffts_in_its_two_transform_pairs_only():
+    """``np.fft.rfft`` / ``np.fft.irfft`` appear only in ``resampled_rfft`` /
+    ``band_samples``, the one raw pair, and ``np.fft.fft`` / ``np.fft.ifft``
+    only in ``forward_transform`` / ``inverse_transform``, the unitary pair;
+    no module imports an FFT by another name."""
+    import ast
+    from pathlib import Path
+
+    found = []
+    for path in sorted(Path(cl.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        # ast.walk goes outside in, so a nested function's name wins
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                owner.update((node, getattr(fn, "name", "<lambda>")) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and ast.unparse(node).startswith("np.fft."):
+                found.append((path.stem, owner.get(node, "<module>"), ast.unparse(node)))
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                module = getattr(node, "module", None)
+                names = [f"{module}.{a.name}" if module else a.name for a in node.names]
+                assert not any("fft" in name.split(".") for name in names), (path.name, names)
+    assert sorted(found) == [
+        ("grid", "band_samples", "np.fft.irfft"),
+        ("grid", "forward_transform", "np.fft.fft"),
+        ("grid", "inverse_transform", "np.fft.ifft"),
+        ("grid", "resampled_rfft", "np.fft.rfft"),
+    ]
 
 
 def test_catalog_specs_are_built_in_their_builders_only():

@@ -672,15 +672,24 @@ def test_problem_spec_rejects_negative_a():
         )
 
 
-def test_problem_spec_rejects_grid_mismatch():
-    g = cl.make_grid(10.0, 64)
-    other = cl.make_grid(10.0, 128)
-    u0 = cl.Field(other, np.zeros(128), "physical")
-    with pytest.raises(ValueError, match="different grid"):
-        cl.ProblemSpec(
-            a=0.0, b=0.0, kernel=cl.gaussian_kernel(), nonlinearity=cl.saturating(1.0),
-            u0=u0, grid=g,
-        )
+@pytest.mark.parametrize("case", ["u0", "bandlimited", "tabulated"])
+def test_problem_spec_rejects_grid_mismatch(case):
+    # an initial condition or a grid-built kernel on another grid is refused
+    # when the problem is assembled, before any solve
+    g, other = cl.make_grid(10.0, 64), cl.make_grid(10.0, 128)
+    kernel, u0 = cl.gaussian_kernel(), cl.Field(g, np.zeros(64))
+    if case == "u0":
+        u0 = cl.Field(other, np.zeros(128))
+        message = "initial condition lives on a different grid"
+    else:
+        xs = np.linspace(-2.0, 2.0, 41)
+        kernel = (cl.bandlimited_kernel(other, 0.02, 1.0) if case == "bandlimited"
+                  else cl.tabulated_kernel(other, xs, np.exp(-(xs**2))))
+        message = f"the {kernel.name} kernel was built on a different grid; rebuild it for this one"
+    with pytest.raises(ValueError) as exc:
+        cl.ProblemSpec(a=0.0, b=0.0, kernel=kernel, nonlinearity=cl.saturating(1.0),
+                       u0=u0, grid=g)
+    assert str(exc.value) == message
 
 
 def test_apply_nonlinearity_flags_underdeclared_growth():

@@ -1,10 +1,12 @@
-"""The solvers in raw rfft units against the unitary-unit loops they replaced.
+"""The solvers in raw rfft units against the slow path of each, from
+``slow_paths``: per-frame loops on the complex full spectrum, which read no
+half-spectrum weight and no raw unit.
 
-``_unitary_picard`` is the Picard loop, kept here as the slow path: the
-trajectory in unitary coefficients (``forward_real``), the transform pair
-``inverse_real`` / ``forward_real`` around every reaction call, the recursion
-with g applied per frame, the time derivative as one expression, and the
-contraction norm from ``np.abs(u) ** 2`` with ``np.trapezoid``.
+``_per_frame_picard`` is the slow path of ``picard_solve``: the trajectory
+in ``forward_transform``'s coefficients of all N modes, one
+``inverse_transform`` / ``forward_transform`` pair and one reaction call per
+frame, the recursion with g applied per frame, the time derivative as one
+expression, and the contraction norm of ``spacetime_sobolev_norm``.
 ``picard_solve`` must agree with it for every entry of the nonlinearity
 catalog and on the override path (C >= 1), at a > 0 and b != 0, by the
 march rule (``scripts/march_rule.py``): the same iteration count, the final
@@ -13,26 +15,27 @@ Each iterate is one forward walk over blocks of ``grid.BLOCK_BYTES``
 through frames 1..32 of a 33-frame trajectory, all of them one block at
 N = 256; the tests also shrink the blocks to 1 and 5 frames, so that blocks
 end inside the trajectory, and at 5 frames the last one takes the 2 frames
-left over as well, and grow them to a whole window at any size. At every block size the walk calls ``duhamel_map``,
-``time_derivative`` and ``apply_nonlinearity`` once per block and iterate,
-frame 0's forcing and the first rung's probe are one more reaction call
-each, and a model error names the frame of the trajectory.
+left over as well, and grow them to a whole window at any size. At every
+block size the walk calls ``duhamel_map``, ``time_derivative`` and
+``apply_nonlinearity`` once per block and iterate, frame 0's forcing and
+the first rung's probe are one more reaction call each, and a model error
+names the frame of the trajectory.
 
 The block size changes no number: at every block size a march of 257-frame
 windows (one default block each) reports bitwise the trajectories,
 distances, per-frame norms and oracle deviations of the default blocks, and
 ``runner.main`` writes byte-equal artifacts.
 
-``_unitary_heun`` is the Heun oracle in unitary coefficients, the slow path
-of ``etd_reference_solve``, single-state and batched, here and on the drawn
-problems of ``test_reduced_forcing`` over every kernel, reaction and source
-of the catalog, each batched with two drawn starts. The report's per-frame
-norms are checked against ``l2_norm`` of its full-spectrum frames and of the
-time derivative the solve took its norms of.
+``_full_spectrum_heun`` is the slow path of ``etd_reference_solve``, the
+Heun oracle on the full spectrum, frame by frame, checked single-state and
+batched, here and on the drawn problems of ``test_reduced_forcing`` over
+every kernel, reaction and source of the catalog, each batched with two
+drawn starts. The report's per-frame norms are checked against ``l2_norm``
+of its full-spectrum frames and of the time derivative the solve took its
+norms of.
 """
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -41,67 +44,15 @@ from hypothesis import strategies as st
 
 import cubelap as cl
 import cubelap.grid
-from cubelap.grid import raw_to_unitary, rfft_raw, unitary_spectrum
+from cubelap.grid import unitary_spectrum
 from cubelap.model import KERNELS, NONLINEARITIES, SOURCES
 from cubelap.runner import main
 from march_rule import RTOL, breaks, final_gap
+from slow_paths import _full_spectrum_heun, _per_frame_picard
 from test_reduced_forcing import _floats, problems
 
 A, B, T, N_FRAMES = 0.3, -0.8, 0.4, 32
 DEFAULT_BLOCK_BYTES = cubelap.grid.BLOCK_BYTES
-
-
-def forward_real(grid, values):
-    """Real samples -> ``forward_transform``'s coefficients of modes 0..N/2,
-    along the last axis."""
-    coeff = grid.dx / math.sqrt(2.0 * math.pi)
-    return coeff * grid._phase[: grid.n_half] * np.fft.rfft(values, axis=-1)
-
-
-def inverse_real(grid, half):
-    """Coefficients of modes 0..N/2 -> the real samples along the last axis."""
-    coeff = grid.dp * grid.n_points / math.sqrt(2.0 * math.pi)
-    return coeff * np.fft.irfft(grid._phase[: grid.n_half] * half, n=grid.n_points, axis=-1)
-
-
-def _unitary_picard(prob, window_length, n_frames):
-    """The unitary-unit Picard loop; the last iterate's half spectrum and the
-    distances."""
-    grid = prob.grid
-    half = slice(0, grid.n_half)
-    lam = cl.build_symbol(grid, prob.a, prob.b)[half]
-    tg = np.linspace(0.0, window_length, n_frames + 1)
-    dt = float(tg[1] - tg[0])
-    z = dt * lam
-    e_dt = np.exp(dt * lam)
-    w_prev, w_next = dt * (cl.phi1(z) - cl.phi2(z)), dt * cl.phi2(z)
-    g = math.sqrt(2.0 * math.pi) * prob.kernel.spectrum_on(grid)[half]
-    u0 = forward_real(grid, prob.u0.values.real)
-    weights = grid._half_weights
-
-    def norm(u, du):
-        per_frame = (
-            np.sum(weights * (1.0 + grid._p12[half]) * np.abs(u) ** 2, axis=1)
-            + np.sum(weights * np.abs(du) ** 2, axis=1)
-        ) * grid.dp
-        return float(np.sqrt(np.trapezoid(per_frame, tg)))
-
-    u_prev = np.exp(np.outer(tg, lam)) * u0[None, :]
-    du_prev = lam[None, :] * u_prev
-    distances, tol = [], None
-    while tol is None or distances[-1] >= tol:
-        phys = inverse_real(grid, u_prev)
-        fh = forward_real(grid, cl.apply_nonlinearity(phys, prob.nonlinearity, grid))
-        u = np.empty_like(fh)
-        u[0] = u0
-        for j in range(n_frames):
-            u[j + 1] = e_dt * u[j] + g * (w_prev * fh[j] + w_next * fh[j + 1])
-        du = lam[None, :] * u + g[None, :] * fh
-        distances.append(norm(u - u_prev, du - du_prev))
-        if tol is None:
-            tol = 1e-10 * max(1.0, norm(u, du))
-        u_prev, du_prev = u, du
-    return u_prev, np.array(distances)
 
 
 def _problem(nonlinearity):
@@ -132,9 +83,9 @@ def _catalog_nonlinearity(name):
 
 
 def _assert_matches_slow_path(rep, prob):
-    frames, distances = _unitary_picard(prob, T, N_FRAMES)
+    final, distances = _per_frame_picard(prob, T, N_FRAMES)
     assert breaks(iterations=(rep.trace.iterations, distances.size),
-                  final=(raw_to_unitary(prob.grid, rep.final_raw), frames[-1]),
+                  final=(rep.field.frames[-1], final),
                   distances=(rep.trace.distances, distances)) == []
 
 
@@ -231,49 +182,24 @@ def test_raw_unit_loop_matches_unitary_loop_under_override(block_frames):
     _assert_matches_slow_path(rep, prob)
 
 
-def _unitary_heun(prob, window_length, substeps, n_frames, u0):
-    """The Heun oracle in unitary coefficients on the (K, N) real states u0;
-    the (n_frames + 1, K, N/2+1) frames."""
-    grid = prob.grid
-    half = slice(0, grid.n_half)
-    lam = cl.build_symbol(grid, prob.a, prob.b)[half]
-    g = math.sqrt(2.0 * math.pi) * prob.kernel.spectrum_on(grid)[half]
-    h = window_length / substeps
-    e_h = np.exp(h * lam)
-
-    def reaction(u):
-        phys = inverse_real(grid, u)
-        return g * forward_real(grid, cl.apply_nonlinearity(phys, prob.nonlinearity, grid))
-
-    u = forward_real(grid, u0)
-    frames = [u]
-    for n in range(substeps):
-        nn = reaction(u)
-        pred = e_h * (u + h * nn)
-        u = e_h * u + 0.5 * h * (e_h * nn + reaction(pred))
-        if (n + 1) % (substeps // n_frames) == 0:
-            frames.append(u)
-    return np.stack(frames)
-
-
 @pytest.mark.parametrize("name", sorted(NONLINEARITIES))
 def test_raw_unit_oracle_matches_unitary_oracle(name):
     prob = _problem(_catalog_nonlinearity(name))
     grid = prob.grid
     substeps = 4 * N_FRAMES
     single = cl.etd_reference_solve(prob, T, substeps, N_FRAMES)
-    want = _unitary_heun(prob, T, substeps, N_FRAMES, prob.u0.values.real[None, :])[:, 0]
-    assert final_gap(single.frames[:, : grid.n_half], want) <= RTOL
+    want = _full_spectrum_heun(prob, T, substeps, N_FRAMES)
+    assert final_gap(single.frames, want) <= RTOL
 
     starts = np.stack([
         prob.u0.values.real,
         np.exp(-((grid.x + 2.0) ** 2)),
         0.5 * np.cos(grid.x) * np.exp(-(grid.x**2) / 8.0),
     ])
-    ends = cl.etd_reference_solve(prob, T, substeps, N_FRAMES, starts=rfft_raw(starts))
-    want = _unitary_heun(prob, T, substeps, N_FRAMES, starts)[-1]
+    ends = cl.etd_reference_solve(prob, T, substeps, N_FRAMES, starts=np.fft.rfft(starts))
+    want = _full_spectrum_heun(prob, T, substeps, N_FRAMES, starts)[-1]
     for r in range(len(starts)):
-        assert final_gap(raw_to_unitary(grid, ends[r]), want[r]) <= RTOL
+        assert final_gap(unitary_spectrum(grid, ends[r]), want[r]) <= RTOL
 
 
 @pytest.mark.parametrize("source_name", sorted(SOURCES))
@@ -297,10 +223,10 @@ def test_batched_oracle_matches_unitary_oracle_on_drawn_problems(
         starts.append(amp * np.exp(-(((grid.x - center) / width) ** 2)))
     starts = np.stack(starts)
     substeps, n_frames = 4 * 8, 8
-    ends = cl.etd_reference_solve(prob, T, substeps, n_frames, starts=rfft_raw(starts))
-    want = _unitary_heun(prob, T, substeps, n_frames, starts)[-1]
+    ends = cl.etd_reference_solve(prob, T, substeps, n_frames, starts=np.fft.rfft(starts))
+    want = _full_spectrum_heun(prob, T, substeps, n_frames, starts)[-1]
     for r in range(len(starts)):
-        assert final_gap(raw_to_unitary(grid, ends[r]), want[r]) <= RTOL
+        assert final_gap(unitary_spectrum(grid, ends[r]), want[r]) <= RTOL
 
 
 @pytest.mark.parametrize("name", sorted(NONLINEARITIES))

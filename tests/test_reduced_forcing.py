@@ -163,8 +163,8 @@ def _scanned_first_rung(prob, w):
     grid = prob.grid
     frame = np.zeros(grid.n_half, np.complex128)
     frame[: w.band] = w.e_dt * w.u0[: w.band]
-    samples = cubelap.grid.irfft_raw(grid, frame)
-    sq = np.abs(cubelap.grid.rfft_raw(cl.apply_nonlinearity(samples, prob.nonlinearity, grid)))**2
+    samples = np.fft.irfft(frame, n=grid.n_points)
+    sq = np.abs(np.fft.rfft(cl.apply_nonlinearity(samples, prob.nonlinearity, grid)))**2
     for n in _even_5_smooth(max(8, 2 * w.band), grid.n_points - 1):
         if np.sum(sq[3 * n // 8:]) <= ev.ALIAS_TOL * np.sum(sq):
             return n

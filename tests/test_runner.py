@@ -693,6 +693,22 @@ def test_a_run_of_many_frames_writes_its_field(tmp_path):
     assert field.frames.shape == (16385, 16) and field.horizon == 0.4
 
 
+@pytest.mark.parametrize("horizon, spacing", [(1e-310, "6.25e-312"), (5e-324, "0")])
+def test_a_subnormal_frame_spacing_exits_4_before_window_0(tmp_path, horizon, spacing):
+    # 16 frames over a subnormal horizon: no uniform time grid has that
+    # spacing, so the march refuses it before solving, with no window CSV
+    cfg = _certified_config(tmp_path / "out", grid={"L": 20.0, "N": 64}, horizon=horizon,
+                            solver={"frames": 16})
+    cfg["nonlinearity"] = {"name": "saturating", "lipschitz": 2.0}
+    code, _, summary = _main_artifacts(tmp_path, cfg)
+    assert code == EXIT_ASSUMPTION_VIOLATION
+    assert summary["status"] == "assumption_violation"
+    assert summary["error"] == (f"frame spacing window_length / n_frames = {spacing} is below "
+                                "the smallest normal float 2.22507e-308")
+    out = tmp_path / "main_out"
+    assert not list(out.glob("*_w*.csv")) and not (out / "final_field.sxd").exists()
+
+
 def test_unforeseen_solver_exception_exits_3_with_artifacts(tmp_path, monkeypatch):
     import cubelap.runner as runner
 
